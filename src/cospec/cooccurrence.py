@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,19 +60,25 @@ class ConditionalText:
         return "-".join(str(t) for t in self.tokens)
 
 
-def _validate_prefix(params: ToyParams, text: ConditionalText) -> None:
-    pos = text.positions(params)
-    if pos != tuple(range(1, len(pos) + 1)):
-        raise DomainError(f"prefix positions {pos} are not consecutive from 1")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """Sparse joint over (conditional text, target token), mass summing to 1."""
+    """Sparse joint over (conditional text, target token), mass summing to 1.
 
-    entries: dict[tuple[ConditionalText, int], float]
-    rows: tuple[ConditionalText, ...] = field(default=())
-    cols: tuple[int, ...] = field(default=())
+    `rows` and `cols` are the sorted catalogs of conditional texts and target
+    tokens. `row`, `col` and `value` are read-only COO arrays into them, in
+    catalog row-major order with no repeated (row, col) pair.
+    """
+
+    rows: tuple[ConditionalText, ...]
+    cols: tuple[int, ...]
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.row, self.col, self.value):
+            a.flags.writeable = False
 
     @classmethod
     def from_entries(cls, entries: dict) -> "JointDistribution":
@@ -81,31 +89,44 @@ class JointDistribution:
             raise DomainError("joint distribution has a negative entry")
         rows = tuple(sorted({text for text, _ in entries}))
         cols = tuple(sorted({tok for _, tok in entries}))
-        return cls(entries=entries, rows=rows, cols=cols)
+        ri = {text: i for i, text in enumerate(rows)}
+        ci = {tok: j for j, tok in enumerate(cols)}
+        coo = sorted((ri[t], ci[c], v) for (t, c), v in entries.items())
+        row, col, value = (np.array(a) for a in zip(*coo))
+        return cls(rows=rows, cols=cols, row=row, col=col, value=value)
+
+    @property
+    def entries(self) -> Mapping[tuple[ConditionalText, int], float]:
+        """Read-only {(text, token): value} view built from the arrays."""
+        keys = zip([self.rows[i] for i in self.row.tolist()],
+                   [self.cols[j] for j in self.col.tolist()])
+        return MappingProxyType(dict(zip(keys, self.value.tolist())))
 
     @property
     def total_mass(self) -> float:
-        return float(sum(self.entries.values()))
+        return float(self.value.sum())
 
-    def row_marginal(self) -> dict[ConditionalText, float]:
-        out: dict[ConditionalText, float] = {text: 0.0 for text in self.rows}
-        for (text, _), v in self.entries.items():
-            out[text] += v
-        return out
-
-    def col_marginal(self) -> dict[int, float]:
-        out: dict[int, float] = {tok: 0.0 for tok in self.cols}
-        for (_, tok), v in self.entries.items():
-            out[tok] += v
-        return out
+    def _once(self, name: str, compute) -> np.ndarray:
+        if name not in self._cache:
+            a = compute()
+            a.flags.writeable = False
+            self._cache[name] = a
+        return self._cache[name]
 
     def dense(self) -> np.ndarray:
-        a = np.zeros((len(self.rows), len(self.cols)))
-        ri = {text: i for i, text in enumerate(self.rows)}
-        ci = {tok: j for j, tok in enumerate(self.cols)}
-        for (text, tok), v in self.entries.items():
-            a[ri[text], ci[tok]] = v
-        return a
+        """The joint as a rows x cols array; computed once, read-only."""
+        n, m = len(self.rows), len(self.cols)
+        return self._once("dense", lambda: np.bincount(
+            self.row * m + self.col, self.value, n * m
+        ).reshape(n, m))
+
+    def row_marginal(self) -> np.ndarray:
+        """Row sums of :meth:`dense`, aligned with `rows`; read-only."""
+        return self._once("row_marginal", lambda: self.dense().sum(axis=1))
+
+    def col_marginal(self) -> np.ndarray:
+        """Column sums of :meth:`dense`, aligned with `cols`; read-only."""
+        return self._once("col_marginal", lambda: self.dense().sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -131,11 +152,11 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
     zero singular values. The result is invariant to any global rescaling of
     the joint, since both marginals rescale by the same factor.
     """
-    if not joint.entries:
+    if not joint.value.size:
         raise DomainError("cannot normalize an empty joint")
     a = joint.dense()
-    pc = a.sum(axis=1)
-    pg = a.sum(axis=0)
+    pc = joint.row_marginal()
+    pg = joint.col_marginal()
     keep_r = pc > 0
     keep_c = pg > 0
     a = a[np.ix_(keep_r, keep_c)]
@@ -154,40 +175,68 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
     )
 
 
-def _check_budget(kind: str, n_rows: int, budget: int) -> None:
-    if n_rows > budget:
-        raise ResourceError(
-            f"{kind} joint needs {n_rows} rows, over the budget of {budget}; "
-            "use build_joint_from_sampler instead"
-        )
+def _enumerate(
+    params: ToyParams, kind: str, patterns, budget: int
+) -> JointDistribution:
+    """Exact joint of (visible positions, target positions, value) patterns.
+
+    Every class conditions on every slot fill of each pattern's visible
+    positions and puts `value` on every slot token of each of its target
+    positions. Distinct patterns give distinct rows, so no two entries add.
+    The row count of the whole joint is checked against `budget` while the
+    patterns are read, before anything is built.
+    """
+    r, big_t = params.r, params.T
+    kept, n_rows = [], 0
+    for visible, targets, value in patterns:
+        n_rows += r * big_t ** len(visible)
+        if n_rows > budget:
+            raise ResourceError(
+                f"{kind} joint needs more than {budget} rows, the enumeration "
+                "budget; use build_joint_from_sampler instead"
+            )
+        kept.append((np.subtract(visible, 1), np.subtract(targets, 1), value))
+    # Slot j of a (position, class) cell is the cell's slot-1 id plus j - 1.
+    base = np.array([
+        [token_id(params, p, y, 1) for p in range(1, params.s + 1)]
+        for y in range(1, r + 1)
+    ])
+    texts, row, col, value = [], [], [], []
+    for visible, targets, v in kept:
+        k = len(visible)
+        fills = np.indices((big_t,) * k).reshape(k, -1).T
+        text = (base[:, None, visible] + fills).reshape(-1, k)
+        cells = base[:, None, targets, None] + np.arange(big_t)
+        cells = np.broadcast_to(cells, (r, len(fills), *cells.shape[2:]))
+        ids = np.arange(len(texts), len(texts) + len(text))
+        row.append(np.repeat(ids, cells[0, 0].size))
+        col.append(cells.ravel())
+        value.append(np.full(cells.size, v))
+        texts += map(tuple, text.tolist())
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    cols, col = np.unique(np.concatenate(col), return_inverse=True)
+    row = np.argsort(order)[np.concatenate(row)]
+    entry = np.lexsort((col, row))
+    return JointDistribution(
+        rows=tuple(ConditionalText(kind, texts[i]) for i in order),
+        cols=tuple(cols.tolist()),
+        row=row[entry],
+        col=col[entry],
+        value=np.concatenate(value)[entry],
+    )
 
 
 def build_ar_joint(
     params: ToyParams, budget: int = ENUMERATION_BUDGET
 ) -> JointDistribution:
-    """Exact next-token joint: (prefix of length i, token at position i+1).
+    """Exact next-token joint: :func:`build_dar_joint` at width 1.
 
     Prefix lengths 1..s-1 are weighted uniformly so total mass is exactly 1;
     every entry at length i is then 1 / ((s-1) * r * T**(i+1)). Position-1
     tokens never appear as targets, so they are absent from the column
     catalog.
     """
-    r, s, big_t = params.r, params.s, params.T
-    n_rows = r * sum(big_t**i for i in range(1, s))
-    _check_budget("next-token", n_rows, budget)
-    entries: dict[tuple[ConditionalText, int], float] = {}
-    for label in range(1, r + 1):
-        for i in range(1, s):
-            mass = 1.0 / ((s - 1) * r * big_t ** (i + 1))
-            for slots in itertools.product(range(1, big_t + 1), repeat=i):
-                text = ConditionalText.prefix(
-                    token_id(params, pos, label, slot)
-                    for pos, slot in enumerate(slots, start=1)
-                )
-                for j in range(1, big_t + 1):
-                    target = token_id(params, i + 1, label, j)
-                    entries[(text, target)] = mass
-    return JointDistribution.from_entries(entries)
+    return build_dar_joint(params, 1, budget)
 
 
 def unmasked_count(params: ToyParams, rho_m: float) -> int:
@@ -212,31 +261,13 @@ def unmasked_count(params: ToyParams, rho_m: float) -> int:
 def build_masked_joint(
     params: ToyParams, rho_m: float, budget: int = ENUMERATION_BUDGET
 ) -> JointDistribution:
-    """Exact masked-prediction joint at a fixed mask ratio.
+    """Exact masked-prediction joint: the one-ratio :func:`build_vlm_joint`.
 
     Conditions on each size-u subset of positions (u = s * (1 - rho_m)) and
     targets one masked position; all nonzero entries share the value
     1 / (r * C(s, u) * (s - u) * T**(u + 1)).
     """
-    r, s, big_t = params.r, params.s, params.T
-    u = unmasked_count(params, rho_m)
-    n_rows = r * math.comb(s, u) * big_t**u
-    _check_budget("masked", n_rows, budget)
-    mass = 1.0 / (r * math.comb(s, u) * (s - u) * big_t ** (u + 1))
-    entries: dict[tuple[ConditionalText, int], float] = {}
-    for label in range(1, r + 1):
-        for visible in itertools.combinations(range(1, s + 1), u):
-            hidden = [p for p in range(1, s + 1) if p not in visible]
-            for slots in itertools.product(range(1, big_t + 1), repeat=u):
-                text = ConditionalText.unmasked(
-                    token_id(params, pos, label, slot)
-                    for pos, slot in zip(visible, slots)
-                )
-                for p in hidden:
-                    for j in range(1, big_t + 1):
-                        target = token_id(params, p, label, j)
-                        entries[(text, target)] = mass
-    return JointDistribution.from_entries(entries)
+    return _mask_mixture(params, [rho_m], budget)
 
 
 def build_dar_joint(
@@ -245,30 +276,20 @@ def build_dar_joint(
     """Diversity-enhanced next-token joint with lookahead width t.
 
     The target position is uniform over the window i+1 .. min(i+t, s) behind
-    each prefix of length i; t = 1 reproduces :func:`build_ar_joint` entry
-    for entry.
+    each prefix of length i, so every entry at length i is
+    1 / ((s-1) * r * window * T**(i+1)); t = 1 is :func:`build_ar_joint`.
     """
     if t < 1:
         raise DomainError(f"lookahead width must be >= 1, got {t}")
     r, s, big_t = params.r, params.s, params.T
-    n_rows = r * sum(big_t**i for i in range(1, s))
-    _check_budget("diversity-enhanced", n_rows, budget)
-    entries: dict[tuple[ConditionalText, int], float] = {}
-    for label in range(1, r + 1):
+
+    def windows():
         for i in range(1, s):
             window = min(i + t, s) - i
             mass = 1.0 / ((s - 1) * r * window * big_t ** (i + 1))
-            for slots in itertools.product(range(1, big_t + 1), repeat=i):
-                text = ConditionalText.prefix(
-                    token_id(params, pos, label, slot)
-                    for pos, slot in enumerate(slots, start=1)
-                )
-                for p in range(i + 1, i + window + 1):
-                    for j in range(1, big_t + 1):
-                        target = token_id(params, p, label, j)
-                        key = (text, target)
-                        entries[key] = entries.get(key, 0.0) + mass
-    return JointDistribution.from_entries(entries)
+            yield range(1, i + 1), range(i + 1, i + window + 1), mass
+
+    return _enumerate(params, PREFIX, windows(), budget)
 
 
 def build_vlm_joint(
@@ -289,12 +310,22 @@ def build_vlm_joint(
         raise DomainError(
             f"no admissible mask ratio in [{rho_lo}, {rho_hi}] at s={params.s}"
         )
-    entries: dict[tuple[ConditionalText, int], float] = {}
-    for rho in ratios:
-        part = build_masked_joint(params, rho, budget=budget)
-        for key, v in part.entries.items():
-            entries[key] = entries.get(key, 0.0) + v / len(ratios)
-    return JointDistribution.from_entries(entries)
+    return _mask_mixture(params, ratios, budget)
+
+
+def _mask_mixture(params: ToyParams, ratios, budget: int) -> JointDistribution:
+    """Masked joints at `ratios`, mixed uniformly, as one enumeration."""
+    r, s, big_t = params.r, params.s, params.T
+
+    def masks():
+        for rho in ratios:
+            u = unmasked_count(params, rho)
+            mass = 1.0 / (r * math.comb(s, u) * (s - u) * big_t ** (u + 1))
+            for visible in itertools.combinations(range(1, s + 1), u):
+                hidden = [p for p in range(1, s + 1) if p not in visible]
+                yield visible, hidden, mass / len(ratios)
+
+    return _enumerate(params, UNMASKED, masks(), budget)
 
 
 def build_joint_from_sampler(
@@ -322,27 +353,24 @@ def build_joint_from_sampler(
 
 def write_joint_csv(joint: JointDistribution, path) -> None:
     """Dump a joint as `row_key,col_token,value` triplets, catalog order."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_key", "col_token", "value"])
-        for text in joint.rows:
-            for tok in joint.cols:
-                v = joint.entries.get((text, tok))
-                if v is not None:
-                    writer.writerow([text.key(), tok, repr(v)])
+    _write_triplets(path, joint.rows, joint.cols, joint.row, joint.col,
+                    joint.value)
 
 
 def write_matrix_csv(m: NormalizedMatrix, path) -> None:
     """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped."""
+    i, j = np.nonzero(m.matrix)
+    _write_triplets(path, m.rows, m.cols, i, j, m.matrix[i, j])
+
+
+def _write_triplets(path, rows, cols, i, j, values) -> None:
     import csv
 
+    keys = [text.key() for text in rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_key", "col_token", "value"])
-        for i, text in enumerate(m.rows):
-            for j, tok in enumerate(m.cols):
-                v = m.matrix[i, j]
-                if v != 0.0:
-                    writer.writerow([text.key(), tok, repr(float(v))])
+        writer.writerows(
+            (keys[a], cols[b], repr(v))
+            for a, b, v in zip(i.tolist(), j.tolist(), values.tolist())
+        )

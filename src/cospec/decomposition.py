@@ -82,15 +82,6 @@ class FactorPair:
     rank: int
 
 
-def _marginal_arrays(joint: JointDistribution):
-    pc = joint.row_marginal()
-    pg = joint.col_marginal()
-    return (
-        np.array([pc[t] for t in joint.rows]),
-        np.array([pg[c] for c in joint.cols]),
-    )
-
-
 def spectral_loss(
     enc: EncoderTable, emb: TokenEmbedding, joint: JointDistribution
 ) -> float:
@@ -105,10 +96,8 @@ def spectral_loss(
     f = enc.matrix(joint.rows)
     w = emb.columns(joint.cols)
     scores = f @ w
-    a = joint.dense()
-    pc, pg = _marginal_arrays(joint)
-    align = float(np.sum(a * scores))
-    contrast = float(pc @ (scores**2) @ pg)
+    align = float(np.sum(joint.dense() * scores))
+    contrast = float(joint.row_marginal() @ (scores**2) @ joint.col_marginal())
     return -2.0 * align + contrast
 
 
@@ -137,9 +126,9 @@ def identity_residual(
     loss = spectral_loss(enc, emb, joint)
     f = enc.matrix(joint.rows)
     w = emb.columns(joint.cols)
-    a = joint.dense()
-    pc, pg = _marginal_arrays(joint)
-    abar = a / np.sqrt(np.outer(pc, pg))
+    pc = joint.row_marginal()
+    pg = joint.col_marginal()
+    abar = joint.dense() / np.sqrt(np.outer(pc, pg))
     row_factor = np.sqrt(pc)[:, None] * f
     col_factor = (np.sqrt(pg)[None, :] * w).T
     objective = float(np.sum((abar - row_factor @ col_factor.T) ** 2))

@@ -276,16 +276,13 @@ class TrainResult:
 
 
 def _design(joint: JointDistribution, vocab: int):
-    rows = joint.rows
-    incidence = np.zeros((len(rows), vocab))
-    for i, text in enumerate(rows):
-        for t in text.tokens:
-            incidence[i, t] += 1.0
-    a = joint.dense()
-    pc = a.sum(axis=1)
-    pg = a.sum(axis=0)
-    cols = np.array(joint.cols)
-    return incidence, a, pc, pg, cols
+    lengths = [len(text.tokens) for text in joint.rows]
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    tokens = [t for text in joint.rows for t in text.tokens]
+    incidence = np.zeros((len(lengths), vocab))
+    np.add.at(incidence, (row, tokens), 1.0)
+    return (incidence, joint.dense(), joint.row_marginal(),
+            joint.col_marginal(), np.array(joint.cols))
 
 
 def _loss_and_grads(weights, incidence, a, pc, pg, cols):

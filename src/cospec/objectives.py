@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import ConditionalText
+from .cooccurrence import ConditionalText, unmasked_count
 from .errors import DomainError
-from .toy_model import LabeledSequence
+from .toy_model import ENUMERATION_BUDGET, LabeledSequence, ToyParams
 
 KINDS = ("ar", "masked", "dar", "vlm")
 
@@ -94,7 +94,10 @@ def admissible_ratios(s: int, lo: float, hi: float) -> list[float]:
     return out
 
 
-def _masked_pair(s, x, u, rng):
+def _masked_pair(x, rho, rng):
+    s = len(x.tokens)
+    # Only the sequence length enters the unmasked count.
+    u = unmasked_count(ToyParams(1, s, 1), rho)
     visible = np.sort(rng.choice(s, size=u, replace=False))
     hidden = np.setdiff1d(np.arange(s), visible)
     target_pos = int(rng.choice(hidden))
@@ -125,40 +128,24 @@ def sample_pair(
         target_pos = int(rng.integers(k, hi))
         return ConditionalText.prefix(x.tokens[:k]), x.tokens[target_pos]
     if spec.kind == "masked":
-        u = s - _integer_masked_count(s, spec.rho)
-        return _masked_pair(s, x, u, rng)
+        return _masked_pair(x, spec.rho, rng)
     ratios = admissible_ratios(s, spec.rho_lo, spec.rho_hi)
     if not ratios:
         raise DomainError(
             f"no admissible mask ratio in [{spec.rho_lo}, {spec.rho_hi}] "
             f"at s={s}; admissible grid is m/{s} for m in 1..{s - 1}"
         )
-    rho = ratios[int(rng.integers(len(ratios)))]
-    u = s - _integer_masked_count(s, rho)
-    return _masked_pair(s, x, u, rng)
+    return _masked_pair(x, ratios[int(rng.integers(len(ratios)))], rng)
 
 
-def _integer_masked_count(s: int, rho: float) -> int:
-    m = rho * s
-    m_int = round(m)
-    if abs(m - m_int) > 1e-9 or not 1 <= m_int <= s - 1:
-        admissible = [k / s for k in range(1, s)]
-        raise DomainError(
-            f"mask ratio {rho} is not admissible at s={s}; "
-            f"admissible ratios: {admissible}"
-        )
-    return int(m_int)
-
-
-def exact_joint(spec: ObjectiveSpec, params, budget: int | None = None):
+def exact_joint(spec: ObjectiveSpec, params, budget: int = ENUMERATION_BUDGET):
     """The exact joint distribution this objective induces on the corpus."""
     from . import cooccurrence as co
 
-    kwargs = {} if budget is None else {"budget": budget}
     if spec.kind == "ar":
-        return co.build_ar_joint(params, **kwargs)
+        return co.build_ar_joint(params, budget)
     if spec.kind == "masked":
-        return co.build_masked_joint(params, spec.rho, **kwargs)
+        return co.build_masked_joint(params, spec.rho, budget)
     if spec.kind == "dar":
-        return co.build_dar_joint(params, spec.width, **kwargs)
-    return co.build_vlm_joint(params, spec.rho_lo, spec.rho_hi, **kwargs)
+        return co.build_dar_joint(params, spec.width, budget)
+    return co.build_vlm_joint(params, spec.rho_lo, spec.rho_hi, budget)

@@ -152,36 +152,32 @@ def labeling_error(joint: JointDistribution, labeler) -> float:
     text must agree on the class, otherwise the row has no well-defined
     label and the joint is malformed for this measure.
     """
-    mismatch = 0.0
-    for (text, target), v in joint.entries.items():
-        row_labels = {labeler(t) for t in text.tokens}
-        if len(row_labels) != 1:
+    row_labels = []
+    for text in joint.rows:
+        labels = {labeler(t) for t in text.tokens}
+        if len(labels) != 1:
             raise DomainError(
-                f"conditional text {text.key()} mixes classes {sorted(row_labels)}"
+                f"conditional text {text.key()} mixes classes {sorted(labels)}"
             )
-        if labeler(target) not in row_labels:
-            mismatch += v
-    return mismatch / joint.total_mass
+        row_labels.append(labels.pop())
+    col_labels = np.array([labeler(c) for c in joint.cols])
+    mismatch = np.array(row_labels)[joint.row] != col_labels[joint.col]
+    return float(joint.value[mismatch].sum()) / joint.total_mass
 
 
-def connectivity_estimate(features, k: int | None = None) -> float:
-    """Mean of the k largest pairwise inner products among feature vectors.
+def connectivity_estimate(features) -> float:
+    """Mean inner product over all pairs of distinct feature vectors.
 
     A crude connectivity surrogate: high values mean many feature pairs
-    point the same way. With k omitted or larger than the pair count, all
-    pairs are averaged.
+    point the same way. The n(n-1)/2 pair products sum to half of
+    |sum f|^2 - sum |f|^2, so no n x n Gram matrix is formed.
     """
     f = np.asarray(features, dtype=float)
     if f.ndim != 2 or f.shape[0] < 2:
         raise DomainError("need at least two feature vectors")
-    gram = f @ f.T
-    iu = np.triu_indices(f.shape[0], k=1)
-    products = np.sort(gram[iu])[::-1]
-    if k is None or k >= len(products):
-        return float(products.mean())
-    if k < 1:
-        raise DomainError(f"pair budget must be >= 1, got {k}")
-    return float(products[:k].mean())
+    n = f.shape[0]
+    total = f.sum(axis=0)
+    return float((total @ total - np.sum(f * f)) / (n * (n - 1)))
 
 
 def write_spectrum_csv(spectrum: SingularSpectrum, path) -> None:

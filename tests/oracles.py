@@ -5,6 +5,7 @@ loops over full supports, brute-force enumeration. Tests compare the
 package's vectorized implementations against these.
 """
 
+import csv
 import itertools
 import math
 
@@ -70,7 +71,7 @@ def dar_joint_dict(r, s, T, t):
 
 
 def normalized_dense(joint_dict):
-    """(rows, cols, normalized matrix) from a dict joint, marginals by sums."""
+    """(rows, cols, normalized matrix, row sums, col sums) of a dict joint."""
     rows = sorted({c for c, _ in joint_dict})
     cols = sorted({t for _, t in joint_dict})
     a = np.zeros((len(rows), len(cols)))
@@ -80,7 +81,47 @@ def normalized_dense(joint_dict):
         a[ri[c], ci[t]] = v
     pc = a.sum(axis=1)
     pg = a.sum(axis=0)
-    return rows, cols, a / np.sqrt(np.outer(pc, pg))
+    return rows, cols, a / np.sqrt(np.outer(pc, pg)), pc, pg
+
+
+def pairwise_mean(features):
+    """Mean inner product over every pair i < j, one pair at a time."""
+    f = np.asarray(features, dtype=float)
+    products = [
+        float(f[i] @ f[j])
+        for i in range(len(f))
+        for j in range(i + 1, len(f))
+    ]
+    return math.fsum(products) / len(products)
+
+
+def _write_triplets(path, triplets):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row_key", "col_token", "value"])
+        for key, tok, v in triplets:
+            writer.writerow([key, tok, repr(float(v))])
+
+
+def scan_joint_csv(joint, path):
+    """Joint CSV by scanning every (row, column) pair of the catalogs."""
+    entries = dict(joint.entries)
+    _write_triplets(path, (
+        (text.key(), tok, entries[(text, tok)])
+        for text in joint.rows
+        for tok in joint.cols
+        if (text, tok) in entries
+    ))
+
+
+def scan_matrix_csv(m, path):
+    """Normalized-matrix CSV by scanning every cell, zeros skipped."""
+    _write_triplets(path, (
+        (text.key(), tok, m.matrix[i, j])
+        for i, text in enumerate(m.rows)
+        for j, tok in enumerate(m.cols)
+        if m.matrix[i, j] != 0.0
+    ))
 
 
 def block_matrix(p_a, p_b, s_a, s_b):

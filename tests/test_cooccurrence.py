@@ -23,7 +23,7 @@ from cospec.cooccurrence import (
     write_matrix_csv,
 )
 from cospec.errors import DomainError, ResourceError
-from cospec.objectives import exact_joint, parse_objective
+from cospec.objectives import admissible_ratios, exact_joint, parse_objective
 from cospec.toy_model import ToyParams, token_position
 
 
@@ -34,10 +34,7 @@ def as_plain_dict(joint: JointDistribution) -> dict:
 @pytest.mark.parametrize("r,s,big_t", [(2, 3, 2), (1, 4, 3), (3, 3, 1)])
 def test_ar_joint_matches_reference_builder(r, s, big_t):
     got = as_plain_dict(build_ar_joint(ToyParams(r, s, big_t)))
-    want = oracles.ar_joint_dict(r, s, big_t)
-    assert got.keys() == want.keys()
-    for key in want:
-        assert got[key] == pytest.approx(want[key], abs=1e-15)
+    assert got == oracles.ar_joint_dict(r, s, big_t)
 
 
 @pytest.mark.parametrize(
@@ -45,28 +42,59 @@ def test_ar_joint_matches_reference_builder(r, s, big_t):
 )
 def test_masked_joint_matches_reference_builder(r, s, big_t, rho):
     got = as_plain_dict(build_masked_joint(ToyParams(r, s, big_t), rho))
-    want = oracles.masked_joint_dict(r, s, big_t, rho)
-    assert got.keys() == want.keys()
-    for key in want:
-        assert got[key] == pytest.approx(want[key], abs=1e-15)
+    assert got == oracles.masked_joint_dict(r, s, big_t, rho)
 
 
 @pytest.mark.parametrize("r,s,big_t,t", [(2, 4, 2, 2), (1, 5, 3, 3), (2, 3, 2, 9)])
 def test_dar_joint_matches_reference_builder(r, s, big_t, t):
     got = as_plain_dict(build_dar_joint(ToyParams(r, s, big_t), t))
-    want = oracles.dar_joint_dict(r, s, big_t, t)
-    assert got.keys() == want.keys()
-    for key in want:
-        assert got[key] == pytest.approx(want[key], abs=1e-14)
+    assert got == oracles.dar_joint_dict(r, s, big_t, t)
 
 
-@pytest.mark.parametrize(
-    "label", ["ar", "masked:0.5", "dar:2", "dar:3", "vlm:0.25-0.75"]
-)
+LABELS = ["ar", "masked:0.5", "dar:2", "dar:3", "vlm:0.25-0.75"]
+
+
+@pytest.mark.parametrize("label", LABELS)
 def test_total_mass_is_one(label):
     params = ToyParams(2, 4, 2)
     joint = exact_joint(parse_objective(label), params)
     assert joint.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_joint_arrays_are_catalog_ordered_and_read_only(label):
+    joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
+    assert list(joint.rows) == sorted(joint.rows)
+    assert list(joint.cols) == sorted(joint.cols)
+    assert np.all(np.diff(joint.row * len(joint.cols) + joint.col) > 0)
+    for a in (joint.row, joint.col, joint.value, joint.dense(),
+              joint.row_marginal(), joint.col_marginal()):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_marginals_are_the_dense_sums(label):
+    joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
+    rows, cols, matrix, pc, pg = oracles.normalized_dense(as_plain_dict(joint))
+    assert [text.tokens for text in joint.rows] == rows
+    assert list(joint.cols) == cols
+    assert np.array_equal(joint.row_marginal(), pc)
+    assert np.array_equal(joint.col_marginal(), pg)
+    assert np.array_equal(normalize(joint).matrix, matrix)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_csv_writers_match_a_catalog_scan(label, tmp_path):
+    joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
+    for write, scan, obj in (
+        (write_joint_csv, oracles.scan_joint_csv, joint),
+        (write_matrix_csv, oracles.scan_matrix_csv, normalize(joint)),
+    ):
+        write(obj, tmp_path / "got.csv")
+        scan(obj, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
 
 
 def test_ar_columns_exclude_first_position():
@@ -103,9 +131,9 @@ def test_masked_target_position_is_never_visible():
 
 def test_masked_column_marginal_is_uniform():
     params = ToyParams(2, 4, 2)
-    marg = build_masked_joint(params, 0.5).col_marginal()
-    assert set(marg) == set(range(params.vocab_size))
-    assert_allclose(list(marg.values()), 1.0 / params.vocab_size, atol=1e-12)
+    joint = build_masked_joint(params, 0.5)
+    assert joint.cols == tuple(range(params.vocab_size))
+    assert_allclose(joint.col_marginal(), 1.0 / params.vocab_size, atol=1e-12)
 
 
 def test_unmasked_count_validation():
@@ -122,9 +150,11 @@ def test_unmasked_count_validation():
 
 def test_lookahead_width_one_is_next_token():
     params = ToyParams(2, 4, 2)
-    assert as_plain_dict(build_dar_joint(params, 1)) == as_plain_dict(
-        build_ar_joint(params)
-    )
+    dar, ar = build_dar_joint(params, 1), build_ar_joint(params)
+    assert as_plain_dict(dar) == as_plain_dict(ar)
+    assert dar.rows == ar.rows and dar.cols == ar.cols
+    for name in ("row", "col", "value"):
+        assert np.array_equal(getattr(dar, name), getattr(ar, name))
 
 
 def test_lookahead_widens_target_support():
@@ -142,17 +172,16 @@ def test_lookahead_widens_target_support():
 
 
 def test_variable_ratio_is_uniform_mixture():
-    params = ToyParams(2, 4, 2)
-    mix = build_vlm_joint(params, 0.25, 0.75)
-    parts = [build_masked_joint(params, rho) for rho in (0.25, 0.5, 0.75)]
-    want: dict = {}
-    for part in parts:
-        for key, v in part.entries.items():
-            want[key] = want.get(key, 0.0) + v / 3.0
-    got = mix.entries
-    assert got.keys() == want.keys()
-    for key in want:
-        assert got[key] == pytest.approx(want[key], abs=1e-15)
+    for r, s, big_t, lo, hi in [
+        (2, 4, 2, 0.25, 0.75), (1, 5, 2, 0.2, 0.6), (2, 6, 1, 0.5, 0.67)
+    ]:
+        ratios = admissible_ratios(s, lo, hi)
+        want: dict = {}
+        for rho in ratios:
+            for key, v in oracles.masked_joint_dict(r, s, big_t, rho).items():
+                want[key] = want.get(key, 0.0) + v / len(ratios)
+        got = as_plain_dict(build_vlm_joint(ToyParams(r, s, big_t), lo, hi))
+        assert got == want
 
 
 def test_variable_ratio_needs_an_admissible_point():
@@ -165,6 +194,14 @@ def test_budget_overrun_names_the_sampler():
         build_ar_joint(ToyParams(3, 12, 3))
     with pytest.raises(ResourceError, match="budget"):
         build_masked_joint(ToyParams(2, 10, 4), 0.5)
+
+
+def test_budget_counts_the_whole_mixture():
+    # The parts have 64 and 48 rows: each fits the budget, the mixture not.
+    params = ToyParams(2, 4, 2)
+    with pytest.raises(ResourceError, match="budget"):
+        build_vlm_joint(params, 0.25, 0.5, budget=100)
+    assert len(build_vlm_joint(params, 0.25, 0.5, budget=112).rows) == 112
 
 
 def test_sampled_joint_single_draw():

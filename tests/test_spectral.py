@@ -182,11 +182,17 @@ def test_connectivity_extremes():
     same = np.tile([1.0, 0.0], (4, 1))
     assert connectivity_estimate(same) == pytest.approx(1.0)
     assert connectivity_estimate(np.eye(3)) == pytest.approx(0.0)
-    assert connectivity_estimate(same, k=1) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        connectivity_estimate(same, k=0)
     with pytest.raises(DomainError):
         connectivity_estimate(same[:1])
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40))
+@settings(max_examples=40)
+def test_connectivity_is_the_pairwise_mean(seed, n):
+    f = np.random.default_rng(seed).standard_normal((n, 3)) + 0.5
+    want = oracles.pairwise_mean(f)
+    got = connectivity_estimate(f)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_connectivity_masked_above_next_token():
@@ -199,6 +205,9 @@ def test_connectivity_masked_above_next_token():
     )
     conn_ar = connectivity_estimate([f for f, _, _ in feats_ar])
     conn_m = connectivity_estimate([f for f, _, _ in feats_m])
+    for feats, conn in ((feats_ar, conn_ar), (feats_m, conn_m)):
+        want = oracles.pairwise_mean([f for f, _, _ in feats])
+        assert conn == pytest.approx(want, rel=1e-12)
     assert conn_m > conn_ar
     assert conn_ar < 0.7
     assert conn_m > 0.8
