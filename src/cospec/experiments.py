@@ -9,6 +9,7 @@ contract and is tested end to end.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from . import decomposition as dec
 from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
+    build_masked_joint,
     normalize,
     unmasked_count,
     write_joint_csv,
@@ -40,7 +42,9 @@ _TOP_KEYS = {
     "experiment", "seed", "params", "objectives", "rank", "reg", "trials",
     "lr", "steps", "train", "rho_m", "seeds", "assignment",
 }
-_TRAIN_KEYS = {"dim", "lr", "steps", "init_noise", "clip"}
+_TRAIN_KINDS = {
+    "dim": int, "lr": float, "steps": int, "init_noise": float, "clip": float,
+}
 
 
 @dataclass(frozen=True)
@@ -126,45 +130,54 @@ def load_config(source) -> ExperimentConfig:
             rho_m = [rho_m]
         if not isinstance(rho_m, list) or not rho_m:
             raise ConfigError("must be a ratio or list of ratios", field="rho_m")
+        rho_m = tuple(_number(rho, float, "rho_m") for rho in rho_m)
         for rho in rho_m:
             try:
-                unmasked_count(params, float(rho))
+                unmasked_count(params, rho)
             except DomainError as exc:
                 raise ConfigError(str(exc), field="rho_m") from exc
-        rho_m = tuple(float(r) for r in rho_m)
 
     train_raw = raw.get("train", {})
     if not isinstance(train_raw, dict):
         raise ConfigError("must be an object", field="train")
-    unknown = set(train_raw) - _TRAIN_KEYS
+    unknown = train_raw.keys() - _TRAIN_KINDS
     if unknown:
         raise ConfigError(f"unknown fields {sorted(unknown)}", field="train")
-    train = gen.TrainSettings(**train_raw)
+    train = gen.TrainSettings(**{
+        key: _number(v, _TRAIN_KINDS[key], f"train.{key}")
+        for key, v in train_raw.items()
+        if not (key == "dim" and v is None)
+    })
 
     def _opt(key, kind, default=None):
         v = raw.get(key, default)
-        if v is None:
-            return None
-        try:
-            return kind(v)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"expected {kind.__name__}", field=key) from exc
+        return None if v is None else _number(v, kind, key)
 
     return ExperimentConfig(
         experiment=name,
         params=params,
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0), int, "seed"),
         objectives=tuple(objectives),
         rank=_opt("rank", int),
-        reg=float(raw.get("reg", 1e-8)),
-        trials=int(raw.get("trials", 100)),
+        reg=_number(raw.get("reg", 1e-8), float, "reg"),
+        trials=_number(raw.get("trials", 100), int, "trials"),
         lr=_opt("lr", float),
         steps=_opt("steps", int),
         train=train,
         rho_m=rho_m,
-        seeds=int(raw.get("seeds", 3)),
+        seeds=_number(raw.get("seeds", 3), int, "seeds"),
         assignment=raw.get("assignment"),
     )
+
+
+def _number(value, kind, field: str):
+    """`kind(value)`, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"expected {kind.__name__}, got {value!r}", field=field
+        ) from exc
 
 
 def derive_rng(seed: int, *labels: str) -> np.random.Generator:
@@ -361,6 +374,11 @@ def _bound_rhos(cfg: ExperimentConfig, spec: ObjectiveSpec):
     return out
 
 
+def _masked_joints(params: ToyParams):
+    """`rho -> build_masked_joint(params, rho)`, building each ratio once."""
+    return functools.cache(functools.partial(build_masked_joint, params))
+
+
 def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     """Train one model per objective; measure losses, bound terms, and gaps."""
     params = cfg.params
@@ -385,6 +403,7 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
         delta_ar = gen.delta_term(
             models["ar"], exact_joint(parse_objective("ar"), params)
         )
+    masked_joint = _masked_joints(params)
     bounds = {}
     for label in cfg.objectives:
         spec = parse_objective(label)
@@ -392,7 +411,9 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
             continue
         per_rho = {}
         for rho in _bound_rhos(cfg, spec):
-            terms = gen.generation_bound_terms(models[label], params, rho)
+            terms = gen.generation_bound_terms(
+                models[label], params, rho, joint=masked_joint(rho)
+            )
             bound = gen.masked_generation_bound(terms)
             per_rho[f"{rho:g}"] = {
                 "weights": terms.weights,
@@ -481,14 +502,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     dataset = list(enumerate_sequences(params))
     rows = []
     delta_ar_by_seed: dict[int, float] = {}
+    masked_joint = _masked_joints(params)
     for label in cfg.objectives:
         spec = parse_objective(label)
+        if spec.kind in ("ar", "dar"):
+            joint = exact_joint(spec, params)
         for seed_i in range(cfg.seeds):
             rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
             model = gen.train_model(spec, params, cfg.train, rng).model
             total = gen.gen_loss(model, dataset, params).total
             if spec.kind in ("ar", "dar"):
-                joint = exact_joint(spec, params)
                 delta = gen.delta_term(model, joint)
                 if spec.kind == "ar":
                     delta_ar_by_seed[seed_i] = delta
@@ -504,7 +527,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
                 })
                 continue
             for rho in _bound_rhos(cfg, spec):
-                terms = gen.generation_bound_terms(model, params, rho)
+                terms = gen.generation_bound_terms(
+                    model, params, rho, joint=masked_joint(rho)
+                )
                 bound = gen.masked_generation_bound(terms)
                 rows.append({
                     "spec": label,

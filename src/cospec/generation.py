@@ -285,50 +285,117 @@ def _design(joint: JointDistribution, vocab: int):
             joint.col_marginal(), np.array(joint.cols))
 
 
-def _loss_and_grads(weights, incidence, a, pc, pg, cols):
-    emb, wq, wk, wv, w_out = weights
-    s_mat = incidence @ emb
-    q = s_mat @ wq
-    k = s_mat @ wk
-    v = s_mat @ wv
-    lam = np.einsum("ij,ij->i", q, k)
-    f = lam[:, None] * v
-    w_cols = w_out[:, cols]
-    z = f @ w_cols
-    loss = float(-np.sum(a * z) + pc @ (z**2) @ pg)
+class _Workspace:
+    """One training step's loss and gradients, written into fixed buffers.
 
-    g_z = -a + 2.0 * (pc[:, None] * z * pg[None, :])
-    g_wout = np.zeros_like(w_out)
-    g_wout[:, cols] = f.T @ g_z
-    g_f = g_z @ w_cols.T
-    g_lam = np.einsum("ij,ij->i", g_f, v)
-    g_v = lam[:, None] * g_f
-    g_q = g_lam[:, None] * k
-    g_k = g_lam[:, None] * q
-    g_s = g_q @ wq.T + g_k @ wk.T + g_v @ wv.T
-    grads = (
-        incidence.T @ g_s,
-        s_mat.T @ g_q,
-        s_mat.T @ g_k,
-        s_mat.T @ g_v,
-        g_wout,
-    )
-    return loss, grads
+    Every array with one row per joint row, the column block of `w_out`, the
+    five gradients and one scratch array per weight are allocated here once,
+    from the design arrays and the weight shapes. Each call overwrites
+    `grads` in place. The operations and their order are those of the plain
+    expression form, so losses and gradients are bit-identical to it.
+
+    A step still allocates target-catalog vectors and numpy's iteration
+    buffer for each broadcast product, which holds at most 8192 elements.
+    `einsum("i,ij->ij", ...)` would avoid it for the row scalings, but it adds
+    each product into a zeroed output and so turns a -0.0 product into +0.0.
+    """
+
+    def __init__(self, arrays, weights):
+        self.incidence, self.a, self.pc, self.pg, self.cols = arrays
+        n, c = self.a.shape
+        d = weights[0].shape[1]
+        self.s_mat, self.q, self.k, self.v, self.f = (
+            np.empty((n, d)) for _ in range(5)
+        )
+        self.g_f, self.g_q, self.g_k, self.g_v, self.g_s = (
+            np.empty((n, d)) for _ in range(5)
+        )
+        self.lam = np.empty(n)
+        self.g_lam = np.empty(n)
+        self.z = np.empty((n, c))
+        self.g_z = np.empty((n, c))
+        # `w_out[:, cols]` with an index array is a Fortran-ordered copy; a
+        # C-ordered buffer would send `g_z @ w_cols.T` down another BLAS path
+        # and move the gradients in the last bits.
+        self.w_cols = np.empty((d, c), order="F")
+        self.g_cols = np.empty((d, c))
+        self.grads = tuple(np.zeros_like(w) for w in weights)
+        self.scratch = tuple(np.empty_like(w) for w in weights)
+
+    def __call__(self, weights) -> float:
+        """Loss at `weights`; the gradients land in `self.grads`."""
+        emb, wq, wk, wv, w_out = weights
+        a, pc, pg = self.a, self.pc, self.pg
+        s_mat, q, k, v, f = self.s_mat, self.q, self.k, self.v, self.f
+        z, g_z, lam, g_lam = self.z, self.g_z, self.lam, self.g_lam
+        g_f, g_q, g_k, g_v, g_s = self.g_f, self.g_q, self.g_k, self.g_v, self.g_s
+        np.matmul(self.incidence, emb, out=s_mat)
+        np.matmul(s_mat, wq, out=q)
+        np.matmul(s_mat, wk, out=k)
+        np.matmul(s_mat, wv, out=v)
+        np.einsum("ij,ij->i", q, k, out=lam)
+        np.multiply(lam[:, None], v, out=f)
+        np.take(w_out, self.cols, axis=1, out=self.w_cols, mode="clip")
+        np.matmul(f, self.w_cols, out=z)
+        # g_z doubles as scratch for the two loss terms before it is set
+        np.multiply(a, z, out=g_z)
+        fit = np.sum(g_z)
+        np.square(z, out=g_z)
+        loss = float(-fit + pc @ g_z @ pg)
+
+        np.multiply(pc[:, None], z, out=g_z)
+        np.multiply(g_z, pg[None, :], out=g_z)
+        np.multiply(2.0, g_z, out=g_z)
+        np.subtract(g_z, a, out=g_z)
+        g_emb, g_wq, g_wk, g_wv, g_wout = self.grads
+        np.matmul(f.T, g_z, out=self.g_cols)
+        g_wout[:, self.cols] = self.g_cols
+        np.matmul(g_z, self.w_cols.T, out=g_f)
+        np.einsum("ij,ij->i", g_f, v, out=g_lam)
+        np.multiply(lam[:, None], g_f, out=g_v)
+        np.multiply(g_lam[:, None], k, out=g_q)
+        np.multiply(g_lam[:, None], q, out=g_k)
+        # g_f is spent; it holds the second and third terms of g_s
+        np.matmul(g_q, wq.T, out=g_s)
+        np.add(g_s, np.matmul(g_k, wk.T, out=g_f), out=g_s)
+        np.add(g_s, np.matmul(g_v, wv.T, out=g_f), out=g_s)
+        np.matmul(self.incidence.T, g_s, out=g_emb)
+        np.matmul(s_mat.T, g_q, out=g_wq)
+        np.matmul(s_mat.T, g_k, out=g_wk)
+        np.matmul(s_mat.T, g_v, out=g_wv)
+        return loss
+
+    def grad_norm(self) -> float:
+        """Global l2 norm of the current gradients."""
+        return math.sqrt(sum(
+            float(np.sum(np.square(g, out=t)))
+            for g, t in zip(self.grads, self.scratch)
+        ))
+
+    def descend(self, weights, scale: float) -> None:
+        """In place, `w -= scale * g` for every weight and its gradient."""
+        for w, g, t in zip(weights, self.grads, self.scratch):
+            np.subtract(w, np.multiply(scale, g, out=t), out=w)
 
 
-def _spot_check_gradients(weights, arrays, rng, rel_tol=1e-4, probes=3):
-    """Central-difference check on a few coordinates of every weight."""
+def _spot_check_gradients(weights, step, rng, rel_tol=1e-4, probes=3):
+    """Central-difference check on a few coordinates of every weight.
+
+    The analytic gradients are copied first: each probe evaluation
+    overwrites the workspace's gradient buffers.
+    """
     h = 1e-6
-    _, grads = _loss_and_grads(weights, *arrays)
+    step(weights)
+    grads = [g.copy() for g in step.grads]
     for idx, w in enumerate(weights):
         flat = w.ravel()
         for _ in range(probes):
             j = int(rng.integers(flat.size))
             orig = flat[j]
             flat[j] = orig + h
-            up, _ = _loss_and_grads(weights, *arrays)
+            up = step(weights)
             flat[j] = orig - h
-            down, _ = _loss_and_grads(weights, *arrays)
+            down = step(weights)
             flat[j] = orig
             fd = (up - down) / (2 * h)
             an = grads[idx].ravel()[j]
@@ -366,20 +433,20 @@ def train_model(
         np.eye(d) + noise * rng.standard_normal((d, d)),
         noise * rng.standard_normal((d, vocab)),
     )
-    arrays = _design(joint, vocab)
+    step = _Workspace(_design(joint, vocab), weights)
     if settings.check_gradients:
-        _spot_check_gradients(weights, arrays, rng)
+        _spot_check_gradients(weights, step, rng)
     losses = []
-    for step in range(settings.steps):
-        loss, grads = _loss_and_grads(weights, *arrays)
+    for i in range(settings.steps):
+        loss = step(weights)
         if not np.isfinite(loss):
             raise NumericError(
-                f"training diverged at step {step} with lr={settings.lr}"
+                f"training diverged at step {i} with lr={settings.lr}"
             )
         losses.append(loss)
-        norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads))
+        norm = step.grad_norm()
         scale = settings.lr * min(1.0, settings.clip / norm) if norm > 0 else 0.0
-        weights = tuple(w - scale * g for w, g in zip(weights, grads))
+        step.descend(weights, scale)
     emb, wq, wk, wv, w_out = weights
     model = LinearAttentionModel(emb=emb, wq=wq, wk=wk, wv=wv, w_out=w_out)
     return TrainResult(model=model, losses=tuple(losses))

@@ -175,6 +175,62 @@ def fd_gradient(fn, x, h=1e-6):
     return g
 
 
+# The training step as plain expressions, one fresh array per operation.
+# `cospec.generation._Workspace` must reproduce it bit for bit.
+def loss_and_grads(weights, incidence, a, pc, pg, cols):
+    emb, wq, wk, wv, w_out = weights
+    s_mat = incidence @ emb
+    q = s_mat @ wq
+    k = s_mat @ wk
+    v = s_mat @ wv
+    lam = np.einsum("ij,ij->i", q, k)
+    f = lam[:, None] * v
+    w_cols = w_out[:, cols]
+    z = f @ w_cols
+    loss = float(-np.sum(a * z) + pc @ (z**2) @ pg)
+
+    g_z = -a + 2.0 * (pc[:, None] * z * pg[None, :])
+    g_wout = np.zeros_like(w_out)
+    g_wout[:, cols] = f.T @ g_z
+    g_f = g_z @ w_cols.T
+    g_lam = np.einsum("ij,ij->i", g_f, v)
+    g_v = lam[:, None] * g_f
+    g_q = g_lam[:, None] * k
+    g_k = g_lam[:, None] * q
+    g_s = g_q @ wq.T + g_k @ wk.T + g_v @ wv.T
+    grads = (
+        incidence.T @ g_s,
+        s_mat.T @ g_q,
+        s_mat.T @ g_k,
+        s_mat.T @ g_v,
+        g_wout,
+    )
+    return loss, grads
+
+
+def init_weights(rng, vocab, d, noise):
+    """The five starting weights `train_model` draws, in its order."""
+    return (
+        np.eye(vocab, d) + noise * rng.standard_normal((vocab, d)),
+        np.eye(d) + noise * rng.standard_normal((d, d)),
+        np.eye(d) + noise * rng.standard_normal((d, d)),
+        np.eye(d) + noise * rng.standard_normal((d, d)),
+        noise * rng.standard_normal((d, vocab)),
+    )
+
+
+def train_losses_and_weights(arrays, weights, lr, clip, steps):
+    """Full-batch clipped GD with the plain step; (losses, final weights)."""
+    losses = []
+    for _ in range(steps):
+        loss, grads = loss_and_grads(weights, *arrays)
+        losses.append(loss)
+        norm = math.sqrt(sum(float(np.sum(g**2)) for g in grads))
+        scale = lr * min(1.0, clip / norm) if norm > 0 else 0.0
+        weights = tuple(w - scale * g for w, g in zip(weights, grads))
+    return losses, weights
+
+
 def spearman(xs, ys):
     """Rank correlation without ties handling; inputs must be tie-free."""
     xs = np.asarray(xs, dtype=float)

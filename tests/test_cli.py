@@ -73,6 +73,19 @@ def test_unknown_field_is_a_config_error(tmp_path, capsys):
     assert "plot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"experiment": "identity", "trials": "abc"}, "trials"),
+    ({"experiment": "sweep", "seeds": "two"}, "seeds"),
+    ({"experiment": "genbound", "train": {"lr": "x"}}, "train.lr"),
+])
+def test_non_numeric_field_is_a_config_error(tmp_path, capsys, fields, name):
+    cfg = write_cfg(tmp_path, {"params": {"r": 1, "s": 3, "T": 2}, **fields})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}: expected ")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing, "--out", str(tmp_path)]) == 2

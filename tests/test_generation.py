@@ -1,19 +1,22 @@
 """Pooled attention encoder, its training loop, and the generation bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from cospec import generation
 from cospec.cooccurrence import build_masked_joint
 from cospec.errors import DomainError, NumericError
 from cospec.generation import (
     GenerationBoundTerms,
     LinearAttentionModel,
     TrainSettings,
+    _Workspace,
     _design,
-    _loss_and_grads,
     delta_term,
     gen_loss,
     generation_bound_terms,
@@ -243,16 +246,97 @@ def test_training_gradients_match_finite_differences_everywhere():
         np.eye(*shape) + 0.05 * rng.standard_normal(shape)
         for shape in [(d, d)] * 4
     ) + (0.05 * rng.standard_normal((d, d)),)
-    _, grads = _loss_and_grads(weights, *arrays)
+    step = _Workspace(arrays, weights)
+    step(weights)
+    grads = [g.copy() for g in step.grads]
     for idx in range(5):
         def objective(w, idx=idx):
             probe = list(weights)
             probe[idx] = w
-            return _loss_and_grads(tuple(probe), *arrays)[0]
+            return step(tuple(probe))
 
         fd = oracles.fd_gradient(objective, weights[idx].copy())
         scale = max(np.abs(fd).max(), 1.0)
         assert np.max(np.abs(fd - grads[idx])) / scale < 1e-5
+
+
+@pytest.mark.parametrize("objective, shape, dim", [
+    # the column catalog of the prefix family is a sub-range of the vocab
+    ("ar", (2, 6, 3), None),
+    ("dar:2", (2, 6, 3), None),
+    ("masked:0.5", (1, 4, 2), None),
+    ("vlm:0.25-0.5", (1, 4, 2), None),
+    ("ar", (1, 3, 2), 4),
+])
+def test_training_is_bit_identical_to_the_plain_step(objective, shape, dim):
+    spec = parse_objective(objective)
+    params = ToyParams(*shape)
+    cfg = TrainSettings(dim=dim, steps=50)
+    result = train_model(spec, params, cfg, np.random.default_rng(11))
+    vocab = params.vocab_size
+    weights = oracles.init_weights(
+        np.random.default_rng(11), vocab, dim or vocab, cfg.init_noise
+    )
+    arrays = _design(exact_joint(spec, params), vocab)
+    losses, final = oracles.train_losses_and_weights(
+        arrays, weights, cfg.lr, cfg.clip, cfg.steps
+    )
+    assert result.losses == tuple(losses)
+    m = result.model
+    for got, want in zip((m.emb, m.wq, m.wk, m.wv, m.w_out), final):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_training_step_peak_is_below_two_row_sized_arrays():
+    # what is left is numpy's buffer for one broadcast product at a time;
+    # the plain-expression step peaks at about fourteen such arrays
+    params = ToyParams(1, 6, 2)
+    joint = exact_joint(parse_objective("masked:0.5"), params)
+    vocab = params.vocab_size
+    weights = oracles.init_weights(np.random.default_rng(0), vocab, vocab, 0.02)
+    step = _Workspace(_design(joint, vocab), weights)
+
+    def train_step():
+        step(weights)
+        step.descend(weights, 1e-3 / step.grad_norm())
+
+    train_step()
+    tracemalloc.start()
+    try:
+        train_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, c = joint.dense().shape
+    assert peak < 2 * n * max(c, vocab) * 8
+
+
+class _WrongGradient(_Workspace):
+    """The true loss, but the gradient of `wq` is off by one everywhere."""
+
+    every_call = True
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def __call__(self, weights):
+        loss = super().__call__(weights)
+        self.calls += 1
+        if self.every_call or self.calls == 1:
+            self.grads[1][...] += 1.0
+        return loss
+
+
+@pytest.mark.parametrize("every_call", [True, False])
+def test_gradient_check_catches_a_wrong_gradient(monkeypatch, every_call):
+    # wrong on the first call only: the check must keep that call's
+    # gradients, which its own probe calls then overwrite
+    monkeypatch.setattr(_WrongGradient, "every_call", every_call)
+    monkeypatch.setattr(generation, "_Workspace", _WrongGradient)
+    with pytest.raises(NumericError, match="gradient check failed on weight 1"):
+        train_model(parse_objective("ar"), ToyParams(1, 3, 2),
+                    TrainSettings(steps=1), np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
