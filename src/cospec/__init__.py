@@ -19,16 +19,14 @@ from .cooccurrence import (
     normalize,
 )
 from .decomposition import (
-    EncoderTable,
     FactorPair,
-    TokenEmbedding,
     decomposition_objective,
-    encoder_from_pair,
     gd_factorize,
     identity_residual,
     linear_probe,
     load_factor_pair,
     optimal_features,
+    probe_features_for_joint,
     save_factor_pair,
     spectral_loss,
 )

@@ -17,60 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import (
-    ConditionalText,
-    JointDistribution,
-    NormalizedMatrix,
-    normalize,
-)
+from .cooccurrence import JointDistribution, NormalizedMatrix, normalize
 from .errors import DomainError, NumericError
-
-
-@dataclass(frozen=True)
-class EncoderTable:
-    """Feature vector per conditional text, all of one dimension."""
-
-    features: dict[ConditionalText, np.ndarray]
-    dim: int
-
-    @classmethod
-    def from_map(cls, features: dict) -> "EncoderTable":
-        features = {k: np.asarray(v, dtype=float) for k, v in features.items()}
-        dims = {v.shape for v in features.values()}
-        if len(dims) != 1 or len(next(iter(dims))) != 1:
-            raise DomainError(f"inconsistent feature shapes: {sorted(dims)}")
-        return cls(features=features, dim=next(iter(dims))[0])
-
-    def matrix(self, rows) -> np.ndarray:
-        missing = [t for t in rows if t not in self.features]
-        if missing:
-            raise DomainError(
-                f"encoder covers {len(self.features)} rows but misses "
-                f"{len(missing)}, first: {missing[0].key()}"
-            )
-        return np.stack([self.features[t] for t in rows])
-
-
-@dataclass(frozen=True)
-class TokenEmbedding:
-    """Embedding matrix with one column per target token."""
-
-    matrix: np.ndarray
-    tokens: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != len(self.tokens):
-            raise DomainError(
-                f"embedding shape {self.matrix.shape} does not match "
-                f"{len(self.tokens)} tokens"
-            )
-
-    def columns(self, cols) -> np.ndarray:
-        index = {tok: j for j, tok in enumerate(self.tokens)}
-        missing = [c for c in cols if c not in index]
-        if missing:
-            raise DomainError(f"embedding misses target tokens {missing[:5]}")
-        return self.matrix[:, [index[c] for c in cols]]
 
 
 @dataclass(frozen=True)
@@ -82,19 +30,26 @@ class FactorPair:
     rank: int
 
 
-def spectral_loss(
-    enc: EncoderTable, emb: TokenEmbedding, joint: JointDistribution
-) -> float:
+def spectral_loss(f, w, joint: JointDistribution) -> float:
     """Exact quadratic pretraining loss under a joint distribution.
 
+    `f` is the encoder, an (n_rows, t) array aligned with `joint.rows`; `w`
+    is the embedding, a (t, n_cols) array aligned with `joint.cols`.
     loss = -2 E_{(X, X+)} score(X, X+) + E_{X, X-} score(X, X-)^2 with X-
     drawn from the target marginal independently of X, score(X, c) the c-th
     entry of the embedded features. The alignment term carries weight 2;
     that is what makes the loss equal the factorization objective minus a
     joint-only constant (see :func:`identity_residual`).
     """
-    f = enc.matrix(joint.rows)
-    w = emb.columns(joint.cols)
+    f = np.asarray(f, dtype=float)
+    w = np.asarray(w, dtype=float)
+    rows, cols = len(joint.rows), len(joint.cols)
+    if (f.ndim != 2 or w.ndim != 2 or f.shape[0] != rows
+            or w.shape != (f.shape[1], cols)):
+        raise DomainError(
+            f"encoder shape {f.shape} and embedding shape {w.shape} do not "
+            f"fit (rows, t) and (t, cols) for {rows} rows and {cols} cols"
+        )
     scores = f @ w
     align = float(np.sum(joint.dense() * scores))
     contrast = float(joint.row_marginal() @ (scores**2) @ joint.col_marginal())
@@ -112,26 +67,20 @@ def decomposition_objective(pair: FactorPair, m: NormalizedMatrix) -> float:
     return float(np.sum((m.matrix - approx) ** 2))
 
 
-def identity_residual(
-    enc: EncoderTable, emb: TokenEmbedding, joint: JointDistribution
-) -> float:
+def identity_residual(f, w, joint: JointDistribution) -> float:
     """Gap between the loss and the factorization objective minus its constant.
 
-    Assembles row factors sqrt(P_C(X)) * f(X) and column factors
-    sqrt(P_G(X+)) * W[:, X+] from the same encoder and embedding, and
+    Takes the same arrays as :func:`spectral_loss`. Assembles row factors
+    sqrt(P_C(X)) * f(X) and column factors sqrt(P_G(X+)) * W[:, X+], and
     returns |loss - (objective - const)| with const = sum(A^2 / (P_C P_G)).
     Zero (to rounding) for every encoder and embedding, which is the
     equivalence the rest of the package leans on.
     """
-    loss = spectral_loss(enc, emb, joint)
-    f = enc.matrix(joint.rows)
-    w = emb.columns(joint.cols)
-    pc = joint.row_marginal()
-    pg = joint.col_marginal()
-    abar = joint.dense() / np.sqrt(np.outer(pc, pg))
-    row_factor = np.sqrt(pc)[:, None] * f
-    col_factor = (np.sqrt(pg)[None, :] * w).T
-    objective = float(np.sum((abar - row_factor @ col_factor.T) ** 2))
+    loss = spectral_loss(f, w, joint)  # checks both shapes
+    abar = normalize(joint).matrix
+    row_factor = np.sqrt(joint.row_marginal())[:, None] * f
+    col_factor_t = np.sqrt(joint.col_marginal())[None, :] * w
+    objective = float(np.sum((abar - row_factor @ col_factor_t) ** 2))
     const = float(np.sum(abar**2))
     return abs(loss - (objective - const))
 
@@ -247,16 +196,6 @@ def gd_factorize(
     )
 
 
-def encoder_from_pair(pair: FactorPair, m: NormalizedMatrix) -> EncoderTable:
-    """Recover per-row features f(X) = row_factor[X] / sqrt(P_C(X))."""
-    if np.any(m.row_weights <= 0):
-        raise DomainError("row marginal has a zero entry; encoder undefined")
-    feats = pair.row_factor / np.sqrt(m.row_weights)[:, None]
-    return EncoderTable.from_map(
-        {text: feats[i] for i, text in enumerate(m.rows)}
-    )
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     """Fitted one-vs-all ridge classifier and its weighted error."""
@@ -268,32 +207,27 @@ class ProbeResult:
 
     def predict(self, vectors: np.ndarray) -> np.ndarray:
         scores = np.asarray(vectors, float) @ self.coef
-        return np.array([self.classes[j] for j in np.argmax(scores, axis=1)])
+        return np.asarray(self.classes)[np.argmax(scores, axis=1)]
 
 
-def linear_probe(features, reg: float) -> ProbeResult:
+def linear_probe(x, labels, reg: float, weights=None) -> ProbeResult:
     """Weighted ridge regression to one-hot classes, prediction by argmax.
 
-    `features` is a sequence of (vector, class) or (vector, class, weight)
-    tuples; weights default to 1 and the reported error is the weighted
-    fraction misclassified.
+    `x` holds one feature vector per row, `labels` its class and `weights`
+    its weight (1 for every row when omitted); the reported error is the
+    weighted fraction misclassified.
     """
-    vecs, labels, weights = [], [], []
-    for item in features:
-        if len(item) == 2:
-            v, c = item
-            w = 1.0
-        else:
-            v, c, w = item
-        vecs.append(np.asarray(v, float))
-        labels.append(int(c))
-        weights.append(float(w))
-    if not vecs:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(labels)
+    w = np.ones(len(y)) if weights is None else np.asarray(weights, float)
+    if x.ndim != 2 or not len(x):
         raise DomainError("no feature vectors supplied")
-    x = np.stack(vecs)
-    y = np.array(labels)
-    w = np.array(weights)
-    classes = tuple(sorted(set(labels)))
+    if y.shape != (len(x),) or w.shape != (len(x),):
+        raise DomainError(
+            f"{len(x)} feature vectors but labels of shape {y.shape} and "
+            f"weights of shape {w.shape}"
+        )
+    classes = tuple(int(c) for c in np.unique(y))
     onehot = (y[:, None] == np.array(classes)[None, :]).astype(float)
     xtd = x.T * w[None, :]
     gram = xtd @ x + reg * np.eye(x.shape[1])
@@ -303,7 +237,7 @@ def linear_probe(features, reg: float) -> ProbeResult:
         raise NumericError(
             f"normal equations are singular at reg={reg}; use reg > 0"
         ) from exc
-    pred = np.array([classes[j] for j in np.argmax(x @ coef, axis=1)])
+    pred = np.array(classes)[np.argmax(x @ coef, axis=1)]
     error = float(np.sum(w * (pred != y)) / np.sum(w))
     return ProbeResult(classes=classes, coef=coef, error=error, reg=reg)
 
@@ -352,17 +286,14 @@ def probe_features_for_joint(
     labeler,
     m: NormalizedMatrix | None = None,
 ):
-    """Rank-t optimal features of a joint, tagged with class and row weight.
+    """Rank-t optimal features of a joint, with class labels and row weights.
 
-    Convenience for the probe pipeline: factorize, invert the row scaling,
-    and label each conditional text through `labeler` applied to its first
-    token. Returns (features, pair) with features ready for linear_probe.
+    Factorizes, inverts the row scaling, f(X) = row_factor[X] / sqrt(P_C(X)),
+    and labels each conditional text through `labeler` applied to its first
+    token. Returns (x, labels, weights), arrays aligned with the normalized
+    matrix's rows and ready for :func:`linear_probe`.
     """
     m = normalize(joint) if m is None else m
-    pair = optimal_features(m, t)
-    enc = encoder_from_pair(pair, m)
-    feats = [
-        (enc.features[text], labeler(text.tokens[0]), float(m.row_weights[i]))
-        for i, text in enumerate(m.rows)
-    ]
-    return feats, pair
+    x = optimal_features(m, t).row_factor / np.sqrt(m.row_weights)[:, None]
+    labels = np.array([labeler(text.tokens[0]) for text in m.rows])
+    return x, labels, m.row_weights

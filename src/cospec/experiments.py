@@ -40,10 +40,12 @@ from .toy_model import ToyParams, enumerate_sequences, token_label
 
 _TOP_KEYS = {
     "experiment", "seed", "params", "objectives", "rank", "reg", "trials",
-    "lr", "steps", "train", "rho_m", "seeds", "assignment",
+    "train", "rho_m", "seeds", "assignment",
 }
+# (type, least allowed value) of each `train` field
 _TRAIN_KINDS = {
-    "dim": int, "lr": float, "steps": int, "init_noise": float, "clip": float,
+    "dim": (int, 1), "lr": (float, None), "steps": (int, 1),
+    "init_noise": (float, None), "clip": (float, None),
 }
 
 
@@ -56,8 +58,6 @@ class ExperimentConfig:
     rank: int | None = None
     reg: float = 1e-8
     trials: int = 100
-    lr: float | None = None
-    steps: int | None = None
     train: gen.TrainSettings = field(default_factory=gen.TrainSettings)
     rho_m: tuple[float, ...] | None = None
     seeds: int = 3
@@ -114,6 +114,10 @@ def load_config(source) -> ExperimentConfig:
     if not isinstance(objectives, list) or not objectives:
         raise ConfigError("must be a nonempty list", field="objectives")
     for i, text in enumerate(objectives):
+        if not isinstance(text, str):
+            raise ConfigError(
+                f"expected str, got {text!r}", field=f"objectives[{i}]"
+            )
         try:
             spec = parse_objective(text)
         except DomainError as exc:
@@ -130,7 +134,7 @@ def load_config(source) -> ExperimentConfig:
             rho_m = [rho_m]
         if not isinstance(rho_m, list) or not rho_m:
             raise ConfigError("must be a ratio or list of ratios", field="rho_m")
-        rho_m = tuple(_number(rho, float, "rho_m") for rho in rho_m)
+        rho_m = tuple(_number(rho, float, field="rho_m") for rho in rho_m)
         for rho in rho_m:
             try:
                 unmasked_count(params, rho)
@@ -144,40 +148,46 @@ def load_config(source) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown fields {sorted(unknown)}", field="train")
     train = gen.TrainSettings(**{
-        key: _number(v, _TRAIN_KINDS[key], f"train.{key}")
+        key: _number(v, *_TRAIN_KINDS[key], field=f"train.{key}")
         for key, v in train_raw.items()
         if not (key == "dim" and v is None)
     })
 
-    def _opt(key, kind, default=None):
-        v = raw.get(key, default)
-        return None if v is None else _number(v, kind, key)
+    rank = raw.get("rank")
+    assignment = raw.get("assignment")
+    if assignment is not None and not isinstance(assignment, str):
+        raise ConfigError(
+            f"expected str, got {assignment!r}", field="assignment"
+        )
 
     return ExperimentConfig(
         experiment=name,
         params=params,
-        seed=_number(raw.get("seed", 0), int, "seed"),
+        seed=_number(raw.get("seed", 0), int, field="seed"),
         objectives=tuple(objectives),
-        rank=_opt("rank", int),
-        reg=_number(raw.get("reg", 1e-8), float, "reg"),
-        trials=_number(raw.get("trials", 100), int, "trials"),
-        lr=_opt("lr", float),
-        steps=_opt("steps", int),
+        rank=None if rank is None else _number(rank, int, field="rank"),
+        reg=_number(raw.get("reg", 1e-8), float, field="reg"),
+        trials=_number(raw.get("trials", 100), int, 1, field="trials"),
         train=train,
         rho_m=rho_m,
-        seeds=_number(raw.get("seeds", 3), int, "seeds"),
-        assignment=raw.get("assignment"),
+        seeds=_number(raw.get("seeds", 3), int, 1, field="seeds"),
+        assignment=assignment,
     )
 
 
-def _number(value, kind, field: str):
-    """`kind(value)`, or a ConfigError naming the field."""
+def _number(value, kind, least=None, *, field: str):
+    """`kind(value)`, and at least `least` if given, or a ConfigError."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"expected {kind.__name__}, got {value!r}", field=field
         ) from exc
+    if least is not None and number < least:
+        raise ConfigError(
+            f"expected at least {least}, got {value!r}", field=field
+        )
+    return number
 
 
 def derive_rng(seed: int, *labels: str) -> np.random.Generator:
@@ -242,10 +252,10 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
         t_tail = cfg.rank if cfg.rank is not None else cfg.params.r
         t_conn = cfg.rank if cfg.rank is not None else cfg.params.r + 1
         t_conn = min(t_conn, min(m.shape))
-        feats, _ = dec.probe_features_for_joint(
+        x, _, _ = dec.probe_features_for_joint(
             joint, t_conn, lambda tok: token_label(cfg.params, tok), m=m
         )
-        connectivity[label] = connectivity_estimate([f for f, _, _ in feats])
+        connectivity[label] = connectivity_estimate(x)
         write_joint_csv(joint, os.path.join(out_dir, f"joint_{_safe(label)}.csv"))
         write_matrix_csv(m, os.path.join(out_dir, f"normalized_{_safe(label)}.csv"))
         spectra[label] = numeric.values
@@ -276,14 +286,9 @@ def run_identity(cfg: ExperimentConfig, out_dir) -> dict:
         for trial in range(cfg.trials):
             rng = derive_rng(cfg.seed, "identity", label, str(trial))
             t = dims[trial % len(dims)]
-            enc = dec.EncoderTable.from_map(
-                {row: rng.standard_normal(t) for row in joint.rows}
-            )
-            emb = dec.TokenEmbedding(
-                matrix=rng.standard_normal((t, len(joint.cols))),
-                tokens=joint.cols,
-            )
-            worst = max(worst, dec.identity_residual(enc, emb, joint))
+            f = rng.standard_normal((len(joint.rows), t))
+            w = rng.standard_normal((t, len(joint.cols)))
+            worst = max(worst, dec.identity_residual(f, w, joint))
         results[label] = {"trials": cfg.trials, "max_residual": worst}
     return {
         "experiment": "identity",
@@ -303,11 +308,7 @@ def run_factorize(cfg: ExperimentConfig, out_dir) -> dict:
         best = dec.optimal_features(m, t)
         optimal = dec.decomposition_objective(best, m)
         run = dec.gd_factorize(
-            m,
-            t,
-            lr=cfg.lr if cfg.lr is not None else 0.05,
-            steps=cfg.steps if cfg.steps is not None else 5000,
-            rng=derive_rng(cfg.seed, "factorize", label),
+            m, t, rng=derive_rng(cfg.seed, "factorize", label)
         )
         dec.save_factor_pair(best, out_dir, name=f"factors_{_safe(label)}")
         results[label] = {
@@ -331,10 +332,10 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
         spec = parse_objective(label)
         joint = exact_joint(spec, cfg.params)
         t = cfg.rank if cfg.rank is not None else cfg.params.r
-        feats, _ = dec.probe_features_for_joint(
+        x, labels, weights = dec.probe_features_for_joint(
             joint, t, lambda tok: token_label(cfg.params, tok)
         )
-        probe = dec.linear_probe(feats, reg=cfg.reg)
+        probe = dec.linear_probe(x, labels, reg=cfg.reg, weights=weights)
         entry = {"t": t, "reg": cfg.reg, "error": probe.error}
         with open(
             os.path.join(out_dir, f"probe_{_safe(label)}.json"), "w"

@@ -87,14 +87,9 @@ def test_c02_factorization_identity_residual_bounded():
         for trial in range(100):
             rng = derive_rng(0, "c02", label, str(trial))
             t = dims[trial % len(dims)]
-            enc = dec.EncoderTable.from_map(
-                {row: rng.standard_normal(t) for row in joint.rows}
-            )
-            emb = dec.TokenEmbedding(
-                matrix=rng.standard_normal((t, len(joint.cols))),
-                tokens=joint.cols,
-            )
-            assert dec.identity_residual(enc, emb, joint) < 1e-9
+            f = rng.standard_normal((len(joint.rows), t))
+            w = rng.standard_normal((t, len(joint.cols)))
+            assert dec.identity_residual(f, w, joint) < 1e-9
     assert time.monotonic() - start < 30.0
 
 
@@ -196,26 +191,26 @@ def test_c06_linear_probe_exact_at_class_rank():
         if spec.kind != "masked":
             continue
         joint = exact_joint(spec, params)
-        feats, _ = dec.probe_features_for_joint(
+        x, labels, weights = dec.probe_features_for_joint(
             joint, params.r, lambda tok, p=params: token_label(p, tok)
         )
-        probe = dec.linear_probe(feats, reg=1e-8)
+        probe = dec.linear_probe(x, labels, reg=1e-8, weights=weights)
         assert probe.error == 0.0, (params, spec.label())
 
         # same argmax after any invertible change of feature basis
         rng = derive_rng(
             0, "c06", spec.label(), str(params.r), str(params.s), str(params.T)
         )
-        t = len(feats[0][0])
+        t = x.shape[1]
         while True:
             mix = np.eye(t) + 0.5 * rng.standard_normal((t, t))
             if abs(np.linalg.det(mix)) > 0.1:
                 break
-        mixed = [(vec @ mix, lab, w) for vec, lab, w in feats]
-        mixed_probe = dec.linear_probe(mixed, reg=1e-8)
-        vecs = np.array([vec for vec, _, _ in feats])
+        mixed_probe = dec.linear_probe(
+            x @ mix, labels, reg=1e-8, weights=weights
+        )
         assert np.array_equal(
-            probe.predict(vecs), mixed_probe.predict(vecs @ mix)
+            probe.predict(x), mixed_probe.predict(x @ mix)
         )
 
 

@@ -64,19 +64,29 @@ def test_inadmissible_mask_ratio_is_a_config_error(tmp_path, capsys):
 
 
 def test_unknown_field_is_a_config_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {
-        "experiment": "spectrum",
-        "params": {"r": 1, "s": 3, "T": 2},
-        "plot": True,
-    })
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "plot" in capsys.readouterr().err
+    for name in ("plot", "lr"):
+        cfg = write_cfg(tmp_path, {
+            "experiment": "spectrum",
+            "params": {"r": 1, "s": 3, "T": 2},
+            name: True,
+        })
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        assert f"unknown fields ['{name}']" in capsys.readouterr().err
 
 
+# Every mistyped field, a number where a string belongs too, and every count
+# below 1.
 @pytest.mark.parametrize("fields, name", [
     ({"experiment": "identity", "trials": "abc"}, "trials"),
     ({"experiment": "sweep", "seeds": "two"}, "seeds"),
     ({"experiment": "genbound", "train": {"lr": "x"}}, "train.lr"),
+    ({"experiment": "spectrum", "objectives": [5]}, "objectives[0]"),
+    ({"experiment": "masks", "assignment": 5}, "assignment"),
+    ({"experiment": "genbound", "train": {"steps": 0}}, "train.steps"),
+    ({"experiment": "genbound", "train": {"dim": 0}}, "train.dim"),
+    ({"experiment": "identity", "trials": -3}, "trials"),
+    ({"experiment": "sweep", "seeds": 0}, "seeds"),
 ])
 def test_non_numeric_field_is_a_config_error(tmp_path, capsys, fields, name):
     cfg = write_cfg(tmp_path, {"params": {"r": 1, "s": 3, "T": 2}, **fields})

@@ -16,11 +16,8 @@ from cospec.cooccurrence import (
     normalize,
 )
 from cospec.decomposition import (
-    EncoderTable,
     FactorPair,
-    TokenEmbedding,
     decomposition_objective,
-    encoder_from_pair,
     factor_gradients,
     gd_factorize,
     identity_residual,
@@ -37,19 +34,15 @@ from cospec.toy_model import ToyParams, token_label
 
 
 def random_maps(joint, dim, rng):
-    enc = EncoderTable.from_map(
-        {row: rng.standard_normal(dim) for row in joint.rows}
-    )
-    emb = TokenEmbedding(
-        matrix=rng.standard_normal((dim, len(joint.cols))), tokens=joint.cols
-    )
+    enc = rng.standard_normal((len(joint.rows), dim))
+    emb = rng.standard_normal((dim, len(joint.cols)))
     return enc, emb
 
 
 def test_zero_encoder_gives_zero_loss():
     joint = build_ar_joint(ToyParams(1, 3, 2))
-    enc = EncoderTable.from_map({row: np.zeros(2) for row in joint.rows})
-    emb = TokenEmbedding(matrix=np.zeros((2, len(joint.cols))), tokens=joint.cols)
+    enc = np.zeros((len(joint.rows), 2))
+    emb = np.zeros((2, len(joint.cols)))
     assert spectral_loss(enc, emb, joint) == 0.0
 
 
@@ -58,8 +51,8 @@ def test_perfectly_aligned_single_entry_scores_minus_one():
     # doubled alignment -2 plus unit contrast +1
     text = ConditionalText.prefix([0])
     joint = JointDistribution.from_entries({(text, 1): 1.0})
-    enc = EncoderTable.from_map({text: np.array([1.0])})
-    emb = TokenEmbedding(matrix=np.array([[1.0]]), tokens=(1,))
+    enc = np.array([[1.0]])
+    emb = np.array([[1.0]])
     assert spectral_loss(enc, emb, joint) == pytest.approx(-1.0)
     assert identity_residual(enc, emb, joint) < 1e-12
 
@@ -99,9 +92,7 @@ def test_identity_holds_for_zero_and_scaled_maps():
     rng = np.random.default_rng(0)
     enc, emb = random_maps(joint, 3, rng)
     for scale in (0.0, 0.1, 10.0):
-        scaled = EncoderTable.from_map(
-            {k: scale * v for k, v in enc.features.items()}
-        )
+        scaled = scale * enc
         assert identity_residual(scaled, emb, joint) < 1e-9
 
 
@@ -223,21 +214,22 @@ def test_gd_validates_arguments():
 
 
 def test_encoder_inverts_row_weighting():
-    m = normalize(build_ar_joint(ToyParams(1, 3, 1)))
-    pair = optimal_features(m, 2)
-    enc = encoder_from_pair(pair, m)
+    params = ToyParams(1, 3, 1)
+    joint = build_ar_joint(params)
+    pair = optimal_features(normalize(joint), 2)
+    got, _, _ = probe_features_for_joint(
+        joint, 2, lambda tok: token_label(params, tok)
+    )
     # uniform conditional marginal of 1/2: features are sqrt(2) * factors
-    got = enc.matrix(m.rows)
     assert_allclose(got, np.sqrt(2.0) * pair.row_factor, atol=1e-12)
 
 
 def test_same_class_features_align():
     params = ToyParams(2, 4, 2)
-    m = normalize(build_masked_joint(params, 0.5))
-    enc = encoder_from_pair(optimal_features(m, 2), m)
-    by_class: dict[int, list[np.ndarray]] = {1: [], 2: []}
-    for text in m.rows:
-        by_class[token_label(params, text.tokens[0])].append(enc.features[text])
+    x, labels, _ = probe_features_for_joint(
+        build_masked_joint(params, 0.5), 2, lambda tok: token_label(params, tok)
+    )
+    by_class = {c: x[labels == c] for c in (1, 2)}
     same, cross = [], []
     for label, feats in by_class.items():
         for i, f in enumerate(feats):
@@ -249,29 +241,25 @@ def test_same_class_features_align():
     assert min(same) > max(cross)
 
 
-def test_encoder_table_validates_shapes():
+def test_shape_mismatch_is_a_domain_error():
+    joint = build_masked_joint(ToyParams(1, 4, 2), 0.5)
+    rows, cols = len(joint.rows), len(joint.cols)
+    f, w = np.zeros((rows, 2)), np.zeros((2, cols))
+    for fn in (spectral_loss, identity_residual):
+        with pytest.raises(DomainError):
+            fn(np.zeros((rows + 1, 2)), w, joint)
+        with pytest.raises(DomainError):
+            fn(f, np.zeros((2, cols - 1)), joint)
+    x, labels = np.eye(3), np.array([1, 2, 2])
     with pytest.raises(DomainError):
-        EncoderTable.from_map(
-            {
-                ConditionalText.prefix([0]): np.zeros(2),
-                ConditionalText.prefix([1]): np.zeros(3),
-            }
-        )
-    enc = EncoderTable.from_map({ConditionalText.prefix([0]): np.zeros(2)})
-    with pytest.raises(DomainError, match="misses"):
-        enc.matrix([ConditionalText.prefix([9])])
+        linear_probe(x, labels[:2], reg=1e-8)
     with pytest.raises(DomainError):
-        TokenEmbedding(matrix=np.zeros((2, 3)), tokens=(1, 2))
+        linear_probe(x, labels, reg=1e-8, weights=np.ones(4))
 
 
 def test_probe_separates_two_clusters():
-    feats = [
-        (np.array([1.0, 0.1]), 1),
-        (np.array([0.9, -0.1]), 1),
-        (np.array([-1.0, 0.2]), 2),
-        (np.array([-1.1, 0.0]), 2),
-    ]
-    probe = linear_probe(feats, reg=1e-8)
+    x = np.array([[1.0, 0.1], [0.9, -0.1], [-1.0, 0.2], [-1.1, 0.0]])
+    probe = linear_probe(x, [1, 1, 2, 2], reg=1e-8)
     assert probe.error == 0.0
     assert list(probe.predict(np.array([[2.0, 0.0], [-2.0, 0.0]]))) == [1, 2]
 
@@ -279,55 +267,54 @@ def test_probe_separates_two_clusters():
 def test_probe_on_random_labels_is_near_chance():
     rng = np.random.default_rng(11)
     feats = [(rng.standard_normal(3), int(rng.integers(1, 4))) for _ in range(60)]
-    error = linear_probe(feats, reg=1e-6).error
+    x, labels = (np.array(a) for a in zip(*feats))
+    error = linear_probe(x, labels, reg=1e-6).error
     assert 0.3 <= error <= 0.85
 
 
 def test_probe_weights_act_like_multiplicity():
     rng = np.random.default_rng(2)
-    base = [(rng.standard_normal(2), 1 + i % 2) for i in range(6)]
-    doubled = linear_probe(base + base[:2], reg=1e-6)
+    x = rng.standard_normal((6, 2))
+    labels = 1 + np.arange(6) % 2
+    doubled = linear_probe(
+        np.vstack([x, x[:2]]), np.concatenate([labels, labels[:2]]), reg=1e-6
+    )
     weighted = linear_probe(
-        [(v, c, 2.0 if i < 2 else 1.0) for i, (v, c) in enumerate(base)],
-        reg=1e-6,
+        x, labels, reg=1e-6, weights=np.where(np.arange(6) < 2, 2.0, 1.0)
     )
     assert_allclose(weighted.coef, doubled.coef, atol=1e-8)
 
 
 def test_probe_argmax_survives_invertible_transform():
     params = ToyParams(2, 4, 2)
-    feats, _ = probe_features_for_joint(
+    x, labels, weights = probe_features_for_joint(
         build_masked_joint(params, 0.5), 2, lambda tok: token_label(params, tok)
     )
-    x = np.stack([f for f, _, _ in feats])
     rng = np.random.default_rng(8)
     m = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
     assert abs(np.linalg.det(m)) > 1e-3
-    before = linear_probe(feats, reg=1e-8)
-    after = linear_probe(
-        [(f @ m, c, w) for f, c, w in feats], reg=1e-8
-    )
+    before = linear_probe(x, labels, reg=1e-8, weights=weights)
+    after = linear_probe(x @ m, labels, reg=1e-8, weights=weights)
     assert list(before.predict(x)) == list(after.predict(x @ m))
 
 
 def test_probe_requires_regularization_for_singular_features():
-    feats = [(np.zeros(2), 1), (np.zeros(2), 2)]
     with pytest.raises(NumericError, match="reg"):
-        linear_probe(feats, reg=0.0)
+        linear_probe(np.zeros((2, 2)), [1, 2], reg=0.0)
     with pytest.raises(DomainError):
-        linear_probe([], reg=1e-8)
+        linear_probe(np.zeros((0, 2)), [], reg=1e-8)
 
 
 def test_probe_features_carry_row_weights():
     joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
     params = ToyParams(2, 4, 2)
-    feats, pair = probe_features_for_joint(
+    x, labels, weights = probe_features_for_joint(
         joint, 2, lambda tok: token_label(params, tok)
     )
-    assert pair.rank == 2
-    total = sum(w for _, _, w in feats)
+    assert x.shape == (len(joint.rows), 2)
+    total = weights.sum()
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert {c for _, c, _ in feats} == {1, 2}
+    assert set(labels.tolist()) == {1, 2}
 
 
 def test_factor_pair_round_trips_through_disk(tmp_path):

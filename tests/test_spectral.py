@@ -199,14 +199,14 @@ def test_connectivity_masked_above_next_token():
     params = ToyParams(2, 4, 2)
     labeler = lambda tok: token_label(params, tok)
     t = params.r + 1
-    feats_ar, _ = probe_features_for_joint(build_ar_joint(params), t, labeler)
-    feats_m, _ = probe_features_for_joint(
+    x_ar, _, _ = probe_features_for_joint(build_ar_joint(params), t, labeler)
+    x_m, _, _ = probe_features_for_joint(
         build_masked_joint(params, 0.5), t, labeler
     )
-    conn_ar = connectivity_estimate([f for f, _, _ in feats_ar])
-    conn_m = connectivity_estimate([f for f, _, _ in feats_m])
-    for feats, conn in ((feats_ar, conn_ar), (feats_m, conn_m)):
-        want = oracles.pairwise_mean([f for f, _, _ in feats])
+    conn_ar = connectivity_estimate(x_ar)
+    conn_m = connectivity_estimate(x_m)
+    for x, conn in ((x_ar, conn_ar), (x_m, conn_m)):
+        want = oracles.pairwise_mean(x)
         assert conn == pytest.approx(want, rel=1e-12)
     assert conn_m > conn_ar
     assert conn_ar < 0.7
