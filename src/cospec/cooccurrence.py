@@ -9,6 +9,7 @@ matrix whose singular spectrum drives everything downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -18,6 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, ResourceError
+from .output import write_csv
 from .toy_model import ENUMERATION_BUDGET, ToyParams, decode_token, token_id
 
 PREFIX = "prefix"
@@ -64,12 +66,16 @@ class ConditionalText:
 class JointDistribution:
     """Sparse joint over (conditional text, target token), mass summing to 1.
 
-    `rows` and `cols` are the sorted catalogs of conditional texts and target
-    tokens. `row`, `col` and `value` are read-only COO arrays into them, in
-    catalog row-major order with no repeated (row, col) pair.
+    `tokens` is the sorted catalog of conditional texts of one `kind`: a
+    read-only (n_rows, L) int array, one text per row, padded with -1 after
+    its last token. The pad sorts below every id, so row order is Python
+    tuple order. `cols` is the sorted catalog of target tokens. `row`, `col`
+    and `value` are read-only COO arrays into the two catalogs, in catalog
+    row-major order with no repeated (row, col) pair.
     """
 
-    rows: tuple[ConditionalText, ...]
+    kind: str
+    tokens: np.ndarray
     cols: tuple[int, ...]
     row: np.ndarray
     col: np.ndarray
@@ -77,7 +83,7 @@ class JointDistribution:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.row, self.col, self.value):
+        for a in (self.tokens, self.row, self.col, self.value):
             a.flags.writeable = False
 
     @classmethod
@@ -87,13 +93,29 @@ class JointDistribution:
             raise DomainError("joint distribution has empty support")
         if any(v < 0 for v in entries.values()):
             raise DomainError("joint distribution has a negative entry")
-        rows = tuple(sorted({text for text, _ in entries}))
+        kinds = {text.kind for text, _ in entries}
+        if len(kinds) != 1:
+            raise DomainError(f"joint mixes conditional kinds {sorted(kinds)}")
+        texts = sorted({text.tokens for text, _ in entries})
+        if any(not t or min(t) < 0 for t in texts):
+            raise DomainError("conditional texts need token ids, all >= 0")
         cols = tuple(sorted({tok for _, tok in entries}))
-        ri = {text: i for i, text in enumerate(rows)}
+        ri = {text: i for i, text in enumerate(texts)}
         ci = {tok: j for j, tok in enumerate(cols)}
-        coo = sorted((ri[t], ci[c], v) for (t, c), v in entries.items())
+        coo = sorted((ri[t.tokens], ci[c], v) for (t, c), v in entries.items())
         row, col, value = (np.array(a) for a in zip(*coo))
-        return cls(rows=rows, cols=cols, row=row, col=col, value=value)
+        width = max(map(len, texts))
+        tokens = np.array([t + (-1,) * (width - len(t)) for t in texts])
+        return cls(kind=kinds.pop(), tokens=tokens, cols=cols, row=row,
+                   col=col, value=value)
+
+    @functools.cached_property
+    def rows(self) -> tuple[ConditionalText, ...]:
+        """`tokens` as `ConditionalText` objects, built on first use."""
+        return tuple(
+            ConditionalText(self.kind, tuple(t for t in text if t >= 0))
+            for text in self.tokens.tolist()
+        )
 
     @property
     def entries(self) -> Mapping[tuple[ConditionalText, int], float]:
@@ -115,13 +137,13 @@ class JointDistribution:
 
     def dense(self) -> np.ndarray:
         """The joint as a rows x cols array; computed once, read-only."""
-        n, m = len(self.rows), len(self.cols)
+        n, m = len(self.tokens), len(self.cols)
         return self._once("dense", lambda: np.bincount(
             self.row * m + self.col, self.value, n * m
         ).reshape(n, m))
 
     def row_marginal(self) -> np.ndarray:
-        """Row sums of :meth:`dense`, aligned with `rows`; read-only."""
+        """Row sums of :meth:`dense`, aligned with `tokens`; read-only."""
         return self._once("row_marginal", lambda: self.dense().sum(axis=1))
 
     def col_marginal(self) -> np.ndarray:
@@ -131,9 +153,12 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class NormalizedMatrix:
-    """Joint divided elementwise by the root product of its marginals."""
+    """Joint divided elementwise by the root product of its marginals.
 
-    rows: tuple[ConditionalText, ...]
+    `tokens` holds the joint's token rows that carry mass.
+    """
+
+    tokens: np.ndarray
     cols: tuple[int, ...]
     matrix: np.ndarray
     row_weights: np.ndarray
@@ -162,12 +187,11 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
     a = a[np.ix_(keep_r, keep_c)]
     pc = pc[keep_r]
     pg = pg[keep_c]
-    rows = tuple(t for t, k in zip(joint.rows, keep_r) if k)
     cols = tuple(t for t, k in zip(joint.cols, keep_c) if k)
     total = pc.sum()
     matrix = a / np.sqrt(np.outer(pc, pg))
     return NormalizedMatrix(
-        rows=rows,
+        tokens=joint.tokens[keep_r],
         cols=cols,
         matrix=matrix,
         row_weights=pc / total,
@@ -201,24 +225,28 @@ def _enumerate(
         [token_id(params, p, y, 1) for p in range(1, params.s + 1)]
         for y in range(1, r + 1)
     ])
-    texts, row, col, value = [], [], [], []
+    width = max(len(visible) for visible, _, _ in kept)
+    tokens, row, col, value = [], [], [], []
+    n = 0
     for visible, targets, v in kept:
         k = len(visible)
         fills = np.indices((big_t,) * k).reshape(k, -1).T
         text = (base[:, None, visible] + fills).reshape(-1, k)
         cells = base[:, None, targets, None] + np.arange(big_t)
         cells = np.broadcast_to(cells, (r, len(fills), *cells.shape[2:]))
-        ids = np.arange(len(texts), len(texts) + len(text))
-        row.append(np.repeat(ids, cells[0, 0].size))
+        row.append(np.repeat(np.arange(n, n + len(text)), cells[0, 0].size))
         col.append(cells.ravel())
         value.append(np.full(cells.size, v))
-        texts += map(tuple, text.tolist())
-    order = sorted(range(len(texts)), key=texts.__getitem__)
+        tokens.append(np.pad(text, ((0, 0), (0, width - k)), constant_values=-1))
+        n += len(text)
+    tokens = np.concatenate(tokens)
+    order = np.lexsort(tokens.T[::-1])  # the last key is the primary one
     cols, col = np.unique(np.concatenate(col), return_inverse=True)
     row = np.argsort(order)[np.concatenate(row)]
     entry = np.lexsort((col, row))
     return JointDistribution(
-        rows=tuple(ConditionalText(kind, texts[i]) for i in order),
+        kind=kind,
+        tokens=tokens[order],
         cols=tuple(cols.tolist()),
         row=row[entry],
         col=col[entry],
@@ -353,24 +381,21 @@ def build_joint_from_sampler(
 
 def write_joint_csv(joint: JointDistribution, path) -> None:
     """Dump a joint as `row_key,col_token,value` triplets, catalog order."""
-    _write_triplets(path, joint.rows, joint.cols, joint.row, joint.col,
+    _write_triplets(path, joint.tokens, joint.cols, joint.row, joint.col,
                     joint.value)
 
 
 def write_matrix_csv(m: NormalizedMatrix, path) -> None:
     """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped."""
     i, j = np.nonzero(m.matrix)
-    _write_triplets(path, m.rows, m.cols, i, j, m.matrix[i, j])
+    _write_triplets(path, m.tokens, m.cols, i, j, m.matrix[i, j])
 
 
-def _write_triplets(path, rows, cols, i, j, values) -> None:
-    import csv
-
-    keys = [text.key() for text in rows]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_key", "col_token", "value"])
-        writer.writerows(
-            (keys[a], cols[b], repr(v))
-            for a, b, v in zip(i.tolist(), j.tolist(), values.tolist())
-        )
+def _write_triplets(path, tokens, cols, i, j, values) -> None:
+    """A row key is its text's token ids joined by `-`."""
+    keys = np.array(
+        ["-".join(str(t) for t in text if t >= 0) for text in tokens.tolist()],
+        dtype=object,
+    )
+    write_csv(path, ["row_key", "col_token", "value"],
+              [keys[i], np.array(cols)[j], values])

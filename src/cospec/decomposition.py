@@ -19,6 +19,7 @@ import numpy as np
 
 from .cooccurrence import JointDistribution, NormalizedMatrix, normalize
 from .errors import DomainError, NumericError
+from .output import write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class FactorPair:
 def spectral_loss(f, w, joint: JointDistribution) -> float:
     """Exact quadratic pretraining loss under a joint distribution.
 
-    `f` is the encoder, an (n_rows, t) array aligned with `joint.rows`; `w`
+    `f` is the encoder, an (n_rows, t) array aligned with `joint.tokens`; `w`
     is the embedding, a (t, n_cols) array aligned with `joint.cols`.
     loss = -2 E_{(X, X+)} score(X, X+) + E_{X, X-} score(X, X-)^2 with X-
     drawn from the target marginal independently of X, score(X, c) the c-th
@@ -43,7 +44,7 @@ def spectral_loss(f, w, joint: JointDistribution) -> float:
     """
     f = np.asarray(f, dtype=float)
     w = np.asarray(w, dtype=float)
-    rows, cols = len(joint.rows), len(joint.cols)
+    rows, cols = len(joint.tokens), len(joint.cols)
     if (f.ndim != 2 or w.ndim != 2 or f.shape[0] != rows
             or w.shape != (f.shape[1], cols)):
         raise DomainError(
@@ -251,15 +252,10 @@ def save_factor_pair(pair: FactorPair, directory, name: str = "factors") -> None
         "row_file": f"{name}_rows.csv",
         "col_file": f"{name}_cols.csv",
     }
-    with open(os.path.join(directory, f"{name}.json"), "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, f"{name}.json"), header)
     for fname, mat in ((header["row_file"], pair.row_factor),
                        (header["col_file"], pair.col_factor)):
-        with open(os.path.join(directory, fname), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in mat:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(os.path.join(directory, fname), None, list(mat.T))
 
 
 def load_factor_pair(directory, name: str = "factors") -> FactorPair:
@@ -289,11 +285,12 @@ def probe_features_for_joint(
     """Rank-t optimal features of a joint, with class labels and row weights.
 
     Factorizes, inverts the row scaling, f(X) = row_factor[X] / sqrt(P_C(X)),
-    and labels each conditional text through `labeler` applied to its first
-    token. Returns (x, labels, weights), arrays aligned with the normalized
-    matrix's rows and ready for :func:`linear_probe`.
+    and labels each conditional text by `labeler` of its first token, called
+    once per distinct token. Returns (x, labels, weights), arrays aligned
+    with the normalized matrix's rows and ready for :func:`linear_probe`.
     """
     m = normalize(joint) if m is None else m
     x = optimal_features(m, t).row_factor / np.sqrt(m.row_weights)[:, None]
-    labels = np.array([labeler(text.tokens[0]) for text in m.rows])
+    first, back = np.unique(m.tokens[:, 0], return_inverse=True)
+    labels = np.array([labeler(tok) for tok in first.tolist()])[back]
     return x, labels, m.row_weights

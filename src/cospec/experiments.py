@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -29,6 +31,7 @@ from .cooccurrence import (
 )
 from .errors import ConfigError, DomainError
 from .objectives import ObjectiveSpec, exact_joint, parse_objective
+from .output import write_csv, write_json
 from .spectral import (
     connectivity_estimate,
     exact_ar_spectrum,
@@ -36,16 +39,16 @@ from .spectral import (
     singular_spectrum,
     tail_energy,
 )
-from .toy_model import ToyParams, enumerate_sequences, token_label
+from .toy_model import ToyParams, enumerate_sequences, sample_sequence, token_label
 
 _TOP_KEYS = {
     "experiment", "seed", "params", "objectives", "rank", "reg", "trials",
     "train", "rho_m", "seeds", "assignment",
 }
-# (type, least allowed value) of each `train` field
+# (type, least allowed value[, whether it is excluded]) of each `train` field
 _TRAIN_KINDS = {
-    "dim": (int, 1), "lr": (float, None), "steps": (int, 1),
-    "init_noise": (float, None), "clip": (float, None),
+    "dim": (int, 1), "lr": (float, 0, True), "steps": (int, 1),
+    "init_noise": (float, 0), "clip": (float, 0, True),
 }
 
 
@@ -105,9 +108,11 @@ def load_config(source) -> ExperimentConfig:
             'must be an object with exactly the keys {"r", "s", "T"}',
             field="params",
         )
+    sizes = {key: _number(pdict[key], int, field=f"params.{key}")
+             for key in ("r", "s", "T")}
     try:
-        params = ToyParams.from_dict(pdict)
-    except (DomainError, TypeError, ValueError) as exc:
+        params = ToyParams(**sizes)
+    except DomainError as exc:
         raise ConfigError(str(exc), field="params") from exc
 
     objectives = raw.get("objectives", ["ar"])
@@ -120,13 +125,10 @@ def load_config(source) -> ExperimentConfig:
             )
         try:
             spec = parse_objective(text)
+            if spec.kind == "masked":
+                unmasked_count(params, spec.rho)
         except DomainError as exc:
             raise ConfigError(str(exc), field=f"objectives[{i}]") from exc
-        if spec.kind == "masked":
-            try:
-                unmasked_count(params, spec.rho)
-            except DomainError as exc:
-                raise ConfigError(str(exc), field=f"objectives[{i}]") from exc
 
     rho_m = raw.get("rho_m")
     if rho_m is not None:
@@ -166,7 +168,7 @@ def load_config(source) -> ExperimentConfig:
         seed=_number(raw.get("seed", 0), int, field="seed"),
         objectives=tuple(objectives),
         rank=None if rank is None else _number(rank, int, field="rank"),
-        reg=_number(raw.get("reg", 1e-8), float, field="reg"),
+        reg=_number(raw.get("reg", 1e-8), float, 0, field="reg"),
         trials=_number(raw.get("trials", 100), int, 1, field="trials"),
         train=train,
         rho_m=rho_m,
@@ -175,17 +177,25 @@ def load_config(source) -> ExperimentConfig:
     )
 
 
-def _number(value, kind, least=None, *, field: str):
-    """`kind(value)`, and at least `least` if given, or a ConfigError."""
+def _number(value, kind, least=None, above=False, *, field: str):
+    """`value` as a finite `kind`, at least `least` (above it if `above`).
+
+    Anything else is a ConfigError: a bool, a string, NaN, an infinity, or a
+    fraction where an int belongs.
+    """
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or number != value or number in (math.inf, -math.inf)):
         raise ConfigError(
             f"expected {kind.__name__}, got {value!r}", field=field
-        ) from exc
-    if least is not None and number < least:
+        )
+    if least is not None and (number <= least if above else number < least):
         raise ConfigError(
-            f"expected at least {least}, got {value!r}", field=field
+            f"expected {'more than' if above else 'at least'} {least}, "
+            f"got {value!r}", field=field,
         )
     return number
 
@@ -202,25 +212,9 @@ def _safe(label: str) -> str:
     return label.replace(":", "_").replace("-", "_").replace(".", "p")
 
 
-def to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def write_report(report: dict, out_dir) -> str:
     path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(to_jsonable(report), sort_keys=True, indent=2))
-        fh.write("\n")
+    write_json(path, report)
     return path
 
 
@@ -286,7 +280,7 @@ def run_identity(cfg: ExperimentConfig, out_dir) -> dict:
         for trial in range(cfg.trials):
             rng = derive_rng(cfg.seed, "identity", label, str(trial))
             t = dims[trial % len(dims)]
-            f = rng.standard_normal((len(joint.rows), t))
+            f = rng.standard_normal((len(joint.tokens), t))
             w = rng.standard_normal((t, len(joint.cols)))
             worst = max(worst, dec.identity_residual(f, w, joint))
         results[label] = {"trials": cfg.trials, "max_residual": worst}
@@ -337,11 +331,7 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
         )
         probe = dec.linear_probe(x, labels, reg=cfg.reg, weights=weights)
         entry = {"t": t, "reg": cfg.reg, "error": probe.error}
-        with open(
-            os.path.join(out_dir, f"probe_{_safe(label)}.json"), "w"
-        ) as fh:
-            fh.write(json.dumps(to_jsonable(entry), sort_keys=True, indent=2))
-            fh.write("\n")
+        write_json(os.path.join(out_dir, f"probe_{_safe(label)}.json"), entry)
         results[label] = entry
     return {
         "experiment": "probe",
@@ -470,8 +460,6 @@ def max_query_drift(
     outside the group's allowed keys, so redrawing all of them must leave
     that group's query outputs untouched. Returns the max abs drift seen.
     """
-    from .toy_model import sample_sequence
-
     worst = 0.0
     for _ in range(max(1, trials)):
         label = int(rng.integers(1, params.r + 1))
@@ -497,8 +485,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     models, and the worst pretraining error itself for the next-token
     model (whose bound has no length term; its rho is reported as 0).
     """
-    import csv
-
+    columns = ("spec", "rho", "seed", "gen_loss", "bound", "delta", "eta",
+               "normW2")
     params = cfg.params
     dataset = list(enumerate_sequences(params))
     rows = []
@@ -512,36 +500,25 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
             model = gen.train_model(spec, params, cfg.train, rng).model
             total = gen.gen_loss(model, dataset, params).total
+            # (rho, bound, delta, eta, normW2) of each row
             if spec.kind in ("ar", "dar"):
                 delta = gen.delta_term(model, joint)
                 if spec.kind == "ar":
                     delta_ar_by_seed[seed_i] = delta
-                rows.append({
-                    "spec": label,
-                    "rho": 0.0,
-                    "seed": seed_i,
-                    "gen_loss": total,
-                    "bound": delta,
-                    "delta": delta,
-                    "eta": gen.max_output_discrepancy(model),
-                    "normW2": model.output_norm(),
-                })
-                continue
-            for rho in _bound_rhos(cfg, spec):
-                terms = gen.generation_bound_terms(
-                    model, params, rho, joint=masked_joint(rho)
-                )
-                bound = gen.masked_generation_bound(terms)
-                rows.append({
-                    "spec": label,
-                    "rho": rho,
-                    "seed": seed_i,
-                    "gen_loss": total,
-                    "bound": bound,
-                    "delta": terms.delta,
-                    "eta": terms.eta,
-                    "normW2": terms.output_norm,
-                })
+                found = [(0.0, delta, delta, gen.max_output_discrepancy(model),
+                          model.output_norm())]
+            else:
+                found = []
+                for rho in _bound_rhos(cfg, spec):
+                    terms = gen.generation_bound_terms(
+                        model, params, rho, joint=masked_joint(rho)
+                    )
+                    found.append((rho, gen.masked_generation_bound(terms),
+                                  terms.delta, terms.eta, terms.output_norm))
+            rows += [
+                dict(zip(columns, (label, rho, seed_i, total, *rest)))
+                for rho, *rest in found
+            ]
     gaps: dict[str, dict[str, float]] = {}
     for row in rows:
         seed_i = row["seed"]
@@ -550,18 +527,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             gaps.setdefault(key, {})[f"{row['spec']}|{seed_i}"] = (
                 row["bound"] - delta_ar_by_seed[seed_i]
             )
-    header = ["spec", "rho", "seed", "gen_loss", "bound", "delta", "eta",
-              "normW2"]
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                row["spec"], repr(float(row["rho"])), row["seed"],
-                repr(float(row["gen_loss"])), repr(float(row["bound"])),
-                repr(float(row["delta"])), repr(float(row["eta"])),
-                repr(float(row["normW2"])),
-            ])
+    write_csv(os.path.join(out_dir, "sweep.csv"), columns, [
+        [row[name] if name in ("spec", "seed") else float(row[name])
+         for row in rows]
+        for name in columns
+    ])
     return {
         "experiment": "sweep",
         "params": params.to_dict(),
@@ -587,53 +557,35 @@ def emit_plot_data(report: dict, out_dir) -> tuple[list[str], list[str]]:
     Returns (written, skipped) file name lists; a section that is present
     but empty still gets its header-only file.
     """
-    import csv
-
-    written, skipped = [], []
-
+    tables = {}
     if "spectra" in report:
-        path = os.path.join(out_dir, "spectrum.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["objective", "rank", "sigma"])
-            for label in sorted(report["spectra"]):
-                for i, v in enumerate(report["spectra"][label], start=1):
-                    writer.writerow([label, i, repr(float(v))])
-        written.append("spectrum.csv")
-    else:
-        skipped.append("spectrum.csv")
-
+        spectra = report["spectra"]
+        labels = sorted(spectra)
+        tables["spectrum.csv"] = (["objective", "rank", "sigma"], [
+            [label for label in labels for _ in spectra[label]],
+            [i for label in labels for i in range(1, len(spectra[label]) + 1)],
+            [float(v) for label in labels for v in spectra[label]],
+        ])
     if "models" in report:
-        path = os.path.join(out_dir, "perk.csv")
-        entries = []
-        for label in sorted(report["models"]):
-            per_k = report["models"][label].get("per_position", {})
-            for k, v in per_k.items():
-                entries.append((int(k), label, float(v)))
-        entries.sort()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "k", "loss"])
-            for k, label, v in entries:
-                writer.writerow([label, k, repr(v)])
-        written.append("perk.csv")
-    else:
-        skipped.append("perk.csv")
-
+        entries = sorted(
+            (int(k), label, float(v))
+            for label, model in report["models"].items()
+            for k, v in model.get("per_position", {}).items()
+        )
+        tables["perk.csv"] = (["model", "k", "loss"], [
+            [e[1] for e in entries], [e[0] for e in entries],
+            [e[2] for e in entries],
+        ])
     if "connectivity" in report:
-        path = os.path.join(out_dir, "connectivity.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["objective", "estimate"])
-            for label in sorted(report["connectivity"]):
-                writer.writerow(
-                    [label, repr(float(report["connectivity"][label]))]
-                )
-        written.append("connectivity.csv")
-    else:
-        skipped.append("connectivity.csv")
-
-    return written, skipped
+        conn = report["connectivity"]
+        tables["connectivity.csv"] = (["objective", "estimate"], [
+            sorted(conn), [float(conn[label]) for label in sorted(conn)],
+        ])
+    for name, (header, columns) in tables.items():
+        write_csv(os.path.join(out_dir, name), header, columns)
+    skipped = [name for name in ("spectrum.csv", "perk.csv", "connectivity.csv")
+               if name not in tables]
+    return list(tables), skipped
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:

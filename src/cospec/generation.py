@@ -87,21 +87,6 @@ def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
     return float(q @ k) * v
 
 
-def prediction_scores(
-    model: LinearAttentionModel,
-    tokens,
-    cols,
-    normalized: bool = False,
-) -> np.ndarray:
-    """Scores over a column catalog; optionally scaled to unit l2 norm."""
-    z = pooled_attention(model, tokens) @ model.w_out[:, list(cols)]
-    if normalized:
-        norm = float(np.linalg.norm(z))
-        if norm > 0:
-            z = z / norm
-    return z
-
-
 @dataclass(frozen=True)
 class GenerationReport:
     """Average generation loss with its per-position breakdown."""
@@ -213,7 +198,7 @@ def delta_term(model: LinearAttentionModel, joint: JointDistribution) -> float:
     w_cols = model.w_out[:, cols]
     a = joint.dense()
     feats = np.stack(
-        [pooled_attention(model, text.tokens) for text in joint.rows]
+        [pooled_attention(model, text[text >= 0]) for text in joint.tokens]
     )
     z = feats @ w_cols
     norms = np.linalg.norm(z, axis=1)
@@ -276,11 +261,9 @@ class TrainResult:
 
 
 def _design(joint: JointDistribution, vocab: int):
-    lengths = [len(text.tokens) for text in joint.rows]
-    row = np.repeat(np.arange(len(lengths)), lengths)
-    tokens = [t for text in joint.rows for t in text.tokens]
-    incidence = np.zeros((len(lengths), vocab))
-    np.add.at(incidence, (row, tokens), 1.0)
+    real = joint.tokens >= 0
+    incidence = np.zeros((len(real), vocab))
+    np.add.at(incidence, (np.nonzero(real)[0], joint.tokens[real]), 1.0)
     return (incidence, joint.dense(), joint.row_marginal(),
             joint.col_marginal(), np.array(joint.cols))
 

@@ -148,20 +148,25 @@ def tail_energy(spectrum: SingularSpectrum, t: int) -> float:
 def labeling_error(joint: JointDistribution, labeler) -> float:
     """Mass of entries whose conditional and target disagree on class.
 
-    `labeler` maps a token id to its class. Every token of a conditional
-    text must agree on the class, otherwise the row has no well-defined
-    label and the joint is malformed for this measure.
+    `labeler` maps a token id to its class; it is called once per distinct
+    token. Every token of a conditional text must agree on the class,
+    otherwise the row has no well-defined label and the joint is malformed
+    for this measure.
     """
-    row_labels = []
-    for text in joint.rows:
-        labels = {labeler(t) for t in text.tokens}
-        if len(labels) != 1:
-            raise DomainError(
-                f"conditional text {text.key()} mixes classes {sorted(labels)}"
-            )
-        row_labels.append(labels.pop())
+    tokens = joint.tokens
+    # A pad takes its row's first token, which adds no label to the row.
+    ids, back = np.unique(np.where(tokens >= 0, tokens, tokens[:, :1]),
+                          return_inverse=True)
+    labels = np.array([labeler(t) for t in ids.tolist()])
+    labels = labels[back.reshape(tokens.shape)]
+    mixed = np.any(labels != labels[:, :1], axis=1)
+    if mixed.any():
+        i = int(np.argmax(mixed))
+        key = "-".join(str(t) for t in tokens[i].tolist() if t >= 0)
+        raise DomainError(f"conditional text {key} mixes classes "
+                          f"{sorted(set(labels[i].tolist()))}")
     col_labels = np.array([labeler(c) for c in joint.cols])
-    mismatch = np.array(row_labels)[joint.row] != col_labels[joint.col]
+    mismatch = labels[joint.row, 0] != col_labels[joint.col]
     return float(joint.value[mismatch].sum()) / joint.total_mass
 
 
@@ -178,14 +183,3 @@ def connectivity_estimate(features) -> float:
     n = f.shape[0]
     total = f.sum(axis=0)
     return float((total @ total - np.sum(f * f)) / (n * (n - 1)))
-
-
-def write_spectrum_csv(spectrum: SingularSpectrum, path) -> None:
-    """Export as `rank,sigma`, rank starting at 1."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "sigma"])
-        for i, v in enumerate(spectrum.values, start=1):
-            writer.writerow([i, repr(float(v))])

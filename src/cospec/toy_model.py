@@ -50,10 +50,6 @@ class ToyParams:
     def to_dict(self) -> dict:
         return {"r": self.r, "s": self.s, "T": self.T}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToyParams":
-        return cls(r=int(d["r"]), s=int(d["s"]), T=int(d["T"]))
-
 
 @dataclass(frozen=True)
 class LabeledSequence:

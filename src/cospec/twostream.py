@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generation import target_catalog
+from .output import write_csv
 from .toy_model import LabeledSequence, ToyParams
 
 
@@ -263,21 +264,6 @@ def prediction_weights(s: int, t: int) -> dict[tuple[int, int], float]:
     return out
 
 
-def lookahead_position_law(s: int, t: int) -> dict[tuple[int, int], float]:
-    """Exact (prefix length, target position) law of the lookahead sampler."""
-    out = {}
-    for k in range(1, s):
-        window = min(k + t, s) - k
-        for p in range(k + 1, k + window + 1):
-            out[(k, p)] = 1.0 / ((s - 1) * window)
-    return out
-
-
 def write_mask_csv(mask: np.ndarray, path) -> None:
     """Dump one mask as 0/1 rows; 1 marks an allowed (query, key) pair."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mask:
-            writer.writerow([1 if np.isfinite(v) else 0 for v in row])
+    write_csv(path, None, list(np.isfinite(mask).astype(int).T))

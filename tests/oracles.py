@@ -116,9 +116,11 @@ def scan_joint_csv(joint, path):
 
 def scan_matrix_csv(m, path):
     """Normalized-matrix CSV by scanning every cell, zeros skipped."""
+    keys = ["-".join(str(t) for t in text if t >= 0)
+            for text in m.tokens.tolist()]
     _write_triplets(path, (
-        (text.key(), tok, m.matrix[i, j])
-        for i, text in enumerate(m.rows)
+        (key, tok, m.matrix[i, j])
+        for i, key in enumerate(keys)
         for j, tok in enumerate(m.cols)
         if m.matrix[i, j] != 0.0
     ))
@@ -277,3 +279,13 @@ def ar_reference_loss(model, x, params):
             -float(z[col_index[x.tokens[p - 1]]]) + float(np.mean(z**2))
         )
     return float(np.mean(losses))
+
+
+def lookahead_position_law(s: int, t: int) -> dict[tuple[int, int], float]:
+    """Exact (prefix length, target position) law of the lookahead sampler."""
+    out = {}
+    for k in range(1, s):
+        window = min(k + t, s) - k
+        for p in range(k + 1, k + window + 1):
+            out[(k, p)] = 1.0 / ((s - 1) * window)
+    return out

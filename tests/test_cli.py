@@ -75,8 +75,8 @@ def test_unknown_field_is_a_config_error(tmp_path, capsys):
         assert f"unknown fields ['{name}']" in capsys.readouterr().err
 
 
-# Every mistyped field, a number where a string belongs too, and every count
-# below 1.
+# Every mistyped field, a number where a string belongs too, every count
+# below 1, bools and fractions where an int belongs, and out-of-range floats.
 @pytest.mark.parametrize("fields, name", [
     ({"experiment": "identity", "trials": "abc"}, "trials"),
     ({"experiment": "sweep", "seeds": "two"}, "seeds"),
@@ -87,6 +87,15 @@ def test_unknown_field_is_a_config_error(tmp_path, capsys):
     ({"experiment": "genbound", "train": {"dim": 0}}, "train.dim"),
     ({"experiment": "identity", "trials": -3}, "trials"),
     ({"experiment": "sweep", "seeds": 0}, "seeds"),
+    ({"experiment": "spectrum", "params": {"r": 2.7, "s": 3, "T": 2}},
+     "params.r"),
+    ({"experiment": "spectrum", "params": {"r": True, "s": 3, "T": 2}},
+     "params.r"),
+    ({"experiment": "identity", "trials": True}, "trials"),
+    ({"experiment": "identity", "trials": 2.9}, "trials"),
+    ({"experiment": "genbound", "train": {"lr": -1}}, "train.lr"),
+    ({"experiment": "genbound", "train": {"clip": 0}}, "train.clip"),
+    ({"experiment": "probe", "reg": -5}, "reg"),
 ])
 def test_non_numeric_field_is_a_config_error(tmp_path, capsys, fields, name):
     cfg = write_cfg(tmp_path, {"params": {"r": 1, "s": 3, "T": 2}, **fields})

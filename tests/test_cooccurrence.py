@@ -73,6 +73,58 @@ def test_joint_arrays_are_catalog_ordered_and_read_only(label):
             a[0] = 0
 
 
+def oracle_conditionals(label, r, s, big_t):
+    spec = parse_objective(label)
+    if spec.kind == "ar":
+        keys = oracles.ar_joint_dict(r, s, big_t)
+    elif spec.kind == "dar":
+        keys = oracles.dar_joint_dict(r, s, big_t, spec.width)
+    elif spec.kind == "masked":
+        keys = oracles.masked_joint_dict(r, s, big_t, spec.rho)
+    else:
+        keys = {}
+        for rho in admissible_ratios(s, spec.rho_lo, spec.rho_hi):
+            keys.update(oracles.masked_joint_dict(r, s, big_t, rho))
+    return sorted({text for text, _ in keys})
+
+
+@pytest.mark.parametrize("label", ["ar", "dar:2", "masked:0.5", "vlm:0.25-0.75"])
+@pytest.mark.parametrize("r,s,big_t", [(2, 4, 2), (1, 6, 2), (3, 4, 3)])
+def test_token_matrix_is_the_padded_sorted_catalog(label, r, s, big_t):
+    joint = exact_joint(parse_objective(label), ToyParams(r, s, big_t))
+    tokens = joint.tokens
+    assert tokens.dtype.kind == "i" and tokens.ndim == 2
+    with pytest.raises(ValueError):
+        tokens[0, 0] = 0
+    pad = tokens < 0
+    assert np.all(tokens[pad] == -1)
+    assert not pad[:, 0].any()
+    # once a row is padded, it stays padded to its end
+    assert np.all(pad[:, :-1] <= pad[:, 1:])
+    texts = [tuple(t for t in row if t >= 0) for row in tokens.tolist()]
+    assert all(a < b for a, b in zip(texts, texts[1:]))
+    assert [t.tokens for t in joint.rows] == texts
+    assert texts == oracle_conditionals(label, r, s, big_t)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_from_entries_round_trips(label):
+    joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
+    again = JointDistribution.from_entries(joint.entries)
+    assert again.kind == joint.kind
+    assert again.cols == joint.cols and again.rows == joint.rows
+    for name in ("tokens", "row", "col", "value"):
+        assert np.array_equal(getattr(again, name), getattr(joint, name))
+
+
+def test_from_entries_rejects_mixed_kinds():
+    with pytest.raises(DomainError, match="kinds"):
+        JointDistribution.from_entries({
+            (ConditionalText.prefix([0]), 2): 0.5,
+            (ConditionalText.unmasked([1]), 2): 0.5,
+        })
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_marginals_are_the_dense_sums(label):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
@@ -108,8 +160,7 @@ def test_ar_columns_exclude_first_position():
 def test_ar_normalized_entries_depend_only_on_prefix_length():
     params = ToyParams(2, 3, 2)
     m = normalize(build_ar_joint(params))
-    for i, text in enumerate(m.rows):
-        length = len(text.tokens)
+    for i, length in enumerate((m.tokens >= 0).sum(axis=1)):
         nonzero = m.matrix[i][m.matrix[i] != 0.0]
         assert_allclose(nonzero, 1.0 / np.sqrt(2.0 ** (length + 1)), atol=1e-12)
 

@@ -14,9 +14,9 @@ from cospec.experiments import (
     emit_plot_data,
     load_config,
     run_experiment,
-    to_jsonable,
 )
 from cospec.generation import TrainSettings
+from cospec.output import to_jsonable
 from cospec.toy_model import ToyParams
 
 
@@ -250,6 +250,13 @@ def test_rerun_is_byte_identical(tmp_path):
     assert names == sorted(os.listdir(out_b))
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    for out in (out_a, out_b):
+        json.loads((out / "report.json").read_text(),
+                   parse_constant=strict_constant)
+
+
+def strict_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
 
 
 def test_config_defaults_round_trip():

@@ -25,7 +25,6 @@ from cospec.generation import (
     max_output_discrepancy,
     misalignment_weight,
     pooled_attention,
-    prediction_scores,
     target_catalog,
     train_model,
 )
@@ -69,14 +68,6 @@ def test_pooling_needs_tokens():
 def test_target_catalog_skips_first_position():
     params = ToyParams(2, 3, 2)
     assert target_catalog(params) == tuple(range(4, 12))
-
-
-def test_prediction_scores_normalization():
-    model = random_model(vocab=6, dim=3, seed=5)
-    raw = prediction_scores(model, [1, 2], cols=[3, 4, 5])
-    unit = prediction_scores(model, [1, 2], cols=[3, 4, 5], normalized=True)
-    assert np.linalg.norm(unit) == pytest.approx(1.0)
-    assert_allclose(unit, raw / np.linalg.norm(raw), atol=1e-12)
 
 
 def test_zero_output_head_scores_zero_loss():

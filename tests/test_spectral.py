@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +21,6 @@ from cospec.spectral import (
     predicted_masked_spectrum,
     singular_spectrum,
     tail_energy,
-    write_spectrum_csv,
 )
 from cospec.toy_model import ToyParams, token_label
 import oracles
@@ -223,12 +220,3 @@ def test_padded_truncates_and_extends():
     assert_allclose(spectrum.padded(1), [2.0])
     assert_allclose(spectrum.padded(4), [2.0, 1.0, 0.0, 0.0])
 
-
-def test_spectrum_csv_format(tmp_path):
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(singular_spectrum(np.diag([2.0, 1.0])), path)
-    with open(path, newline="") as fh:
-        lines = list(csv.reader(fh))
-    assert lines[0] == ["rank", "sigma"]
-    assert lines[1] == ["1", "2.0"]
-    assert lines[2] == ["2", "1.0"]

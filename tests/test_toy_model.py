@@ -82,7 +82,7 @@ def test_params_validation():
 
 def test_params_dict_round_trip():
     params = ToyParams(2, 5, 3)
-    assert ToyParams.from_dict(params.to_dict()) == params
+    assert ToyParams(**params.to_dict()) == params
 
 
 def test_enumeration_covers_corpus_once():

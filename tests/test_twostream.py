@@ -13,7 +13,6 @@ from cospec.twostream import (
     build_masks,
     enumerate_assignments,
     init_two_stream,
-    lookahead_position_law,
     parse_assignment,
     partition_groups,
     prediction_weights,
@@ -200,18 +199,18 @@ def test_prediction_weights_are_a_distribution():
 
 
 def test_width_one_grouping_is_the_next_token_law():
-    assert prediction_weights(5, 1) == pytest.approx(lookahead_position_law(5, 1))
+    assert prediction_weights(5, 1) == pytest.approx(oracles.lookahead_position_law(5, 1))
 
 
 @pytest.mark.parametrize("s,t", [(5, 2), (7, 3), (3, 2)])
 def test_grouped_law_matches_lookahead_when_width_divides(s, t):
     # exact coincidence requires the group width to divide s - 1
-    tv = oracles.tv_distance(prediction_weights(s, t), lookahead_position_law(s, t))
+    tv = oracles.tv_distance(prediction_weights(s, t), oracles.lookahead_position_law(s, t))
     assert tv < 1e-12
 
 
 def test_grouped_law_gap_at_misaligned_width():
-    tv = oracles.tv_distance(prediction_weights(4, 2), lookahead_position_law(4, 2))
+    tv = oracles.tv_distance(prediction_weights(4, 2), oracles.lookahead_position_law(4, 2))
     assert tv == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
