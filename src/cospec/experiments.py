@@ -370,16 +370,25 @@ def _masked_joints(params: ToyParams):
     return functools.cache(functools.partial(build_masked_joint, params))
 
 
+def _training_joint(spec: ObjectiveSpec, params: ToyParams, masked_joint):
+    """The joint `spec` trains on; a `masked:R` one comes from the cache."""
+    if spec.kind == "masked":
+        return masked_joint(spec.rho)
+    return exact_joint(spec, params)
+
+
 def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     """Train one model per objective; measure losses, bound terms, and gaps."""
     params = cfg.params
     dataset = list(enumerate_sequences(params))
     models = {}
     reports = {}
+    masked_joint = _masked_joints(params)
     for label in cfg.objectives:
         spec = parse_objective(label)
         rng = derive_rng(cfg.seed, "genbound", label)
-        result = gen.train_model(spec, params, cfg.train, rng)
+        joint = _training_joint(spec, params, masked_joint)
+        result = gen.train_model(spec, params, cfg.train, rng, joint)
         models[label] = result.model
         g = gen.gen_loss(result.model, dataset, params)
         reports[label] = {
@@ -394,7 +403,6 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
         delta_ar = gen.delta_term(
             models["ar"], exact_joint(parse_objective("ar"), params)
         )
-    masked_joint = _masked_joints(params)
     bounds = {}
     for label in cfg.objectives:
         spec = parse_objective(label)
@@ -494,11 +502,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     masked_joint = _masked_joints(params)
     for label in cfg.objectives:
         spec = parse_objective(label)
-        if spec.kind in ("ar", "dar"):
-            joint = exact_joint(spec, params)
+        joint = _training_joint(spec, params, masked_joint)
         for seed_i in range(cfg.seeds):
             rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
-            model = gen.train_model(spec, params, cfg.train, rng).model
+            model = gen.train_model(spec, params, cfg.train, rng, joint).model
             total = gen.gen_loss(model, dataset, params).total
             # (rho, bound, delta, eta, normW2) of each row
             if spec.kind in ("ar", "dar"):

@@ -271,36 +271,42 @@ def _design(joint: JointDistribution, vocab: int):
 class _Workspace:
     """One training step's loss and gradients, written into fixed buffers.
 
-    Every array with one row per joint row, the column block of `w_out`, the
-    five gradients and one scratch array per weight are allocated here once,
-    from the design arrays and the weight shapes. Each call overwrites
-    `grads` in place. The operations and their order are those of the plain
-    expression form, so losses and gradients are bit-identical to it.
+    Every row-sized quantity of the step is linear in `incidence`, the
+    (rows x vocab) token-count matrix, so the weights are first folded into
+    one vocabulary-sized table `T = [emb Wq | emb Wk | emb Wv W_cols]`:
 
-    A step still allocates target-catalog vectors and numpy's iteration
-    buffer for each broadcast product, which holds at most 8192 elements.
-    `einsum("i,ij->ij", ...)` would avoid it for the row scalings, but it adds
-    each product into a zeroed output and so turns a -0.0 product into +0.0.
+    - forward: `[q | k | u] = incidence @ T`, `lam = rowdot(q, k)`,
+      `z = lam * u`;
+    - output gradient: `g_z = W2 * z - a` with `W2 = 2 pc pg^T`, the loss
+      is `<z, g_z - a> / 2` and `g_lam = rowdot(g_z, u)`;
+    - backward: `(incidence * g_lam)^T [q | k]` and
+      `(incidence * lam)^T g_z` are the gradients of the table's blocks,
+      and the five weight gradients follow from vocabulary-sized products.
+
+    That is three GEMMs over the joint's rows per step. Every row-sized
+    array, the table, the five gradients and one scratch array per weight
+    are allocated here once; each call overwrites `grads` in place, and the
+    row scalings go through `einsum`, which needs no broadcast buffer. The
+    plain chain rule through `incidence @ emb` sums in another order, so
+    the two agree to rounding, not bit for bit.
     """
 
     def __init__(self, arrays, weights):
-        self.incidence, self.a, self.pc, self.pg, self.cols = arrays
+        self.incidence, self.a, pc, pg, self.cols = arrays
         n, c = self.a.shape
-        d = weights[0].shape[1]
-        self.s_mat, self.q, self.k, self.v, self.f = (
-            np.empty((n, d)) for _ in range(5)
-        )
-        self.g_f, self.g_q, self.g_k, self.g_v, self.g_s = (
-            np.empty((n, d)) for _ in range(5)
-        )
-        self.lam = np.empty(n)
-        self.g_lam = np.empty(n)
+        vocab, d = weights[0].shape
+        self.w2 = np.multiply.outer(2.0 * pc, pg)
+        self.qku = np.empty((n, 2 * d + c))
         self.z = np.empty((n, c))
         self.g_z = np.empty((n, c))
-        # `w_out[:, cols]` with an index array is a Fortran-ordered copy; a
-        # C-ordered buffer would send `g_z @ w_cols.T` down another BLAS path
-        # and move the gradients in the last bits.
-        self.w_cols = np.empty((d, c), order="F")
+        self.lam = np.empty(n)
+        self.g_lam = np.empty(n)
+        self.scaled = np.empty((n, vocab))
+        self.table = np.empty((vocab, 2 * d + c))
+        self.g_table = np.empty((vocab, 2 * d + c))
+        self.p = np.empty((vocab, d))  # emb @ wv
+        self.g_p = np.empty((vocab, d))
+        self.w_cols = np.empty((d, c))
         self.g_cols = np.empty((d, c))
         self.grads = tuple(np.zeros_like(w) for w in weights)
         self.scratch = tuple(np.empty_like(w) for w in weights)
@@ -308,44 +314,44 @@ class _Workspace:
     def __call__(self, weights) -> float:
         """Loss at `weights`; the gradients land in `self.grads`."""
         emb, wq, wk, wv, w_out = weights
-        a, pc, pg = self.a, self.pc, self.pg
-        s_mat, q, k, v, f = self.s_mat, self.q, self.k, self.v, self.f
+        d = wq.shape[0]
+        table, g_table, p, g_p = self.table, self.g_table, self.p, self.g_p
         z, g_z, lam, g_lam = self.z, self.g_z, self.lam, self.g_lam
-        g_f, g_q, g_k, g_v, g_s = self.g_f, self.g_q, self.g_k, self.g_v, self.g_s
-        np.matmul(self.incidence, emb, out=s_mat)
-        np.matmul(s_mat, wq, out=q)
-        np.matmul(s_mat, wk, out=k)
-        np.matmul(s_mat, wv, out=v)
-        np.einsum("ij,ij->i", q, k, out=lam)
-        np.multiply(lam[:, None], v, out=f)
         np.take(w_out, self.cols, axis=1, out=self.w_cols, mode="clip")
-        np.matmul(f, self.w_cols, out=z)
-        # g_z doubles as scratch for the two loss terms before it is set
-        np.multiply(a, z, out=g_z)
-        fit = np.sum(g_z)
-        np.square(z, out=g_z)
-        loss = float(-fit + pc @ g_z @ pg)
+        np.matmul(emb, wq, out=table[:, :d])
+        np.matmul(emb, wk, out=table[:, d:2 * d])
+        np.matmul(emb, wv, out=p)
+        np.matmul(p, self.w_cols, out=table[:, 2 * d:])
 
-        np.multiply(pc[:, None], z, out=g_z)
-        np.multiply(g_z, pg[None, :], out=g_z)
-        np.multiply(2.0, g_z, out=g_z)
-        np.subtract(g_z, a, out=g_z)
+        np.matmul(self.incidence, table, out=self.qku)
+        q, k, u = self.qku[:, :d], self.qku[:, d:2 * d], self.qku[:, 2 * d:]
+        np.einsum("ij,ij->i", q, k, out=lam)
+        np.einsum("i,ij->ij", lam, u, out=z)
+        np.multiply(self.w2, z, out=g_z)
+        np.subtract(g_z, self.a, out=g_z)
+        loss = 0.5 * (float(np.vdot(z, g_z)) - float(np.vdot(z, self.a)))
+        np.einsum("ij,ij->i", g_z, u, out=g_lam)
+
+        # (incidence * g_lam)^T [q | k] = [g of emb Wk | g of emb Wq]
+        np.einsum("i,ij->ij", g_lam, self.incidence, out=self.scaled)
+        np.matmul(self.scaled.T, self.qku[:, :2 * d], out=g_table[:, :2 * d])
+        np.einsum("i,ij->ij", lam, self.incidence, out=self.scaled)
+        np.matmul(self.scaled.T, g_z, out=g_table[:, 2 * d:])
+        g_tk, g_tq, g_tu = (
+            g_table[:, :d], g_table[:, d:2 * d], g_table[:, 2 * d:]
+        )
+
         g_emb, g_wq, g_wk, g_wv, g_wout = self.grads
-        np.matmul(f.T, g_z, out=self.g_cols)
+        np.matmul(p.T, g_tu, out=self.g_cols)
         g_wout[:, self.cols] = self.g_cols
-        np.matmul(g_z, self.w_cols.T, out=g_f)
-        np.einsum("ij,ij->i", g_f, v, out=g_lam)
-        np.multiply(lam[:, None], g_f, out=g_v)
-        np.multiply(g_lam[:, None], k, out=g_q)
-        np.multiply(g_lam[:, None], q, out=g_k)
-        # g_f is spent; it holds the second and third terms of g_s
-        np.matmul(g_q, wq.T, out=g_s)
-        np.add(g_s, np.matmul(g_k, wk.T, out=g_f), out=g_s)
-        np.add(g_s, np.matmul(g_v, wv.T, out=g_f), out=g_s)
-        np.matmul(self.incidence.T, g_s, out=g_emb)
-        np.matmul(s_mat.T, g_q, out=g_wq)
-        np.matmul(s_mat.T, g_k, out=g_wk)
-        np.matmul(s_mat.T, g_v, out=g_wv)
+        np.matmul(g_tu, self.w_cols.T, out=g_p)
+        np.matmul(emb.T, g_tq, out=g_wq)
+        np.matmul(emb.T, g_tk, out=g_wk)
+        np.matmul(emb.T, g_p, out=g_wv)
+        # p is spent; it holds the second and third terms of g_emb
+        np.matmul(g_tq, wq.T, out=g_emb)
+        np.add(g_emb, np.matmul(g_tk, wk.T, out=p), out=g_emb)
+        np.add(g_emb, np.matmul(g_p, wv.T, out=p), out=g_emb)
         return loss
 
     def grad_norm(self) -> float:
@@ -395,18 +401,27 @@ def train_model(
     params: ToyParams,
     settings: TrainSettings | None = None,
     rng: np.random.Generator | None = None,
+    joint: JointDistribution | None = None,
 ) -> TrainResult:
     """Train one model on the exact joint of its objective.
 
     Plain gradient descent with global gradient-norm clipping; the loss is
     the unnormalized quadratic pretraining loss summed over the support.
     Analytic gradients are spot-checked against central differences at
-    initialization on every run unless disabled.
+    initialization on every run unless disabled. A caller that already
+    holds the objective's joint passes it as `joint`; otherwise it is
+    built here.
     """
     settings = TrainSettings() if settings is None else settings
     rng = np.random.default_rng(0) if rng is None else rng
-    joint = exact_joint(spec, params)
     vocab = params.vocab_size
+    if joint is None:
+        joint = exact_joint(spec, params)
+    elif max(joint.cols) >= vocab or int(joint.tokens.max()) >= vocab:
+        raise DomainError(
+            f"joint has token ids beyond the vocabulary of {vocab} at "
+            f"(r, s, T)=({params.r}, {params.s}, {params.T})"
+        )
     d = settings.dim or vocab
     noise = settings.init_noise
     weights = (
@@ -422,12 +437,13 @@ def train_model(
     losses = []
     for i in range(settings.steps):
         loss = step(weights)
-        if not np.isfinite(loss):
+        norm = step.grad_norm()
+        if not (math.isfinite(loss) and math.isfinite(norm)):
             raise NumericError(
-                f"training diverged at step {i} with lr={settings.lr}"
+                f"training diverged at step {i} (loss {loss}, gradient "
+                f"norm {norm}) with lr={settings.lr}"
             )
         losses.append(loss)
-        norm = step.grad_norm()
         scale = settings.lr * min(1.0, settings.clip / norm) if norm > 0 else 0.0
         step.descend(weights, scale)
     emb, wq, wk, wv, w_out = weights

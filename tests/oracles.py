@@ -177,8 +177,10 @@ def fd_gradient(fn, x, h=1e-6):
     return g
 
 
-# The training step as plain expressions, one fresh array per operation.
-# `cospec.generation._Workspace` must reproduce it bit for bit.
+# The training step as plain expressions, one fresh array per operation,
+# in the order of the chain rule through s = incidence @ emb. The folded step
+# of `cospec.generation._Workspace` orders its sums differently, so the two
+# agree to rounding, not bit for bit.
 def loss_and_grads(weights, incidence, a, pc, pg, cols):
     emb, wq, wk, wv, w_out = weights
     s_mat = incidence @ emb

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from cospec import experiments, generation
 from cospec.errors import ConfigError
 from cospec.experiments import (
     ExperimentConfig,
@@ -228,6 +229,42 @@ def test_sweep_experiment_csv_layout(tmp_path):
         assert float(row[4]) == float(row[5])
     assert "0.5" in report["gaps"]
     assert set(report["gaps"]["0.5"]) == {"masked:0.5|0", "masked:0.5|1"}
+
+
+@pytest.mark.parametrize("experiment, builds", [
+    # ar and vlm, then the masked ratios 0.5 and 0.25 of the bound terms;
+    # genbound builds the ar joint again for its delta term
+    ("sweep", {"exact_joint": 2, "build_masked_joint": 2}),
+    ("genbound", {"exact_joint": 3, "build_masked_joint": 2}),
+])
+def test_training_joints_are_built_outside_the_seed_loop(
+    monkeypatch, tmp_path, experiment, builds
+):
+    counts = dict.fromkeys(builds, 0)
+
+    def counted(name):
+        build = getattr(experiments, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return build(*args)
+        return wrapped
+
+    for name in builds:
+        monkeypatch.setattr(experiments, name, counted(name))
+
+    def no_build(*args):
+        raise AssertionError("train_model built its own joint")
+
+    monkeypatch.setattr(generation, "exact_joint", no_build)
+    run_experiment(load_config({
+        "experiment": experiment,
+        "params": {"r": 1, "s": 4, "T": 2},
+        "objectives": ["ar", "masked:0.5", "vlm:0.25-0.5"],
+        "train": {"steps": 5},
+        "seeds": 3,
+    }), tmp_path)
+    assert counts == builds
 
 
 def test_plot_emission_reports_skipped_sections(tmp_path):

@@ -251,6 +251,12 @@ def test_training_gradients_match_finite_differences_everywhere():
         assert np.max(np.abs(fd - grads[idx])) / scale < 1e-5
 
 
+def assert_rel_close(got, want, rtol=1e-13):
+    """Largest absolute difference within `rtol` of the largest |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("objective, shape, dim", [
     # the column catalog of the prefix family is a sub-range of the vocab
     ("ar", (2, 6, 3), None),
@@ -259,23 +265,53 @@ def test_training_gradients_match_finite_differences_everywhere():
     ("vlm:0.25-0.5", (1, 4, 2), None),
     ("ar", (1, 3, 2), 4),
 ])
-def test_training_is_bit_identical_to_the_plain_step(objective, shape, dim):
+def test_training_matches_the_plain_step(objective, shape, dim):
     spec = parse_objective(objective)
     params = ToyParams(*shape)
     cfg = TrainSettings(dim=dim, steps=50)
-    result = train_model(spec, params, cfg, np.random.default_rng(11))
     vocab = params.vocab_size
     weights = oracles.init_weights(
         np.random.default_rng(11), vocab, dim or vocab, cfg.init_noise
     )
     arrays = _design(exact_joint(spec, params), vocab)
+
+    step = _Workspace(arrays, weights)
+    loss = step(weights)
+    want_loss, want_grads = oracles.loss_and_grads(weights, *arrays)
+    assert_rel_close(loss, want_loss)
+    for got, want in zip(step.grads, want_grads):
+        assert_rel_close(got, want)
+
+    result = train_model(spec, params, cfg, np.random.default_rng(11))
     losses, final = oracles.train_losses_and_weights(
         arrays, weights, cfg.lr, cfg.clip, cfg.steps
     )
-    assert result.losses == tuple(losses)
+    assert_rel_close(result.losses, losses)
     m = result.model
     for got, want in zip((m.emb, m.wq, m.wk, m.wv, m.w_out), final):
+        assert_rel_close(got, want)
+
+
+@pytest.mark.parametrize("objective", ["ar", "masked:0.5", "vlm:0.25-0.5"])
+def test_passing_the_joint_changes_no_byte(objective):
+    spec = parse_objective(objective)
+    params = ToyParams(1, 4, 2)
+    cfg = TrainSettings(steps=30)
+    built = train_model(spec, params, cfg, np.random.default_rng(5))
+    passed = train_model(spec, params, cfg, np.random.default_rng(5),
+                         joint=exact_joint(spec, params))
+    assert built.losses == passed.losses
+    for name in ("emb", "wq", "wk", "wv", "w_out"):
+        got, want = getattr(passed.model, name), getattr(built.model, name)
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_joint_beyond_the_vocabulary_is_refused():
+    spec = parse_objective("masked:0.5")
+    big = exact_joint(spec, ToyParams(2, 4, 2))
+    with pytest.raises(DomainError, match="beyond the vocabulary"):
+        train_model(spec, ToyParams(1, 4, 2), TrainSettings(steps=1),
+                    joint=big)
 
 
 def test_training_step_peak_is_below_two_row_sized_arrays():
@@ -328,6 +364,32 @@ def test_gradient_check_catches_a_wrong_gradient(monkeypatch, every_call):
     with pytest.raises(NumericError, match="gradient check failed on weight 1"):
         train_model(parse_objective("ar"), ToyParams(1, 3, 2),
                     TrainSettings(steps=1), np.random.default_rng(0))
+
+
+class _InfiniteGradient(_Workspace):
+    """The true loss, but one gradient entry is infinite from the third call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def __call__(self, weights):
+        loss = super().__call__(weights)
+        self.calls += 1
+        if self.calls >= 3:
+            self.grads[0][0, 0] = np.inf
+        return loss
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_gradient_norm_is_a_numeric_error(monkeypatch):
+    # the loss stays finite; an infinite norm would make the step scale 0.0
+    # and freeze the weights for every remaining step
+    monkeypatch.setattr(generation, "_Workspace", _InfiniteGradient)
+    settings_ = TrainSettings(steps=10, check_gradients=False)
+    with pytest.raises(NumericError, match="step 2 .*gradient norm inf"):
+        train_model(parse_objective("ar"), ToyParams(1, 3, 2), settings_,
+                    np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
