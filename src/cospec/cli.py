@@ -2,7 +2,8 @@
 
 `cospec run --config cfg.json [--out dir] [--seed n]` executes one
 experiment; `cospec list` prints the registry. Exit codes: 0 on success,
-2 for config problems, 3 for numeric failures, 4 for blown size budgets.
+2 for config problems, 3 for numeric failures, 4 for blown size budgets
+and allocations the machine refuses.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ResourceError as exc:
+    except (ResourceError, MemoryError) as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     print(f"wrote {out_dir}/report.json")

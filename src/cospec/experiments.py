@@ -95,7 +95,7 @@ def load_config(source) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("missing required field", field="experiment")
     name = raw["experiment"]
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}",
             field="experiment",
@@ -384,12 +384,15 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     models = {}
     reports = {}
     masked_joint = _masked_joints(params)
+    delta_ar = None
     for label in cfg.objectives:
         spec = parse_objective(label)
         rng = derive_rng(cfg.seed, "genbound", label)
         joint = _training_joint(spec, params, masked_joint)
         result = gen.train_model(spec, params, cfg.train, rng, joint)
         models[label] = result.model
+        if label == "ar":
+            delta_ar = gen.delta_term(result.model, joint)
         g = gen.gen_loss(result.model, dataset, params)
         reports[label] = {
             "gen_loss": g.total,
@@ -398,11 +401,6 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
             "per_position": g.per_position,
             "final_train_loss": result.losses[-1],
         }
-    delta_ar = None
-    if "ar" in models:
-        delta_ar = gen.delta_term(
-            models["ar"], exact_joint(parse_objective("ar"), params)
-        )
     bounds = {}
     for label in cfg.objectives:
         spec = parse_objective(label)

@@ -71,20 +71,41 @@ def target_catalog(params: ToyParams) -> tuple[int, ...]:
 
 
 def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
-    """Feature of a token multiset: attention summed over all ordered triples.
+    """Features of texts: attention summed over all ordered token triples.
 
-    Equals sum over (a, b, c) of (a Wq . b Wk) * (c Wv) with a, b, c ranging
-    over the tokens' embeddings, which collapses to the same polynomial in
-    the embedding sum.
+    `tokens` is an (n, L) int matrix, one text per row padded with -1 after
+    its last token (`JointDistribution.tokens`); the result is (n, d). Per
+    text, the sum of (a Wq . b Wk) * (c Wv) over its embedding triples
+    collapses to the same polynomial in the embedding sum. The products go
+    through (n, 1, d) stacks, so that matmul makes one vector-matrix
+    product per row, bit-equal to scoring each text alone; a plain (n, d)
+    GEMM sums in another order and moves the features in their last bits.
     """
-    tokens = list(tokens)
-    if not tokens:
-        raise DomainError("pooled attention needs at least one token")
-    total = model.emb[tokens].sum(axis=0)
-    q = total @ model.wq
-    k = total @ model.wk
-    v = total @ model.wv
-    return float(q @ k) * v
+    tokens = np.asarray(tokens)
+    real = tokens >= 0
+    if (tokens.ndim != 2 or tokens.size == 0 or not real[:, 0].all()
+            or (real[:, 1:] > real[:, :-1]).any()):
+        raise DomainError(
+            "pooled attention needs an (n, L) token matrix whose rows hold "
+            "at least one token and pad only after the last one"
+        )
+    total = np.cumsum(model.emb[tokens], axis=1)
+    total = total[np.arange(len(tokens)), real.sum(axis=1) - 1, None]
+    q, k, v = total @ model.wq, total @ model.wk, total @ model.wv
+    return (q @ k.transpose(0, 2, 1) * v)[:, 0]
+
+
+def score_losses(z: np.ndarray, penalty=np.mean) -> np.ndarray:
+    """Loss of every (row, column) pair under the unit-norm scoring rule.
+
+    Each row of scores is scaled to unit norm (a zero row stays zero); the
+    loss of a column is minus its scaled score plus `penalty` of the row's
+    squared scaled scores: `np.mean` for negatives drawn uniformly from the
+    catalog, `np.max` for the worst one.
+    """
+    norms = np.linalg.norm(z, axis=1)
+    zn = z / np.where(norms > 0, norms, 1.0)[:, None]
+    return penalty(zn**2, axis=1)[:, None] - zn
 
 
 @dataclass(frozen=True)
@@ -112,27 +133,20 @@ def gen_loss(
     """
     if not dataset:
         raise DomainError("empty dataset")
-    cols = list(target_catalog(params))
-    col_index = {c: i for i, c in enumerate(cols)}
+    cols = np.array(target_catalog(params))
     w_cols = model.w_out[:, cols]
+    corpus = np.array([x.tokens for x in dataset])
+    rows = np.arange(len(corpus))
     s = params.s
     per_position: dict[int, float] = {}
     nll_total = 0.0
     for k in range(2, s + 1):
-        feats = np.stack(
-            [pooled_attention(model, x.tokens[: k - 1]) for x in dataset]
-        )
-        z = feats @ w_cols
-        norms = np.linalg.norm(z, axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        zn = z / safe[:, None]
-        targets = np.array([col_index[x.tokens[k - 1]] for x in dataset])
-        pos = zn[np.arange(len(dataset)), targets]
-        losses = -pos + np.mean(zn**2, axis=1)
-        per_position[k] = float(losses.mean())
+        z = pooled_attention(model, corpus[:, : k - 1]) @ w_cols
+        targets = np.searchsorted(cols, corpus[:, k - 1])
+        per_position[k] = float(score_losses(z)[rows, targets].mean())
         logz = z - z.max(axis=1, keepdims=True)
         logsm = logz - np.log(np.sum(np.exp(logz), axis=1, keepdims=True))
-        nll_total += float(-logsm[np.arange(len(dataset)), targets].mean())
+        nll_total += float(-logsm[rows, targets].mean())
     total = float(np.mean(list(per_position.values())))
     nll = nll_total / (s - 1)
     return GenerationReport(
@@ -145,8 +159,8 @@ def gen_loss(
 
 def misalignment_weight(s: int, rho_m: float, k: int) -> float:
     """Cubic length-misalignment weight at generation position k."""
-    u = s * (1.0 - rho_m)
-    return u**3 - (k - 1) ** 3
+    u = unmasked_count(ToyParams(1, s, 1), rho_m)
+    return float(u**3 - (k - 1) ** 3)
 
 
 @dataclass(frozen=True)
@@ -194,18 +208,8 @@ def delta_term(model: LinearAttentionModel, joint: JointDistribution) -> float:
     positive score plus the worst squared score, and the max over the
     support is returned.
     """
-    cols = list(joint.cols)
-    w_cols = model.w_out[:, cols]
-    a = joint.dense()
-    feats = np.stack(
-        [pooled_attention(model, text[text >= 0]) for text in joint.tokens]
-    )
-    z = feats @ w_cols
-    norms = np.linalg.norm(z, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    zn = z / safe[:, None]
-    worst_sq = np.max(zn**2, axis=1)
-    vals = np.where(a > 0, -zn + worst_sq[:, None], -np.inf)
+    z = pooled_attention(model, joint.tokens) @ model.w_out[:, list(joint.cols)]
+    vals = np.where(joint.dense() > 0, score_losses(z, np.max), -np.inf)
     return float(vals.max())
 
 
@@ -213,7 +217,6 @@ def generation_bound_terms(
     model: LinearAttentionModel,
     params: ToyParams,
     rho_m: float,
-    dataset: list[LabeledSequence] | None = None,
     joint: JointDistribution | None = None,
 ) -> GenerationBoundTerms:
     """Measure the bound's ingredients for one model at one mask ratio."""
@@ -226,13 +229,10 @@ def generation_bound_terms(
     weights = {
         k: misalignment_weight(params.s, rho_m, k) for k in range(2, u + 1)
     }
-    tokens = None
-    if dataset is not None:
-        tokens = sorted({t for x in dataset for t in x.tokens})
     joint = build_masked_joint(params, rho_m) if joint is None else joint
     return GenerationBoundTerms(
         weights=weights,
-        eta=max_output_discrepancy(model, tokens),
+        eta=max_output_discrepancy(model),
         delta=delta_term(model, joint),
         output_norm=model.output_norm(),
         s=params.s,
@@ -242,7 +242,7 @@ def generation_bound_terms(
 
 def masked_generation_bound(terms: GenerationBoundTerms) -> float:
     """Upper bound on masked-model generation loss from measured terms."""
-    u = terms.s * (1.0 - terms.rho_m)
+    u = unmasked_count(ToyParams(1, terms.s, 1), terms.rho_m)
     acc = 0.0
     for k, w in terms.weights.items():
         acc += w**2 / (k - 1) ** 6 + w * terms.output_norm**2 * terms.eta

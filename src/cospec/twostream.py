@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .generation import target_catalog
+from .generation import score_losses, target_catalog
 from .output import write_csv
 from .toy_model import LabeledSequence, ToyParams
 
@@ -218,24 +218,17 @@ def semi_ar_loss(
     earlier-group content.
     """
     _, g_out = two_stream_forward(model, x.tokens, a)
-    cols = list(target_catalog(params))
-    col_index = {c: i for i, c in enumerate(cols)}
-    w_cols = model.w_out[:, cols]
-    group_losses = []
-    for g in range(2, a.num_groups + 1):
-        token_losses = []
-        for p in a.positions_of(g):
-            z = g_out[p - 1] @ w_cols
-            norm = float(np.linalg.norm(z))
-            if norm > 0:
-                z = z / norm
-            token_losses.append(
-                -float(z[col_index[x.tokens[p - 1]]]) + float(np.mean(z**2))
-            )
-        group_losses.append(float(np.mean(token_losses)))
-    if not group_losses:
+    if a.num_groups < 2:
         raise DomainError("assignment has a single group; nothing to predict")
-    return float(np.mean(group_losses))
+    cols = np.array(target_catalog(params))
+    group = np.array(a.groups)
+    pred = group > 1
+    z = g_out[pred] @ model.w_out[:, cols]
+    targets = np.searchsorted(cols, np.array(x.tokens)[pred])
+    losses = score_losses(z)[np.arange(len(z)), targets]
+    # the mean within each predicted group, then over the groups
+    group = group[pred] - 2
+    return float(np.mean(np.bincount(group, losses) / np.bincount(group)))
 
 
 def prediction_weights(s: int, t: int) -> dict[tuple[int, int], float]:

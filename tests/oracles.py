@@ -149,6 +149,19 @@ def brute_pooled(emb, wq, wk, wv, tokens):
     return out
 
 
+def pooled_rows(emb, wq, wk, wv, tokens):
+    """Pooled attention of each row of a -1 padded token matrix, one text
+    at a time through its embedding sum."""
+    out = []
+    for row in tokens:
+        total = emb[row[row >= 0]].sum(axis=0)
+        q = total @ wq
+        k = total @ wk
+        v = total @ wv
+        out.append(float(q @ k) * v)
+    return np.stack(out)
+
+
 def brute_eta(emb, wq, wk, wv, ids):
     """Max distance between single-triple outputs by full enumeration."""
     best = 0.0

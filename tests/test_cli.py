@@ -1,8 +1,15 @@
 """Exit codes and console output of the `cospec` entry point."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cospec.cli import main
 from cospec.experiments import EXPERIMENTS
@@ -139,3 +146,112 @@ def test_subcommand_is_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_impossible_allocation_exhausts_the_budget(tmp_path, capsys):
+    # numpy refuses a 10^14-element array at once, without touching memory
+    cfg = write_cfg(tmp_path, {
+        "experiment": "genbound",
+        "params": {"r": 1, "s": 3, "T": 1},
+        "objectives": ["ar"],
+        "train": {"dim": 10_000_000_000_000, "steps": 1},
+    })
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource budget exceeded:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# Fuzzing the exit contract. Numbers stay small so that a config that
+# happens to be valid finishes quickly.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
+    | st.floats(-4, 4) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_OBJECTIVE = st.one_of(
+    st.sampled_from(["ar", "dar:1", "dar:2", "masked:0.5", "masked:0.25",
+                     "vlm:0.25-0.5", "vlm:0.5-0.75", " ar ", "masked:", "vlm:"]),
+    st.floats(-1, 2).map(lambda r: f"masked:{r}"),
+    st.integers(-2, 5).map(lambda t: f"dar:{t}"),
+    st.tuples(st.floats(-1, 2), st.floats(-1, 2)).map(
+        lambda lh: f"vlm:{lh[0]}-{lh[1]}"),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _small_config(draw):
+    """A well-typed config at small sizes: r, s, T <= 2/4/2, <= 5 steps."""
+    cfg = {
+        "experiment": draw(st.sampled_from(sorted(EXPERIMENTS))),
+        "params": {"r": draw(st.integers(1, 2)), "s": draw(st.integers(2, 4)),
+                   "T": draw(st.integers(1, 2))},
+        "seed": draw(st.integers(0, 2**32)),
+        "objectives": draw(st.lists(_OBJECTIVE, min_size=1, max_size=3)),
+        "train": {"steps": draw(st.integers(1, 5)),
+                  "dim": draw(st.none() | st.integers(1, 6))},
+        "trials": draw(st.integers(1, 3)),
+        "seeds": draw(st.integers(1, 3)),
+    }
+    optional = {
+        "rank": st.integers(1, 4),
+        "reg": st.floats(0, 1),
+        "rho_m": st.floats(0, 1) | st.lists(st.floats(0, 1), max_size=3),
+        "assignment": st.sampled_from(["g1=1,t=2", "g1=2,t=2", "g1=1,t=1",
+                                       "g1=3,t=2", "t=2", "g1=x,t=1"]),
+        "train.lr": st.floats(1e-3, 0.5),
+        "train.clip": st.floats(0.1, 10),
+        "train.init_noise": st.floats(0, 0.1),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(optional)))):
+        _put(cfg, key, draw(optional[key]))
+    return cfg
+
+
+def _put(cfg, key, value):
+    outer, _, inner = key.partition(".")
+    if inner and isinstance(cfg.get(outer), dict):
+        cfg[outer] = dict(cfg[outer], **{inner: value})
+    else:
+        cfg[key] = value
+
+
+_FIELDS = ["experiment", "params", "seed", "objectives", "rank", "reg",
+           "trials", "train", "rho_m", "seeds", "assignment", "params.r",
+           "params.s", "params.T", "train.steps", "train.dim", "train.lr",
+           "train.clip", "train.init_noise", "objectives.0"]
+
+
+@st.composite
+def _any_config(draw):
+    cfg = draw(_small_config())
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(_FIELDS + ["unknown"]))
+        if key == "objectives.0":
+            cfg["objectives"] = [draw(_JSON)]
+        elif key == "unknown":
+            cfg[draw(st.text(min_size=1, max_size=6))] = draw(_JSON)
+        else:
+            _put(cfg, key, draw(_JSON))
+    return cfg
+
+
+@given(cfg=_small_config() | _any_config() | _JSON)
+@settings(max_examples=400, deadline=None)
+def test_exit_contract_holds_for_any_config(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["run", "--config", path, "--out",
+                         os.path.join(tmp, "out")])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

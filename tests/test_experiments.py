@@ -233,9 +233,9 @@ def test_sweep_experiment_csv_layout(tmp_path):
 
 @pytest.mark.parametrize("experiment, builds", [
     # ar and vlm, then the masked ratios 0.5 and 0.25 of the bound terms;
-    # genbound builds the ar joint again for its delta term
+    # the ar delta term reads the ar training joint
     ("sweep", {"exact_joint": 2, "build_masked_joint": 2}),
-    ("genbound", {"exact_joint": 3, "build_masked_joint": 2}),
+    ("genbound", {"exact_joint": 2, "build_masked_joint": 2}),
 ])
 def test_training_joints_are_built_outside_the_seed_loop(
     monkeypatch, tmp_path, experiment, builds

@@ -47,7 +47,7 @@ def test_single_token_pooling_formula():
     model = random_model(vocab=4, dim=3, seed=0)
     e = model.emb[2]
     want = float((e @ model.wq) @ (e @ model.wk)) * (e @ model.wv)
-    assert_allclose(pooled_attention(model, [2]), want, atol=1e-12)
+    assert_allclose(pooled_attention(model, [[2]])[0], want, atol=1e-12)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 3))
@@ -57,12 +57,36 @@ def test_pooling_equals_triple_enumeration(seed, n):
     rng = np.random.default_rng(seed + 1)
     tokens = [int(t) for t in rng.integers(0, 4, size=n)]
     brute = oracles.brute_pooled(model.emb, model.wq, model.wk, model.wv, tokens)
-    assert_allclose(pooled_attention(model, tokens), brute, atol=1e-10)
+    assert_allclose(pooled_attention(model, [tokens])[0], brute, atol=1e-10)
 
 
 def test_pooling_needs_tokens():
     with pytest.raises(DomainError):
-        pooled_attention(random_model(4, 2, 0), [])
+        pooled_attention(random_model(4, 2, 0), [[]])
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 2), (1, 6, 2)])
+@pytest.mark.parametrize("label", ["ar", "dar:2", "masked:0.5", "vlm:0.25-0.5"])
+def test_pooling_a_token_matrix_equals_pooling_each_text(shape, label):
+    params = ToyParams(*shape)
+    joint = exact_joint(parse_objective(label), params)
+    for dim in (params.vocab_size, 64):
+        model = random_model(params.vocab_size, dim, seed=dim)
+        want = oracles.pooled_rows(
+            model.emb, model.wq, model.wk, model.wv, joint.tokens
+        )
+        assert np.array_equal(pooled_attention(model, joint.tokens), want)
+
+
+@pytest.mark.parametrize("tokens", [
+    [[0, 1], [-1, -1]],  # an all-pad row
+    [[-1, 2]],           # a pad before a token
+    [[0, -1, 2]],
+    [0, 1],              # one text, not a matrix
+])
+def test_pooling_refuses_rows_that_are_not_padded_texts(tokens):
+    with pytest.raises(DomainError):
+        pooled_attention(random_model(4, 2, 0), tokens)
 
 
 def test_target_catalog_skips_first_position():
@@ -108,6 +132,23 @@ def test_misalignment_weights_at_half_masking():
     assert misalignment_weight(8, 0.5, 4) == pytest.approx(37.0)
     # one past the unmasked count the mismatch vanishes
     assert misalignment_weight(8, 0.5, 5) == pytest.approx(0.0)
+
+
+def test_bound_uses_the_integer_unmasked_count():
+    # in floating point 9 * (1 - 1/3) is 6.000000000000001, and
+    # 10 * (1 - 0.8) is 1.9999999999999996
+    weights = {k: misalignment_weight(9, 1 / 3, k) for k in range(2, 7)}
+    assert weights == {k: float(6**3 - (k - 1) ** 3) for k in range(2, 7)}
+    assert weights[2] == 215.0
+    assert misalignment_weight(10, 0.8, 2) == 7.0
+    terms = GenerationBoundTerms(
+        weights=weights, eta=0.1, delta=0.2, output_norm=1.5, s=9,
+        rho_m=1 / 3,
+    )
+    acc = 0.0
+    for k, w in weights.items():
+        acc += w**2 / (k - 1) ** 6 + w * 1.5**2 * 0.1
+    assert masked_generation_bound(terms) == acc / (2.0 * 6) + 0.2 + 1.0
 
 
 def test_discrepancy_zero_when_embeddings_collapse():
