@@ -267,23 +267,48 @@ def build_ar_joint(
     return build_dar_joint(params, 1, budget)
 
 
-def unmasked_count(params: ToyParams, rho_m: float) -> int:
+# Slack on the unmasked count s * (1 - rho) when it is read as an integer.
+_COUNT_SLACK = 1e-9
+
+
+def unmasked_count(s: int, rho_m: float) -> int:
     """Number of visible positions for a mask ratio, validated to be integral."""
     if not 0.0 < rho_m < 1.0:
         raise DomainError(f"mask ratio must lie in (0, 1), got {rho_m}")
-    u = params.s * (1.0 - rho_m)
+    u = s * (1.0 - rho_m)
     u_int = round(u)
-    if abs(u - u_int) > 1e-9:
-        admissible = [m / params.s for m in range(1, params.s)]
+    if abs(u - u_int) > _COUNT_SLACK:
+        admissible = [m / s for m in range(1, s)]
         raise DomainError(
             f"mask ratio {rho_m} leaves a non-integer unmasked count "
-            f"{u:.4g} at s={params.s}; admissible ratios: {admissible}"
+            f"{u:.4g} at s={s}; admissible ratios: {admissible}"
         )
-    if not 1 <= u_int <= params.s - 1:
+    if not 1 <= u_int <= s - 1:
         raise DomainError(
-            f"unmasked count {u_int} outside 1..{params.s - 1} at s={params.s}"
+            f"unmasked count {u_int} outside 1..{s - 1} at s={s}"
         )
     return int(u_int)
+
+
+def admissible_ratios(s: int, lo: float, hi: float) -> list[float]:
+    """Mask ratios m/s in [lo, hi]; an empty grid is a `DomainError`.
+
+    The ends are read on the unmasked count with the slack of
+    :func:`unmasked_count`, which accepts R exactly when R..R has a grid.
+    """
+    if not 0.0 < lo <= hi < 1.0:
+        raise DomainError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
+    fewest, most = s * (1.0 - hi), s * (1.0 - lo)
+    ratios = [
+        m / s for m in range(1, s)
+        if fewest - (s - m) <= _COUNT_SLACK and (s - m) - most <= _COUNT_SLACK
+    ]
+    if not ratios:
+        raise DomainError(
+            f"no admissible mask ratio in [{lo}, {hi}] at s={s}; admissible "
+            f"grid is m/{s} for m in 1..{s - 1}"
+        )
+    return ratios
 
 
 def build_masked_joint(
@@ -331,13 +356,7 @@ def build_vlm_joint(
     This is the exact law of first drawing a mask ratio uniformly from the
     admissible grid in [rho_lo, rho_hi] and then masking at that ratio.
     """
-    from .objectives import admissible_ratios
-
     ratios = admissible_ratios(params.s, rho_lo, rho_hi)
-    if not ratios:
-        raise DomainError(
-            f"no admissible mask ratio in [{rho_lo}, {rho_hi}] at s={params.s}"
-        )
     return _mask_mixture(params, ratios, budget)
 
 
@@ -347,7 +366,7 @@ def _mask_mixture(params: ToyParams, ratios, budget: int) -> JointDistribution:
 
     def masks():
         for rho in ratios:
-            u = unmasked_count(params, rho)
+            u = unmasked_count(s, rho)
             mass = 1.0 / (r * math.comb(s, u) * (s - u) * big_t ** (u + 1))
             for visible in itertools.combinations(range(1, s + 1), u):
                 hidden = [p for p in range(1, s + 1) if p not in visible]

@@ -23,13 +23,14 @@ from . import decomposition as dec
 from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
+    admissible_ratios,
     build_masked_joint,
     normalize,
     unmasked_count,
     write_joint_csv,
     write_matrix_csv,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ResourceError
 from .objectives import ObjectiveSpec, exact_joint, parse_objective
 from .output import write_csv, write_json
 from .spectral import (
@@ -39,7 +40,13 @@ from .spectral import (
     singular_spectrum,
     tail_energy,
 )
-from .toy_model import ToyParams, enumerate_sequences, sample_sequence, token_label
+from .toy_model import (
+    ENUMERATION_BUDGET,
+    ToyParams,
+    enumerate_sequences,
+    sample_sequence,
+    token_label,
+)
 
 _TOP_KEYS = {
     "experiment", "seed", "params", "objectives", "rank", "reg", "trials",
@@ -68,7 +75,12 @@ class ExperimentConfig:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Validate a config from a dict, a JSON string, or a file path."""
+    """Validate a config from a dict, a JSON string, or a file path.
+
+    A bad field is a `ConfigError`; a `trials`, `seeds` or `train.steps`
+    count above the enumeration budget, a loop that would not end, is a
+    `ResourceError`.
+    """
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
         with open(source) as fh:
             try:
@@ -125,8 +137,8 @@ def load_config(source) -> ExperimentConfig:
             )
         try:
             spec = parse_objective(text)
-            if spec.kind == "masked":
-                unmasked_count(params, spec.rho)
+            if spec.width is None:
+                admissible_ratios(params.s, spec.rho_lo, spec.rho_hi)
         except DomainError as exc:
             raise ConfigError(str(exc), field=f"objectives[{i}]") from exc
 
@@ -139,7 +151,7 @@ def load_config(source) -> ExperimentConfig:
         rho_m = tuple(_number(rho, float, field="rho_m") for rho in rho_m)
         for rho in rho_m:
             try:
-                unmasked_count(params, rho)
+                unmasked_count(params.s, rho)
             except DomainError as exc:
                 raise ConfigError(str(exc), field="rho_m") from exc
 
@@ -162,7 +174,7 @@ def load_config(source) -> ExperimentConfig:
             f"expected str, got {assignment!r}", field="assignment"
         )
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=name,
         params=params,
         seed=_number(raw.get("seed", 0), int, field="seed"),
@@ -175,6 +187,13 @@ def load_config(source) -> ExperimentConfig:
         seeds=_number(raw.get("seeds", 3), int, 1, field="seeds"),
         assignment=assignment,
     )
+    for key, count in (("trials", cfg.trials), ("seeds", cfg.seeds),
+                       ("train.steps", cfg.train.steps)):
+        if count > ENUMERATION_BUDGET:
+            raise ResourceError(
+                f"{key}: {count:.3g} exceeds the budget of {ENUMERATION_BUDGET}"
+            )
+    return cfg
 
 
 def _number(value, kind, least=None, above=False, *, field: str):
@@ -218,11 +237,22 @@ def write_report(report: dict, out_dir) -> str:
     return path
 
 
+def _one_ratio(spec: ObjectiveSpec, s: int) -> float | None:
+    """The ratio of a mask objective whose grid has one point, else None."""
+    if spec.width is None:
+        ratios = admissible_ratios(s, spec.rho_lo, spec.rho_hi)
+        if len(ratios) == 1:
+            return ratios[0]
+    return None
+
+
 def _closed_form_spectrum(spec: ObjectiveSpec, params: ToyParams):
-    if spec.kind == "ar":
+    """Next-token, or one mask ratio that hides more than one position."""
+    if spec.width == 1:
         return exact_ar_spectrum(params)
-    if spec.kind == "masked" and params.s * spec.rho > 1 + 1e-9:
-        return predicted_masked_spectrum(params, spec.rho)
+    rho = _one_ratio(spec, params.s)
+    if rho is not None and unmasked_count(params.s, rho) < params.s - 1:
+        return predicted_masked_spectrum(params, rho)
     return None
 
 
@@ -341,27 +371,14 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _bound_rhos(cfg: ExperimentConfig, spec: ObjectiveSpec):
-    """Mask ratios at which to evaluate the generation bound for one model."""
-    candidates = (
-        list(cfg.rho_m)
-        if cfg.rho_m
-        else [m / cfg.params.s for m in range(1, cfg.params.s)]
-    )
+    """Ratios of `rho_m` (else the grid) on `spec`'s grid with u >= 2 visible."""
+    s = cfg.params.s
+    grid = admissible_ratios(s, spec.rho_lo, spec.rho_hi)
     out = []
-    for rho in candidates:
-        try:
-            u = unmasked_count(cfg.params, rho)
-        except DomainError:
-            continue
-        if u < 2:
-            continue
-        if spec.kind == "masked" and abs(rho - spec.rho) > 1e-9:
-            continue
-        if spec.kind == "vlm" and not (
-            spec.rho_lo - 1e-9 <= rho <= spec.rho_hi + 1e-9
-        ):
-            continue
-        out.append(rho)
+    for rho in cfg.rho_m or grid:
+        u = unmasked_count(s, rho)
+        if u >= 2 and (s - u) / s in grid:
+            out.append(rho)
     return out
 
 
@@ -371,10 +388,9 @@ def _masked_joints(params: ToyParams):
 
 
 def _training_joint(spec: ObjectiveSpec, params: ToyParams, masked_joint):
-    """The joint `spec` trains on; a `masked:R` one comes from the cache."""
-    if spec.kind == "masked":
-        return masked_joint(spec.rho)
-    return exact_joint(spec, params)
+    """The joint `spec` trains on; a one-ratio mask joint comes from the cache."""
+    rho = _one_ratio(spec, params.s)
+    return exact_joint(spec, params) if rho is None else masked_joint(rho)
 
 
 def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
@@ -391,7 +407,7 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
         joint = _training_joint(spec, params, masked_joint)
         result = gen.train_model(spec, params, cfg.train, rng, joint)
         models[label] = result.model
-        if label == "ar":
+        if spec.width == 1:
             delta_ar = gen.delta_term(result.model, joint)
         g = gen.gen_loss(result.model, dataset, params)
         reports[label] = {
@@ -404,7 +420,7 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     bounds = {}
     for label in cfg.objectives:
         spec = parse_objective(label)
-        if spec.kind not in ("masked", "vlm"):
+        if spec.width is not None:
             continue
         per_rho = {}
         for rho in _bound_rhos(cfg, spec):
@@ -506,9 +522,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             model = gen.train_model(spec, params, cfg.train, rng, joint).model
             total = gen.gen_loss(model, dataset, params).total
             # (rho, bound, delta, eta, normW2) of each row
-            if spec.kind in ("ar", "dar"):
+            if spec.width is not None:
                 delta = gen.delta_term(model, joint)
-                if spec.kind == "ar":
+                if spec.width == 1:
                     delta_ar_by_seed[seed_i] = delta
                 found = [(0.0, delta, delta, gen.max_output_discrepancy(model),
                           model.output_norm())]

@@ -159,7 +159,7 @@ def gen_loss(
 
 def misalignment_weight(s: int, rho_m: float, k: int) -> float:
     """Cubic length-misalignment weight at generation position k."""
-    u = unmasked_count(ToyParams(1, s, 1), rho_m)
+    u = unmasked_count(s, rho_m)
     return float(u**3 - (k - 1) ** 3)
 
 
@@ -175,7 +175,7 @@ class GenerationBoundTerms:
     rho_m: float
 
 
-def max_output_discrepancy(model: LinearAttentionModel, tokens=None) -> float:
+def max_output_discrepancy(model: LinearAttentionModel) -> float:
     """Largest distance between single-triple attention outputs, exactly.
 
     Each triple output is a scalar lambda = (a Wq . b Wk) times a value
@@ -185,8 +185,7 @@ def max_output_discrepancy(model: LinearAttentionModel, tokens=None) -> float:
     corner. Scanning the four corners for every ordered value pair is
     therefore exact, and avoids the sixth-power enumeration.
     """
-    ids = sorted(set(tokens)) if tokens is not None else range(model.vocab_size)
-    x = model.emb[list(ids)]
+    x = model.emb
     lam = (x @ model.wq) @ (x @ model.wk).T
     lo, hi = float(lam.min()), float(lam.max())
     v = x @ model.wv
@@ -220,7 +219,7 @@ def generation_bound_terms(
     joint: JointDistribution | None = None,
 ) -> GenerationBoundTerms:
     """Measure the bound's ingredients for one model at one mask ratio."""
-    u = unmasked_count(params, rho_m)
+    u = unmasked_count(params.s, rho_m)
     if u < 2:
         raise DomainError(
             f"bound needs an unmasked count >= 2, got {u} at s={params.s}, "
@@ -242,7 +241,7 @@ def generation_bound_terms(
 
 def masked_generation_bound(terms: GenerationBoundTerms) -> float:
     """Upper bound on masked-model generation loss from measured terms."""
-    u = unmasked_count(ToyParams(1, terms.s, 1), terms.rho_m)
+    u = unmasked_count(terms.s, terms.rho_m)
     acc = 0.0
     for k, w in terms.weights.items():
         acc += w**2 / (k - 1) ** 6 + w * terms.output_norm**2 * terms.eta

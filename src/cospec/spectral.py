@@ -28,7 +28,6 @@ class SingularSpectrum:
     """Descending nonnegative singular values, zero-padded to full length."""
 
     values: np.ndarray
-    rank_hint: int | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -46,10 +45,10 @@ class SingularSpectrum:
         return np.concatenate([v, np.zeros(n - len(v))])
 
 
-def _spectrum(values, rank_hint=None) -> SingularSpectrum:
+def _spectrum(values) -> SingularSpectrum:
     v = np.asarray(values, dtype=float)
     v = np.where(v < CLAMP, 0.0, v)
-    return SingularSpectrum(values=np.sort(v)[::-1], rank_hint=rank_hint)
+    return SingularSpectrum(values=np.sort(v)[::-1])
 
 
 def singular_spectrum(m: NormalizedMatrix | np.ndarray) -> SingularSpectrum:
@@ -75,8 +74,7 @@ def exact_ar_spectrum(params: ToyParams) -> SingularSpectrum:
     n = min(n_rows, n_cols)
     ones = r * (s - 1)
     return _spectrum(
-        np.concatenate([np.ones(ones), np.zeros(max(n - ones, 0))]),
-        rank_hint=ones,
+        np.concatenate([np.ones(ones), np.zeros(max(n - ones, 0))])
     )
 
 
@@ -91,22 +89,20 @@ def predicted_ar_spectrum(params: ToyParams) -> SingularSpectrum:
     """
     ones = params.r * params.s
     n = max(len(exact_ar_spectrum(params)), ones)
-    return _spectrum(
-        np.concatenate([np.ones(ones), np.zeros(n - ones)]), rank_hint=ones
-    )
+    return _spectrum(np.concatenate([np.ones(ones), np.zeros(n - ones)]))
 
 
 def predicted_masked_spectrum(params: ToyParams, rho_m: float) -> SingularSpectrum:
     """Closed-form masked spectrum: r ones, then r*(s-1) equal middle values.
 
     The middle value is sqrt(u / ((s - u) * (s - 1))) with u the unmasked
-    count; it requires more than one masked position (s * rho_m > 1),
+    count; it requires more than one masked position (u < s - 1),
     otherwise the masked problem degenerates to the next-token geometry.
     This form is exact: numeric SVD of the built matrix matches it.
     """
     r, s, big_t = params.r, params.s, params.T
-    u = unmasked_count(params, rho_m)
-    if s * rho_m <= 1 + 1e-9:
+    u = unmasked_count(s, rho_m)
+    if u == s - 1:
         raise DomainError(
             f"masked spectrum needs s * rho_m > 1, got s={s} rho_m={rho_m}"
         )
@@ -117,7 +113,7 @@ def predicted_masked_spectrum(params: ToyParams, rho_m: float) -> SingularSpectr
     values = np.concatenate(
         [np.ones(r), np.full(r * (s - 1), middle), np.zeros(n - r * s)]
     )
-    return _spectrum(values, rank_hint=r * s)
+    return _spectrum(values)
 
 
 def block_matrix_spectrum(
@@ -135,7 +131,7 @@ def block_matrix_spectrum(
     values = np.zeros(s_a * s_b)
     values[0] = abs(s_a * p_a + (s_b - 1) * s_a * p_b)
     values[1:s_b] = s_a * abs(p_a - p_b)
-    return _spectrum(values, rank_hint=s_b)
+    return _spectrum(values)
 
 
 def tail_energy(spectrum: SingularSpectrum, t: int) -> float:

@@ -67,10 +67,10 @@ def test_c01_closed_form_spectra_match_built_joints():
     worst = 0.0
     for params, spec in instances:
         numeric = singular_spectrum(normalize(exact_joint(spec, params)))
-        if spec.kind == "ar":
+        if spec.width == 1:
             closed = exact_ar_spectrum(params)
         else:
-            closed = predicted_masked_spectrum(params, spec.rho)
+            closed = predicted_masked_spectrum(params, spec.rho_lo)
         n = max(len(numeric), len(closed))
         err = float(np.max(np.abs(numeric.padded(n) - closed.padded(n))))
         worst = max(worst, err)
@@ -95,11 +95,11 @@ def test_c02_factorization_identity_residual_bounded():
 
 def test_c03_masked_spectrum_elementwise_below_ar():
     for params, spec in grid_instances():
-        if spec.kind != "masked":
+        if spec.width is not None:
             continue
         n = params.r * params.s
         ar = predicted_ar_spectrum(params)
-        masked = predicted_masked_spectrum(params, spec.rho)
+        masked = predicted_masked_spectrum(params, spec.rho_lo)
         ar_vals = ar.padded(n)
         masked_vals = masked.padded(n)
         where = (params, spec.label())
@@ -188,7 +188,7 @@ def test_c06_linear_probe_exact_at_class_rank():
     # masked features only: their top-r directions are strictly separated
     # from the rest, so the class split is unambiguous at every grid point
     for params, spec in grid_instances():
-        if spec.kind != "masked":
+        if spec.width is not None:
             continue
         joint = exact_joint(spec, params)
         x, labels, weights = dec.probe_features_for_joint(

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -162,6 +163,38 @@ def test_impossible_allocation_exhausts_the_budget(tmp_path, capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"trials": 1e300}, "trials"),
+    ({"seeds": 1e18}, "seeds"),
+    ({"train": {"steps": 1e12}}, "train.steps"),
+])
+def test_endless_count_exhausts_the_budget(tmp_path, capsys, fields, name):
+    cfg = write_cfg(tmp_path, {
+        "experiment": "sweep",
+        "params": {"r": 1, "s": 3, "T": 1},
+        "objectives": ["ar"],
+        **fields,
+    })
+    start = time.monotonic()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource budget exceeded: {name}:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_empty_variable_ratio_grid_is_a_config_error(tmp_path, capsys):
+    # no m/4 lies in [0.3, 0.31]; the fixed ratio 0.3 is refused alike
+    for text in ("vlm:0.3-0.31", "masked:0.3"):
+        cfg = write_cfg(tmp_path, {
+            "experiment": "masks",
+            "params": {"r": 1, "s": 4, "T": 2},
+            "objectives": [text],
+        })
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "objectives[0]" in capsys.readouterr().err
+
+
 # Fuzzing the exit contract. Numbers stay small so that a config that
 # happens to be valid finishes quickly.
 _JSON = st.recursive(
@@ -173,7 +206,15 @@ _JSON = st.recursive(
 )
 _OBJECTIVE = st.one_of(
     st.sampled_from(["ar", "dar:1", "dar:2", "masked:0.5", "masked:0.25",
-                     "vlm:0.25-0.5", "vlm:0.5-0.75", " ar ", "masked:", "vlm:"]),
+                     "vlm:0.25-0.5", "vlm:0.5-0.75", " ar ", "masked:", "vlm:",
+                     "vlm:0.5-0.5", "vlm:0.3-0.31", "masked:0.3333333333",
+                     "vlm:0.3333333333-0.3333333333", "masked:0.6666666667",
+                     "vlm:0.2499999999-0.2500000001"]),
+    # a grid ratio m/s moved by rounding-sized slack, in both spellings
+    st.tuples(st.integers(1, 3), st.integers(2, 4),
+              st.sampled_from([0.0, 1e-10, -1e-10, 1e-8, -1e-8])).map(
+        lambda c: c[0] / c[1] + c[2]).flatmap(
+        lambda r: st.sampled_from([f"masked:{r!r}", f"vlm:{r!r}-{r!r}"])),
     st.floats(-1, 2).map(lambda r: f"masked:{r}"),
     st.integers(-2, 5).map(lambda t: f"dar:{t}"),
     st.tuples(st.floats(-1, 2), st.floats(-1, 2)).map(

@@ -75,12 +75,12 @@ def test_joint_arrays_are_catalog_ordered_and_read_only(label):
 
 def oracle_conditionals(label, r, s, big_t):
     spec = parse_objective(label)
-    if spec.kind == "ar":
+    if label == "ar":
         keys = oracles.ar_joint_dict(r, s, big_t)
-    elif spec.kind == "dar":
+    elif spec.width is not None:
         keys = oracles.dar_joint_dict(r, s, big_t, spec.width)
-    elif spec.kind == "masked":
-        keys = oracles.masked_joint_dict(r, s, big_t, spec.rho)
+    elif label.startswith("masked:"):
+        keys = oracles.masked_joint_dict(r, s, big_t, spec.rho_lo)
     else:
         keys = {}
         for rho in admissible_ratios(s, spec.rho_lo, spec.rho_hi):
@@ -188,15 +188,14 @@ def test_masked_column_marginal_is_uniform():
 
 
 def test_unmasked_count_validation():
-    params = ToyParams(2, 4, 2)
-    assert unmasked_count(params, 0.5) == 2
-    assert unmasked_count(params, 0.75) == 1
+    assert unmasked_count(4, 0.5) == 2
+    assert unmasked_count(4, 0.75) == 1
     with pytest.raises(DomainError, match="admissible"):
-        unmasked_count(params, 0.3)
+        unmasked_count(4, 0.3)
     with pytest.raises(DomainError):
-        unmasked_count(params, 1.0)
+        unmasked_count(4, 1.0)
     with pytest.raises(DomainError):
-        unmasked_count(params, -0.1)
+        unmasked_count(4, -0.1)
 
 
 def test_lookahead_width_one_is_next_token():
@@ -374,6 +373,6 @@ def test_matrix_csv_skips_zeros(tmp_path):
 def test_masked_row_count_formula():
     for (r, s, big_t, rho) in [(2, 4, 2, 0.5), (1, 5, 2, 0.6), (3, 4, 1, 0.25)]:
         params = ToyParams(r, s, big_t)
-        u = unmasked_count(params, rho)
+        u = unmasked_count(s, rho)
         joint = build_masked_joint(params, rho)
         assert len(joint.rows) == r * math.comb(s, u) * big_t**u

@@ -187,6 +187,24 @@ def test_genbound_experiment_sections(tmp_path):
     assert len(perk) == 1 + 2 * 3
 
 
+@pytest.mark.parametrize("baseline", [" ar ", "dar:1"])
+def test_any_width_one_prefix_spec_is_the_next_token_baseline(
+    tmp_path, baseline
+):
+    common = {"params": {"r": 1, "s": 4, "T": 2}, "train": {"steps": 20},
+              "objectives": [baseline, "vlm:0.5-0.5"], "seed": 3}
+    report = run_experiment(
+        load_config(dict(common, experiment="genbound")), tmp_path / "g"
+    )
+    entry = report["bounds"]["vlm:0.5-0.5"]["0.5"]
+    assert report["delta_ar"] is not None
+    assert entry["gap_vs_ar"] == entry["bound"] - report["delta_ar"]
+    report = run_experiment(
+        load_config(dict(common, experiment="sweep", seeds=2)), tmp_path / "s"
+    )
+    assert set(report["gaps"]["0.5"]) == {"vlm:0.5-0.5|0", "vlm:0.5-0.5|1"}
+
+
 def test_masks_experiment_outputs(tmp_path):
     config = load_config({
         "experiment": "masks",

@@ -166,13 +166,6 @@ def test_discrepancy_matches_exhaustive_enumeration(seed):
     assert corner == pytest.approx(brute, abs=1e-10)
 
 
-def test_discrepancy_grows_with_token_set():
-    model = random_model(6, 3, seed=9)
-    assert max_output_discrepancy(model, tokens=[2]) == pytest.approx(0.0)
-    sub = max_output_discrepancy(model, tokens=[0, 1])
-    assert sub <= max_output_discrepancy(model) + 1e-12
-
-
 def test_worst_pretraining_error_of_silent_model_is_zero():
     params = ToyParams(1, 4, 2)
     model = random_model(params.vocab_size, 3, seed=3)

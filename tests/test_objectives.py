@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cospec.cooccurrence import (
     build_ar_joint,
     build_dar_joint,
     build_masked_joint,
     build_vlm_joint,
+    unmasked_count,
 )
 from cospec.errors import DomainError
 from cospec.objectives import (
@@ -50,19 +52,22 @@ def test_parse_rejects_malformed_specs(text):
 
 def test_spec_field_validation():
     with pytest.raises(DomainError):
-        ObjectiveSpec(kind="masked")
+        ObjectiveSpec(rho_lo=0.5)
     with pytest.raises(DomainError):
-        ObjectiveSpec(kind="dar", width=0)
+        ObjectiveSpec(width=0)
     with pytest.raises(DomainError):
-        ObjectiveSpec(kind="vlm", rho_lo=0.5, rho_hi=0.2)
+        ObjectiveSpec(rho_lo=0.5, rho_hi=0.2)
     with pytest.raises(DomainError):
-        ObjectiveSpec(kind="nope")
+        ObjectiveSpec()
+    with pytest.raises(DomainError):
+        ObjectiveSpec(width=2, rho_lo=0.5, rho_hi=0.5)
 
 
 def test_admissible_ratio_grids():
     assert admissible_ratios(8, 0.25, 0.5) == [0.25, 0.375, 0.5]
     assert admissible_ratios(4, 0.15, 0.3) == [0.25]
-    assert admissible_ratios(3, 0.4, 0.45) == []
+    with pytest.raises(DomainError, match="admissible"):
+        admissible_ratios(3, 0.4, 0.45)
     # endpoints included despite float division
     assert admissible_ratios(6, 1 / 6, 1 / 6) == [1 / 6]
     with pytest.raises(DomainError):
@@ -92,9 +97,9 @@ def test_sampled_pairs_never_leak_the_target(label):
         text, target = sample_pair(spec, x, rng)
         positions = text.positions(params)
         assert token_position(params, target) not in positions
-        if spec.kind in ("ar", "dar"):
+        if spec.width is not None:
             assert text.tokens == x.tokens[: len(text.tokens)]
-        if spec.kind == "masked":
+        if label == "masked:0.5":
             assert len(text.tokens) == 2
 
 
@@ -135,7 +140,7 @@ def test_variable_ratio_draws_each_grid_point_uniformly():
 
 
 def test_masked_sampler_rejects_inadmissible_ratio():
-    spec = ObjectiveSpec(kind="masked", rho=0.3)
+    spec = ObjectiveSpec(rho_lo=0.3, rho_hi=0.3)
     x = sample_sequence(ToyParams(1, 4, 2), 1, np.random.default_rng(0))
     with pytest.raises(DomainError, match="admissible"):
         sample_pair(spec, x, np.random.default_rng(0))
@@ -160,3 +165,75 @@ def test_exact_joint_dispatch():
         build_dar_joint(params, 2).entries
     assert exact_joint(parse_objective("vlm:0.5-0.75"), params).entries == \
         build_vlm_joint(params, 0.5, 0.75).entries
+
+
+# Two spellings of one objective: a width-1 lookahead is next-token
+# prediction, and a one-ratio range is fixed-ratio masking.
+SPELLINGS = [("dar:1", "ar"), ("vlm:0.5-0.5", "masked:0.5"),
+             ("vlm:0.25-0.25", "masked:0.25")]
+
+
+@pytest.mark.parametrize("other, label", SPELLINGS)
+def test_second_spelling_parses_to_the_same_spec(other, label):
+    assert parse_objective(other) == parse_objective(label)
+    assert parse_objective(other).label() == label
+
+
+@pytest.mark.parametrize("other, label", SPELLINGS)
+def test_second_spelling_builds_the_same_joint(other, label):
+    params = ToyParams(2, 4, 2)
+    a = exact_joint(parse_objective(other), params)
+    b = exact_joint(parse_objective(label), params)
+    assert a.cols == b.cols
+    for name in ("tokens", "row", "col", "value"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("other, label", SPELLINGS)
+def test_second_spelling_samples_the_same_stream(other, label):
+    params = ToyParams(2, 4, 2)
+    streams = []
+    for text in (other, label):
+        spec = parse_objective(text)
+        rng = np.random.default_rng(7)
+        streams.append([
+            sample_pair(spec, sample_sequence(params, 1, rng), rng)
+            for _ in range(200)
+        ])
+    assert streams[0] == streams[1]
+
+
+def _grid_or_error(fn):
+    try:
+        return fn()
+    except DomainError:
+        return "refused"
+
+
+@st.composite
+def _near_grid(draw):
+    """(s, R) with R within a few 1e-9 of some m/s, m = 0..s."""
+    s = draw(st.integers(2, 12))
+    slack = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6])
+                 | st.floats(-3e-9, 3e-9))
+    return s, draw(st.integers(0, s)) / s + slack
+
+
+@given(case=_near_grid())
+@example(case=(3, 0.3333333333))
+@settings(max_examples=300, deadline=None)
+def test_one_ratio_range_accepts_exactly_the_fixed_ratios(case):
+    s, rho = case
+    fixed = _grid_or_error(lambda: [(s - unmasked_count(s, rho)) / s])
+    ranged = _grid_or_error(lambda: admissible_ratios(s, rho, rho))
+    assert fixed == ranged, (s, rho)
+
+
+def test_ten_digit_third_is_admissible_in_both_spellings():
+    assert unmasked_count(3, 0.3333333333) == 2
+    assert admissible_ratios(3, 0.3333333333, 0.3333333333) == [1 / 3]
+    x = sample_sequence(ToyParams(1, 3, 2), 1, np.random.default_rng(0))
+    for text in ("masked:0.3333333333", "vlm:0.3333333333-0.3333333333"):
+        text_, _ = sample_pair(parse_objective(text), x,
+                               np.random.default_rng(0))
+        assert len(text_.tokens) == 2
