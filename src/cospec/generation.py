@@ -270,87 +270,149 @@ def _design(joint: JointDistribution, vocab: int):
 class _Workspace:
     """One training step's loss and gradients, written into fixed buffers.
 
-    Every row-sized quantity of the step is linear in `incidence`, the
-    (rows x vocab) token-count matrix, so the weights are first folded into
-    one vocabulary-sized table `T = [emb Wq | emb Wk | emb Wv W_cols]`:
+    Every text of the toy corpus comes from one class, and each class owns
+    `m = V / r` tokens, so each joint row's tokens and targets lie in one
+    class block. The step groups the rows by class and orders the
+    vocabulary class-major. Per class it keeps the (rows, 3, m) stack
+    `[x | x | a]`: `x` holds the rows' token counts over the class's m
+    tokens, `a` their joint mass on the class's own target columns. A
+    class with fewer rows or columns than another is padded with zeros,
+    which add exact zeros.
 
-    - forward: `[q | k | u] = incidence @ T`, `lam = rowdot(q, k)`,
-      `z = lam * u`;
-    - output gradient: `g_z = W2 * z - a` with `W2 = 2 pc pg^T`, the loss
-      is `<z, g_z - a> / 2` and `g_lam = rowdot(g_z, u)`;
-    - backward: `(incidence * g_lam)^T [q | k]` and
-      `(incidence * lam)^T g_z` are the gradients of the table's blocks,
-      and the five weight gradients follow from vocabulary-sized products.
+    - Tables, per class: `[A | M | U]`. `A = Tq Tk^T` and
+      `M = (Tu * pg) Tu^T` are its (m, m) blocks, and `U` is its own
+      columns of `Tu`, where `Tq = emb Wq`, `Tk = emb Wk` and
+      `Tu = emb Wv W_cols`.
+    - Forward: one batched GEMM `x [A | M | U]` and one row dot with
+      `[x | x | a]` give `lam = x A x^T`, `Q = x M x^T` and `R = x U a^T`.
+      The loss `sum(pc lam^2 Q - lam R)` equals `<z, pc pg^T z> - <z, a>`
+      for `z = lam (x Tu)`.
+    - Backward: one batched GEMM `x^T [w_A x | w_M x | lam a]`, where
+      `w_A = 2 pc lam Q - R` and `w_M = 2 pc lam^2`, gives `g_A`, `2 g_M`
+      and `g_U`. Then `g_Tq = g_A Tk` and `g_Tk = g_A Tq`;
+      `g_Tu = 2 g_M (Tu * pg)`, less `g_U` on the class's own columns; and
+      the five weight gradients follow from vocabulary-sized products.
 
-    That is three GEMMs over the joint's rows per step. Every row-sized
-    array, the table, the five gradients and one scratch array per weight
-    are allocated here once; each call overwrites `grads` in place, and the
-    row scalings go through `einsum`, which needs no broadcast buffer. The
-    plain chain rule through `incidence @ emb` sums in another order, so
-    the two agree to rounding, not bit for bit.
+    So the row work is two GEMMs with an inner size of m, and no
+    (rows x cols) array is formed. Every buffer is allocated here once;
+    each call overwrites `grads` in place, and the row scalings go through
+    `einsum`, which needs no broadcast buffer. The plain chain rule through
+    `incidence @ emb` sums in another order, so the two agree to rounding,
+    not bit for bit. A row whose tokens or targets leave one class block
+    is a `DomainError` naming the row.
     """
 
-    def __init__(self, arrays, weights):
-        self.incidence, self.a, pc, pg, self.cols = arrays
-        n, c = self.a.shape
+    def __init__(self, arrays, weights, params: ToyParams):
+        incidence, a, pc, self.pg, self.cols = arrays
         vocab, d = weights[0].shape
-        self.w2 = np.multiply.outer(2.0 * pc, pg)
-        self.qku = np.empty((n, 2 * d + c))
-        self.z = np.empty((n, c))
-        self.g_z = np.empty((n, c))
-        self.lam = np.empty(n)
-        self.g_lam = np.empty(n)
-        self.scaled = np.empty((n, vocab))
-        self.table = np.empty((vocab, 2 * d + c))
-        self.g_table = np.empty((vocab, 2 * d + c))
-        self.p = np.empty((vocab, d))  # emb @ wv
-        self.g_p = np.empty((vocab, d))
+        r, c = params.r, len(self.cols)
+        m = vocab // r
+        token_class = np.arange(vocab) // params.T % r
+        row_class = token_class[np.argmax(incidence != 0, axis=1)]
+        col_class = token_class[self.cols]
+        astray = (
+            ((incidence != 0) & (token_class != row_class[:, None])).any(1)
+            | ((a != 0) & (col_class != row_class[:, None])).any(1)
+        )
+        if astray.any():
+            i = int(np.argmax(astray))
+            tokens = np.flatnonzero(incidence[i]).tolist()
+            raise DomainError(
+                f"joint row {i} (tokens {tokens}, targets "
+                f"{self.cols[a[i] != 0].tolist()}) does not lie in one class "
+                f"block at r={r}, T={params.T}"
+            )
+        self.perm = np.argsort(token_class, kind="stable")
+        self.unperm = np.argsort(self.perm)
+        rows = [np.flatnonzero(row_class == y) for y in range(r)]
+        n = max(map(len, rows))
+        self.xxa = np.zeros((r, n, 3, m))
+        self.pc2 = np.zeros((r, n))
+        block = np.zeros((r, m), dtype=np.intp)
+        for y, rows_y in enumerate(rows):
+            x_y = incidence[np.ix_(rows_y, self.perm[y * m:(y + 1) * m])]
+            cols_y = np.flatnonzero(col_class == y)
+            self.xxa[y, :len(rows_y), :2] = x_y[:, None]
+            self.xxa[y, :len(rows_y), 2, :len(cols_y)] = a[
+                np.ix_(rows_y, cols_y)]
+            self.pc2[y, :len(rows_y)] = 2.0 * pc[rows_y]
+            block[y, :len(cols_y)] = cols_y
+        # flat indices into Tu of each class's own (token, column) block;
+        # a padded column reads column 0 against zero mass
+        self.block = np.arange(vocab).reshape(r, m, 1) * c + block[:, None]
+        self.table = np.empty((r, m, 3, m))
+        self.xt = np.empty((r, n, 3, m))
+        self.g_table = np.empty((r, m, 3, m))
+        # per row [w_A, w_M, lam, Q, R]: the row dots fill the last three,
+        # and the first three scale the row's [x | x | a]
+        self.rowvals = np.empty((r, n, 5))
+        self.pl = np.empty((r, n))  # 2 pc lam
+        self.emb = np.empty((vocab, d))
+        self.w3 = np.empty((d, 3 * d))  # [Wq | Wk | Wv]
+        self.t3 = np.empty((r, m, 3 * d))  # [Tq | Tk | emb Wv], class-major
+        self.g_t3 = np.empty((r, m, 3 * d))
+        self.g_w3 = np.empty((d, 3 * d))
+        self.tu, self.tu_pg, self.g_tu = (
+            np.empty((vocab, c)) for _ in range(3)
+        )
         self.w_cols = np.empty((d, c))
         self.g_cols = np.empty((d, c))
-        self.grads = tuple(np.zeros_like(w) for w in weights)
+        self.grads = (
+            np.zeros_like(weights[0]), *np.split(self.g_w3, 3, axis=1),
+            np.zeros_like(weights[4]),
+        )
         self.scratch = tuple(np.empty_like(w) for w in weights)
 
     def __call__(self, weights) -> float:
         """Loss at `weights`; the gradients land in `self.grads`."""
         emb, wq, wk, wv, w_out = weights
+        r, n, _, m = self.xxa.shape
         d = wq.shape[0]
-        table, g_table, p, g_p = self.table, self.g_table, self.p, self.g_p
-        z, g_z, lam, g_lam = self.z, self.g_z, self.lam, self.g_lam
+        x = self.xxa[:, :, 0]
+        table, xt, g_table = self.table, self.xt, self.g_table
+        tu, tu_pg, g_tu = self.tu, self.tu_pg, self.g_tu
+        tq, tk = self.t3[..., :d], self.t3[..., d:2 * d]
+        p = self.t3.reshape(-1, 3 * d)[:, 2 * d:]
+        tu3, tu_pg3 = tu.reshape(r, m, -1), tu_pg.reshape(r, m, -1)
+
+        # the tables, over the vocabulary in class-major order
+        np.take(emb, self.perm, axis=0, out=self.emb)
+        np.concatenate((wq, wk, wv), axis=1, out=self.w3)
         np.take(w_out, self.cols, axis=1, out=self.w_cols, mode="clip")
-        np.matmul(emb, wq, out=table[:, :d])
-        np.matmul(emb, wk, out=table[:, d:2 * d])
-        np.matmul(emb, wv, out=p)
-        np.matmul(p, self.w_cols, out=table[:, 2 * d:])
+        np.matmul(self.emb, self.w3, out=self.t3.reshape(-1, 3 * d))
+        np.matmul(p, self.w_cols, out=tu)
+        np.multiply(tu, self.pg, out=tu_pg)
+        np.matmul(tq, tk.transpose(0, 2, 1), out=table[:, :, 0])
+        np.matmul(tu_pg3, tu3.transpose(0, 2, 1), out=table[:, :, 1])
+        np.take(tu, self.block, out=table[:, :, 2], mode="clip")
 
-        np.matmul(self.incidence, table, out=self.qku)
-        q, k, u = self.qku[:, :d], self.qku[:, d:2 * d], self.qku[:, 2 * d:]
-        np.einsum("ij,ij->i", q, k, out=lam)
-        np.einsum("i,ij->ij", lam, u, out=z)
-        np.multiply(self.w2, z, out=g_z)
-        np.subtract(g_z, self.a, out=g_z)
-        loss = 0.5 * (float(np.vdot(z, g_z)) - float(np.vdot(z, self.a)))
-        np.einsum("ij,ij->i", g_z, u, out=g_lam)
+        np.matmul(x, table.reshape(r, m, 3 * m), out=xt.reshape(r, n, 3 * m))
+        np.einsum("ijsk,ijsk->ijs", xt, self.xxa, out=self.rowvals[..., 2:])
+        w_a, w_m, lam, q, rr = self.rowvals.transpose(2, 0, 1)
+        np.multiply(self.pc2, lam, out=self.pl)
+        np.multiply(self.pl, lam, out=w_m)
+        np.multiply(self.pl, q, out=w_a)
+        np.subtract(w_a, rr, out=w_a)
+        loss = 0.5 * float(np.vdot(w_m, q)) - float(np.vdot(lam, rr))
 
-        # (incidence * g_lam)^T [q | k] = [g of emb Wk | g of emb Wq]
-        np.einsum("i,ij->ij", g_lam, self.incidence, out=self.scaled)
-        np.matmul(self.scaled.T, self.qku[:, :2 * d], out=g_table[:, :2 * d])
-        np.einsum("i,ij->ij", lam, self.incidence, out=self.scaled)
-        np.matmul(self.scaled.T, g_z, out=g_table[:, 2 * d:])
-        g_tk, g_tq, g_tu = (
-            g_table[:, :d], g_table[:, d:2 * d], g_table[:, 2 * d:]
-        )
+        # x^T [w_A x | w_M x | lam a] = [g_A | 2 g_M | g_U]
+        np.einsum("ijs,ijsk->ijsk", self.rowvals[..., :3], self.xxa, out=xt)
+        np.matmul(x.transpose(0, 2, 1), xt.reshape(r, n, 3 * m),
+                  out=g_table.reshape(r, m, 3 * m))
+        np.matmul(g_table[:, :, 0], tk, out=self.g_t3[..., :d])
+        np.matmul(g_table[:, :, 0], tq, out=self.g_t3[..., d:2 * d])
+        np.matmul(g_table[:, :, 1], tu_pg3, out=g_tu.reshape(tu3.shape))
+        np.subtract.at(g_tu.reshape(-1), self.block, g_table[:, :, 2])
 
-        g_emb, g_wq, g_wk, g_wv, g_wout = self.grads
+        g_emb, g_wout = self.grads[0], self.grads[4]
+        g_t3 = self.g_t3.reshape(-1, 3 * d)
         np.matmul(p.T, g_tu, out=self.g_cols)
         g_wout[:, self.cols] = self.g_cols
-        np.matmul(g_tu, self.w_cols.T, out=g_p)
-        np.matmul(emb.T, g_tq, out=g_wq)
-        np.matmul(emb.T, g_tk, out=g_wk)
-        np.matmul(emb.T, g_p, out=g_wv)
-        # p is spent; it holds the second and third terms of g_emb
-        np.matmul(g_tq, wq.T, out=g_emb)
-        np.add(g_emb, np.matmul(g_tk, wk.T, out=p), out=g_emb)
-        np.add(g_emb, np.matmul(g_p, wv.T, out=p), out=g_emb)
+        np.matmul(g_tu, self.w_cols.T, out=g_t3[:, 2 * d:])
+        np.matmul(self.emb.T, g_t3, out=self.g_w3)
+        # the class-major g_emb goes through the spent emb buffer
+        np.matmul(g_t3, self.w3.T, out=self.emb)
+        np.take(self.emb, self.unperm, axis=0, out=g_emb)
         return loss
 
     def grad_norm(self) -> float:
@@ -409,7 +471,8 @@ def train_model(
     Analytic gradients are spot-checked against central differences at
     initialization on every run unless disabled. A caller that already
     holds the objective's joint passes it as `joint`; otherwise it is
-    built here.
+    built here. A joint with a row whose tokens or targets span two
+    classes is a `DomainError`.
     """
     settings = TrainSettings() if settings is None else settings
     rng = np.random.default_rng(0) if rng is None else rng
@@ -430,7 +493,7 @@ def train_model(
         np.eye(d) + noise * rng.standard_normal((d, d)),
         noise * rng.standard_normal((d, vocab)),
     )
-    step = _Workspace(_design(joint, vocab), weights)
+    step = _Workspace(_design(joint, vocab), weights, params)
     if settings.check_gradients:
         _spot_check_gradients(weights, step, rng)
     losses = []

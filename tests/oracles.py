@@ -191,9 +191,9 @@ def fd_gradient(fn, x, h=1e-6):
 
 
 # The training step as plain expressions, one fresh array per operation,
-# in the order of the chain rule through s = incidence @ emb. The folded step
-# of `cospec.generation._Workspace` orders its sums differently, so the two
-# agree to rounding, not bit for bit.
+# in the order of the chain rule through s = incidence @ emb. The class-block
+# step of `cospec.generation._Workspace` orders its sums differently, so the
+# two agree to rounding, not bit for bit.
 def loss_and_grads(weights, incidence, a, pc, pg, cols):
     emb, wq, wk, wv, w_out = weights
     s_mat = incidence @ emb

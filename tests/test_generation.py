@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 
 import oracles
 from cospec import generation
-from cospec.cooccurrence import build_masked_joint
+from cospec.cooccurrence import (
+    ConditionalText, JointDistribution, build_masked_joint,
+)
 from cospec.errors import DomainError, NumericError
 from cospec.generation import (
     GenerationBoundTerms,
@@ -261,8 +263,7 @@ def test_training_supports_narrow_feature_dimension():
     assert result.model.vocab_size == params.vocab_size
 
 
-def test_training_gradients_match_finite_differences_everywhere():
-    params = ToyParams(1, 3, 2)
+def _assert_gradients_match_finite_differences(params):
     joint = exact_joint(parse_objective("masked:" + str(1 / 3)), params)
     arrays = _design(joint, params.vocab_size)
     rng = np.random.default_rng(7)
@@ -271,7 +272,7 @@ def test_training_gradients_match_finite_differences_everywhere():
         np.eye(*shape) + 0.05 * rng.standard_normal(shape)
         for shape in [(d, d)] * 4
     ) + (0.05 * rng.standard_normal((d, d)),)
-    step = _Workspace(arrays, weights)
+    step = _Workspace(arrays, weights, params)
     step(weights)
     grads = [g.copy() for g in step.grads]
     for idx in range(5):
@@ -283,6 +284,15 @@ def test_training_gradients_match_finite_differences_everywhere():
         fd = oracles.fd_gradient(objective, weights[idx].copy())
         scale = max(np.abs(fd).max(), 1.0)
         assert np.max(np.abs(fd - grads[idx])) / scale < 1e-5
+
+
+def test_training_gradients_match_finite_differences_everywhere():
+    _assert_gradients_match_finite_differences(ToyParams(1, 3, 2))
+
+
+def test_training_gradients_match_finite_differences_across_class_blocks():
+    # two classes: every gradient is scattered back from two blocks
+    _assert_gradients_match_finite_differences(ToyParams(2, 3, 2))
 
 
 def assert_rel_close(got, want, rtol=1e-13):
@@ -298,6 +308,10 @@ def assert_rel_close(got, want, rtol=1e-13):
     ("masked:0.5", (1, 4, 2), None),
     ("vlm:0.25-0.5", (1, 4, 2), None),
     ("ar", (1, 3, 2), 4),
+    # two and three class blocks
+    ("masked:0.5", (2, 4, 2), None),
+    ("vlm:0.25-0.5", (3, 4, 2), None),
+    ("dar:2", (3, 4, 2), None),
 ])
 def test_training_matches_the_plain_step(objective, shape, dim):
     spec = parse_objective(objective)
@@ -309,7 +323,7 @@ def test_training_matches_the_plain_step(objective, shape, dim):
     )
     arrays = _design(exact_joint(spec, params), vocab)
 
-    step = _Workspace(arrays, weights)
+    step = _Workspace(arrays, weights, params)
     loss = step(weights)
     want_loss, want_grads = oracles.loss_and_grads(weights, *arrays)
     assert_rel_close(loss, want_loss)
@@ -340,6 +354,26 @@ def test_passing_the_joint_changes_no_byte(objective):
         assert got.tobytes() == want.tobytes()
 
 
+def test_a_joint_that_crosses_class_blocks_is_refused():
+    # at (2, 3, 2), tokens 0 and 2 are position 1 of classes 1 and 2, and
+    # tokens 6 and 10 are positions 2 and 3 of class 2
+    params = ToyParams(2, 3, 2)
+    unmasked = ConditionalText.unmasked
+    rows = {
+        ((0, 4), 8): 0.25,   # class 1 throughout
+        ((0, 2), 4): 0.25,   # its tokens span classes 1 and 2
+        ((6, 10), 1): 0.5,   # class 2 tokens, a class 1 target
+    }
+    for bad in ((0, 2), (6, 10)):
+        entries = {(unmasked(t), c): v for (t, c), v in rows.items()
+                   if t in ((0, 4), bad)}
+        joint = JointDistribution.from_entries(entries)
+        i = [tuple(t[t >= 0]) for t in joint.tokens].index(bad)
+        with pytest.raises(DomainError, match=f"joint row {i} .*one class"):
+            train_model(parse_objective("masked:0.5"), params,
+                        TrainSettings(steps=1), joint=joint)
+
+
 def test_a_joint_beyond_the_vocabulary_is_refused():
     spec = parse_objective("masked:0.5")
     big = exact_joint(spec, ToyParams(2, 4, 2))
@@ -348,14 +382,12 @@ def test_a_joint_beyond_the_vocabulary_is_refused():
                     joint=big)
 
 
-def test_training_step_peak_is_below_two_row_sized_arrays():
-    # what is left is numpy's buffer for one broadcast product at a time;
-    # the plain-expression step peaks at about fourteen such arrays
-    params = ToyParams(1, 6, 2)
+def _step_peak(params):
+    """Peak bytes one step traces, and the bound of two row-sized arrays."""
     joint = exact_joint(parse_objective("masked:0.5"), params)
     vocab = params.vocab_size
     weights = oracles.init_weights(np.random.default_rng(0), vocab, vocab, 0.02)
-    step = _Workspace(_design(joint, vocab), weights)
+    step = _Workspace(_design(joint, vocab), weights, params)
 
     def train_step():
         step(weights)
@@ -369,7 +401,19 @@ def test_training_step_peak_is_below_two_row_sized_arrays():
     finally:
         tracemalloc.stop()
     n, c = joint.dense().shape
-    assert peak < 2 * n * max(c, vocab) * 8
+    return peak, 2 * n * max(c, vocab) * 8
+
+
+def test_training_step_peak_is_below_two_row_sized_arrays():
+    # the step allocates no row-sized array; the plain-expression step
+    # peaks at about fourteen of them
+    peak, bound = _step_peak(ToyParams(1, 6, 2))
+    assert peak < bound
+
+
+def test_training_step_peak_with_two_class_blocks():
+    peak, bound = _step_peak(ToyParams(2, 6, 2))
+    assert peak < bound
 
 
 class _WrongGradient(_Workspace):
