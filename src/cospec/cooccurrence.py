@@ -411,10 +411,21 @@ def write_matrix_csv(m: NormalizedMatrix, path) -> None:
 
 
 def _write_triplets(path, tokens, cols, i, j, values) -> None:
-    """A row key is its text's token ids joined by `-`."""
-    keys = np.array(
-        ["-".join(str(t) for t in text if t >= 0) for text in tokens.tolist()],
-        dtype=object,
-    )
     write_csv(path, ["row_key", "col_token", "value"],
-              [keys[i], np.array(cols)[j], values])
+              [_row_keys(tokens)[i], np.array(cols)[j], values])
+
+
+def _row_keys(tokens) -> np.ndarray:
+    """A row key is its text's token ids joined by `-`.
+
+    Each id is spelled once, and the rows of one length are joined together:
+    a text is padded with -1 only after its last token.
+    """
+    names = np.array([str(t) for t in range(tokens.max(initial=-1) + 1)],
+                     dtype=object)
+    lengths = np.count_nonzero(tokens >= 0, axis=1)
+    keys = np.empty(len(tokens), dtype=object)
+    for k in range(tokens.shape[1] + 1):
+        rows = lengths == k
+        keys[rows] = list(map("-".join, names[tokens[rows, :k]].tolist()))
+    return keys

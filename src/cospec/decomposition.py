@@ -165,13 +165,23 @@ def gd_factorize(
     threshold = target * 1.001 if target > 1e-9 else 1e-6
     f = init_scale * rng.standard_normal((m.matrix.shape[0], t))
     w = init_scale * rng.standard_normal((m.matrix.shape[1], t))
+    # Every buffer is allocated once, and each step writes into it. The
+    # gradient step f - lr * (-2 R @ w) is taken as f - (-2 lr) * (R @ w):
+    # scaling by -2 is exact, so both round to the same bits, and the
+    # (rows, cols) residual is never scaled.
+    residual = np.empty(m.matrix.shape)
+    squared = np.empty(m.matrix.shape)
+    step_f = np.empty_like(f)
+    step_w = np.empty_like(w)
+    scale = -2.0 * lr
     trajectory: list[tuple[int, float]] = []
     objective = float("inf")
     converged = False
     iterations = 0
     for i in range(1, steps + 1):
-        residual = m.matrix - f @ w.T
-        objective = float(np.sum(residual**2))
+        np.matmul(f, w.T, out=residual)
+        np.subtract(m.matrix, residual, out=residual)
+        objective = float(np.sum(np.square(residual, out=squared)))
         if not np.isfinite(objective):
             raise NumericError(
                 f"factorization diverged at step {i} with lr={lr}; lower it"
@@ -182,11 +192,12 @@ def gd_factorize(
         if objective <= threshold + 1e-12:
             converged = True
             break
-        grad_f = -2.0 * residual @ w
-        grad_w = -2.0 * residual.T @ f
-        f = f - lr * grad_f
-        w = w - lr * grad_w
-    trajectory.append((iterations, objective))
+        np.matmul(residual, w, out=step_f)
+        np.matmul(residual.T, f, out=step_w)
+        f -= np.multiply(step_f, scale, out=step_f)
+        w -= np.multiply(step_w, scale, out=step_w)
+    if trajectory[-1][0] != iterations:
+        trajectory.append((iterations, objective))
     return GDResult(
         pair=FactorPair(row_factor=f, col_factor=w, rank=t),
         objective=objective,

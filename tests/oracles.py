@@ -248,6 +248,41 @@ def train_losses_and_weights(arrays, weights, lr, clip, steps):
     return losses, weights
 
 
+# `gd_factorize`'s loop as plain expressions, one fresh array per operation.
+# The package runs the same operations into buffers it allocates once, and
+# must agree with this bit for bit.
+def gd_factorize_plain(matrix, t, lr, steps, rng, init_scale=0.1):
+    """(f, w, objective, iterations, converged, trajectory), or
+    FloatingPointError naming the step whose objective is not finite."""
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    target = float(np.sum(sigma[t:] ** 2))
+    threshold = target * 1.001 if target > 1e-9 else 1e-6
+    f = init_scale * rng.standard_normal((matrix.shape[0], t))
+    w = init_scale * rng.standard_normal((matrix.shape[1], t))
+    trajectory = []
+    objective = float("inf")
+    converged = False
+    iterations = 0
+    for i in range(1, steps + 1):
+        residual = matrix - f @ w.T
+        objective = float(np.sum(residual**2))
+        if not np.isfinite(objective):
+            raise FloatingPointError(f"step {i}")
+        if i == 1 or i % 50 == 0:
+            trajectory.append((i, objective))
+        iterations = i
+        if objective <= threshold + 1e-12:
+            converged = True
+            break
+        grad_f = -2.0 * residual @ w
+        grad_w = -2.0 * residual.T @ f
+        f = f - lr * grad_f
+        w = w - lr * grad_w
+    if trajectory[-1][0] != iterations:
+        trajectory.append((iterations, objective))
+    return f, w, objective, iterations, converged, tuple(trajectory)
+
+
 def spearman(xs, ys):
     """Rank correlation without ties handling; inputs must be tie-free."""
     xs = np.asarray(xs, dtype=float)

@@ -29,6 +29,7 @@ from cospec.decomposition import (
     spectral_loss,
 )
 from cospec.errors import DomainError, NumericError
+from cospec.objectives import exact_joint, parse_objective
 from cospec.spectral import predicted_ar_spectrum
 from cospec.toy_model import ToyParams, token_label
 
@@ -194,6 +195,61 @@ def test_gd_trajectory_and_exhaustion():
     assert run.iterations == 3
     assert run.trajectory[0][0] == 1
     assert run.trajectory[-1] == (3, run.objective)
+
+
+@pytest.mark.parametrize("steps, converges", [(100, False), (5000, True)])
+def test_gd_trajectory_records_each_step_once(steps, converges):
+    # Both runs stop at a multiple of 50: the converged one at 50, the
+    # exhausted one at 100.
+    m = normalize(exact_joint(parse_objective("ar"), ToyParams(1, 4, 2)))
+    lr = 0.05 if converges else 0.001
+    run = gd_factorize(m, 1, lr=lr, steps=steps, rng=np.random.default_rng(0))
+    assert run.converged == converges
+    assert run.iterations % 50 == 0
+    done = [i for i, _ in run.trajectory]
+    assert done == sorted(set(done))
+    assert run.trajectory[-1] == (run.iterations, run.objective)
+
+
+def test_gd_trajectory_of_a_run_that_stops_at_step_one():
+    m = normalize(build_ar_joint(ToyParams(1, 3, 1)))
+    run = gd_factorize(m, 1, steps=1, rng=np.random.default_rng(0))
+    assert run.trajectory == ((1, run.objective),)
+
+
+GD_CASES = [
+    ("ar", ToyParams(2, 6, 2), 5000),
+    ("dar:2", ToyParams(2, 6, 2), 5000),
+    ("masked:0.5", ToyParams(2, 6, 2), 5000),
+    ("vlm:0.5-0.75", ToyParams(2, 6, 2), 5000),
+    ("vlm:0.5-0.75", ToyParams(2, 6, 2), 7),
+]
+
+
+@pytest.mark.parametrize("label, params, steps", GD_CASES)
+def test_gd_matches_the_plain_loop_bit_for_bit(label, params, steps):
+    m = normalize(exact_joint(parse_objective(label), params))
+    run = gd_factorize(m, 2, steps=steps, rng=np.random.default_rng(3))
+    f, w, objective, iterations, converged, trajectory = (
+        oracles.gd_factorize_plain(m.matrix, 2, 0.05, steps,
+                                   np.random.default_rng(3))
+    )
+    assert converged == (steps == 5000)
+    assert (run.objective, run.iterations, run.converged, run.trajectory) == (
+        objective, iterations, converged, trajectory
+    )
+    assert run.pair.row_factor.tobytes() == f.tobytes()
+    assert run.pair.col_factor.tobytes() == w.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gd_diverges_at_the_plain_loop_step():
+    m = normalize(build_masked_joint(ToyParams(2, 4, 2), 0.5))
+    with pytest.raises(FloatingPointError) as plain:
+        oracles.gd_factorize_plain(m.matrix, 2, 10.0, 200,
+                                   np.random.default_rng(0))
+    with pytest.raises(NumericError, match=f"at {plain.value} with lr=10.0"):
+        gd_factorize(m, 2, lr=10.0, steps=200, rng=np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,10 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cospec.cooccurrence import normalize, write_joint_csv, write_matrix_csv
 from cospec.errors import NumericError
+from cospec.objectives import exact_joint, parse_objective
 from cospec.output import write_csv, write_json
 from cospec.spectral import singular_spectrum
+from cospec.toy_model import ToyParams
 
 
 def reference_csv(path, header, columns):
@@ -36,6 +40,7 @@ CASES = {
     ]),
     "zero_rows": (["a", "b"], [np.array([]), []]),
     "strided": (["x"], [np.arange(12.0).reshape(3, 4)[:, 1] / 7]),
+    "empty_text": ([""], [["", ""]]),
 }
 
 
@@ -51,6 +56,69 @@ def test_write_csv_matches_csv_writer(name, tmp_path):
     if name == "mixed":
         assert b'"b,c"' in got and b'"say ""hi"""' in got
         assert b"-0.0" in got and b"np." not in got
+    if name == "empty_text":
+        assert got == b'""\r\n""\r\n""\r\n'
+
+
+_TEXT = st.text(max_size=5) | st.text(alphabet=',"\r\nab ', max_size=6)
+_FLOAT = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_CELL = st.one_of(
+    _TEXT, st.integers(), st.booleans(), _FLOAT, _FLOAT.map(np.float64),
+    st.floats(width=32).map(np.float32), _INT64.map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns): 0-20 rows of 1-4 columns of one of five kinds."""
+    rows, width = draw(st.integers(0, 20)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["list", "object", "float", "int", "bool"]))
+        cell = {"float": _FLOAT, "int": _INT64, "bool": st.booleans()}
+        values = draw(st.lists(cell.get(kind, _CELL), min_size=rows,
+                               max_size=rows))
+        dtype = {"list": None, "object": object, "float": float,
+                 "int": np.int64, "bool": bool}[kind]
+        columns.append(values if dtype is None else np.array(values, dtype))
+    header = draw(st.none() | st.lists(_TEXT, min_size=width, max_size=width))
+    return header, columns
+
+
+@given(table=_tables())
+@settings(max_examples=300, deadline=None)
+def test_write_csv_matches_csv_writer_on_any_table(table, tmp_path_factory):
+    header, columns = table
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "got.csv", header, columns)
+    reference_csv(out / "want.csv", header, columns)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("label, params", [
+    ("masked:0.5", ToyParams(2, 6, 4)), ("vlm:0.5-0.75", ToyParams(2, 8, 2)),
+])
+def test_triplet_files_match_csv_writer(label, params, tmp_path):
+    joint = exact_joint(parse_objective(label), params)
+    m = normalize(joint)
+    i, j = np.nonzero(m.matrix)
+    for write, table, triplets in (
+        (write_joint_csv, joint,
+         (joint.tokens, joint.cols, joint.row, joint.col, joint.value)),
+        (write_matrix_csv, m, (m.tokens, m.cols, i, j, m.matrix[i, j])),
+    ):
+        tokens, cols, rows, targets, values = triplets
+        keys = ["-".join(str(t) for t in text if t >= 0)
+                for text in tokens.tolist()]
+        write(table, tmp_path / "got.csv")
+        reference_csv(tmp_path / "want.csv", ["row_key", "col_token", "value"],
+                      [[keys[r] for r in rows], [cols[c] for c in targets],
+                       values])
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
 
 
 def test_spectrum_csv_format(tmp_path):
