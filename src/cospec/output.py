@@ -9,27 +9,29 @@ import numpy as np
 from .errors import NumericError
 
 
-# Rows joined into one string per `write` call: bounded, so that no string
-# holds a whole file.
+# Rows formatted and joined per `write` call: bounded, so that neither the
+# cells of a whole column nor a whole file are held at once.
 _CHUNK_ROWS = 4096
 _SPECIAL = ',"\r\n'
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length `columns` as rows, after `header` unless it is None.
+    """Write equal-length `columns` (arrays or lists) as rows, after `header`
+    unless it is None.
 
     Every float cell is `repr` of a Python float, so files round-trip
     exactly. Quoting and `\r\n` endings are those of `csv.writer`'s default
     dialect, which the tests hold this writer to.
     """
-    cells = [_cells(c, len(columns)) for c in columns]
-    rows = min(map(len, cells), default=0)
+    rows = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(",".join(_cells(header, len(header))) + "\r\n")
         for start in range(0, rows, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, rows)
-            fh.write(_rows_text([c[start:stop] for c in cells]))
+            fh.write(_rows_text(
+                [_cells(c[start:stop], len(columns)) for c in columns]
+            ))
 
 
 def _rows_text(chunk) -> str:
@@ -85,15 +87,11 @@ def _quoted(cells, width: int):
     """
     joined = "".join(cells)
     if any(ch in joined for ch in _SPECIAL):
-        cells = [_quote(c) if any(ch in c for ch in _SPECIAL) else c
-                 for c in cells]
+        cells = ['"' + c.replace('"', '""') + '"'
+                 if any(ch in c for ch in _SPECIAL) else c for c in cells]
     if width == 1 and "" in cells:
         cells = ['""' if c == "" else c for c in cells]
     return cells
-
-
-def _quote(cell: str) -> str:
-    return '"' + cell.replace('"', '""') + '"'
 
 
 def to_jsonable(obj):
