@@ -217,18 +217,12 @@ def test_gd_trajectory_of_a_run_that_stops_at_step_one():
     assert run.trajectory == ((1, run.objective),)
 
 
-GD_CASES = [
-    ("ar", ToyParams(2, 6, 2), 5000),
-    ("dar:2", ToyParams(2, 6, 2), 5000),
-    ("masked:0.5", ToyParams(2, 6, 2), 5000),
-    ("vlm:0.5-0.75", ToyParams(2, 6, 2), 5000),
-    ("vlm:0.5-0.75", ToyParams(2, 6, 2), 7),
-]
-
-
-@pytest.mark.parametrize("label, params, steps", GD_CASES)
-def test_gd_matches_the_plain_loop_bit_for_bit(label, params, steps):
-    m = normalize(exact_joint(parse_objective(label), params))
+@pytest.mark.parametrize("label, steps", [
+    ("ar", 5000), ("dar:2", 5000), ("masked:0.5", 5000),
+    ("vlm:0.5-0.75", 5000), ("vlm:0.5-0.75", 7),
+])
+def test_gd_matches_the_plain_loop_bit_for_bit(label, steps):
+    m = normalize(exact_joint(parse_objective(label), ToyParams(2, 6, 2)))
     run = gd_factorize(m, 2, steps=steps, rng=np.random.default_rng(3))
     f, w, objective, iterations, converged, trajectory = (
         oracles.gd_factorize_plain(m.matrix, 2, 0.05, steps,
@@ -243,19 +237,12 @@ def test_gd_matches_the_plain_loop_bit_for_bit(label, params, steps):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_gd_diverges_at_the_plain_loop_step():
+def test_gd_divergence_names_learning_rate():
     m = normalize(build_masked_joint(ToyParams(2, 4, 2), 0.5))
     with pytest.raises(FloatingPointError) as plain:
         oracles.gd_factorize_plain(m.matrix, 2, 10.0, 200,
                                    np.random.default_rng(0))
     with pytest.raises(NumericError, match=f"at {plain.value} with lr=10.0"):
-        gd_factorize(m, 2, lr=10.0, steps=200, rng=np.random.default_rng(0))
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_gd_divergence_names_learning_rate():
-    m = normalize(build_masked_joint(ToyParams(2, 4, 2), 0.5))
-    with pytest.raises(NumericError, match="lr"):
         gd_factorize(m, 2, lr=10.0, steps=200, rng=np.random.default_rng(0))
 
 
