@@ -226,7 +226,8 @@ def _enumerate(
         for y in range(1, r + 1)
     ])
     width = max(len(visible) for visible, _, _ in kept)
-    tokens, row, col, value = [], [], [], []
+    tokens = np.full((n_rows, width), -1, dtype=base.dtype)
+    row, col, value = [], [], []
     n = 0
     for visible, targets, v in kept:
         k = len(visible)
@@ -237,9 +238,8 @@ def _enumerate(
         row.append(np.repeat(np.arange(n, n + len(text)), cells[0, 0].size))
         col.append(cells.ravel())
         value.append(np.full(cells.size, v))
-        tokens.append(np.pad(text, ((0, 0), (0, width - k)), constant_values=-1))
+        tokens[n:n + len(text), :k] = text
         n += len(text)
-    tokens = np.concatenate(tokens)
     order = np.lexsort(tokens.T[::-1])  # the last key is the primary one
     cols, col = np.unique(np.concatenate(col), return_inverse=True)
     row = np.argsort(order)[np.concatenate(row)]

@@ -68,17 +68,20 @@ def decomposition_objective(pair: FactorPair, m: NormalizedMatrix) -> float:
     return float(np.sum((m.matrix - approx) ** 2))
 
 
-def identity_residual(f, w, joint: JointDistribution) -> float:
+def identity_residual(
+    f, w, joint: JointDistribution, m: NormalizedMatrix | None = None
+) -> float:
     """Gap between the loss and the factorization objective minus its constant.
 
     Takes the same arrays as :func:`spectral_loss`. Assembles row factors
     sqrt(P_C(X)) * f(X) and column factors sqrt(P_G(X+)) * W[:, X+], and
     returns |loss - (objective - const)| with const = sum(A^2 / (P_C P_G)).
     Zero (to rounding) for every encoder and embedding, which is the
-    equivalence the rest of the package leans on.
+    equivalence the rest of the package leans on. A caller that already
+    holds `normalize(joint)` passes it as `m`.
     """
     loss = spectral_loss(f, w, joint)  # checks both shapes
-    abar = normalize(joint).matrix
+    abar = (normalize(joint) if m is None else m).matrix
     row_factor = np.sqrt(joint.row_marginal())[:, None] * f
     col_factor_t = np.sqrt(joint.col_marginal())[None, :] * w
     objective = float(np.sum((abar - row_factor @ col_factor_t) ** 2))
@@ -151,6 +154,14 @@ def gd_factorize(
     that exhaust `steps` come back with converged=False and their sampled
     trajectory rather than raising; NaN or infinite objectives raise, since
     they mean the step size is too large for this matrix.
+
+    Each step runs in Gram form. With MW = M @ w and MtF = M.T @ f, the
+    objective |M - f w^T|^2 is |M|^2 - 2<f, MW> + <f^T f, w^T w>, and the
+    step is f += 2 lr (MW - f w^T w), w += 2 lr (MtF - w f^T f). So a step
+    reads M twice and never forms the (rows, cols) residual. The three
+    terms of the objective cancel down to the tail energy, so the objective
+    carries an absolute rounding error of about eps * |M|^2 (eps the float
+    epsilon), where the residual form's error is relative to the objective.
     """
     if lr <= 0:
         raise DomainError(f"learning rate must be positive, got {lr}")
@@ -165,23 +176,22 @@ def gd_factorize(
     threshold = target * 1.001 if target > 1e-9 else 1e-6
     f = init_scale * rng.standard_normal((m.matrix.shape[0], t))
     w = init_scale * rng.standard_normal((m.matrix.shape[1], t))
-    # Every buffer is allocated once, and each step writes into it. The
-    # gradient step f - lr * (-2 R @ w) is taken as f - (-2 lr) * (R @ w):
-    # scaling by -2 is exact, so both round to the same bits, and the
-    # (rows, cols) residual is never scaled.
-    residual = np.empty(m.matrix.shape)
-    squared = np.empty(m.matrix.shape)
-    step_f = np.empty_like(f)
-    step_w = np.empty_like(w)
-    scale = -2.0 * lr
+    matrix = m.matrix
+    norm2 = float(np.sum(matrix**2))
+    mw, prod = np.empty_like(f), np.empty_like(f)
+    mtf, prod_w = np.empty_like(w), np.empty_like(w)
+    ftf, wtw = np.empty((t, t)), np.empty((t, t))
+    step = 2.0 * lr
     trajectory: list[tuple[int, float]] = []
     objective = float("inf")
     converged = False
     iterations = 0
     for i in range(1, steps + 1):
-        np.matmul(f, w.T, out=residual)
-        np.subtract(m.matrix, residual, out=residual)
-        objective = float(np.sum(np.square(residual, out=squared)))
+        np.matmul(matrix, w, out=mw)
+        np.matmul(f.T, f, out=ftf)
+        np.matmul(w.T, w, out=wtw)
+        objective = (norm2 - 2.0 * float(np.sum(np.multiply(f, mw, out=prod)))
+                     + float(np.sum(ftf * wtw)))
         if not np.isfinite(objective):
             raise NumericError(
                 f"factorization diverged at step {i} with lr={lr}; lower it"
@@ -192,10 +202,11 @@ def gd_factorize(
         if objective <= threshold + 1e-12:
             converged = True
             break
-        np.matmul(residual, w, out=step_f)
-        np.matmul(residual.T, f, out=step_w)
-        f -= np.multiply(step_f, scale, out=step_f)
-        w -= np.multiply(step_w, scale, out=step_w)
+        np.matmul(matrix.T, f, out=mtf)
+        np.subtract(mw, np.matmul(f, wtw, out=prod), out=mw)
+        f += np.multiply(mw, step, out=mw)
+        np.subtract(mtf, np.matmul(w, ftf, out=prod_w), out=mtf)
+        w += np.multiply(mtf, step, out=mtf)
     if trajectory[-1][0] != iterations:
         trajectory.append((iterations, objective))
     return GDResult(
@@ -239,8 +250,10 @@ def linear_probe(x, labels, reg: float, weights=None) -> ProbeResult:
             f"{len(x)} feature vectors but labels of shape {y.shape} and "
             f"weights of shape {w.shape}"
         )
-    classes = tuple(int(c) for c in np.unique(y))
-    onehot = (y[:, None] == np.array(classes)[None, :]).astype(float)
+    found, index = np.unique(y, return_inverse=True)
+    classes = tuple(int(c) for c in found)
+    onehot = np.zeros((len(y), len(classes)))
+    onehot[np.arange(len(y)), index] = 1.0
     xtd = x.T * w[None, :]
     gram = xtd @ x + reg * np.eye(x.shape[1])
     try:

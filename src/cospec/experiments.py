@@ -306,13 +306,14 @@ def run_identity(cfg: ExperimentConfig, out_dir) -> dict:
     for label in cfg.objectives:
         spec = parse_objective(label)
         joint = exact_joint(spec, cfg.params)
+        m = normalize(joint)
         worst = 0.0
         for trial in range(cfg.trials):
             rng = derive_rng(cfg.seed, "identity", label, str(trial))
             t = dims[trial % len(dims)]
             f = rng.standard_normal((len(joint.tokens), t))
             w = rng.standard_normal((t, len(joint.cols)))
-            worst = max(worst, dec.identity_residual(f, w, joint))
+            worst = max(worst, dec.identity_residual(f, w, joint, m))
         results[label] = {"trials": cfg.trials, "max_residual": worst}
     return {
         "experiment": "identity",
@@ -339,6 +340,7 @@ def run_factorize(cfg: ExperimentConfig, out_dir) -> dict:
             "rank": t,
             "optimal_objective": optimal,
             "gd_objective": run.objective,
+            "gd_gap": [[i, v - run.target] for i, v in run.trajectory],
             "iterations": run.iterations,
             "converged": run.converged,
         }

@@ -248,17 +248,55 @@ def train_losses_and_weights(arrays, weights, lr, clip, steps):
     return losses, weights
 
 
-# `gd_factorize`'s loop as plain expressions, one fresh array per operation.
-# The package runs the same operations into buffers it allocates once, and
-# must agree with this bit for bit.
-def gd_factorize_plain(matrix, t, lr, steps, rng, init_scale=0.1):
-    """(f, w, objective, iterations, converged, trajectory), or
-    FloatingPointError naming the step whose objective is not finite."""
+def _gd_start(matrix, t, rng, init_scale):
     sigma = np.linalg.svd(matrix, compute_uv=False)
     target = float(np.sum(sigma[t:] ** 2))
     threshold = target * 1.001 if target > 1e-9 else 1e-6
     f = init_scale * rng.standard_normal((matrix.shape[0], t))
     w = init_scale * rng.standard_normal((matrix.shape[1], t))
+    return threshold, f, w
+
+
+# `gd_factorize`'s loop as plain expressions, one fresh array per operation.
+# The package runs the same operations into buffers it allocates once, and
+# must agree with this bit for bit.
+def gd_factorize_plain(matrix, t, lr, steps, rng, init_scale=0.1):
+    """(f, w, objective, iterations, converged, trajectory), or
+    FloatingPointError naming the step whose objective is not finite.
+
+    The Gram-form loop: |M - f w^T|^2 = |M|^2 - 2<f, M w> + <f^T f, w^T w>
+    and the gradients -2 (M w - f w^T w), -2 (M^T f - w f^T f)."""
+    threshold, f, w = _gd_start(matrix, t, rng, init_scale)
+    norm2 = float(np.sum(matrix**2))
+    trajectory = []
+    objective = float("inf")
+    converged = False
+    iterations = 0
+    for i in range(1, steps + 1):
+        mw = matrix @ w
+        ftf = f.T @ f
+        wtw = w.T @ w
+        objective = norm2 - 2.0 * float(np.sum(f * mw)) + float(np.sum(ftf * wtw))
+        if not np.isfinite(objective):
+            raise FloatingPointError(f"step {i}")
+        if i == 1 or i % 50 == 0:
+            trajectory.append((i, objective))
+        iterations = i
+        if objective <= threshold + 1e-12:
+            converged = True
+            break
+        mtf = matrix.T @ f
+        f = f + 2.0 * lr * (mw - f @ wtw)
+        w = w + 2.0 * lr * (mtf - w @ ftf)
+    if trajectory[-1][0] != iterations:
+        trajectory.append((iterations, objective))
+    return f, w, objective, iterations, converged, tuple(trajectory)
+
+
+def gd_factorize_residual(matrix, t, lr, steps, rng, init_scale=0.1):
+    """:func:`gd_factorize_plain` computed through the residual M - f w^T:
+    the same iteration, with the objective summed from the residual."""
+    threshold, f, w = _gd_start(matrix, t, rng, init_scale)
     trajectory = []
     objective = float("inf")
     converged = False

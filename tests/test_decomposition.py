@@ -29,6 +29,7 @@ from cospec.decomposition import (
     spectral_loss,
 )
 from cospec.errors import DomainError, NumericError
+from cospec.experiments import derive_rng
 from cospec.objectives import exact_joint, parse_objective
 from cospec.spectral import predicted_ar_spectrum
 from cospec.toy_model import ToyParams, token_label
@@ -95,6 +96,13 @@ def test_identity_holds_for_zero_and_scaled_maps():
     for scale in (0.0, 0.1, 10.0):
         scaled = scale * enc
         assert identity_residual(scaled, emb, joint) < 1e-9
+
+
+def test_identity_residual_takes_the_normalized_matrix():
+    joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
+    enc, emb = random_maps(joint, 2, np.random.default_rng(4))
+    got = identity_residual(enc, emb, joint, normalize(joint))
+    assert got == identity_residual(enc, emb, joint)
 
 
 def test_optimal_objective_is_squared_tail():
@@ -217,10 +225,11 @@ def test_gd_trajectory_of_a_run_that_stops_at_step_one():
     assert run.trajectory == ((1, run.objective),)
 
 
-@pytest.mark.parametrize("label, steps", [
-    ("ar", 5000), ("dar:2", 5000), ("masked:0.5", 5000),
-    ("vlm:0.5-0.75", 5000), ("vlm:0.5-0.75", 7),
-])
+GD_CASES = [("ar", 5000), ("dar:2", 5000), ("masked:0.5", 5000),
+            ("vlm:0.5-0.75", 5000), ("vlm:0.5-0.75", 7)]
+
+
+@pytest.mark.parametrize("label, steps", GD_CASES)
 def test_gd_matches_the_plain_loop_bit_for_bit(label, steps):
     m = normalize(exact_joint(parse_objective(label), ToyParams(2, 6, 2)))
     run = gd_factorize(m, 2, steps=steps, rng=np.random.default_rng(3))
@@ -234,6 +243,68 @@ def test_gd_matches_the_plain_loop_bit_for_bit(label, steps):
     )
     assert run.pair.row_factor.tobytes() == f.tobytes()
     assert run.pair.col_factor.tobytes() == w.tobytes()
+
+
+# The bench `factorize` operation: these four objectives at (2,8,2), with
+# the GD start drawn the way `run_factorize` draws it.
+BENCH_GD_LABELS = ["ar", "masked:0.5", "dar:2", "vlm:0.5-0.75"]
+
+
+def _gd_against_residual_form(m, t, steps, rng_factory):
+    run = gd_factorize(m, t, steps=steps, rng=rng_factory())
+    f, w, objective, iterations, converged, trajectory = (
+        oracles.gd_factorize_residual(m.matrix, t, 0.05, steps, rng_factory())
+    )
+    assert (run.iterations, run.converged) == (iterations, converged)
+    assert [i for i, _ in run.trajectory] == [i for i, _ in trajectory]
+    assert_allclose(run.objective, objective, rtol=1e-12, atol=0)
+    assert_allclose([v for _, v in run.trajectory],
+                    [v for _, v in trajectory], rtol=1e-12, atol=0)
+    # Factors agree relative to their largest entry.
+    for got, want in ((run.pair.row_factor, f), (run.pair.col_factor, w)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("label, steps", GD_CASES)
+def test_gd_agrees_with_the_residual_form(label, steps):
+    m = normalize(exact_joint(parse_objective(label), ToyParams(2, 6, 2)))
+    _gd_against_residual_form(m, 2, steps, lambda: np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("label", BENCH_GD_LABELS)
+def test_gd_agrees_with_the_residual_form_on_bench_shapes(label, seed):
+    m = normalize(exact_joint(parse_objective(label), ToyParams(2, 8, 2)))
+    _gd_against_residual_form(
+        m, 2, 5000, lambda: derive_rng(seed, "factorize", label)
+    )
+
+
+@given(
+    label=st.sampled_from(["ar", "masked:0.5", "dar:2", "vlm:0.25-0.75"]),
+    t=st.integers(1, 4),
+    scale=st.floats(1e-3, 1e2),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_gd_gram_objective_equals_the_frobenius_objective(label, t, scale, seed):
+    # The objective of GD's first step is the Gram form evaluated at its
+    # random start, which the same generator redraws here.
+    m = normalize(exact_joint(parse_objective(label), ToyParams(2, 4, 2)))
+    run = gd_factorize(m, t, steps=1, rng=np.random.default_rng(seed),
+                       init_scale=scale)
+    rng = np.random.default_rng(seed)
+    pair = FactorPair(
+        row_factor=scale * rng.standard_normal((m.shape[0], t)),
+        col_factor=scale * rng.standard_normal((m.shape[1], t)),
+        rank=t,
+    )
+    want = decomposition_objective(pair, m)
+    # The three Gram terms are bounded by (|M| + |f w^T|)^2, and the form
+    # carries a rounding error of a few epsilon times that.
+    size = (np.linalg.norm(m.matrix)
+            + np.linalg.norm(pair.row_factor @ pair.col_factor.T)) ** 2
+    assert abs(run.trajectory[0][1] - want) <= 64 * np.finfo(float).eps * size
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -298,6 +369,21 @@ def test_shape_mismatch_is_a_domain_error():
         linear_probe(x, labels[:2], reg=1e-8)
     with pytest.raises(DomainError):
         linear_probe(x, labels, reg=1e-8, weights=np.ones(4))
+
+
+def test_probe_matches_the_comparison_one_hot():
+    # Targets from the inverse of np.unique: the same bits as comparing
+    # each label with each class.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 3))
+    labels = rng.choice([7, 2, 9], size=40)
+    probe = linear_probe(x, labels, reg=1e-6)
+    classes = np.unique(labels)
+    onehot = (labels[:, None] == classes[None, :]).astype(float)
+    xtd = x.T * np.ones(len(x))[None, :]
+    coef = np.linalg.solve(xtd @ x + 1e-6 * np.eye(3), xtd @ onehot)
+    assert probe.classes == (2, 7, 9)
+    assert probe.coef.tobytes() == coef.tobytes()
 
 
 def test_probe_separates_two_clusters():

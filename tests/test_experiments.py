@@ -157,6 +157,19 @@ def test_factorize_experiment_saves_factors(tmp_path):
     assert pair.rank == 2
 
 
+def test_factorize_reports_the_gap_over_steps(tmp_path):
+    config = cfg(experiment="factorize", objectives=["ar", "masked:0.5"],
+                 rank=2)
+    report = run_experiment(config, tmp_path)
+    written = json.loads((tmp_path / "report.json").read_text())
+    for label, entry in report["results"].items():
+        steps = [step for step, _ in entry["gd_gap"]]
+        assert steps[0] == 1 and steps[-1] == entry["iterations"]
+        assert steps == sorted(set(steps))
+        assert entry["gd_gap"][-1][1] <= 0.001 * entry["optimal_objective"] + 1e-9
+        assert written["results"][label]["gd_gap"] == entry["gd_gap"]
+
+
 def test_probe_experiment_writes_summaries(tmp_path):
     config = cfg(experiment="probe", objectives=["masked:0.5"])
     report = run_experiment(config, tmp_path)
