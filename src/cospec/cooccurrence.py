@@ -64,35 +64,51 @@ class ConditionalText:
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """Sparse joint over (conditional text, target token), mass summing to 1.
+    """Joint mass over (conditional text, target token), summing to 1.
 
     `tokens` is the sorted catalog of conditional texts of one `kind`: a
     read-only (n_rows, L) int array, one text per row, padded with -1 after
     its last token. The pad sorts below every id, so row order is Python
-    tuple order. `cols` is the sorted catalog of target tokens. `row`, `col`
-    and `value` are read-only COO arrays into the two catalogs, in catalog
-    row-major order with no repeated (row, col) pair.
+    tuple order. `cols` is the sorted catalog of target tokens, and `mass`
+    the read-only (n_rows, n_cols) array of the joint over the two catalogs.
+    Construction is the one check of a joint: its mass is finite and
+    nonnegative, and every row and every column carries some, or it is a
+    `DomainError`.
     """
 
     kind: str
     tokens: np.ndarray
     cols: tuple[int, ...]
-    row: np.ndarray
-    col: np.ndarray
-    value: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    mass: np.ndarray
+    _row_marginal: np.ndarray = field(init=False, repr=False)
+    _col_marginal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.tokens, self.row, self.col, self.value):
+        mass = self.mass
+        if mass.shape != (len(self.tokens), len(self.cols)):
+            raise DomainError(f"mass of shape {mass.shape} does not match "
+                              "the catalogs")
+        if not mass.size:
+            raise DomainError("joint distribution has empty support")
+        pc, pg = mass.sum(axis=1), mass.sum(axis=0)
+        # A NaN or an infinity anywhere, or an overflow, leaves no finite sum.
+        if not np.isfinite(pc.sum()):
+            raise DomainError("joint distribution has a non-finite mass")
+        if mass.min() < 0:
+            raise DomainError("joint distribution has a negative entry")
+        if not (pc.min() > 0 and pg.min() > 0):
+            raise DomainError("joint distribution has a row or a column "
+                              "without mass")
+        for a in (self.tokens, mass, pc, pg):
             a.flags.writeable = False
+        object.__setattr__(self, "_row_marginal", pc)
+        object.__setattr__(self, "_col_marginal", pg)
 
     @classmethod
     def from_entries(cls, entries: dict) -> "JointDistribution":
         entries = {k: float(v) for k, v in entries.items() if v != 0.0}
         if not entries:
             raise DomainError("joint distribution has empty support")
-        if any(v < 0 for v in entries.values()):
-            raise DomainError("joint distribution has a negative entry")
         kinds = {text.kind for text, _ in entries}
         if len(kinds) != 1:
             raise DomainError(f"joint mixes conditional kinds {sorted(kinds)}")
@@ -102,12 +118,12 @@ class JointDistribution:
         cols = tuple(sorted({tok for _, tok in entries}))
         ri = {text: i for i, text in enumerate(texts)}
         ci = {tok: j for j, tok in enumerate(cols)}
-        coo = sorted((ri[t.tokens], ci[c], v) for (t, c), v in entries.items())
-        row, col, value = (np.array(a) for a in zip(*coo))
+        mass = np.zeros((len(texts), len(cols)))
+        mass[[ri[t.tokens] for t, _ in entries],
+             [ci[c] for _, c in entries]] = list(entries.values())
         width = max(map(len, texts))
         tokens = np.array([t + (-1,) * (width - len(t)) for t in texts])
-        return cls(kind=kinds.pop(), tokens=tokens, cols=cols, row=row,
-                   col=col, value=value)
+        return cls(kind=kinds.pop(), tokens=tokens, cols=cols, mass=mass)
 
     @functools.cached_property
     def rows(self) -> tuple[ConditionalText, ...]:
@@ -119,43 +135,34 @@ class JointDistribution:
 
     @property
     def entries(self) -> Mapping[tuple[ConditionalText, int], float]:
-        """Read-only {(text, token): value} view built from the arrays."""
-        keys = zip([self.rows[i] for i in self.row.tolist()],
-                   [self.cols[j] for j in self.col.tolist()])
-        return MappingProxyType(dict(zip(keys, self.value.tolist())))
+        """Read-only {(text, token): mass} view of the nonzero cells."""
+        i, j = np.nonzero(self.mass)
+        keys = zip([self.rows[k] for k in i.tolist()],
+                   [self.cols[k] for k in j.tolist()])
+        return MappingProxyType(dict(zip(keys, self.mass[i, j].tolist())))
 
     @property
     def total_mass(self) -> float:
-        return float(self.value.sum())
-
-    def _once(self, name: str, compute) -> np.ndarray:
-        if name not in self._cache:
-            a = compute()
-            a.flags.writeable = False
-            self._cache[name] = a
-        return self._cache[name]
+        return float(self._row_marginal.sum())
 
     def dense(self) -> np.ndarray:
-        """The joint as a rows x cols array; computed once, read-only."""
-        n, m = len(self.tokens), len(self.cols)
-        return self._once("dense", lambda: np.bincount(
-            self.row * m + self.col, self.value, n * m
-        ).reshape(n, m))
+        """The joint as a rows x cols array: `mass`, read-only."""
+        return self.mass
 
     def row_marginal(self) -> np.ndarray:
         """Row sums of :meth:`dense`, aligned with `tokens`; read-only."""
-        return self._once("row_marginal", lambda: self.dense().sum(axis=1))
+        return self._row_marginal
 
     def col_marginal(self) -> np.ndarray:
         """Column sums of :meth:`dense`, aligned with `cols`; read-only."""
-        return self._once("col_marginal", lambda: self.dense().sum(axis=0))
+        return self._col_marginal
 
 
 @dataclass(frozen=True)
 class NormalizedMatrix:
     """Joint divided elementwise by the root product of its marginals.
 
-    `tokens` holds the joint's token rows that carry mass.
+    `tokens` and `cols` are the joint's catalogs.
     """
 
     tokens: np.ndarray
@@ -172,28 +179,17 @@ class NormalizedMatrix:
 def normalize(joint: JointDistribution) -> NormalizedMatrix:
     """Build the normalized matrix A / sqrt(outer(row marginal, col marginal)).
 
-    Rows or columns whose marginal is zero carry no mass and are dropped from
-    the catalogs; keeping them would divide by zero and only ever contribute
-    zero singular values. The result is invariant to any global rescaling of
-    the joint, since both marginals rescale by the same factor.
+    Every row and every column of a joint carries mass, so nothing is
+    dropped and nothing divides by zero: the result has the joint's shape
+    and catalogs. It is invariant to any global rescaling of the joint,
+    since both marginals rescale by the same factor.
     """
-    if not joint.value.size:
-        raise DomainError("cannot normalize an empty joint")
-    a = joint.dense()
-    pc = joint.row_marginal()
-    pg = joint.col_marginal()
-    keep_r = pc > 0
-    keep_c = pg > 0
-    a = a[np.ix_(keep_r, keep_c)]
-    pc = pc[keep_r]
-    pg = pg[keep_c]
-    cols = tuple(t for t, k in zip(joint.cols, keep_c) if k)
+    pc, pg = joint.row_marginal(), joint.col_marginal()
     total = pc.sum()
-    matrix = a / np.sqrt(np.outer(pc, pg))
     return NormalizedMatrix(
-        tokens=joint.tokens[keep_r],
-        cols=cols,
-        matrix=matrix,
+        tokens=joint.tokens,
+        cols=joint.cols,
+        matrix=joint.mass / np.sqrt(np.outer(pc, pg)),
         row_weights=pc / total,
         col_weights=pg / total,
     )
@@ -227,31 +223,25 @@ def _enumerate(
     ])
     width = max(len(visible) for visible, _, _ in kept)
     tokens = np.full((n_rows, width), -1, dtype=base.dtype)
-    row, col, value = [], [], []
-    n = 0
+    blocks, n = [], 0
     for visible, targets, v in kept:
         k = len(visible)
         fills = np.indices((big_t,) * k).reshape(k, -1).T
-        text = (base[:, None, visible] + fills).reshape(-1, k)
-        cells = base[:, None, targets, None] + np.arange(big_t)
-        cells = np.broadcast_to(cells, (r, len(fills), *cells.shape[2:]))
-        row.append(np.repeat(np.arange(n, n + len(text)), cells[0, 0].size))
-        col.append(cells.ravel())
-        value.append(np.full(cells.size, v))
-        tokens[n:n + len(text), :k] = text
-        n += len(text)
+        tokens[n:n + r * len(fills), :k] = (
+            base[:, None, visible] + fills).reshape(-1, k)
+        # Row n + y * len(fills) + f targets every slot of class y's targets.
+        cells = (base[:, targets, None] + np.arange(big_t)).reshape(r, -1)
+        blocks.append((n, len(fills), cells, v))
+        n += r * len(fills)
     order = np.lexsort(tokens.T[::-1])  # the last key is the primary one
-    cols, col = np.unique(np.concatenate(col), return_inverse=True)
-    row = np.argsort(order)[np.concatenate(row)]
-    entry = np.lexsort((col, row))
-    return JointDistribution(
-        kind=kind,
-        tokens=tokens[order],
-        cols=tuple(cols.tolist()),
-        row=row[entry],
-        col=col[entry],
-        value=np.concatenate(value)[entry],
-    )
+    rank = np.argsort(order)  # the catalog row of each row built above
+    cols = np.unique(np.concatenate([c.ravel() for _, _, c, _ in blocks]))
+    mass = np.zeros((n_rows, len(cols)))
+    for start, n_fills, cells, v in blocks:
+        rows = rank[start:start + r * n_fills].reshape(r, n_fills, 1)
+        mass[rows, np.searchsorted(cols, cells)[:, None, :]] = v
+    return JointDistribution(kind=kind, tokens=tokens[order],
+                             cols=tuple(cols.tolist()), mass=mass)
 
 
 def build_ar_joint(
@@ -400,19 +390,19 @@ def build_joint_from_sampler(
 
 def write_joint_csv(joint: JointDistribution, path) -> None:
     """Dump a joint as `row_key,col_token,value` triplets, catalog order."""
-    _write_triplets(path, joint.tokens, joint.cols, joint.row, joint.col,
-                    joint.value)
+    _write_triplets(path, joint.tokens, joint.cols, joint.mass)
 
 
 def write_matrix_csv(m: NormalizedMatrix, path) -> None:
     """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped."""
-    i, j = np.nonzero(m.matrix)
-    _write_triplets(path, m.tokens, m.cols, i, j, m.matrix[i, j])
+    _write_triplets(path, m.tokens, m.cols, m.matrix)
 
 
-def _write_triplets(path, tokens, cols, i, j, values) -> None:
+def _write_triplets(path, tokens, cols, matrix) -> None:
+    """The nonzero cells of `matrix` in row-major order, which is COO order."""
+    i, j = np.nonzero(matrix)
     write_csv(path, ["row_key", "col_token", "value"],
-              [_row_keys(tokens)[i], np.array(cols)[j], values])
+              [_row_keys(tokens)[i], np.array(cols)[j], matrix[i, j]])
 
 
 def _row_keys(tokens) -> np.ndarray:

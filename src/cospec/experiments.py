@@ -82,11 +82,14 @@ def load_config(source) -> ExperimentConfig:
     `ResourceError`.
     """
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-        with open(source) as fh:
-            try:
+        try:
+            with open(source, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(str(exc), field="config") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(str(exc), field="config") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {os.fspath(source)!r}: {exc}",
+                              field="config") from exc
     elif isinstance(source, str):
         try:
             raw = json.loads(source)
@@ -613,7 +616,10 @@ def emit_plot_data(report: dict, out_dir) -> tuple[list[str], list[str]]:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment and write its report and plot data."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc}") from exc
     report = EXPERIMENTS[cfg.experiment](cfg, out_dir)
     write_report(report, out_dir)
     emit_plot_data(report, out_dir)

@@ -162,8 +162,10 @@ def labeling_error(joint: JointDistribution, labeler) -> float:
         raise DomainError(f"conditional text {key} mixes classes "
                           f"{sorted(set(labels[i].tolist()))}")
     col_labels = np.array([labeler(c) for c in joint.cols])
-    mismatch = labels[joint.row, 0] != col_labels[joint.col]
-    return float(joint.value[mismatch].sum()) / joint.total_mass
+    i, j = np.nonzero(joint.dense())
+    values = joint.dense()[i, j]
+    mismatch = labels[i, 0] != col_labels[j]
+    return float(values[mismatch].sum()) / float(values.sum())
 
 
 def connectivity_estimate(features) -> float:

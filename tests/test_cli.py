@@ -119,6 +119,34 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def make_path(tmp_path, kind):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin1":
+        path.write_bytes(b'{"experiment": "caf\xe9"}')
+    elif kind == "config":
+        path.write_text(json.dumps({"experiment": "spectrum",
+                                    "params": {"r": 1, "s": 3, "T": 2}}))
+    elif kind == "file":
+        path.write_text("")
+    return str(path)
+
+
+@pytest.mark.parametrize("config, out", [
+    ("directory", "new"),  # --config names a directory
+    ("latin1", "new"),     # --config names a file that is not UTF-8
+    ("config", "file"),    # --out names an existing file
+])
+def test_unusable_path_is_a_config_error(tmp_path, capsys, config, out):
+    argv = ["run", "--config", make_path(tmp_path, config),
+            "--out", make_path(tmp_path, out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_oversized_corpus_exhausts_the_budget(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "experiment": "spectrum",

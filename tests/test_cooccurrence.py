@@ -66,9 +66,14 @@ def test_joint_arrays_are_catalog_ordered_and_read_only(label):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
     assert list(joint.rows) == sorted(joint.rows)
     assert list(joint.cols) == sorted(joint.cols)
-    assert np.all(np.diff(joint.row * len(joint.cols) + joint.col) > 0)
-    for a in (joint.row, joint.col, joint.value, joint.dense(),
-              joint.row_marginal(), joint.col_marginal()):
+    assert joint.dense().shape == (len(joint.rows), len(joint.cols))
+    # the entries come in catalog row-major order, with no repeated cell
+    ri = {text: i for i, text in enumerate(joint.rows)}
+    ci = {tok: j for j, tok in enumerate(joint.cols)}
+    flat = [ri[text] * len(joint.cols) + ci[tok] for text, tok in joint.entries]
+    assert np.all(np.diff(flat) > 0)
+    assert np.all(joint.row_marginal() > 0) and np.all(joint.col_marginal() > 0)
+    for a in (joint.dense(), joint.row_marginal(), joint.col_marginal()):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -113,8 +118,9 @@ def test_from_entries_round_trips(label):
     again = JointDistribution.from_entries(joint.entries)
     assert again.kind == joint.kind
     assert again.cols == joint.cols and again.rows == joint.rows
-    for name in ("tokens", "row", "col", "value"):
-        assert np.array_equal(getattr(again, name), getattr(joint, name))
+    assert np.array_equal(again.tokens, joint.tokens)
+    assert again.tokens.tobytes() == joint.tokens.tobytes()
+    assert again.dense().tobytes() == joint.dense().tobytes()
 
 
 def test_from_entries_rejects_mixed_kinds():
@@ -203,8 +209,7 @@ def test_lookahead_width_one_is_next_token():
     dar, ar = build_dar_joint(params, 1), build_ar_joint(params)
     assert as_plain_dict(dar) == as_plain_dict(ar)
     assert dar.rows == ar.rows and dar.cols == ar.cols
-    for name in ("row", "col", "value"):
-        assert np.array_equal(getattr(dar, name), getattr(ar, name))
+    assert dar.dense().tobytes() == ar.dense().tobytes()
 
 
 def test_lookahead_widens_target_support():
@@ -333,6 +338,38 @@ def test_joint_rejects_bad_entries():
     joint = JointDistribution.from_entries({(text, 1): 1.0, (text, 2): 0.0})
     assert (text, 2) not in joint.entries
     assert joint.cols == (1,)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "non-finite"), (math.inf, "non-finite"), (-0.5, "negative"),
+])
+def test_from_entries_refuses_non_finite_or_negative_mass(bad, message):
+    with pytest.raises(DomainError, match=message):
+        JointDistribution.from_entries({
+            (ConditionalText.prefix([0]), 2): bad,
+            (ConditionalText.prefix([1]), 3): 0.5,
+        })
+
+
+@pytest.mark.parametrize("mass", [[[0.5, 0.5], [0.0, 0.0]],
+                                  [[0.5, 0.0], [0.5, 0.0]]])
+def test_joint_refuses_a_row_or_column_without_mass(mass):
+    with pytest.raises(DomainError, match="without mass"):
+        JointDistribution(kind="prefix", tokens=np.array([[0], [1]]),
+                          cols=(2, 3), mass=np.array(mass))
+
+
+def test_joint_refuses_mass_of_another_shape():
+    with pytest.raises(DomainError, match="does not match"):
+        JointDistribution(kind="prefix", tokens=np.array([[0], [1]]),
+                          cols=(2, 3), mass=np.full((2, 3), 1 / 6))
+
+
+def test_normalize_keeps_the_catalogs():
+    joint = build_ar_joint(ToyParams(2, 3, 2))
+    m = normalize(joint)
+    assert m.tokens is joint.tokens and m.cols == joint.cols
+    assert m.shape == joint.dense().shape
 
 
 def test_conditional_text_canonical_forms():

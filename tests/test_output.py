@@ -105,9 +105,10 @@ def test_triplet_files_match_csv_writer(label, params, tmp_path):
     joint = exact_joint(parse_objective(label), params)
     m = normalize(joint)
     i, j = np.nonzero(m.matrix)
+    r, c = np.nonzero(joint.dense())
     for write, table, triplets in (
         (write_joint_csv, joint,
-         (joint.tokens, joint.cols, joint.row, joint.col, joint.value)),
+         (joint.tokens, joint.cols, r, c, joint.dense()[r, c])),
         (write_matrix_csv, m, (m.tokens, m.cols, i, j, m.matrix[i, j])),
     ):
         tokens, cols, rows, targets, values = triplets
