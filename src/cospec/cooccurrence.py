@@ -182,14 +182,16 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
     Every row and every column of a joint carries mass, so nothing is
     dropped and nothing divides by zero: the result has the joint's shape
     and catalogs. It is invariant to any global rescaling of the joint,
-    since both marginals rescale by the same factor.
+    since both marginals rescale by the same factor. The outer product,
+    its root and the quotient share one joint-sized buffer.
     """
     pc, pg = joint.row_marginal(), joint.col_marginal()
     total = pc.sum()
+    scale = np.outer(pc, pg)
     return NormalizedMatrix(
         tokens=joint.tokens,
         cols=joint.cols,
-        matrix=joint.mass / np.sqrt(np.outer(pc, pg)),
+        matrix=np.divide(joint.mass, np.sqrt(scale, out=scale), out=scale),
         row_weights=pc / total,
         col_weights=pg / total,
     )

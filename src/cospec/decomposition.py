@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -155,13 +156,16 @@ def gd_factorize(
     trajectory rather than raising; NaN or infinite objectives raise, since
     they mean the step size is too large for this matrix.
 
-    Each step runs in Gram form. With MW = M @ w and MtF = M.T @ f, the
-    objective |M - f w^T|^2 is |M|^2 - 2<f, MW> + <f^T f, w^T w>, and the
-    step is f += 2 lr (MW - f w^T w), w += 2 lr (MtF - w f^T f). So a step
-    reads M twice and never forms the (rows, cols) residual. The three
-    terms of the objective cancel down to the tail energy, so the objective
-    carries an absolute rounding error of about eps * |M|^2 (eps the float
-    epsilon), where the residual form's error is relative to the objective.
+    The step f += 2 lr (M w - f w^T w), w += 2 lr (M^T f - w f^T f) keeps f
+    in the span of the start f0 and the columns of M, so the loop runs in
+    the coordinates S of f = [f0 | M] S. Once per call it forms
+    K = [f0 | M]^T [f0 | M] from f0^T f0, M^T f0 and M^T M (rows (t + cols)^2
+    work). Then K S holds M^T f in its last cols rows, f^T f = S^T K S, the
+    objective is |M|^2 - 2<M^T f, w> + <f^T f, w^T w>, and the step is
+    S -= 2 lr S w^T w, S1 += 2 lr w (S1 the last cols rows) beside w's. A
+    step costs (t + cols)^2 t whatever the row count, and f is formed once
+    at the end. The objective's three terms cancel down to the tail energy,
+    so it carries an absolute rounding error of about eps * |M|^2.
     """
     if lr <= 0:
         raise DomainError(f"learning rate must be positive, got {lr}")
@@ -174,12 +178,16 @@ def gd_factorize(
     sigma = np.linalg.svd(m.matrix, compute_uv=False)
     target = float(np.sum(sigma[t:] ** 2))
     threshold = target * 1.001 if target > 1e-9 else 1e-6
-    f = init_scale * rng.standard_normal((m.matrix.shape[0], t))
+    f0 = init_scale * rng.standard_normal((m.matrix.shape[0], t))
     w = init_scale * rng.standard_normal((m.matrix.shape[1], t))
     matrix = m.matrix
     norm2 = float(np.sum(matrix**2))
-    mw, prod = np.empty_like(f), np.empty_like(f)
-    mtf, prod_w = np.empty_like(w), np.empty_like(w)
+    mtf0 = matrix.T @ f0
+    k = np.block([[f0.T @ f0, mtf0.T], [mtf0, matrix.T @ matrix]])
+    s = np.vstack([np.eye(t), np.zeros((w.shape[0], t))])
+    ks, sw = np.empty_like(s), np.empty_like(s)
+    mtf = ks[t:]  # M^T f, the last cols rows of K S
+    prod = np.empty_like(w)
     ftf, wtw = np.empty((t, t)), np.empty((t, t))
     step = 2.0 * lr
     trajectory: list[tuple[int, float]] = []
@@ -187,12 +195,12 @@ def gd_factorize(
     converged = False
     iterations = 0
     for i in range(1, steps + 1):
-        np.matmul(matrix, w, out=mw)
-        np.matmul(f.T, f, out=ftf)
+        np.matmul(k, s, out=ks)
+        np.matmul(s.T, ks, out=ftf)
         np.matmul(w.T, w, out=wtw)
-        objective = (norm2 - 2.0 * float(np.sum(np.multiply(f, mw, out=prod)))
-                     + float(np.sum(ftf * wtw)))
-        if not np.isfinite(objective):
+        objective = (norm2 - 2.0 * float(np.multiply(mtf, w, out=prod).sum())
+                     + float((ftf * wtw).sum()))
+        if not math.isfinite(objective):
             raise NumericError(
                 f"factorization diverged at step {i} with lr={lr}; lower it"
             )
@@ -202,13 +210,13 @@ def gd_factorize(
         if objective <= threshold + 1e-12:
             converged = True
             break
-        np.matmul(matrix.T, f, out=mtf)
-        np.subtract(mw, np.matmul(f, wtw, out=prod), out=mw)
-        f += np.multiply(mw, step, out=mw)
-        np.subtract(mtf, np.matmul(w, ftf, out=prod_w), out=mtf)
+        s -= np.multiply(np.matmul(s, wtw, out=sw), step, out=sw)
+        s[t:] += np.multiply(w, step, out=prod)
+        np.subtract(mtf, np.matmul(w, ftf, out=prod), out=mtf)
         w += np.multiply(mtf, step, out=mtf)
     if trajectory[-1][0] != iterations:
         trajectory.append((iterations, objective))
+    f = f0 @ s[:t] + matrix @ s[t:]
     return GDResult(
         pair=FactorPair(row_factor=f, col_factor=w, rank=t),
         objective=objective,

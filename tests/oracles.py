@@ -264,8 +264,44 @@ def gd_factorize_plain(matrix, t, lr, steps, rng, init_scale=0.1):
     """(f, w, objective, iterations, converged, trajectory), or
     FloatingPointError naming the step whose objective is not finite.
 
-    The Gram-form loop: |M - f w^T|^2 = |M|^2 - 2<f, M w> + <f^T f, w^T w>
-    and the gradients -2 (M w - f w^T w), -2 (M^T f - w f^T f)."""
+    The coordinate loop: f = [f0 | M] S, so with K = [f0 | M]^T [f0 | M]
+    the product K S holds M^T f in its last rows and f^T f = S^T K S."""
+    threshold, f0, w = _gd_start(matrix, t, rng, init_scale)
+    norm2 = float(np.sum(matrix**2))
+    mtf0 = matrix.T @ f0
+    k = np.block([[f0.T @ f0, mtf0.T], [mtf0, matrix.T @ matrix]])
+    s = np.vstack([np.eye(t), np.zeros((matrix.shape[1], t))])
+    trajectory = []
+    objective = float("inf")
+    converged = False
+    iterations = 0
+    for i in range(1, steps + 1):
+        ks = k @ s
+        mtf = ks[t:]
+        ftf = s.T @ ks
+        wtw = w.T @ w
+        objective = norm2 - 2.0 * float(np.sum(mtf * w)) + float(np.sum(ftf * wtw))
+        if not np.isfinite(objective):
+            raise FloatingPointError(f"step {i}")
+        if i == 1 or i % 50 == 0:
+            trajectory.append((i, objective))
+        iterations = i
+        if objective <= threshold + 1e-12:
+            converged = True
+            break
+        s = s - 2.0 * lr * (s @ wtw)
+        s = np.vstack([s[:t], s[t:] + 2.0 * lr * w])
+        w = w + 2.0 * lr * (mtf - w @ ftf)
+    if trajectory[-1][0] != iterations:
+        trajectory.append((iterations, objective))
+    f = f0 @ s[:t] + matrix @ s[t:]
+    return f, w, objective, iterations, converged, tuple(trajectory)
+
+
+def gd_factorize_gram(matrix, t, lr, steps, rng, init_scale=0.1):
+    """:func:`gd_factorize_plain` iterated on f itself in Gram form:
+    |M - f w^T|^2 = |M|^2 - 2<f, M w> + <f^T f, w^T w> and the gradients
+    -2 (M w - f w^T w), -2 (M^T f - w f^T f)."""
     threshold, f, w = _gd_start(matrix, t, rng, init_scale)
     norm2 = float(np.sum(matrix**2))
     trajectory = []
@@ -294,7 +330,7 @@ def gd_factorize_plain(matrix, t, lr, steps, rng, init_scale=0.1):
 
 
 def gd_factorize_residual(matrix, t, lr, steps, rng, init_scale=0.1):
-    """:func:`gd_factorize_plain` computed through the residual M - f w^T:
+    """:func:`gd_factorize_gram` computed through the residual M - f w^T:
     the same iteration, with the objective summed from the residual."""
     threshold, f, w = _gd_start(matrix, t, rng, init_scale)
     trajectory = []

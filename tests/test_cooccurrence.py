@@ -365,6 +365,18 @@ def test_joint_refuses_mass_of_another_shape():
                           cols=(2, 3), mass=np.full((2, 3), 1 / 6))
 
 
+@pytest.mark.parametrize(
+    "label", ["ar", "masked:0.5", "dar:2", "vlm:0.5-0.75"]
+)
+def test_normalize_bytes_match_the_three_array_expression(label):
+    # `normalize` computes in one buffer what this expression computes
+    # through three joint-sized arrays.
+    joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
+    pc, pg = joint.row_marginal(), joint.col_marginal()
+    want = joint.mass / np.sqrt(np.outer(pc, pg))
+    assert normalize(joint).matrix.tobytes() == want.tobytes()
+
+
 def test_normalize_keeps_the_catalogs():
     joint = build_ar_joint(ToyParams(2, 3, 2))
     m = normalize(joint)

@@ -250,34 +250,58 @@ def test_gd_matches_the_plain_loop_bit_for_bit(label, steps):
 BENCH_GD_LABELS = ["ar", "masked:0.5", "dar:2", "vlm:0.5-0.75"]
 
 
-def _gd_against_residual_form(m, t, steps, rng_factory):
+def _gd_against_oracles(m, t, steps, rng_factory, atol=0.0):
+    """GD against the Gram loop on f itself and against the residual form:
+    the same iterations, flags and trajectory steps, and values within 1e-12
+    relative (plus `atol` for the objectives)."""
     run = gd_factorize(m, t, steps=steps, rng=rng_factory())
-    f, w, objective, iterations, converged, trajectory = (
-        oracles.gd_factorize_residual(m.matrix, t, 0.05, steps, rng_factory())
-    )
-    assert (run.iterations, run.converged) == (iterations, converged)
-    assert [i for i, _ in run.trajectory] == [i for i, _ in trajectory]
-    assert_allclose(run.objective, objective, rtol=1e-12, atol=0)
-    assert_allclose([v for _, v in run.trajectory],
-                    [v for _, v in trajectory], rtol=1e-12, atol=0)
-    # Factors agree relative to their largest entry.
-    for got, want in ((run.pair.row_factor, f), (run.pair.col_factor, w)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for oracle in (oracles.gd_factorize_gram, oracles.gd_factorize_residual):
+        f, w, objective, iterations, converged, trajectory = (
+            oracle(m.matrix, t, 0.05, steps, rng_factory())
+        )
+        assert (run.iterations, run.converged) == (iterations, converged)
+        assert [i for i, _ in run.trajectory] == [i for i, _ in trajectory]
+        assert_allclose(run.objective, objective, rtol=1e-12, atol=atol)
+        assert_allclose([v for _, v in run.trajectory],
+                        [v for _, v in trajectory], rtol=1e-12, atol=atol)
+        # Factors agree relative to their largest entry.
+        for got, want in ((run.pair.row_factor, f), (run.pair.col_factor, w)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("label, steps", GD_CASES)
 def test_gd_agrees_with_the_residual_form(label, steps):
     m = normalize(exact_joint(parse_objective(label), ToyParams(2, 6, 2)))
-    _gd_against_residual_form(m, 2, steps, lambda: np.random.default_rng(3))
+    _gd_against_oracles(m, 2, steps, lambda: np.random.default_rng(3))
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("label", BENCH_GD_LABELS)
 def test_gd_agrees_with_the_residual_form_on_bench_shapes(label, seed):
     m = normalize(exact_joint(parse_objective(label), ToyParams(2, 8, 2)))
-    _gd_against_residual_form(
+    _gd_against_oracles(
         m, 2, 5000, lambda: derive_rng(seed, "factorize", label)
     )
+
+
+@pytest.mark.parametrize(
+    "label, shape, t",
+    [("masked:0.5", (2, 2, 2), t) for t in range(1, 9)]
+    + [("ar", (1, 3, 1), t) for t in (1, 2)],
+)
+def test_gd_agrees_with_the_oracles_where_the_coordinate_gram_is_singular(
+    label, shape, t
+):
+    # rows <= t + cols, so [f0 | M]^T [f0 | M] is singular. From t = 4 for
+    # the 8 x 8 matrix and t = 2 for the 2 x 2 one the optimum is zero and
+    # GD stops near the absolute threshold 1e-6. The Gram objective's
+    # rounding error there is absolute, a few eps * |M|^2 (the Gram loop
+    # and the residual form already differ by up to 1.5e-9 relative), so
+    # that is the objectives' bound; the factors keep 1e-12.
+    m = normalize(exact_joint(parse_objective(label), ToyParams(*shape)))
+    assert m.shape[0] <= t + m.shape[1]
+    atol = 16 * np.finfo(float).eps * float(np.sum(m.matrix**2))
+    _gd_against_oracles(m, t, 5000, lambda: np.random.default_rng(3), atol=atol)
 
 
 @given(
@@ -313,6 +337,9 @@ def test_gd_divergence_names_learning_rate():
     with pytest.raises(FloatingPointError) as plain:
         oracles.gd_factorize_plain(m.matrix, 2, 10.0, 200,
                                    np.random.default_rng(0))
+    with pytest.raises(FloatingPointError, match=f"^{plain.value}$"):
+        oracles.gd_factorize_gram(m.matrix, 2, 10.0, 200,
+                                  np.random.default_rng(0))
     with pytest.raises(NumericError, match=f"at {plain.value} with lr=10.0"):
         gd_factorize(m, 2, lr=10.0, steps=200, rng=np.random.default_rng(0))
 
