@@ -404,20 +404,19 @@ def _write_triplets(path, tokens, cols, matrix) -> None:
     """The nonzero cells of `matrix` in row-major order, which is COO order."""
     i, j = np.nonzero(matrix)
     write_csv(path, ["row_key", "col_token", "value"],
-              [_row_keys(tokens)[i], np.array(cols)[j], matrix[i, j]])
+              [(_row_keys(tokens), i), (np.asarray(cols), j), matrix[i, j]])
 
 
 def _row_keys(tokens) -> np.ndarray:
-    """A row key is its text's token ids joined by `-`.
+    """Each text's token ids joined by `-`, as a `U` array built in numpy.
 
-    Each id is spelled once, and the rows of one length are joined together:
-    a text is padded with -1 only after its last token.
+    Each id is spelled once. A text is padded with -1 only after its last
+    token, and the pad, indexing the last spelling, spells nothing.
     """
-    names = np.array([str(t) for t in range(tokens.max(initial=-1) + 1)],
-                     dtype=object)
-    lengths = np.count_nonzero(tokens >= 0, axis=1)
-    keys = np.empty(len(tokens), dtype=object)
-    for k in range(tokens.shape[1] + 1):
-        rows = lengths == k
-        keys[rows] = list(map("-".join, names[tokens[rows, :k]].tolist()))
+    names = np.array([str(t) for t in range(tokens.max(initial=0) + 1)] + [""])
+    dashed = np.char.add("-", names)
+    dashed[-1] = ""
+    keys = names[tokens[:, 0]]
+    for k in range(1, tokens.shape[1]):
+        keys = np.char.add(keys, dashed[tokens[:, k]])
     return keys

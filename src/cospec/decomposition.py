@@ -90,18 +90,6 @@ def identity_residual(
     return abs(loss - (objective - const))
 
 
-def _svd_sign_fixed(a: np.ndarray):
-    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    # Fix the per-component sign so factorizations are reproducible run to
-    # run: largest-magnitude entry of each left vector is made nonnegative.
-    for i in range(u.shape[1]):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0:
-            u[:, i] = -u[:, i]
-            vt[i, :] = -vt[i, :]
-    return u, sigma, vt
-
-
 def optimal_features(m: NormalizedMatrix, t: int) -> FactorPair:
     """Best rank-t factorization via truncated SVD, symmetric energy split.
 
@@ -111,11 +99,16 @@ def optimal_features(m: NormalizedMatrix, t: int) -> FactorPair:
     n = min(m.matrix.shape)
     if not 1 <= t <= n:
         raise DomainError(f"rank {t} outside 1..{n} for shape {m.matrix.shape}")
-    u, sigma, vt = _svd_sign_fixed(m.matrix)
+    u, sigma, vt = np.linalg.svd(m.matrix, full_matrices=False)
+    u, vt = u[:, :t], vt[:t]
+    # Fix the per-component sign so factorizations are reproducible run to
+    # run: largest-magnitude entry of each left vector is made nonnegative.
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(t)]
+    sign = np.where(peak < 0, -1.0, 1.0)
     scale = np.sqrt(sigma[:t])
     return FactorPair(
-        row_factor=u[:, :t] * scale[None, :],
-        col_factor=vt[:t, :].T * scale[None, :],
+        row_factor=u * sign * scale[None, :],
+        col_factor=vt.T * sign * scale[None, :],
         rank=t,
     )
 

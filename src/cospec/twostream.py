@@ -128,18 +128,22 @@ def build_masks(a: GroupAssignment) -> CausalMaskPair:
 
 
 def _masked_attention(queries, keys, values, mask):
-    d = queries.shape[1]
-    logits = queries @ keys.T / np.sqrt(d) + mask
-    # Rows with every key forbidden (the first group's queries) output zero
-    # instead of a NaN softmax; those rows are never read as predictions.
-    alive = np.isfinite(logits).any(axis=1)
+    """Masked softmax attention over the last two axes of stacked inputs.
+
+    Rows with every key forbidden (the first group's queries) output zero
+    instead of a NaN softmax; those rows are never read as predictions.
+    The other rows go through the softmax and the value product on their
+    own, so a text's rows are those of its own run.
+    """
+    d = queries.shape[-1]
+    logits = queries @ np.swapaxes(keys, -1, -2) / np.sqrt(d) + mask
+    alive = np.isfinite(mask).any(axis=1)
+    l = logits[..., alive, :]
+    l = l - l.max(axis=-1, keepdims=True)
+    p = np.exp(l)
+    p /= p.sum(axis=-1, keepdims=True)
     out = np.zeros_like(queries)
-    if alive.any():
-        l = logits[alive]
-        l = l - l.max(axis=1, keepdims=True)
-        p = np.exp(l)
-        p /= p.sum(axis=1, keepdims=True)
-        out[alive] = p @ values
+    out[..., alive, :] = p @ values
     return out
 
 
@@ -149,15 +153,15 @@ def two_stream_layer(h, g, masks: CausalMaskPair, wq, wk, wv):
     The content stream self-attends under the content mask; the query
     stream reads keys and values from the content stream under the strict
     mask, so its output for a position never depends on that position's
-    token.
+    token. `h` and `g` are (positions, dim) or stacks of them.
     """
     h = np.asarray(h, float)
     g = np.asarray(g, float)
     if h.shape != g.shape:
         raise DomainError(f"stream shapes differ: {h.shape} vs {g.shape}")
-    if masks.content.shape != (h.shape[0], h.shape[0]):
+    if masks.content.shape != (h.shape[-2], h.shape[-2]):
         raise DomainError(
-            f"mask shape {masks.content.shape} does not fit {h.shape[0]} positions"
+            f"mask shape {masks.content.shape} does not fit {h.shape[-2]} positions"
         )
     keys = h @ wk
     values = h @ wv
@@ -193,14 +197,18 @@ def init_two_stream(
 
 
 def two_stream_forward(model: TwoStreamModel, tokens, a: GroupAssignment):
-    """Run the layer once: content gets token + position, query position only."""
-    tokens = list(tokens)
-    if len(tokens) != a.length:
+    """Run the layer once: content gets token + position, query position only.
+
+    `tokens` is one text or an (n, s) matrix of texts, which run as one
+    stack; each text's rows equal those of its own run, bit for bit.
+    """
+    tokens = np.asarray(tokens, dtype=np.intp)
+    if tokens.ndim not in (1, 2) or tokens.shape[-1] != a.length:
         raise DomainError(
-            f"{len(tokens)} tokens do not fit assignment of {a.length}"
+            f"tokens of shape {tokens.shape} do not fit assignment of {a.length}"
         )
     h0 = model.emb[tokens] + model.pos
-    g0 = model.pos.copy()
+    g0 = np.broadcast_to(model.pos, h0.shape)
     masks = build_masks(a)
     return two_stream_layer(h0, g0, masks, model.wq, model.wk, model.wv)
 

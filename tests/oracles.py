@@ -248,6 +248,20 @@ def train_losses_and_weights(arrays, weights, lr, clip, steps):
     return losses, weights
 
 
+def sign_fixed_features(matrix, t):
+    """Rank-t SVD factors with sqrt(sigma) on each side, after making the
+    largest-magnitude entry of every left singular vector nonnegative, one
+    vector at a time."""
+    u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
+    for i in range(u.shape[1]):
+        j = int(np.argmax(np.abs(u[:, i])))
+        if u[j, i] < 0:
+            u[:, i] = -u[:, i]
+            vt[i, :] = -vt[i, :]
+    scale = np.sqrt(sigma[:t])
+    return u[:, :t] * scale[None, :], vt[:t, :].T * scale[None, :]
+
+
 def _gd_start(matrix, t, rng, init_scale):
     sigma = np.linalg.svd(matrix, compute_uv=False)
     target = float(np.sum(sigma[t:] ** 2))
@@ -403,6 +417,60 @@ def ar_reference_loss(model, x, params):
             -float(z[col_index[x.tokens[p - 1]]]) + float(np.mean(z**2))
         )
     return float(np.mean(losses))
+
+
+def _per_text_attention(queries, keys, values, mask):
+    d = queries.shape[1]
+    logits = queries @ keys.T / np.sqrt(d) + mask
+    alive = np.isfinite(logits).any(axis=1)
+    out = np.zeros_like(queries)
+    if alive.any():
+        l = logits[alive]
+        l = l - l.max(axis=1, keepdims=True)
+        p = np.exp(l)
+        p /= p.sum(axis=1, keepdims=True)
+        out[alive] = p @ values
+    return out
+
+
+def per_text_forward(model, tokens, groups):
+    """One text's two-stream layer on its own: (content, query) outputs.
+
+    `groups` is the group of each position. Rows whose keys are all
+    forbidden output zero; only the allowed rows go through the softmax.
+    """
+    g = np.array(groups)
+    content = np.where(g[:, None] >= g[None, :], 0.0, -np.inf)
+    query = np.where(g[:, None] > g[None, :], 0.0, -np.inf)
+    h = model.emb[list(tokens)] + model.pos
+    keys = h @ model.wk
+    values = h @ model.wv
+    return (_per_text_attention(h @ model.wq, keys, values, content),
+            _per_text_attention(model.pos @ model.wq, keys, values, query))
+
+
+def query_drift_loop(model, groups, params, rng, trials):
+    """The worst query-row drift, one text and one forward at a time.
+
+    Draws exactly as the package does: per trial a class, a text, then one
+    redrawn text per predicted group, which keeps the text before the
+    group's first position.
+    """
+    from cospec.toy_model import sample_sequence
+
+    worst = 0.0
+    for _ in range(max(1, trials)):
+        label = int(rng.integers(1, params.r + 1))
+        x = sample_sequence(params, label, rng)
+        _, g_ref = per_text_forward(model, x.tokens, groups)
+        for g in range(2, max(groups) + 1):
+            rows = [p for p, gp in enumerate(groups) if gp == g]
+            other = sample_sequence(params, label, rng)
+            tokens = x.tokens[:rows[0]] + other.tokens[rows[0]:]
+            _, g_new = per_text_forward(model, tokens, groups)
+            worst = max(worst,
+                        float(np.max(np.abs(g_new[rows] - g_ref[rows]))))
+    return worst
 
 
 def lookahead_position_law(s: int, t: int) -> dict[tuple[int, int], float]:

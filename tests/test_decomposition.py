@@ -137,6 +137,19 @@ def test_optimal_features_validates_rank():
         optimal_features(m, 3)
 
 
+@pytest.mark.parametrize("label, params", [
+    ("masked:0.5", ToyParams(2, 8, 2)), ("dar:2", ToyParams(2, 8, 2)),
+    ("vlm:0.5-0.67", ToyParams(3, 6, 3)), ("ar", ToyParams(2, 4, 2)),
+])
+def test_optimal_features_bytes_match_the_per_vector_sign_loop(label, params):
+    m = normalize(exact_joint(parse_objective(label), params))
+    for t in range(1, min(m.shape) + 1):
+        pair = optimal_features(m, t)
+        rows, cols = oracles.sign_fixed_features(m.matrix, t)
+        assert pair.row_factor.tobytes() == rows.tobytes()
+        assert pair.col_factor.tobytes() == cols.tobytes()
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40)
 def test_svd_factors_beat_random_pairs(seed):

@@ -16,7 +16,11 @@ from cospec.toy_model import ToyParams
 
 
 def reference_csv(path, header, columns):
-    """`csv.writer` over rows whose float cells are `repr(float(v))`."""
+    """`csv.writer` over rows whose float cells are `repr(float(v))`.
+
+    A column `(values, index)` is `values[index]`.
+    """
+    columns = [_indexed(*c) if isinstance(c, tuple) else c for c in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
@@ -26,6 +30,12 @@ def reference_csv(path, header, columns):
                 repr(float(v)) if isinstance(v, (float, np.floating)) else v
                 for v in row
             ])
+
+
+def _indexed(values, index):
+    if isinstance(values, tuple):
+        values = _indexed(*values)
+    return [values[i] for i in index]
 
 
 CASES = {
@@ -61,6 +71,8 @@ def test_write_csv_matches_csv_writer(name, tmp_path):
 
 
 _TEXT = st.text(max_size=5) | st.text(alphabet=',"\r\nab ', max_size=6)
+# Text for `U` arrays, which drop trailing NULs but keep inner ones.
+_UTEXT = _TEXT | st.text(alphabet='\x00a"é€😀,\n', max_size=4)
 _FLOAT = st.floats() | st.sampled_from(
     [-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
 _INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -72,18 +84,33 @@ _CELL = st.one_of(
 
 
 @st.composite
+def _column(draw, rows):
+    """One column of `rows` cells: a list or an array of one of five kinds,
+    a `U` text array, or a pair `(values, index)` over such a column."""
+    kind = draw(st.sampled_from(
+        ["list", "object", "float", "int", "bool", "text", "pair"]))
+    if kind == "pair":
+        size = draw(st.integers(1 if rows else 0, 6))
+        values = draw(_column(size))
+        index = draw(st.lists(st.integers(0, max(size - 1, 0)), min_size=rows,
+                              max_size=rows))
+        return values, draw(st.sampled_from([index, np.array(index, int)]))
+    if kind == "text":
+        return np.array(draw(st.lists(_UTEXT, min_size=rows, max_size=rows)),
+                        dtype=str)
+    cell = {"float": _FLOAT, "int": _INT64, "bool": st.booleans()}
+    values = draw(st.lists(cell.get(kind, _CELL), min_size=rows,
+                           max_size=rows))
+    dtype = {"list": None, "object": object, "float": float,
+             "int": np.int64, "bool": bool}[kind]
+    return values if dtype is None else np.array(values, dtype)
+
+
+@st.composite
 def _tables(draw):
-    """(header, columns): 0-20 rows of 1-4 columns of one of five kinds."""
+    """(header, columns): 0-20 rows of 1-4 columns."""
     rows, width = draw(st.integers(0, 20)), draw(st.integers(1, 4))
-    columns = []
-    for _ in range(width):
-        kind = draw(st.sampled_from(["list", "object", "float", "int", "bool"]))
-        cell = {"float": _FLOAT, "int": _INT64, "bool": st.booleans()}
-        values = draw(st.lists(cell.get(kind, _CELL), min_size=rows,
-                               max_size=rows))
-        dtype = {"list": None, "object": object, "float": float,
-                 "int": np.int64, "bool": bool}[kind]
-        columns.append(values if dtype is None else np.array(values, dtype))
+    columns = [draw(_column(rows)) for _ in range(width)]
     header = draw(st.none() | st.lists(_TEXT, min_size=width, max_size=width))
     return header, columns
 
@@ -96,6 +123,29 @@ def test_write_csv_matches_csv_writer_on_any_table(table, tmp_path_factory):
     write_csv(out / "got.csv", header, columns)
     reference_csv(out / "want.csv", header, columns)
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def test_write_csv_matches_csv_writer_across_chunks(tmp_path):
+    # Three full chunks of rows and part of a fourth, whose cells repeat
+    # across chunks, with text and float columns given as (values, index).
+    rows = 3 * 4096 + 7
+    rng = np.random.default_rng(5)
+    words = np.array(["a", 'b"c', "d,e", "é", "x\x00y", "", "line\nbreak"])
+    floats = np.array([0.1, -0.0, 0.0, 1 / 3, 5e-324, -1e300, np.pi])
+    columns = [
+        (words, rng.integers(0, len(words), rows)),
+        floats[rng.integers(0, len(floats), rows)],
+        (list(floats), rng.integers(0, len(floats), rows)),
+        np.arange(rows) % 97 - 40,
+        words[rng.integers(0, len(words), rows)],
+        [["p", "q,r"][k % 2] for k in range(rows)],
+    ]
+    write_csv(tmp_path / "got.csv", ["w", "f", "g", "i", "u", "l"], columns)
+    reference_csv(tmp_path / "want.csv", ["w", "f", "g", "i", "u", "l"],
+                  columns)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") > rows
 
 
 @pytest.mark.parametrize("label, params", [

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from cospec import experiments
 from cospec.errors import DomainError
+from cospec.experiments import derive_rng, max_query_drift
 from cospec.generation import target_catalog
 from cospec.toy_model import ToyParams, sample_sequence
 from cospec.twostream import (
@@ -150,11 +152,50 @@ def test_query_stream_ignores_forbidden_tokens():
             assert np.max(np.abs(g_new[p - 1] - g_ref[p - 1])) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_forward_is_bit_equal_to_one_text_at_a_time(seed):
+    params = ToyParams(2, 6, 3)
+    model = init_two_stream(params, dim=8, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(10 + seed)
+    texts = np.array([
+        sample_sequence(params, int(rng.integers(1, 3)), rng).tokens
+        for _ in range(12)
+    ])
+    for a in enumerate_assignments(6):
+        h_out, g_out = two_stream_forward(model, texts, a)
+        for k, tokens in enumerate(texts):
+            h_ref, g_ref = oracles.per_text_forward(model, tokens, a.groups)
+            assert h_out[k].tobytes() == h_ref.tobytes(), a.groups
+            assert g_out[k].tobytes() == g_ref.tobytes(), a.groups
+        h_one, g_one = two_stream_forward(model, texts[0], a)
+        assert h_one.tobytes() == h_out[0].tobytes()
+        assert g_one.tobytes() == g_out[0].tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("per_forward", [1024, 7])
+def test_query_drift_matches_the_per_text_loop(seed, per_forward, monkeypatch):
+    # the bench `masks` op, whose 100 trials run as one stack or, split
+    # into stacks of 7 trials, as several
+    monkeypatch.setattr(experiments, "_TRIALS_PER_FORWARD", per_forward)
+    params = ToyParams(2, 8, 2)
+    a = parse_assignment("g1=2,t=2", params.s)
+    model = init_two_stream(params, dim=8, rng=derive_rng(seed, "masks"))
+    got_rng = derive_rng(seed, "masks", "perturb")
+    want_rng = derive_rng(seed, "masks", "perturb")
+    got = max_query_drift(model, a, params, got_rng, trials=100)
+    want = oracles.query_drift_loop(model, a.groups, params, want_rng, 100)
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_forward_requires_matching_length():
     params = ToyParams(1, 4, 2)
     model = init_two_stream(params, dim=4, rng=np.random.default_rng(0))
     with pytest.raises(DomainError):
         two_stream_forward(model, (0, 1), partition_groups(4, 1, 2))
+    with pytest.raises(DomainError):
+        two_stream_forward(model, [[0, 1, 2]], partition_groups(4, 1, 2))
 
 
 def test_singleton_groups_give_plain_next_token_loss():
