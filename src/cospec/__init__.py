@@ -44,7 +44,6 @@ from .generation import (
     TrainSettings,
     gen_loss,
     generation_bound_terms,
-    generation_gap,
     masked_generation_bound,
     misalignment_weight,
     pooled_attention,

@@ -24,7 +24,6 @@ from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
     admissible_ratios,
-    build_masked_joint,
     normalize,
     unmasked_count,
     write_joint_csv,
@@ -240,22 +239,12 @@ def write_report(report: dict, out_dir) -> str:
     return path
 
 
-def _one_ratio(spec: ObjectiveSpec, s: int) -> float | None:
-    """The ratio of a mask objective whose grid has one point, else None."""
-    if spec.width is None:
-        ratios = admissible_ratios(s, spec.rho_lo, spec.rho_hi)
-        if len(ratios) == 1:
-            return ratios[0]
-    return None
-
-
 def _closed_form_spectrum(spec: ObjectiveSpec, params: ToyParams):
-    """Next-token, or one mask ratio that hides more than one position."""
+    """Next-token, or any mask objective; None for a wider window."""
     if spec.width == 1:
         return exact_ar_spectrum(params)
-    rho = _one_ratio(spec, params.s)
-    if rho is not None and unmasked_count(params.s, rho) < params.s - 1:
-        return predicted_masked_spectrum(params, rho)
+    if spec.width is None:
+        return predicted_masked_spectrum(params, spec.rho_lo, spec.rho_hi)
     return None
 
 
@@ -375,27 +364,24 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     }
 
 
-def _bound_rhos(cfg: ExperimentConfig, spec: ObjectiveSpec):
-    """Ratios of `rho_m` (else the grid) on `spec`'s grid with u >= 2 visible."""
+def _joints(params: ToyParams):
+    """`spec -> exact_joint(spec, params)`, building each objective once."""
+    return functools.cache(lambda spec: exact_joint(spec, params))
+
+
+def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint_of):
+    """(rho, terms, bound) of a mask model at each ratio of `rho_m` (else
+    the grid) that is on `spec`'s grid and leaves u >= 2 visible."""
     s = cfg.params.s
     grid = admissible_ratios(s, spec.rho_lo, spec.rho_hi)
-    out = []
+    rows = []
     for rho in cfg.rho_m or grid:
         u = unmasked_count(s, rho)
         if u >= 2 and (s - u) / s in grid:
-            out.append(rho)
-    return out
-
-
-def _masked_joints(params: ToyParams):
-    """`rho -> build_masked_joint(params, rho)`, building each ratio once."""
-    return functools.cache(functools.partial(build_masked_joint, params))
-
-
-def _training_joint(spec: ObjectiveSpec, params: ToyParams, masked_joint):
-    """The joint `spec` trains on; a one-ratio mask joint comes from the cache."""
-    rho = _one_ratio(spec, params.s)
-    return exact_joint(spec, params) if rho is None else masked_joint(rho)
+            joint = joint_of(ObjectiveSpec(rho_lo=rho, rho_hi=rho))
+            terms = gen.generation_bound_terms(model, cfg.params, rho, joint)
+            rows.append((rho, terms, gen.masked_generation_bound(terms)))
+    return rows
 
 
 def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
@@ -404,12 +390,12 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     dataset = list(enumerate_sequences(params))
     models = {}
     reports = {}
-    masked_joint = _masked_joints(params)
+    joint_of = _joints(params)
     delta_ar = None
     for label in cfg.objectives:
         spec = parse_objective(label)
         rng = derive_rng(cfg.seed, "genbound", label)
-        joint = _training_joint(spec, params, masked_joint)
+        joint = joint_of(spec)
         result = gen.train_model(spec, params, cfg.train, rng, joint)
         models[label] = result.model
         if spec.width == 1:
@@ -427,13 +413,8 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
         spec = parse_objective(label)
         if spec.width is not None:
             continue
-        per_rho = {}
-        for rho in _bound_rhos(cfg, spec):
-            terms = gen.generation_bound_terms(
-                models[label], params, rho, joint=masked_joint(rho)
-            )
-            bound = gen.masked_generation_bound(terms)
-            per_rho[f"{rho:g}"] = {
+        bounds[label] = {
+            f"{rho:g}": {
                 "weights": terms.weights,
                 "eta": terms.eta,
                 "delta": terms.delta,
@@ -441,7 +422,9 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
                 "bound": bound,
                 "gap_vs_ar": None if delta_ar is None else bound - delta_ar,
             }
-        bounds[label] = per_rho
+            for rho, terms, bound in _bound_rows(cfg, spec, models[label],
+                                                 joint_of)
+        }
     return {
         "experiment": "genbound",
         "params": params.to_dict(),
@@ -535,10 +518,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     dataset = list(enumerate_sequences(params))
     rows = []
     delta_ar_by_seed: dict[int, float] = {}
-    masked_joint = _masked_joints(params)
+    joint_of = _joints(params)
     for label in cfg.objectives:
         spec = parse_objective(label)
-        joint = _training_joint(spec, params, masked_joint)
+        joint = joint_of(spec)
         for seed_i in range(cfg.seeds):
             rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
             model = gen.train_model(spec, params, cfg.train, rng, joint).model
@@ -551,13 +534,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
                 found = [(0.0, delta, delta, gen.max_output_discrepancy(model),
                           model.output_norm())]
             else:
-                found = []
-                for rho in _bound_rhos(cfg, spec):
-                    terms = gen.generation_bound_terms(
-                        model, params, rho, joint=masked_joint(rho)
-                    )
-                    found.append((rho, gen.masked_generation_bound(terms),
-                                  terms.delta, terms.eta, terms.output_norm))
+                found = [(rho, bound, terms.delta, terms.eta, terms.output_norm)
+                         for rho, terms, bound in _bound_rows(cfg, spec, model,
+                                                              joint_of)]
             rows += [
                 dict(zip(columns, (label, rho, seed_i, total, *rest)))
                 for rho, *rest in found

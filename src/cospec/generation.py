@@ -62,7 +62,6 @@ class TrainSettings:
     steps: int = 1200
     init_noise: float = 0.02
     clip: float = 5.0
-    check_gradients: bool = True
 
 
 def target_catalog(params: ToyParams) -> tuple[int, ...]:
@@ -246,11 +245,6 @@ def masked_generation_bound(terms: GenerationBoundTerms) -> float:
     for k, w in terms.weights.items():
         acc += w**2 / (k - 1) ** 6 + w * terms.output_norm**2 * terms.eta
     return acc / (2.0 * u) + terms.delta + 1.0
-
-
-def generation_gap(terms: GenerationBoundTerms, delta_ar: float) -> float:
-    """Bound gap between a masked model and a next-token baseline."""
-    return masked_generation_bound(terms) - delta_ar
 
 
 @dataclass(frozen=True)
@@ -469,10 +463,10 @@ def train_model(
     Plain gradient descent with global gradient-norm clipping; the loss is
     the unnormalized quadratic pretraining loss summed over the support.
     Analytic gradients are spot-checked against central differences at
-    initialization on every run unless disabled. A caller that already
-    holds the objective's joint passes it as `joint`; otherwise it is
-    built here. A joint with a row whose tokens or targets span two
-    classes is a `DomainError`.
+    initialization on every run. A caller that already holds the
+    objective's joint passes it as `joint`; otherwise it is built here. A
+    joint with a row whose tokens or targets span two classes is a
+    `DomainError`.
     """
     settings = TrainSettings() if settings is None else settings
     rng = np.random.default_rng(0) if rng is None else rng
@@ -494,8 +488,7 @@ def train_model(
         noise * rng.standard_normal((d, vocab)),
     )
     step = _Workspace(_design(joint, vocab), weights, params)
-    if settings.check_gradients:
-        _spot_check_gradients(weights, step, rng)
+    _spot_check_gradients(weights, step, rng)
     losses = []
     for i in range(settings.steps):
         loss = step(weights)

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import JointDistribution, NormalizedMatrix, unmasked_count
+from .cooccurrence import (
+    JointDistribution,
+    NormalizedMatrix,
+    admissible_ratios,
+    unmasked_count,
+)
 from .errors import DomainError, ResourceError
 from .toy_model import ToyParams
 
@@ -25,7 +30,7 @@ CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Descending nonnegative singular values, zero-padded to full length."""
+    """Descending singular values; closed forms hold only the nonzero ones."""
 
     values: np.ndarray
 
@@ -62,20 +67,13 @@ def singular_spectrum(m: NormalizedMatrix | np.ndarray) -> SingularSpectrum:
 
 
 def exact_ar_spectrum(params: ToyParams) -> SingularSpectrum:
-    """Spectrum of the next-token matrix as actually constructed.
+    """Nonzero spectrum of the next-token matrix as actually constructed.
 
     The matrix is block diagonal with one rank-1 all-equal block per
     (class, prefix length) pair, each of unit norm, so the spectrum is
-    exactly r * (s - 1) ones followed by zeros.
+    exactly r * (s - 1) ones.
     """
-    r, s, big_t = params.r, params.s, params.T
-    n_rows = r * sum(big_t**i for i in range(1, s))
-    n_cols = r * (s - 1) * big_t
-    n = min(n_rows, n_cols)
-    ones = r * (s - 1)
-    return _spectrum(
-        np.concatenate([np.ones(ones), np.zeros(max(n - ones, 0))])
-    )
+    return _spectrum(np.ones(params.r * (params.s - 1)))
 
 
 def predicted_ar_spectrum(params: ToyParams) -> SingularSpectrum:
@@ -87,33 +85,29 @@ def predicted_ar_spectrum(params: ToyParams) -> SingularSpectrum:
     downstream are phrased against it, and it only widens the next-token
     side of every inequality they assert.
     """
-    ones = params.r * params.s
-    n = max(len(exact_ar_spectrum(params)), ones)
-    return _spectrum(np.concatenate([np.ones(ones), np.zeros(n - ones)]))
+    return _spectrum(np.ones(params.r * params.s))
 
 
-def predicted_masked_spectrum(params: ToyParams, rho_m: float) -> SingularSpectrum:
-    """Closed-form masked spectrum: r ones, then r*(s-1) equal middle values.
+def predicted_masked_spectrum(
+    params: ToyParams, rho_lo: float, rho_hi: float | None = None
+) -> SingularSpectrum:
+    """Nonzero masked spectrum over the admissible ratios in [lo, hi].
 
-    The middle value is sqrt(u / ((s - u) * (s - 1))) with u the unmasked
-    count; it requires more than one masked position (u < s - 1),
-    otherwise the masked problem degenerates to the next-token geometry.
-    This form is exact: numeric SVD of the built matrix matches it.
+    r ones, then r*(s-1) copies of sqrt(mean of u / ((s - u) * (s - 1))),
+    the mean over the grid's unmasked counts u; one ratio when `rho_hi` is
+    None. The mask law is invariant under position permutations, so each
+    ratio's Gram matrix is aI + bJ per class and a uniform mixture of
+    ratios averages them. This form is exact: numeric SVD of the built
+    matrix matches it, u = s - 1 (one hidden position, middle value 1)
+    included.
     """
-    r, s, big_t = params.r, params.s, params.T
-    u = unmasked_count(s, rho_m)
-    if u == s - 1:
-        raise DomainError(
-            f"masked spectrum needs s * rho_m > 1, got s={s} rho_m={rho_m}"
-        )
-    middle = math.sqrt(u / ((s - u) * (s - 1)))
-    n_rows = r * math.comb(s, u) * big_t**u
-    n_cols = r * s * big_t
-    n = min(n_rows, n_cols)
-    values = np.concatenate(
-        [np.ones(r), np.full(r * (s - 1), middle), np.zeros(n - r * s)]
+    r, s = params.r, params.s
+    ratios = admissible_ratios(s, rho_lo, rho_lo if rho_hi is None else rho_hi)
+    counts = [unmasked_count(s, rho) for rho in ratios]
+    middle = math.sqrt(
+        sum(u / ((s - u) * (s - 1)) for u in counts) / len(counts)
     )
-    return _spectrum(values)
+    return _spectrum(np.concatenate([np.ones(r), np.full(r * (s - 1), middle)]))
 
 
 def block_matrix_spectrum(

@@ -1,6 +1,6 @@
-"""Write the outputs of every bench `exact` and `train` config, and of the
-c12 rerun configs, into one directory; or list what moved between two such
-directories.
+"""Write the outputs of every bench `exact` and `train` config, of the c12
+rerun configs and of `EXTRA_CONFIGS`, into one directory; or list what
+moved between two such directories.
 
     python3 tests/dump_outputs.py OUT [--seeds 1 7]
     python3 tests/dump_outputs.py OUT --diff PARENT_OUT
@@ -32,6 +32,21 @@ sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "bench")]
 
 import workloads  # noqa: E402
 
+_MIXED = ["ar", "dar:2", "masked:0.25", "vlm:0.25-0.5"]
+# Branches the other configs miss: prefix and mask models side by side in
+# `genbound` and `sweep`, with and without `rho_m`, a mask ratio that leaves
+# one position hidden (`masked:0.25` at s = 4), and the closed form of a
+# ratio range and of a wide lookahead window in `spectrum`.
+EXTRA_CONFIGS = [
+    *({"experiment": experiment, "params": {"r": 1, "s": 4, "T": 2},
+       "objectives": _MIXED, "train": {"steps": 60}, "seeds": 2, "seed": 5,
+       **extra}
+      for extra in ({}, {"rho_m": [0.25, 0.5]})
+      for experiment in ("genbound", "sweep")),
+    {"experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
+     "objectives": ["masked:0.25", "vlm:0.25-0.75", "dar:3"], "seed": 5},
+]
+
 
 def dump(out: str, seeds) -> int:
     """Run every config into `out`; return the number of files written."""
@@ -46,6 +61,8 @@ def dump(out: str, seeds) -> int:
                 name = f"{workload}_seed{seed}/op{i}_{cfg['experiment']}"
                 runs.append((name, dict(cfg, seed=seed)))
     runs += [(f"rerun/{cfg['experiment']}", cfg) for cfg in RERUN_CONFIGS]
+    runs += [(f"extra/op{i}_{cfg['experiment']}", cfg)
+             for i, cfg in enumerate(EXTRA_CONFIGS)]
     os.makedirs(out)
     for name, cfg in runs:
         target = os.path.join(out, name)

@@ -120,10 +120,14 @@ def test_to_jsonable_strips_numpy_types():
 
 
 def test_spectrum_experiment_end_to_end(tmp_path):
-    config = cfg(objectives=["ar", "masked:0.5"])
+    # masked:0.25 hides one position at s = 4; only a window wider than one
+    # has no closed form
+    labels = ["ar", "masked:0.5", "vlm:0.25-0.5", "masked:0.25", "dar:2"]
+    config = cfg(objectives=labels)
     report = run_experiment(config, tmp_path)
-    for label in ("ar", "masked:0.5"):
+    for label in labels[:-1]:
         assert report["results"][label]["max_abs_error_vs_closed_form"] < 1e-10
+    assert report["results"]["dar:2"]["max_abs_error_vs_closed_form"] is None
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "joint_masked_0p5.csv").exists()
     assert (tmp_path / "normalized_ar.csv").exists()
@@ -133,7 +137,7 @@ def test_spectrum_experiment_end_to_end(tmp_path):
     assert len(lines) == 1 + want
     conn = read_lines(tmp_path / "connectivity.csv")
     assert conn[0] == ["objective", "estimate"]
-    assert len(conn) == 3
+    assert len(conn) == 1 + len(labels)
 
 
 def test_identity_experiment_reports_residuals(tmp_path):
@@ -263,10 +267,10 @@ def test_sweep_experiment_csv_layout(tmp_path):
 
 
 @pytest.mark.parametrize("experiment, builds", [
-    # ar and vlm, then the masked ratios 0.5 and 0.25 of the bound terms;
-    # the ar delta term reads the ar training joint
-    ("sweep", {"exact_joint": 2, "build_masked_joint": 2}),
-    ("genbound", {"exact_joint": 2, "build_masked_joint": 2}),
+    # ar, masked:0.5 and vlm, then the bound ratio 0.25 (0.5 is masked:0.5's
+    # joint); the ar delta term reads the ar training joint
+    ("sweep", {"exact_joint": 4}),
+    ("genbound", {"exact_joint": 4}),
 ])
 def test_training_joints_are_built_outside_the_seed_loop(
     monkeypatch, tmp_path, experiment, builds
@@ -285,9 +289,11 @@ def test_training_joints_are_built_outside_the_seed_loop(
         monkeypatch.setattr(experiments, name, counted(name))
 
     def no_build(*args):
-        raise AssertionError("train_model built its own joint")
+        raise AssertionError("a joint was built outside the runner's cache")
 
+    # train_model and generation_bound_terms build a joint not passed in
     monkeypatch.setattr(generation, "exact_joint", no_build)
+    monkeypatch.setattr(generation, "build_masked_joint", no_build)
     run_experiment(load_config({
         "experiment": experiment,
         "params": {"r": 1, "s": 4, "T": 2},

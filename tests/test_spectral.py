@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from cospec.cooccurrence import (
     JointDistribution,
     build_ar_joint,
     build_masked_joint,
+    build_vlm_joint,
     normalize,
 )
 from cospec.decomposition import probe_features_for_joint
@@ -80,9 +83,22 @@ def test_masked_middle_value_shrinks_with_mask_ratio():
     assert values[0] > values[1] > values[2]
 
 
-def test_masked_spectrum_needs_multiple_masked_positions():
-    with pytest.raises(DomainError):
-        predicted_masked_spectrum(ToyParams(2, 4, 2), 0.25)
+def test_masked_spectrum_closed_form_holds_on_every_ratio_range():
+    # every [lo, hi] on the grid m/s, one hidden position (u = s - 1) included
+    worst = 0.0
+    for r, s, big_t in itertools.product((1, 2), range(3, 7), (1, 2)):
+        params = ToyParams(r, s, big_t)
+        for lo, hi in itertools.combinations_with_replacement(range(1, s), 2):
+            numeric = singular_spectrum(
+                normalize(build_vlm_joint(params, lo / s, hi / s)))
+            closed = predicted_masked_spectrum(params, lo / s, hi / s)
+            n = max(len(numeric), len(closed))
+            err = np.max(np.abs(numeric.padded(n) - closed.padded(n)))
+            worst = max(worst, float(err))
+    assert worst < 1e-12
+    # u = s - 1: the middle values are ones
+    assert_allclose(predicted_masked_spectrum(ToyParams(2, 4, 2), 0.25).values,
+                    np.ones(8))
 
 
 def test_block_matrix_hand_value():
