@@ -11,6 +11,7 @@ from .cooccurrence import (
     ConditionalText,
     JointDistribution,
     NormalizedMatrix,
+    admissible_counts,
     build_ar_joint,
     build_dar_joint,
     build_joint_from_sampler,
@@ -51,7 +52,6 @@ from .generation import (
 )
 from .objectives import (
     ObjectiveSpec,
-    admissible_ratios,
     exact_joint,
     parse_objective,
     sample_pair,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .output import write_csv
-from .toy_model import ENUMERATION_BUDGET, ToyParams, decode_token, token_id
+from .toy_model import ENUMERATION_BUDGET, ToyParams, token_id
 
 PREFIX = "prefix"
 UNMASKED = "unmasked"
@@ -53,9 +53,6 @@ class ConditionalText:
         if len(set(tokens)) != len(tokens):
             raise DomainError("unmasked set has duplicate tokens")
         return cls(UNMASKED, tokens)
-
-    def positions(self, params: ToyParams) -> tuple[int, ...]:
-        return tuple(decode_token(params, t)[0] for t in self.tokens)
 
     def key(self) -> str:
         """Stable string form used in triplet CSV exports."""
@@ -140,10 +137,6 @@ class JointDistribution:
         keys = zip([self.rows[k] for k in i.tolist()],
                    [self.cols[k] for k in j.tolist()])
         return MappingProxyType(dict(zip(keys, self.mass[i, j].tolist())))
-
-    @property
-    def total_mass(self) -> float:
-        return float(self._row_marginal.sum())
 
     def dense(self) -> np.ndarray:
         """The joint as a rows x cols array: `mass`, read-only."""
@@ -282,25 +275,26 @@ def unmasked_count(s: int, rho_m: float) -> int:
     return int(u_int)
 
 
-def admissible_ratios(s: int, lo: float, hi: float) -> list[float]:
-    """Mask ratios m/s in [lo, hi]; an empty grid is a `DomainError`.
+def admissible_counts(s: int, lo: float, hi: float) -> list[int]:
+    """Unmasked counts of the mask ratios m/s in [lo, hi], ascending in ratio.
 
-    The ends are read on the unmasked count with the slack of
+    The count of m/s is s - m, so the counts descend; an empty grid is a
+    `DomainError`. The ends are read on the count with the slack of
     :func:`unmasked_count`, which accepts R exactly when R..R has a grid.
     """
     if not 0.0 < lo <= hi < 1.0:
         raise DomainError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
     fewest, most = s * (1.0 - hi), s * (1.0 - lo)
-    ratios = [
-        m / s for m in range(1, s)
-        if fewest - (s - m) <= _COUNT_SLACK and (s - m) - most <= _COUNT_SLACK
+    counts = [
+        u for u in range(s - 1, 0, -1)
+        if fewest - u <= _COUNT_SLACK and u - most <= _COUNT_SLACK
     ]
-    if not ratios:
+    if not counts:
         raise DomainError(
             f"no admissible mask ratio in [{lo}, {hi}] at s={s}; admissible "
             f"grid is m/{s} for m in 1..{s - 1}"
         )
-    return ratios
+    return counts
 
 
 def build_masked_joint(
@@ -312,7 +306,7 @@ def build_masked_joint(
     targets one masked position; all nonzero entries share the value
     1 / (r * C(s, u) * (s - u) * T**(u + 1)).
     """
-    return _mask_mixture(params, [rho_m], budget)
+    return _mask_mixture(params, [unmasked_count(params.s, rho_m)], budget)
 
 
 def build_dar_joint(
@@ -348,21 +342,20 @@ def build_vlm_joint(
     This is the exact law of first drawing a mask ratio uniformly from the
     admissible grid in [rho_lo, rho_hi] and then masking at that ratio.
     """
-    ratios = admissible_ratios(params.s, rho_lo, rho_hi)
-    return _mask_mixture(params, ratios, budget)
+    counts = admissible_counts(params.s, rho_lo, rho_hi)
+    return _mask_mixture(params, counts, budget)
 
 
-def _mask_mixture(params: ToyParams, ratios, budget: int) -> JointDistribution:
-    """Masked joints at `ratios`, mixed uniformly, as one enumeration."""
+def _mask_mixture(params: ToyParams, counts, budget: int) -> JointDistribution:
+    """One enumeration of the masked joints at `counts`, mixed uniformly."""
     r, s, big_t = params.r, params.s, params.T
 
     def masks():
-        for rho in ratios:
-            u = unmasked_count(s, rho)
+        for u in counts:
             mass = 1.0 / (r * math.comb(s, u) * (s - u) * big_t ** (u + 1))
             for visible in itertools.combinations(range(1, s + 1), u):
                 hidden = [p for p in range(1, s + 1) if p not in visible]
-                yield visible, hidden, mass / len(ratios)
+                yield visible, hidden, mass / len(counts)
 
     return _enumerate(params, UNMASKED, masks(), budget)
 

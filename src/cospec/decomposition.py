@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import JointDistribution, NormalizedMatrix, normalize
+from .cooccurrence import JointDistribution, NormalizedMatrix
 from .errors import DomainError, NumericError
 from .output import write_csv, write_json
 
@@ -70,7 +70,7 @@ def decomposition_objective(pair: FactorPair, m: NormalizedMatrix) -> float:
 
 
 def identity_residual(
-    f, w, joint: JointDistribution, m: NormalizedMatrix | None = None
+    f, w, joint: JointDistribution, m: NormalizedMatrix
 ) -> float:
     """Gap between the loss and the factorization objective minus its constant.
 
@@ -78,11 +78,10 @@ def identity_residual(
     sqrt(P_C(X)) * f(X) and column factors sqrt(P_G(X+)) * W[:, X+], and
     returns |loss - (objective - const)| with const = sum(A^2 / (P_C P_G)).
     Zero (to rounding) for every encoder and embedding, which is the
-    equivalence the rest of the package leans on. A caller that already
-    holds `normalize(joint)` passes it as `m`.
+    equivalence the rest of the package leans on. `m` is `normalize(joint)`.
     """
     loss = spectral_loss(f, w, joint)  # checks both shapes
-    abar = (normalize(joint) if m is None else m).matrix
+    abar = m.matrix
     row_factor = np.sqrt(joint.row_marginal())[:, None] * f
     col_factor_t = np.sqrt(joint.col_marginal())[None, :] * w
     objective = float(np.sum((abar - row_factor @ col_factor_t) ** 2))
@@ -229,10 +228,6 @@ class ProbeResult:
     error: float
     reg: float
 
-    def predict(self, vectors: np.ndarray) -> np.ndarray:
-        scores = np.asarray(vectors, float) @ self.coef
-        return np.asarray(self.classes)[np.argmax(scores, axis=1)]
-
 
 def linear_probe(x, labels, reg: float, weights=None) -> ProbeResult:
     """Weighted ridge regression to one-hot classes, prediction by argmax.
@@ -301,20 +296,14 @@ def load_factor_pair(directory, name: str = "factors") -> FactorPair:
     return pair
 
 
-def probe_features_for_joint(
-    joint: JointDistribution,
-    t: int,
-    labeler,
-    m: NormalizedMatrix | None = None,
-):
-    """Rank-t optimal features of a joint, with class labels and row weights.
+def probe_features_for_joint(m: NormalizedMatrix, t: int, labeler):
+    """Rank-t optimal features of `m`, with class labels and row weights.
 
     Factorizes, inverts the row scaling, f(X) = row_factor[X] / sqrt(P_C(X)),
     and labels each conditional text by `labeler` of its first token, called
     once per distinct token. Returns (x, labels, weights), arrays aligned
     with the normalized matrix's rows and ready for :func:`linear_probe`.
     """
-    m = normalize(joint) if m is None else m
     x = optimal_features(m, t).row_factor / np.sqrt(m.row_weights)[:, None]
     first, back = np.unique(m.tokens[:, 0], return_inverse=True)
     labels = np.array([labeler(tok) for tok in first.tolist()])[back]

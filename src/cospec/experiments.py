@@ -9,7 +9,6 @@ contract and is tested end to end.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -23,7 +22,7 @@ from . import decomposition as dec
 from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
-    admissible_ratios,
+    admissible_counts,
     normalize,
     unmasked_count,
     write_joint_csv,
@@ -140,7 +139,7 @@ def load_config(source) -> ExperimentConfig:
         try:
             spec = parse_objective(text)
             if spec.width is None:
-                admissible_ratios(params.s, spec.rho_lo, spec.rho_hi)
+                admissible_counts(params.s, spec.rho_lo, spec.rho_hi)
         except DomainError as exc:
             raise ConfigError(str(exc), field=f"objectives[{i}]") from exc
 
@@ -181,7 +180,7 @@ def load_config(source) -> ExperimentConfig:
         params=params,
         seed=_number(raw.get("seed", 0), int, field="seed"),
         objectives=tuple(objectives),
-        rank=None if rank is None else _number(rank, int, field="rank"),
+        rank=None if rank is None else _number(rank, int, 1, field="rank"),
         reg=_number(raw.get("reg", 1e-8), float, 0, field="reg"),
         trials=_number(raw.get("trials", 100), int, 1, field="trials"),
         train=train,
@@ -269,7 +268,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
         t_conn = cfg.rank if cfg.rank is not None else cfg.params.r + 1
         t_conn = min(t_conn, min(m.shape))
         x, _, _ = dec.probe_features_for_joint(
-            joint, t_conn, lambda tok: token_label(cfg.params, tok), m=m
+            m, t_conn, lambda tok: token_label(cfg.params, tok)
         )
         connectivity[label] = connectivity_estimate(x)
         write_joint_csv(joint, os.path.join(out_dir, f"joint_{_safe(label)}.csv"))
@@ -347,11 +346,10 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     """Linear probe error on each objective's optimal features."""
     results = {}
     for label in cfg.objectives:
-        spec = parse_objective(label)
-        joint = exact_joint(spec, cfg.params)
+        m = normalize(exact_joint(parse_objective(label), cfg.params))
         t = cfg.rank if cfg.rank is not None else cfg.params.r
         x, labels, weights = dec.probe_features_for_joint(
-            joint, t, lambda tok: token_label(cfg.params, tok)
+            m, t, lambda tok: token_label(cfg.params, tok)
         )
         probe = dec.linear_probe(x, labels, reg=cfg.reg, weights=weights)
         entry = {"t": t, "reg": cfg.reg, "error": probe.error}
@@ -364,21 +362,16 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     }
 
 
-def _joints(params: ToyParams):
-    """`spec -> exact_joint(spec, params)`, building each objective once."""
-    return functools.cache(lambda spec: exact_joint(spec, params))
-
-
-def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint_of):
+def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
     """(rho, terms, bound) of a mask model at each ratio of `rho_m` (else
-    the grid) that is on `spec`'s grid and leaves u >= 2 visible."""
+    the grid) that is on `spec`'s grid and leaves u >= 2 visible; `joint` is
+    the one the model trained on."""
     s = cfg.params.s
-    grid = admissible_ratios(s, spec.rho_lo, spec.rho_hi)
+    counts = admissible_counts(s, spec.rho_lo, spec.rho_hi)
     rows = []
-    for rho in cfg.rho_m or grid:
+    for rho in cfg.rho_m or [(s - u) / s for u in counts]:
         u = unmasked_count(s, rho)
-        if u >= 2 and (s - u) / s in grid:
-            joint = joint_of(ObjectiveSpec(rho_lo=rho, rho_hi=rho))
+        if u >= 2 and u in counts:
             terms = gen.generation_bound_terms(model, cfg.params, rho, joint)
             rows.append((rho, terms, gen.masked_generation_bound(terms)))
     return rows
@@ -388,18 +381,18 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     """Train one model per objective; measure losses, bound terms, and gaps."""
     params = cfg.params
     dataset = list(enumerate_sequences(params))
-    models = {}
     reports = {}
-    joint_of = _joints(params)
+    bound_rows = {}
     delta_ar = None
     for label in cfg.objectives:
         spec = parse_objective(label)
         rng = derive_rng(cfg.seed, "genbound", label)
-        joint = joint_of(spec)
-        result = gen.train_model(spec, params, cfg.train, rng, joint)
-        models[label] = result.model
+        joint = exact_joint(spec, params)
+        result = gen.train_model(joint, params, cfg.train, rng)
         if spec.width == 1:
             delta_ar = gen.delta_term(result.model, joint)
+        elif spec.width is None:
+            bound_rows[label] = _bound_rows(cfg, spec, result.model, joint)
         g = gen.gen_loss(result.model, dataset, params)
         reports[label] = {
             "gen_loss": g.total,
@@ -408,12 +401,8 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
             "per_position": g.per_position,
             "final_train_loss": result.losses[-1],
         }
-    bounds = {}
-    for label in cfg.objectives:
-        spec = parse_objective(label)
-        if spec.width is not None:
-            continue
-        bounds[label] = {
+    bounds = {
+        label: {
             f"{rho:g}": {
                 "weights": terms.weights,
                 "eta": terms.eta,
@@ -422,9 +411,10 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
                 "bound": bound,
                 "gap_vs_ar": None if delta_ar is None else bound - delta_ar,
             }
-            for rho, terms, bound in _bound_rows(cfg, spec, models[label],
-                                                 joint_of)
+            for rho, terms, bound in rows
         }
+        for label, rows in bound_rows.items()
+    }
     return {
         "experiment": "genbound",
         "params": params.to_dict(),
@@ -518,13 +508,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     dataset = list(enumerate_sequences(params))
     rows = []
     delta_ar_by_seed: dict[int, float] = {}
-    joint_of = _joints(params)
     for label in cfg.objectives:
         spec = parse_objective(label)
-        joint = joint_of(spec)
+        joint = exact_joint(spec, params)
         for seed_i in range(cfg.seeds):
             rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
-            model = gen.train_model(spec, params, cfg.train, rng, joint).model
+            model = gen.train_model(joint, params, cfg.train, rng).model
             total = gen.gen_loss(model, dataset, params).total
             # (rho, bound, delta, eta, normW2) of each row
             if spec.width is not None:
@@ -536,7 +525,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             else:
                 found = [(rho, bound, terms.delta, terms.eta, terms.output_norm)
                          for rho, terms, bound in _bound_rows(cfg, spec, model,
-                                                              joint_of)]
+                                                              joint)]
             rows += [
                 dict(zip(columns, (label, rho, seed_i, total, *rest)))
                 for rho, *rest in found

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import JointDistribution, build_masked_joint, unmasked_count
+from .cooccurrence import UNMASKED, JointDistribution, unmasked_count
 from .errors import DomainError, NumericError
-from .objectives import ObjectiveSpec, exact_joint
 from .toy_model import LabeledSequence, ToyParams
 
 
@@ -31,14 +30,6 @@ class LinearAttentionModel:
     wk: np.ndarray
     wv: np.ndarray
     w_out: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.emb.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.emb.shape[0]
 
     def output_norm(self) -> float:
         """Spectral norm of the output embedding matrix."""
@@ -215,23 +206,35 @@ def generation_bound_terms(
     model: LinearAttentionModel,
     params: ToyParams,
     rho_m: float,
-    joint: JointDistribution | None = None,
+    joint: JointDistribution,
 ) -> GenerationBoundTerms:
-    """Measure the bound's ingredients for one model at one mask ratio."""
+    """Measure the bound's ingredients for one model at one mask ratio.
+
+    `joint` is the mask joint the model trained on. Its rows with u visible
+    tokens are those of the one-ratio joint at `rho_m`, with the same
+    column catalog and support, so `delta` is taken over them alone.
+    """
     u = unmasked_count(params.s, rho_m)
     if u < 2:
         raise DomainError(
             f"bound needs an unmasked count >= 2, got {u} at s={params.s}, "
             f"rho_m={rho_m}"
         )
+    rows = (joint.tokens >= 0).sum(axis=1) == u
+    if joint.kind != UNMASKED or not rows.any():
+        raise DomainError(
+            f"bound at rho_m={rho_m} needs a mask joint with rows of {u} "
+            f"visible tokens, as a model trained at that ratio has"
+        )
     weights = {
         k: misalignment_weight(params.s, rho_m, k) for k in range(2, u + 1)
     }
-    joint = build_masked_joint(params, rho_m) if joint is None else joint
+    own = JointDistribution(kind=joint.kind, tokens=joint.tokens[rows],
+                            cols=joint.cols, mass=joint.mass[rows])
     return GenerationBoundTerms(
         weights=weights,
         eta=max_output_discrepancy(model),
-        delta=delta_term(model, joint),
+        delta=delta_term(model, own),
         output_norm=model.output_norm(),
         s=params.s,
         rho_m=rho_m,
@@ -452,28 +455,24 @@ def _spot_check_gradients(weights, step, rng, rel_tol=1e-4, probes=3):
 
 
 def train_model(
-    spec: ObjectiveSpec,
+    joint: JointDistribution,
     params: ToyParams,
     settings: TrainSettings | None = None,
     rng: np.random.Generator | None = None,
-    joint: JointDistribution | None = None,
 ) -> TrainResult:
-    """Train one model on the exact joint of its objective.
+    """Train one model on `joint`, the exact joint of its objective.
 
     Plain gradient descent with global gradient-norm clipping; the loss is
     the unnormalized quadratic pretraining loss summed over the support.
     Analytic gradients are spot-checked against central differences at
-    initialization on every run. A caller that already holds the
-    objective's joint passes it as `joint`; otherwise it is built here. A
-    joint with a row whose tokens or targets span two classes is a
-    `DomainError`.
+    initialization on every run. A joint with a token id beyond the
+    vocabulary, or with a row whose tokens or targets span two classes, is
+    a `DomainError`.
     """
     settings = TrainSettings() if settings is None else settings
     rng = np.random.default_rng(0) if rng is None else rng
     vocab = params.vocab_size
-    if joint is None:
-        joint = exact_joint(spec, params)
-    elif max(joint.cols) >= vocab or int(joint.tokens.max()) >= vocab:
+    if max(joint.cols) >= vocab or int(joint.tokens.max()) >= vocab:
         raise DomainError(
             f"joint has token ids beyond the vocabulary of {vocab} at "
             f"(r, s, T)=({params.r}, {params.s}, {params.T})"

@@ -15,10 +15,9 @@ import numpy as np
 
 from .cooccurrence import (
     ConditionalText,
-    admissible_ratios,
+    admissible_counts,
     build_dar_joint,
     build_vlm_joint,
-    unmasked_count,
 )
 from .errors import DomainError
 from .toy_model import ENUMERATION_BUDGET, LabeledSequence
@@ -102,8 +101,8 @@ def sample_pair(
         k = int(rng.integers(1, s))
         target_pos = int(rng.integers(k, min(k + spec.width, s)))
         return ConditionalText.prefix(x.tokens[:k]), x.tokens[target_pos]
-    ratios = admissible_ratios(s, spec.rho_lo, spec.rho_hi)
-    u = unmasked_count(s, ratios[int(rng.integers(len(ratios)))])
+    counts = admissible_counts(s, spec.rho_lo, spec.rho_hi)
+    u = counts[int(rng.integers(len(counts)))]
     visible = np.sort(rng.choice(s, size=u, replace=False))
     hidden = np.setdiff1d(np.arange(s), visible)
     target_pos = int(rng.choice(hidden))

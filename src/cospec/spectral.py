@@ -15,8 +15,7 @@ import numpy as np
 from .cooccurrence import (
     JointDistribution,
     NormalizedMatrix,
-    admissible_ratios,
-    unmasked_count,
+    admissible_counts,
 )
 from .errors import DomainError, ResourceError
 from .toy_model import ToyParams
@@ -89,21 +88,19 @@ def predicted_ar_spectrum(params: ToyParams) -> SingularSpectrum:
 
 
 def predicted_masked_spectrum(
-    params: ToyParams, rho_lo: float, rho_hi: float | None = None
+    params: ToyParams, rho_lo: float, rho_hi: float
 ) -> SingularSpectrum:
     """Nonzero masked spectrum over the admissible ratios in [lo, hi].
 
     r ones, then r*(s-1) copies of sqrt(mean of u / ((s - u) * (s - 1))),
-    the mean over the grid's unmasked counts u; one ratio when `rho_hi` is
-    None. The mask law is invariant under position permutations, so each
-    ratio's Gram matrix is aI + bJ per class and a uniform mixture of
-    ratios averages them. This form is exact: numeric SVD of the built
-    matrix matches it, u = s - 1 (one hidden position, middle value 1)
-    included.
+    the mean over the grid's unmasked counts u. The mask law is invariant
+    under position permutations, so each ratio's Gram matrix is aI + bJ per
+    class and a uniform mixture of ratios averages them. This form is
+    exact: numeric SVD of the built matrix matches it, u = s - 1 (one hidden
+    position, middle value 1) included.
     """
     r, s = params.r, params.s
-    ratios = admissible_ratios(s, rho_lo, rho_lo if rho_hi is None else rho_hi)
-    counts = [unmasked_count(s, rho) for rho in ratios]
+    counts = admissible_counts(s, rho_lo, rho_hi)
     middle = math.sqrt(
         sum(u / ((s - u) * (s - 1)) for u in counts) / len(counts)
     )

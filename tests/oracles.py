@@ -371,6 +371,12 @@ def gd_factorize_residual(matrix, t, lr, steps, rng, init_scale=0.1):
     return f, w, objective, iterations, converged, tuple(trajectory)
 
 
+def probe_predict(probe, x):
+    """The class a fitted linear probe gives each row of `x`, by argmax."""
+    scores = np.asarray(x, float) @ probe.coef
+    return [probe.classes[i] for i in np.argmax(scores, axis=1)]
+
+
 def spearman(xs, ys):
     """Rank correlation without ties handling; inputs must be tie-free."""
     xs = np.asarray(xs, dtype=float)

@@ -70,7 +70,8 @@ def test_c01_closed_form_spectra_match_built_joints():
         if spec.width == 1:
             closed = exact_ar_spectrum(params)
         else:
-            closed = predicted_masked_spectrum(params, spec.rho_lo)
+            closed = predicted_masked_spectrum(params, spec.rho_lo,
+                                               spec.rho_hi)
         n = max(len(numeric), len(closed))
         err = float(np.max(np.abs(numeric.padded(n) - closed.padded(n))))
         worst = max(worst, err)
@@ -84,12 +85,13 @@ def test_c02_factorization_identity_residual_bounded():
     dims = (1, 2, 4)
     for label in ("ar", "masked:0.5", "dar:2", "vlm:0.5-0.75"):
         joint = exact_joint(parse_objective(label), params)
+        m = normalize(joint)
         for trial in range(100):
             rng = derive_rng(0, "c02", label, str(trial))
             t = dims[trial % len(dims)]
             f = rng.standard_normal((len(joint.rows), t))
             w = rng.standard_normal((t, len(joint.cols)))
-            assert dec.identity_residual(f, w, joint) < 1e-9
+            assert dec.identity_residual(f, w, joint, m) < 1e-9
     assert time.monotonic() - start < 30.0
 
 
@@ -99,7 +101,7 @@ def test_c03_masked_spectrum_elementwise_below_ar():
             continue
         n = params.r * params.s
         ar = predicted_ar_spectrum(params)
-        masked = predicted_masked_spectrum(params, spec.rho_lo)
+        masked = predicted_masked_spectrum(params, spec.rho_lo, spec.rho_hi)
         ar_vals = ar.padded(n)
         masked_vals = masked.padded(n)
         where = (params, spec.label())
@@ -110,7 +112,7 @@ def test_c03_masked_spectrum_elementwise_below_ar():
         assert tail_energy(masked, params.r) < tail_energy(ar, params.r), where
 
     params = ToyParams(2, 4, 2)
-    masked = predicted_masked_spectrum(params, 0.5)
+    masked = predicted_masked_spectrum(params, 0.5, 0.5)
     ar = predicted_ar_spectrum(params)
     assert tail_energy(masked, 2) == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert tail_energy(masked, 2) == pytest.approx(0.667, abs=5e-4)
@@ -190,9 +192,9 @@ def test_c06_linear_probe_exact_at_class_rank():
     for params, spec in grid_instances():
         if spec.width is not None:
             continue
-        joint = exact_joint(spec, params)
         x, labels, weights = dec.probe_features_for_joint(
-            joint, params.r, lambda tok, p=params: token_label(p, tok)
+            normalize(exact_joint(spec, params)), params.r,
+            lambda tok, p=params: token_label(p, tok),
         )
         probe = dec.linear_probe(x, labels, reg=1e-8, weights=weights)
         assert probe.error == 0.0, (params, spec.label())
@@ -209,9 +211,8 @@ def test_c06_linear_probe_exact_at_class_rank():
         mixed_probe = dec.linear_probe(
             x @ mix, labels, reg=1e-8, weights=weights
         )
-        assert np.array_equal(
-            probe.predict(x), mixed_probe.predict(x @ mix)
-        )
+        assert (oracles.probe_predict(probe, x)
+                == oracles.probe_predict(mixed_probe, x @ mix))
 
 
 T_FIXED = 2
@@ -225,7 +226,8 @@ def _trained(label, r, s, seed_i):
         params = ToyParams(r, s, T_FIXED)
         spec = parse_objective(label)
         rng = derive_rng(seed_i, "acceptance", label, str(r), str(s))
-        model = gen.train_model(spec, params, gen.TrainSettings(), rng).model
+        joint = exact_joint(spec, params)
+        model = gen.train_model(joint, params, gen.TrainSettings(), rng).model
         dataset = list(enumerate_sequences(params))
         _trained_cache[key] = (model, gen.gen_loss(model, dataset, params))
     return _trained_cache[key]
@@ -242,13 +244,16 @@ def test_c07_masked_generation_bound_holds():
     assert len(combos) == 6
     for r, s, rho in combos:
         params = ToyParams(r, s, T_FIXED)
+        joint = exact_joint(parse_objective(f"masked:{rho}"), params)
         for seed_i in range(10):
             model, scored = _trained(f"masked:{rho}", r, s, seed_i)
-            terms = gen.generation_bound_terms(model, params, rho)
+            terms = gen.generation_bound_terms(model, params, rho, joint)
             bound = gen.masked_generation_bound(terms)
             assert scored.total <= bound + 1e-9, (r, s, rho, seed_i)
+    params = ToyParams(1, 8, T_FIXED)
     terms = gen.generation_bound_terms(
-        _trained("masked:0.5", 1, 8, 0)[0], ToyParams(1, 8, T_FIXED), 0.5
+        _trained("masked:0.5", 1, 8, 0)[0], params, 0.5,
+        exact_joint(parse_objective("masked:0.5"), params),
     )
     assert terms.weights[3] == 56.0
 

@@ -104,6 +104,8 @@ def test_unknown_field_is_a_config_error(tmp_path, capsys):
     ({"experiment": "genbound", "train": {"lr": -1}}, "train.lr"),
     ({"experiment": "genbound", "train": {"clip": 0}}, "train.clip"),
     ({"experiment": "probe", "reg": -5}, "reg"),
+    ({"experiment": "spectrum", "rank": 0}, "rank"),
+    ({"experiment": "factorize", "rank": -3}, "rank"),
 ])
 def test_non_numeric_field_is_a_config_error(tmp_path, capsys, fields, name):
     cfg = write_cfg(tmp_path, {"params": {"r": 1, "s": 3, "T": 2}, **fields})

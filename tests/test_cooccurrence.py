@@ -12,6 +12,7 @@ import oracles
 from cospec.cooccurrence import (
     ConditionalText,
     JointDistribution,
+    admissible_counts,
     build_ar_joint,
     build_dar_joint,
     build_joint_from_sampler,
@@ -23,7 +24,7 @@ from cospec.cooccurrence import (
     write_matrix_csv,
 )
 from cospec.errors import DomainError, ResourceError
-from cospec.objectives import admissible_ratios, exact_joint, parse_objective
+from cospec.objectives import exact_joint, parse_objective
 from cospec.toy_model import ToyParams, token_position
 
 
@@ -58,7 +59,7 @@ LABELS = ["ar", "masked:0.5", "dar:2", "dar:3", "vlm:0.25-0.75"]
 def test_total_mass_is_one(label):
     params = ToyParams(2, 4, 2)
     joint = exact_joint(parse_objective(label), params)
-    assert joint.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert joint.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -88,8 +89,8 @@ def oracle_conditionals(label, r, s, big_t):
         keys = oracles.masked_joint_dict(r, s, big_t, spec.rho_lo)
     else:
         keys = {}
-        for rho in admissible_ratios(s, spec.rho_lo, spec.rho_hi):
-            keys.update(oracles.masked_joint_dict(r, s, big_t, rho))
+        for u in admissible_counts(s, spec.rho_lo, spec.rho_hi):
+            keys.update(oracles.masked_joint_dict(r, s, big_t, (s - u) / s))
     return sorted({text for text, _ in keys})
 
 
@@ -183,7 +184,8 @@ def test_masked_target_position_is_never_visible():
     params = ToyParams(2, 4, 2)
     joint = build_masked_joint(params, 0.5)
     for (text, target) in joint.entries:
-        assert token_position(params, target) not in text.positions(params)
+        positions = [token_position(params, t) for t in text.tokens]
+        assert token_position(params, target) not in positions
 
 
 def test_masked_column_marginal_is_uniform():
@@ -230,11 +232,12 @@ def test_variable_ratio_is_uniform_mixture():
     for r, s, big_t, lo, hi in [
         (2, 4, 2, 0.25, 0.75), (1, 5, 2, 0.2, 0.6), (2, 6, 1, 0.5, 0.67)
     ]:
-        ratios = admissible_ratios(s, lo, hi)
+        counts = admissible_counts(s, lo, hi)
         want: dict = {}
-        for rho in ratios:
-            for key, v in oracles.masked_joint_dict(r, s, big_t, rho).items():
-                want[key] = want.get(key, 0.0) + v / len(ratios)
+        for u in counts:
+            law = oracles.masked_joint_dict(r, s, big_t, (s - u) / s)
+            for key, v in law.items():
+                want[key] = want.get(key, 0.0) + v / len(counts)
         got = as_plain_dict(build_vlm_joint(ToyParams(r, s, big_t), lo, hi))
         assert got == want
 
@@ -265,7 +268,7 @@ def test_sampled_joint_single_draw():
         parse_objective("ar"), params, 1, np.random.default_rng(0)
     )
     assert len(joint.entries) == 1
-    assert joint.total_mass == pytest.approx(1.0)
+    assert joint.mass.sum() == pytest.approx(1.0)
 
 
 def test_sampled_joint_is_reproducible():

@@ -1,5 +1,6 @@
 """Loss/factorization identity, SVD optimum, GD factorizer, and the probe."""
 
+import functools
 import json
 
 import numpy as np
@@ -56,7 +57,7 @@ def test_perfectly_aligned_single_entry_scores_minus_one():
     enc = np.array([[1.0]])
     emb = np.array([[1.0]])
     assert spectral_loss(enc, emb, joint) == pytest.approx(-1.0)
-    assert identity_residual(enc, emb, joint) < 1e-12
+    assert identity_residual(enc, emb, joint, normalize(joint)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -69,10 +70,11 @@ def test_perfectly_aligned_single_entry_scores_minus_one():
     ids=["ar", "masked", "masked-small"],
 )
 def test_identity_residual_vanishes_on_corpus_joints(joint):
+    m = normalize(joint)
     for trial in range(25):
         rng = np.random.default_rng(trial)
         enc, emb = random_maps(joint, dim=1 + trial % 4, rng=rng)
-        assert identity_residual(enc, emb, joint) < 1e-9
+        assert identity_residual(enc, emb, joint, m) < 1e-9
 
 
 @given(
@@ -86,7 +88,7 @@ def test_identity_residual_vanishes_on_arbitrary_joints(values, dim, seed):
     keys = [(rows[i], 3 + j) for i in range(3) for j in range(2)]
     joint = JointDistribution.from_entries(dict(zip(keys, values)))
     enc, emb = random_maps(joint, dim, np.random.default_rng(seed))
-    assert identity_residual(enc, emb, joint) < 1e-9
+    assert identity_residual(enc, emb, joint, normalize(joint)) < 1e-9
 
 
 def test_identity_holds_for_zero_and_scaled_maps():
@@ -95,14 +97,7 @@ def test_identity_holds_for_zero_and_scaled_maps():
     enc, emb = random_maps(joint, 3, rng)
     for scale in (0.0, 0.1, 10.0):
         scaled = scale * enc
-        assert identity_residual(scaled, emb, joint) < 1e-9
-
-
-def test_identity_residual_takes_the_normalized_matrix():
-    joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
-    enc, emb = random_maps(joint, 2, np.random.default_rng(4))
-    got = identity_residual(enc, emb, joint, normalize(joint))
-    assert got == identity_residual(enc, emb, joint)
+        assert identity_residual(scaled, emb, joint, normalize(joint)) < 1e-9
 
 
 def test_optimal_objective_is_squared_tail():
@@ -372,7 +367,7 @@ def test_encoder_inverts_row_weighting():
     joint = build_ar_joint(params)
     pair = optimal_features(normalize(joint), 2)
     got, _, _ = probe_features_for_joint(
-        joint, 2, lambda tok: token_label(params, tok)
+        normalize(joint), 2, lambda tok: token_label(params, tok)
     )
     # uniform conditional marginal of 1/2: features are sqrt(2) * factors
     assert_allclose(got, np.sqrt(2.0) * pair.row_factor, atol=1e-12)
@@ -381,7 +376,8 @@ def test_encoder_inverts_row_weighting():
 def test_same_class_features_align():
     params = ToyParams(2, 4, 2)
     x, labels, _ = probe_features_for_joint(
-        build_masked_joint(params, 0.5), 2, lambda tok: token_label(params, tok)
+        normalize(build_masked_joint(params, 0.5)), 2,
+        lambda tok: token_label(params, tok),
     )
     by_class = {c: x[labels == c] for c in (1, 2)}
     same, cross = [], []
@@ -399,7 +395,8 @@ def test_shape_mismatch_is_a_domain_error():
     joint = build_masked_joint(ToyParams(1, 4, 2), 0.5)
     rows, cols = len(joint.rows), len(joint.cols)
     f, w = np.zeros((rows, 2)), np.zeros((2, cols))
-    for fn in (spectral_loss, identity_residual):
+    identity = functools.partial(identity_residual, m=normalize(joint))
+    for fn in (spectral_loss, identity):
         with pytest.raises(DomainError):
             fn(np.zeros((rows + 1, 2)), w, joint)
         with pytest.raises(DomainError):
@@ -430,7 +427,8 @@ def test_probe_separates_two_clusters():
     x = np.array([[1.0, 0.1], [0.9, -0.1], [-1.0, 0.2], [-1.1, 0.0]])
     probe = linear_probe(x, [1, 1, 2, 2], reg=1e-8)
     assert probe.error == 0.0
-    assert list(probe.predict(np.array([[2.0, 0.0], [-2.0, 0.0]]))) == [1, 2]
+    far = np.array([[2.0, 0.0], [-2.0, 0.0]])
+    assert oracles.probe_predict(probe, far) == [1, 2]
 
 
 def test_probe_on_random_labels_is_near_chance():
@@ -457,14 +455,16 @@ def test_probe_weights_act_like_multiplicity():
 def test_probe_argmax_survives_invertible_transform():
     params = ToyParams(2, 4, 2)
     x, labels, weights = probe_features_for_joint(
-        build_masked_joint(params, 0.5), 2, lambda tok: token_label(params, tok)
+        normalize(build_masked_joint(params, 0.5)), 2,
+        lambda tok: token_label(params, tok),
     )
     rng = np.random.default_rng(8)
     m = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
     assert abs(np.linalg.det(m)) > 1e-3
     before = linear_probe(x, labels, reg=1e-8, weights=weights)
     after = linear_probe(x @ m, labels, reg=1e-8, weights=weights)
-    assert list(before.predict(x)) == list(after.predict(x @ m))
+    assert (oracles.probe_predict(before, x)
+            == oracles.probe_predict(after, x @ m))
 
 
 def test_probe_requires_regularization_for_singular_features():
@@ -478,7 +478,7 @@ def test_probe_features_carry_row_weights():
     joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
     params = ToyParams(2, 4, 2)
     x, labels, weights = probe_features_for_joint(
-        joint, 2, lambda tok: token_label(params, tok)
+        normalize(joint), 2, lambda tok: token_label(params, tok)
     )
     assert x.shape == (len(joint.rows), 2)
     total = weights.sum()

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 import oracles
 from cospec import generation
 from cospec.cooccurrence import (
-    ConditionalText, JointDistribution, build_masked_joint,
+    ConditionalText, JointDistribution, admissible_counts, build_ar_joint,
+    build_masked_joint,
 )
 from cospec.errors import DomainError, NumericError
 from cospec.generation import (
@@ -209,16 +210,54 @@ def test_bound_terms_need_two_unmasked_positions():
     params = ToyParams(1, 4, 2)
     model = random_model(params.vocab_size, 2, seed=0)
     with pytest.raises(DomainError):
-        generation_bound_terms(model, params, 0.75)
+        generation_bound_terms(model, params, 0.75,
+                               build_masked_joint(params, 0.75))
 
 
 def test_bound_terms_weight_range():
     params = ToyParams(1, 8, 2)
     model = random_model(params.vocab_size, 4, seed=4)
-    terms = generation_bound_terms(model, params, 0.5)
+    terms = generation_bound_terms(model, params, 0.5,
+                                   build_masked_joint(params, 0.5))
     assert set(terms.weights) == {2, 3, 4}
     assert terms.weights[3] == pytest.approx(56.0)
     assert terms.output_norm == pytest.approx(model.output_norm())
+
+
+@pytest.mark.parametrize("objective, shape", [
+    ("vlm:0.5-0.75", (2, 8, 2)),
+    ("vlm:0.25-0.5", (1, 4, 2)),
+    ("vlm:0.34-0.67", (2, 6, 2)),
+    ("vlm:0.25-0.75", (2, 4, 2)),  # u = 1 is on the grid, and skipped
+    ("masked:0.5", (2, 8, 2)),
+])
+def test_bound_delta_from_the_own_joint_is_the_one_ratio_delta(
+    objective, shape
+):
+    # the rows of a model's own joint with u visible tokens are those of
+    # the one-ratio joint at (s - u) / s, so delta is the same to the bit
+    params = ToyParams(*shape)
+    spec = parse_objective(objective)
+    joint = exact_joint(spec, params)
+    model = random_model(params.vocab_size, 4, seed=params.s)
+    s = params.s
+    counts = [u for u in admissible_counts(s, spec.rho_lo, spec.rho_hi)
+              if u >= 2]
+    assert counts
+    for u in counts:
+        rho = (s - u) / s
+        got = generation_bound_terms(model, params, rho, joint).delta
+        assert got == delta_term(model, build_masked_joint(params, rho))
+
+
+def test_bound_terms_refuse_a_joint_without_rows_at_the_ratio():
+    # masked:0.5 has no row of 3 visible tokens; ar has, but they are
+    # prefixes
+    params = ToyParams(1, 8, 2)
+    model = random_model(params.vocab_size, 4, seed=4)
+    for joint in (build_masked_joint(params, 0.5), build_ar_joint(params)):
+        with pytest.raises(DomainError, match="rows of 3 visible tokens"):
+            generation_bound_terms(model, params, 0.625, joint)
 
 
 def test_training_memorizes_a_deterministic_corpus():
@@ -226,7 +265,7 @@ def test_training_memorizes_a_deterministic_corpus():
     # -sum(A^2 / (4 pc pg)) = -1/2 over the two prefix lengths
     params = ToyParams(1, 3, 1)
     result = train_model(
-        parse_objective("ar"),
+        exact_joint(parse_objective("ar"), params),
         params,
         TrainSettings(steps=800),
         np.random.default_rng(0),
@@ -238,7 +277,7 @@ def test_training_memorizes_a_deterministic_corpus():
 def test_training_loss_decreases():
     params = ToyParams(1, 4, 2)
     result = train_model(
-        parse_objective("masked:0.5"),
+        exact_joint(parse_objective("masked:0.5"), params),
         params,
         TrainSettings(steps=150),
         np.random.default_rng(1),
@@ -250,13 +289,12 @@ def test_training_loss_decreases():
 def test_training_supports_narrow_feature_dimension():
     params = ToyParams(1, 3, 2)
     result = train_model(
-        parse_objective("ar"),
+        exact_joint(parse_objective("ar"), params),
         params,
         TrainSettings(dim=4, steps=60),
         np.random.default_rng(2),
     )
-    assert result.model.dim == 4
-    assert result.model.vocab_size == params.vocab_size
+    assert result.model.emb.shape == (params.vocab_size, 4)
 
 
 def _assert_gradients_match_finite_differences(params):
@@ -317,7 +355,8 @@ def test_training_matches_the_plain_step(objective, shape, dim):
     weights = oracles.init_weights(
         np.random.default_rng(11), vocab, dim or vocab, cfg.init_noise
     )
-    arrays = _design(exact_joint(spec, params), vocab)
+    joint = exact_joint(spec, params)
+    arrays = _design(joint, vocab)
 
     step = _Workspace(arrays, weights, params)
     loss = step(weights)
@@ -326,7 +365,7 @@ def test_training_matches_the_plain_step(objective, shape, dim):
     for got, want in zip(step.grads, want_grads):
         assert_rel_close(got, want)
 
-    result = train_model(spec, params, cfg, np.random.default_rng(11))
+    result = train_model(joint, params, cfg, np.random.default_rng(11))
     losses, final = oracles.train_losses_and_weights(
         arrays, weights, cfg.lr, cfg.clip, cfg.steps
     )
@@ -334,20 +373,6 @@ def test_training_matches_the_plain_step(objective, shape, dim):
     m = result.model
     for got, want in zip((m.emb, m.wq, m.wk, m.wv, m.w_out), final):
         assert_rel_close(got, want)
-
-
-@pytest.mark.parametrize("objective", ["ar", "masked:0.5", "vlm:0.25-0.5"])
-def test_passing_the_joint_changes_no_byte(objective):
-    spec = parse_objective(objective)
-    params = ToyParams(1, 4, 2)
-    cfg = TrainSettings(steps=30)
-    built = train_model(spec, params, cfg, np.random.default_rng(5))
-    passed = train_model(spec, params, cfg, np.random.default_rng(5),
-                         joint=exact_joint(spec, params))
-    assert built.losses == passed.losses
-    for name in ("emb", "wq", "wk", "wv", "w_out"):
-        got, want = getattr(passed.model, name), getattr(built.model, name)
-        assert got.tobytes() == want.tobytes()
 
 
 def test_a_joint_that_crosses_class_blocks_is_refused():
@@ -366,16 +391,13 @@ def test_a_joint_that_crosses_class_blocks_is_refused():
         joint = JointDistribution.from_entries(entries)
         i = [tuple(t[t >= 0]) for t in joint.tokens].index(bad)
         with pytest.raises(DomainError, match=f"joint row {i} .*one class"):
-            train_model(parse_objective("masked:0.5"), params,
-                        TrainSettings(steps=1), joint=joint)
+            train_model(joint, params, TrainSettings(steps=1))
 
 
 def test_a_joint_beyond_the_vocabulary_is_refused():
-    spec = parse_objective("masked:0.5")
-    big = exact_joint(spec, ToyParams(2, 4, 2))
+    big = exact_joint(parse_objective("masked:0.5"), ToyParams(2, 4, 2))
     with pytest.raises(DomainError, match="beyond the vocabulary"):
-        train_model(spec, ToyParams(1, 4, 2), TrainSettings(steps=1),
-                    joint=big)
+        train_model(big, ToyParams(1, 4, 2), TrainSettings(steps=1))
 
 
 def _step_peak(params):
@@ -436,7 +458,7 @@ def test_gradient_check_catches_a_wrong_gradient(monkeypatch, every_call):
     monkeypatch.setattr(_WrongGradient, "every_call", every_call)
     monkeypatch.setattr(generation, "_Workspace", _WrongGradient)
     with pytest.raises(NumericError, match="gradient check failed on weight 1"):
-        train_model(parse_objective("ar"), ToyParams(1, 3, 2),
+        train_model(build_ar_joint(ToyParams(1, 3, 2)), ToyParams(1, 3, 2),
                     TrainSettings(steps=1), np.random.default_rng(0))
 
 
@@ -463,8 +485,8 @@ def test_a_non_finite_gradient_norm_is_a_numeric_error(monkeypatch):
     monkeypatch.setattr(generation, "_Workspace", _InfiniteGradient)
     settings_ = TrainSettings(steps=10)
     with pytest.raises(NumericError, match="step 2 .*gradient norm inf"):
-        train_model(parse_objective("ar"), ToyParams(1, 3, 2), settings_,
-                    np.random.default_rng(0))
+        train_model(build_ar_joint(ToyParams(1, 3, 2)), ToyParams(1, 3, 2),
+                    settings_, np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -472,16 +494,15 @@ def test_training_divergence_is_reported():
     params = ToyParams(1, 3, 1)
     settings_ = TrainSettings(lr=1e6, clip=1e18, steps=200)
     with pytest.raises(NumericError, match="diverged"):
-        train_model(parse_objective("ar"), params, settings_,
+        train_model(build_ar_joint(params), params, settings_,
                     np.random.default_rng(0))
 
 
 def test_trained_masked_model_respects_its_bound():
     params = ToyParams(1, 6, 2)
-    result = train_model(
-        parse_objective("masked:0.5"), params, None, np.random.default_rng(3)
-    )
+    joint = exact_joint(parse_objective("masked:0.5"), params)
+    result = train_model(joint, params, None, np.random.default_rng(3))
     dataset = list(enumerate_sequences(params))
     report = gen_loss(result.model, dataset, params)
-    terms = generation_bound_terms(result.model, params, 0.5)
+    terms = generation_bound_terms(result.model, params, 0.5, joint)
     assert report.total <= masked_generation_bound(terms)

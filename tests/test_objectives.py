@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cospec.cooccurrence import (
+    admissible_counts,
     build_ar_joint,
     build_dar_joint,
     build_masked_joint,
@@ -12,7 +13,6 @@ from cospec.cooccurrence import (
 from cospec.errors import DomainError
 from cospec.objectives import (
     ObjectiveSpec,
-    admissible_ratios,
     exact_joint,
     parse_objective,
     sample_pair,
@@ -64,14 +64,15 @@ def test_spec_field_validation():
 
 
 def test_admissible_ratio_grids():
-    assert admissible_ratios(8, 0.25, 0.5) == [0.25, 0.375, 0.5]
-    assert admissible_ratios(4, 0.15, 0.3) == [0.25]
+    # the unmasked counts of ratios 0.25, 0.375 and 0.5, in that order
+    assert admissible_counts(8, 0.25, 0.5) == [6, 5, 4]
+    assert admissible_counts(4, 0.15, 0.3) == [3]
     with pytest.raises(DomainError, match="admissible"):
-        admissible_ratios(3, 0.4, 0.45)
+        admissible_counts(3, 0.4, 0.45)
     # endpoints included despite float division
-    assert admissible_ratios(6, 1 / 6, 1 / 6) == [1 / 6]
+    assert admissible_counts(6, 1 / 6, 1 / 6) == [5]
     with pytest.raises(DomainError):
-        admissible_ratios(8, 0.5, 0.25)
+        admissible_counts(8, 0.5, 0.25)
 
 
 def test_next_token_pair_at_minimal_length():
@@ -95,7 +96,7 @@ def test_sampled_pairs_never_leak_the_target(label):
     for _ in range(400):
         x = sample_sequence(params, int(rng.integers(1, 3)), rng)
         text, target = sample_pair(spec, x, rng)
-        positions = text.positions(params)
+        positions = [token_position(params, t) for t in text.tokens]
         assert token_position(params, target) not in positions
         if spec.width is not None:
             assert text.tokens == x.tokens[: len(text.tokens)]
@@ -224,14 +225,14 @@ def _near_grid(draw):
 @settings(max_examples=300, deadline=None)
 def test_one_ratio_range_accepts_exactly_the_fixed_ratios(case):
     s, rho = case
-    fixed = _grid_or_error(lambda: [(s - unmasked_count(s, rho)) / s])
-    ranged = _grid_or_error(lambda: admissible_ratios(s, rho, rho))
+    fixed = _grid_or_error(lambda: [unmasked_count(s, rho)])
+    ranged = _grid_or_error(lambda: admissible_counts(s, rho, rho))
     assert fixed == ranged, (s, rho)
 
 
 def test_ten_digit_third_is_admissible_in_both_spellings():
     assert unmasked_count(3, 0.3333333333) == 2
-    assert admissible_ratios(3, 0.3333333333, 0.3333333333) == [1 / 3]
+    assert admissible_counts(3, 0.3333333333, 0.3333333333) == [2]
     x = sample_sequence(ToyParams(1, 3, 2), 1, np.random.default_rng(0))
     for text in ("masked:0.3333333333", "vlm:0.3333333333-0.3333333333"):
         text_, _ = sample_pair(parse_objective(text), x,

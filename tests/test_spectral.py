@@ -59,7 +59,7 @@ def test_predicted_next_token_form_overcounts_by_r():
 def test_masked_spectrum_closed_form_is_exact():
     params = ToyParams(2, 4, 2)
     numeric = singular_spectrum(normalize(build_masked_joint(params, 0.5)))
-    closed = predicted_masked_spectrum(params, 0.5)
+    closed = predicted_masked_spectrum(params, 0.5, 0.5)
     n = max(len(numeric), len(closed))
     assert np.max(np.abs(numeric.padded(n) - closed.padded(n))) < 1e-10
     # r unit values, then r(s-1) copies of sqrt(u / ((s-u)(s-1)))
@@ -68,16 +68,17 @@ def test_masked_spectrum_closed_form_is_exact():
 
 
 def test_masked_middle_value_formula():
-    middle = predicted_masked_spectrum(ToyParams(1, 8, 2), 0.75).values[1]
+    params = ToyParams(1, 8, 2)
+    middle = predicted_masked_spectrum(params, 0.75, 0.75).values[1]
     assert middle == pytest.approx(np.sqrt(2.0 / (6.0 * 7.0)))
-    middle = predicted_masked_spectrum(ToyParams(1, 8, 2), 0.5).values[1]
+    middle = predicted_masked_spectrum(params, 0.5, 0.5).values[1]
     assert middle == pytest.approx(np.sqrt(4.0 / (4.0 * 7.0)))
 
 
 def test_masked_middle_value_shrinks_with_mask_ratio():
     params = ToyParams(1, 8, 2)
     values = [
-        predicted_masked_spectrum(params, rho).values[1]
+        predicted_masked_spectrum(params, rho, rho).values[1]
         for rho in (0.25, 0.5, 0.75)
     ]
     assert values[0] > values[1] > values[2]
@@ -97,8 +98,9 @@ def test_masked_spectrum_closed_form_holds_on_every_ratio_range():
             worst = max(worst, float(err))
     assert worst < 1e-12
     # u = s - 1: the middle values are ones
-    assert_allclose(predicted_masked_spectrum(ToyParams(2, 4, 2), 0.25).values,
-                    np.ones(8))
+    assert_allclose(
+        predicted_masked_spectrum(ToyParams(2, 4, 2), 0.25, 0.25).values,
+        np.ones(8))
 
 
 def test_block_matrix_hand_value():
@@ -137,7 +139,7 @@ def test_tail_energy_values():
 def test_tail_energy_closed_forms_at_r():
     # predicted forms at r=2, s=4, T=2, rho=0.5 and t=r
     params = ToyParams(2, 4, 2)
-    masked_tail = tail_energy(predicted_masked_spectrum(params, 0.5), 2)
+    masked_tail = tail_energy(predicted_masked_spectrum(params, 0.5, 0.5), 2)
     ar_tail = tail_energy(predicted_ar_spectrum(params), 2)
     assert masked_tail == pytest.approx(2.0 / 3.0)
     assert ar_tail == pytest.approx(6.0)
@@ -212,9 +214,11 @@ def test_connectivity_masked_above_next_token():
     params = ToyParams(2, 4, 2)
     labeler = lambda tok: token_label(params, tok)
     t = params.r + 1
-    x_ar, _, _ = probe_features_for_joint(build_ar_joint(params), t, labeler)
+    x_ar, _, _ = probe_features_for_joint(
+        normalize(build_ar_joint(params)), t, labeler
+    )
     x_m, _, _ = probe_features_for_joint(
-        build_masked_joint(params, 0.5), t, labeler
+        normalize(build_masked_joint(params, 0.5)), t, labeler
     )
     conn_ar = connectivity_estimate(x_ar)
     conn_m = connectivity_estimate(x_m)
