@@ -54,14 +54,12 @@ from .objectives import (
     ObjectiveSpec,
     exact_joint,
     parse_objective,
-    sample_pair,
+    sample_pairs,
 )
 from .spectral import (
     SingularSpectrum,
-    block_matrix_spectrum,
     connectivity_estimate,
     exact_ar_spectrum,
-    labeling_error,
     predicted_ar_spectrum,
     predicted_masked_spectrum,
     singular_spectrum,

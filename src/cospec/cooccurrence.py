@@ -101,27 +101,6 @@ class JointDistribution:
         object.__setattr__(self, "_row_marginal", pc)
         object.__setattr__(self, "_col_marginal", pg)
 
-    @classmethod
-    def from_entries(cls, entries: dict) -> "JointDistribution":
-        entries = {k: float(v) for k, v in entries.items() if v != 0.0}
-        if not entries:
-            raise DomainError("joint distribution has empty support")
-        kinds = {text.kind for text, _ in entries}
-        if len(kinds) != 1:
-            raise DomainError(f"joint mixes conditional kinds {sorted(kinds)}")
-        texts = sorted({text.tokens for text, _ in entries})
-        if any(not t or min(t) < 0 for t in texts):
-            raise DomainError("conditional texts need token ids, all >= 0")
-        cols = tuple(sorted({tok for _, tok in entries}))
-        ri = {text: i for i, text in enumerate(texts)}
-        ci = {tok: j for j, tok in enumerate(cols)}
-        mass = np.zeros((len(texts), len(cols)))
-        mass[[ri[t.tokens] for t, _ in entries],
-             [ci[c] for _, c in entries]] = list(entries.values())
-        width = max(map(len, texts))
-        tokens = np.array([t + (-1,) * (width - len(t)) for t in texts])
-        return cls(kind=kinds.pop(), tokens=tokens, cols=cols, mass=mass)
-
     @functools.cached_property
     def rows(self) -> tuple[ConditionalText, ...]:
         """`tokens` as `ConditionalText` objects, built on first use."""
@@ -366,21 +345,33 @@ def build_joint_from_sampler(
     n: int,
     rng: np.random.Generator,
 ) -> JointDistribution:
-    """Empirical joint from n Monte Carlo draws of an objective's sampler."""
-    from .objectives import sample_pair
-    from .toy_model import sample_sequence
+    """Empirical joint from n Monte Carlo draws of an objective's sampler.
+
+    Draws n classes and their slot fills, takes one pair from each sequence
+    with one `sample_pairs` call and counts the distinct pairs. The -1 pad
+    sorts first, so the rows come out in catalog order.
+    """
+    from .objectives import sample_pairs
 
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    counts: dict[tuple[ConditionalText, int], int] = {}
-    for _ in range(n):
-        label = int(rng.integers(1, params.r + 1))
-        x = sample_sequence(params, label, rng)
-        key = sample_pair(spec, x, rng)
-        counts[key] = counts.get(key, 0) + 1
-    return JointDistribution.from_entries(
-        {k: c / n for k, c in counts.items()}
+    r, s, big_t = params.r, params.s, params.T
+    labels = rng.integers(r, size=(n, 1))
+    slots = rng.integers(big_t, size=(n, s))
+    texts, targets = sample_pairs(
+        spec, (np.arange(s) * r + labels) * big_t + slots, rng
     )
+    # as wide as the longest text drawn
+    texts = texts[:, :int((texts >= 0).sum(axis=1).max())]
+    tokens, row = np.unique(texts, axis=0, return_inverse=True)
+    cols, col = np.unique(targets, return_inverse=True)
+    shape = (len(tokens), len(cols))
+    counts = np.bincount(row.ravel() * shape[1] + col,
+                         minlength=shape[0] * shape[1])
+    kind = PREFIX if spec.width is not None else UNMASKED
+    return JointDistribution(kind=kind, tokens=tokens,
+                             cols=tuple(cols.tolist()),
+                             mass=counts.reshape(shape) / n)
 
 
 def write_joint_csv(joint: JointDistribution, path) -> None:

@@ -112,14 +112,6 @@ def optimal_features(m: NormalizedMatrix, t: int) -> FactorPair:
     )
 
 
-def factor_gradients(pair: FactorPair, m: NormalizedMatrix):
-    """Analytic gradients of the factorization objective in both factors."""
-    residual = m.matrix - pair.row_factor @ pair.col_factor.T
-    grad_row = -2.0 * residual @ pair.col_factor
-    grad_col = -2.0 * residual.T @ pair.row_factor
-    return grad_row, grad_col
-
-
 @dataclass(frozen=True)
 class GDResult:
     """Outcome of a gradient-descent factorization run."""

@@ -131,6 +131,7 @@ def load_config(source) -> ExperimentConfig:
     objectives = raw.get("objectives", ["ar"])
     if not isinstance(objectives, list) or not objectives:
         raise ConfigError("must be a nonempty list", field="objectives")
+    specs = []
     for i, text in enumerate(objectives):
         if not isinstance(text, str):
             raise ConfigError(
@@ -142,6 +143,13 @@ def load_config(source) -> ExperimentConfig:
                 admissible_counts(params.s, spec.rho_lo, spec.rho_hi)
         except DomainError as exc:
             raise ConfigError(str(exc), field=f"objectives[{i}]") from exc
+        if spec in specs:
+            raise ConfigError(
+                f"expected distinct objectives, got {text!r}, which repeats "
+                f"objectives[{specs.index(spec)}] ({spec.label()})",
+                field=f"objectives[{i}]",
+            )
+        specs.append(spec)
 
     rho_m = raw.get("rho_m")
     if rho_m is not None:

@@ -66,7 +66,8 @@ def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
     `tokens` is an (n, L) int matrix, one text per row padded with -1 after
     its last token (`JointDistribution.tokens`); the result is (n, d). Per
     text, the sum of (a Wq . b Wk) * (c Wv) over its embedding triples
-    collapses to the same polynomial in the embedding sum. The products go
+    collapses to the same polynomial in the embedding sum, which adds one
+    column of embeddings at a time into one (n, d) buffer. The products go
     through (n, 1, d) stacks, so that matmul makes one vector-matrix
     product per row, bit-equal to scoring each text alone; a plain (n, d)
     GEMM sums in another order and moves the features in their last bits.
@@ -79,8 +80,11 @@ def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
             "pooled attention needs an (n, L) token matrix whose rows hold "
             "at least one token and pad only after the last one"
         )
-    total = np.cumsum(model.emb[tokens], axis=1)
-    total = total[np.arange(len(tokens)), real.sum(axis=1) - 1, None]
+    total = model.emb[tokens[:, 0]]
+    for j in range(1, tokens.shape[1]):
+        np.add(total, model.emb[tokens[:, j]], out=total,
+               where=real[:, j, None])
+    total = total[:, None]
     q, k, v = total @ model.wq, total @ model.wk, total @ model.wv
     return (q @ k.transpose(0, 2, 1) * v)[:, 0]
 

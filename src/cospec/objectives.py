@@ -1,4 +1,4 @@
-"""Pretraining objective specs and their (conditional, target) samplers.
+"""Pretraining objective specs and their (conditional, target) sampler.
 
 Two families: a prefix with a lookahead window of `width` positions
 (`dar:N`; `ar` is width 1), and masking at a ratio drawn uniformly from the
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cooccurrence import (
-    ConditionalText,
     admissible_counts,
     build_dar_joint,
     build_vlm_joint,
 )
 from .errors import DomainError
-from .toy_model import ENUMERATION_BUDGET, LabeledSequence
+from .toy_model import ENUMERATION_BUDGET
 
 
 @dataclass(frozen=True)
@@ -83,31 +82,44 @@ def parse_objective(text: str) -> ObjectiveSpec:
     raise DomainError(f"unknown objective kind {kind!r} in {text!r}")
 
 
-def sample_pair(
-    spec: ObjectiveSpec, x: LabeledSequence, rng: np.random.Generator
-) -> tuple[ConditionalText, int]:
-    """Draw one (conditional text, target token) pair from a sequence.
+def sample_pairs(
+    spec: ObjectiveSpec, tokens, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one (conditional text, target token) pair from each sequence.
 
-    The law matches the exact joint builders: a prefix length uniform over
-    1..s-1 and the target uniform over its window, or a ratio uniform over
-    the grid, a uniform size-u visible set and the target uniform over the
-    rest. A one-value draw consumes no generator state, so `dar:1` samples
-    exactly as `ar`, and `vlm:R-R` as `masked:R`.
+    `tokens` is an (n, s) matrix of sequences. The texts come back as an
+    (n, L) matrix padded with -1 after each text's last token, the format
+    of `JointDistribution.tokens`, and the targets as n ids. The law
+    matches the exact joint builders: a prefix length uniform over 1..s-1
+    and the target uniform over its window, or an unmasked count uniform
+    over the grid, a uniform visible set of that size and the target
+    uniform over the rest. A visible set keeps position order, which is
+    token order because ids are position-major.
     """
-    s = len(x.tokens)
-    if s < 2:
-        raise DomainError(f"sequence length must be >= 2, got {s}")
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or tokens.shape[1] < 2:
+        raise DomainError(f"need an (n, s) sequence matrix with s >= 2, "
+                          f"got shape {tokens.shape}")
+    n, s = tokens.shape
+    rows = np.arange(n)
     if spec.width is not None:
-        k = int(rng.integers(1, s))
-        target_pos = int(rng.integers(k, min(k + spec.width, s)))
-        return ConditionalText.prefix(x.tokens[:k]), x.tokens[target_pos]
-    counts = admissible_counts(s, spec.rho_lo, spec.rho_hi)
-    u = counts[int(rng.integers(len(counts)))]
-    visible = np.sort(rng.choice(s, size=u, replace=False))
-    hidden = np.setdiff1d(np.arange(s), visible)
-    target_pos = int(rng.choice(hidden))
-    text = ConditionalText.unmasked(x.tokens[p] for p in visible)
-    return text, x.tokens[target_pos]
+        k = rng.integers(1, s, size=n)
+        target = rng.integers(k, np.minimum(k + spec.width, s))
+        pos = np.arange(s - 1)
+        pos = np.where(pos < k[:, None], pos, s)
+    else:
+        counts = np.array(admissible_counts(s, spec.rho_lo, spec.rho_hi))
+        u = counts[rng.integers(len(counts), size=n)]
+        # The first u positions of a uniform order are a uniform visible
+        # set, and the next one is uniform over the hidden rest.
+        order = np.argsort(rng.random((n, s)), axis=1)
+        target = order[rows, u]
+        width = counts.max()
+        pos = np.where(np.arange(width) < u[:, None], order[:, :width], s)
+        pos.sort(axis=1)
+    # Position s reads the pad column.
+    padded = np.column_stack([tokens, np.full(n, -1, dtype=tokens.dtype)])
+    return np.take_along_axis(padded, pos, axis=1), tokens[rows, target]
 
 
 def exact_joint(spec: ObjectiveSpec, params, budget: int = ENUMERATION_BUDGET):

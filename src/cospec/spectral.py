@@ -1,8 +1,8 @@
 """Singular spectra of normalized co-occurrence matrices.
 
-Numeric SVD plus the closed-form spectra the toy constructions admit, and
-the two unscaled components of the downstream classification bound: tail
-singular energy and labeling error.
+Numeric SVD plus the closed-form spectra the toy constructions admit, the
+tail singular energy of the downstream classification bound, and a
+connectivity estimate of learned features.
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import (
-    JointDistribution,
-    NormalizedMatrix,
-    admissible_counts,
-)
+from .cooccurrence import NormalizedMatrix, admissible_counts
 from .errors import DomainError, ResourceError
 from .toy_model import ToyParams
 
@@ -107,56 +103,11 @@ def predicted_masked_spectrum(
     return _spectrum(np.concatenate([np.ones(r), np.full(r * (s - 1), middle)]))
 
 
-def block_matrix_spectrum(
-    p_a: float, p_b: float, s_a: int, s_b: int
-) -> SingularSpectrum:
-    """Spectrum of the (s_a*s_b) square matrix of constant blocks.
-
-    Diagonal blocks are all-p_a, off-diagonal all-p_b, each block s_a
-    square: sigma_1 = |s_a*p_a + (s_b-1)*s_a*p_b|, then s_b - 1 copies of
-    s_a*|p_a - p_b|, then zeros. The matrix is symmetric, so singular
-    values are eigenvalue magnitudes; the leading one can be the smaller.
-    """
-    if s_a < 1 or s_b < 1:
-        raise DomainError(f"block sizes must be >= 1, got {s_a}, {s_b}")
-    values = np.zeros(s_a * s_b)
-    values[0] = abs(s_a * p_a + (s_b - 1) * s_a * p_b)
-    values[1:s_b] = s_a * abs(p_a - p_b)
-    return _spectrum(values)
-
-
 def tail_energy(spectrum: SingularSpectrum, t: int) -> float:
     """Fourth-power mass beyond the first t singular values."""
     if t < 0:
         raise DomainError(f"feature dimension must be >= 0, got {t}")
     return float(np.sum(spectrum.values[t:] ** 4))
-
-
-def labeling_error(joint: JointDistribution, labeler) -> float:
-    """Mass of entries whose conditional and target disagree on class.
-
-    `labeler` maps a token id to its class; it is called once per distinct
-    token. Every token of a conditional text must agree on the class,
-    otherwise the row has no well-defined label and the joint is malformed
-    for this measure.
-    """
-    tokens = joint.tokens
-    # A pad takes its row's first token, which adds no label to the row.
-    ids, back = np.unique(np.where(tokens >= 0, tokens, tokens[:, :1]),
-                          return_inverse=True)
-    labels = np.array([labeler(t) for t in ids.tolist()])
-    labels = labels[back.reshape(tokens.shape)]
-    mixed = np.any(labels != labels[:, :1], axis=1)
-    if mixed.any():
-        i = int(np.argmax(mixed))
-        key = "-".join(str(t) for t in tokens[i].tolist() if t >= 0)
-        raise DomainError(f"conditional text {key} mixes classes "
-                          f"{sorted(set(labels[i].tolist()))}")
-    col_labels = np.array([labeler(c) for c in joint.cols])
-    i, j = np.nonzero(joint.dense())
-    values = joint.dense()[i, j]
-    mismatch = labels[i, 0] != col_labels[j]
-    return float(values[mismatch].sum()) / float(values.sum())
 
 
 def connectivity_estimate(features) -> float:

@@ -487,3 +487,122 @@ def lookahead_position_law(s: int, t: int) -> dict[tuple[int, int], float]:
         for p in range(k + 1, k + window + 1):
             out[(k, p)] = 1.0 / ((s - 1) * window)
     return out
+
+
+# The library's former single-pair sampler, dict joint builder and the
+# helpers nothing in `src/` uses: the reference law of `sample_pairs`, the
+# builder of hand-made joints, and checks kept with their tests.
+
+
+def sample_pair(spec, x, rng):
+    """Draw one (conditional text, target token) pair from a sequence.
+
+    The law matches the exact joint builders: a prefix length uniform over
+    1..s-1 and the target uniform over its window, or a count uniform over
+    the grid, a uniform size-u visible set and the target uniform over the
+    rest. Two spellings of one objective parse to equal specs, so they draw
+    the same stream.
+    """
+    from cospec.cooccurrence import ConditionalText, admissible_counts
+    from cospec.errors import DomainError
+
+    s = len(x.tokens)
+    if s < 2:
+        raise DomainError(f"sequence length must be >= 2, got {s}")
+    if spec.width is not None:
+        k = int(rng.integers(1, s))
+        target_pos = int(rng.integers(k, min(k + spec.width, s)))
+        return ConditionalText.prefix(x.tokens[:k]), x.tokens[target_pos]
+    counts = admissible_counts(s, spec.rho_lo, spec.rho_hi)
+    u = counts[int(rng.integers(len(counts)))]
+    visible = np.sort(rng.choice(s, size=u, replace=False))
+    hidden = np.setdiff1d(np.arange(s), visible)
+    target_pos = int(rng.choice(hidden))
+    text = ConditionalText.unmasked(x.tokens[p] for p in visible)
+    return text, x.tokens[target_pos]
+
+
+def from_entries(entries):
+    """A `JointDistribution` from a {(ConditionalText, token): mass} dict.
+
+    Zero masses are dropped; keys of two kinds, or texts that are empty or
+    hold a negative id, are a `DomainError`. The constructor checks the rest.
+    """
+    from cospec.cooccurrence import JointDistribution
+    from cospec.errors import DomainError
+
+    entries = {k: float(v) for k, v in entries.items() if v != 0.0}
+    if not entries:
+        raise DomainError("joint distribution has empty support")
+    kinds = {text.kind for text, _ in entries}
+    if len(kinds) != 1:
+        raise DomainError(f"joint mixes conditional kinds {sorted(kinds)}")
+    texts = sorted({text.tokens for text, _ in entries})
+    if any(not t or min(t) < 0 for t in texts):
+        raise DomainError("conditional texts need token ids, all >= 0")
+    cols = tuple(sorted({tok for _, tok in entries}))
+    ri = {text: i for i, text in enumerate(texts)}
+    ci = {tok: j for j, tok in enumerate(cols)}
+    mass = np.zeros((len(texts), len(cols)))
+    mass[[ri[t.tokens] for t, _ in entries],
+         [ci[c] for _, c in entries]] = list(entries.values())
+    width = max(map(len, texts))
+    tokens = np.array([t + (-1,) * (width - len(t)) for t in texts])
+    return JointDistribution(kind=kinds.pop(), tokens=tokens, cols=cols,
+                             mass=mass)
+
+
+def block_matrix_spectrum(p_a, p_b, s_a, s_b):
+    """Spectrum of the (s_a*s_b) square matrix of constant blocks.
+
+    Diagonal blocks are all-p_a, off-diagonal all-p_b, each block s_a
+    square: sigma_1 = |s_a*p_a + (s_b-1)*s_a*p_b|, then s_b - 1 copies of
+    s_a*|p_a - p_b|, then zeros. The matrix is symmetric, so singular
+    values are eigenvalue magnitudes; the leading one can be the smaller.
+    """
+    from cospec.errors import DomainError
+    from cospec.spectral import _spectrum
+
+    if s_a < 1 or s_b < 1:
+        raise DomainError(f"block sizes must be >= 1, got {s_a}, {s_b}")
+    values = np.zeros(s_a * s_b)
+    values[0] = abs(s_a * p_a + (s_b - 1) * s_a * p_b)
+    values[1:s_b] = s_a * abs(p_a - p_b)
+    return _spectrum(values)
+
+
+def labeling_error(joint, labeler):
+    """Mass of entries whose conditional and target disagree on class.
+
+    `labeler` maps a token id to its class; it is called once per distinct
+    token. Every token of a conditional text must agree on the class,
+    otherwise the row has no well-defined label and the joint is malformed
+    for this measure.
+    """
+    from cospec.errors import DomainError
+
+    tokens = joint.tokens
+    # A pad takes its row's first token, which adds no label to the row.
+    ids, back = np.unique(np.where(tokens >= 0, tokens, tokens[:, :1]),
+                          return_inverse=True)
+    labels = np.array([labeler(t) for t in ids.tolist()])
+    labels = labels[back.reshape(tokens.shape)]
+    mixed = np.any(labels != labels[:, :1], axis=1)
+    if mixed.any():
+        i = int(np.argmax(mixed))
+        key = "-".join(str(t) for t in tokens[i].tolist() if t >= 0)
+        raise DomainError(f"conditional text {key} mixes classes "
+                          f"{sorted(set(labels[i].tolist()))}")
+    col_labels = np.array([labeler(c) for c in joint.cols])
+    i, j = np.nonzero(joint.dense())
+    values = joint.dense()[i, j]
+    mismatch = labels[i, 0] != col_labels[j]
+    return float(values[mismatch].sum()) / float(values.sum())
+
+
+def factor_gradients(pair, m):
+    """Analytic gradients of the factorization objective in both factors."""
+    residual = m.matrix - pair.row_factor @ pair.col_factor.T
+    grad_row = -2.0 * residual @ pair.col_factor
+    grad_col = -2.0 * residual.T @ pair.row_factor
+    return grad_row, grad_col

@@ -27,7 +27,7 @@ from cospec.experiments import (
     max_query_drift,
     run_experiment,
 )
-from cospec.objectives import exact_joint, parse_objective, sample_pair
+from cospec.objectives import exact_joint, parse_objective, sample_pairs
 from cospec.spectral import (
     exact_ar_spectrum,
     predicted_ar_spectrum,
@@ -40,7 +40,6 @@ from cospec.toy_model import (
     enumerate_sequences,
     sample_sequence,
     token_label,
-    token_position,
 )
 
 GRID = [
@@ -162,7 +161,7 @@ def test_c05_gd_factorization_reaches_svd_optimum():
         col_factor=rng.standard_normal((m.shape[1], 2)),
         rank=2,
     )
-    grad_row, grad_col = dec.factor_gradients(pair, m)
+    grad_row, grad_col = oracles.factor_gradients(pair, m)
 
     def obj_rows(flat):
         p = dec.FactorPair(
@@ -314,12 +313,14 @@ def test_c11_grouped_prediction_law_matches_sampler():
         params = ToyParams(1, s, 2)
         x = next(iter(enumerate_sequences(params)))
         rng = derive_rng(0, "c11", str(s))
-        counts = {}
-        for _ in range(draws):
-            text, target = sample_pair(spec, x, rng)
-            pair = (len(text.tokens), token_position(params, target))
-            counts[pair] = counts.get(pair, 0) + 1
-        empirical = {pair: n / draws for pair, n in counts.items()}
+        texts, targets = sample_pairs(spec, np.tile(x.tokens, (draws, 1)), rng)
+        # count (prefix length, target position); ids are position-major
+        lengths = (texts >= 0).sum(axis=1)
+        where = targets // (params.r * params.T) + 1
+        counts = np.bincount(lengths * (s + 1) + where,
+                             minlength=s * (s + 1)).reshape(s, s + 1)
+        empirical = {pair: n / draws
+                     for pair, n in np.ndenumerate(counts) if n}
         law = ts.prediction_weights(s, 2)
         assert oracles.tv_distance(empirical, law) < 0.01, s
 

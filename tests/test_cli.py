@@ -84,7 +84,8 @@ def test_unknown_field_is_a_config_error(tmp_path, capsys):
 
 
 # Every mistyped field, a number where a string belongs too, every count
-# below 1, bools and fractions where an int belongs, and out-of-range floats.
+# below 1, bools and fractions where an int belongs, out-of-range floats,
+# and a repeated objective.
 @pytest.mark.parametrize("fields, name", [
     ({"experiment": "identity", "trials": "abc"}, "trials"),
     ({"experiment": "sweep", "seeds": "two"}, "seeds"),
@@ -106,6 +107,18 @@ def test_unknown_field_is_a_config_error(tmp_path, capsys):
     ({"experiment": "probe", "reg": -5}, "reg"),
     ({"experiment": "spectrum", "rank": 0}, "rank"),
     ({"experiment": "factorize", "rank": -3}, "rank"),
+    # an objective that parses to the spec of an earlier one, in either
+    # spelling, for both runners that pair models by objective
+    ({"experiment": "genbound", "objectives": ["ar", "dar:1"]},
+     "objectives[1]"),
+    ({"experiment": "sweep", "objectives": ["ar", "dar:1"]}, "objectives[1]"),
+    ({"experiment": "genbound", "params": {"r": 1, "s": 4, "T": 2},
+      "objectives": ["masked:0.5", "vlm:0.5-0.5"]}, "objectives[1]"),
+    ({"experiment": "sweep", "params": {"r": 1, "s": 4, "T": 2},
+      "objectives": ["vlm:0.5-0.5", "ar", "masked:0.5"]}, "objectives[2]"),
+    ({"experiment": "genbound", "params": {"r": 1, "s": 4, "T": 2},
+      "objectives": ["masked:0.5", "masked:0.5", "vlm:0.5-0.5", "ar",
+                     "dar:1"]}, "objectives[1]"),
 ])
 def test_non_numeric_field_is_a_config_error(tmp_path, capsys, fields, name):
     cfg = write_cfg(tmp_path, {"params": {"r": 1, "s": 3, "T": 2}, **fields})

@@ -116,7 +116,7 @@ def test_token_matrix_is_the_padded_sorted_catalog(label, r, s, big_t):
 @pytest.mark.parametrize("label", LABELS)
 def test_from_entries_round_trips(label):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
-    again = JointDistribution.from_entries(joint.entries)
+    again = oracles.from_entries(joint.entries)
     assert again.kind == joint.kind
     assert again.cols == joint.cols and again.rows == joint.rows
     assert np.array_equal(again.tokens, joint.tokens)
@@ -126,7 +126,7 @@ def test_from_entries_round_trips(label):
 
 def test_from_entries_rejects_mixed_kinds():
     with pytest.raises(DomainError, match="kinds"):
-        JointDistribution.from_entries({
+        oracles.from_entries({
             (ConditionalText.prefix([0]), 2): 0.5,
             (ConditionalText.unmasked([1]), 2): 0.5,
         })
@@ -293,7 +293,7 @@ def test_sampled_joint_approaches_exact():
 
 
 def test_normalize_single_entry():
-    joint = JointDistribution.from_entries(
+    joint = oracles.from_entries(
         {(ConditionalText.prefix([0]), 2): 1.0}
     )
     m = normalize(joint)
@@ -313,10 +313,10 @@ def test_normalize_is_scale_invariant(values, scale):
     rows = [ConditionalText.prefix([0]), ConditionalText.prefix([1])]
     keys = [(rows[0], 2), (rows[0], 3), (rows[1], 2), (rows[1], 3)]
     base = normalize(
-        JointDistribution.from_entries(dict(zip(keys, values)))
+        oracles.from_entries(dict(zip(keys, values)))
     )
     scaled = normalize(
-        JointDistribution.from_entries(
+        oracles.from_entries(
             {k: scale * v for k, v in zip(keys, values)}
         )
     )
@@ -334,11 +334,11 @@ def test_normalize_weights_are_marginals():
 def test_joint_rejects_bad_entries():
     text = ConditionalText.prefix([0])
     with pytest.raises(DomainError):
-        JointDistribution.from_entries({})
+        oracles.from_entries({})
     with pytest.raises(DomainError):
-        JointDistribution.from_entries({(text, 1): -0.5})
+        oracles.from_entries({(text, 1): -0.5})
     # explicit zeros are dropped, not kept as structural entries
-    joint = JointDistribution.from_entries({(text, 1): 1.0, (text, 2): 0.0})
+    joint = oracles.from_entries({(text, 1): 1.0, (text, 2): 0.0})
     assert (text, 2) not in joint.entries
     assert joint.cols == (1,)
 
@@ -348,7 +348,7 @@ def test_joint_rejects_bad_entries():
 ])
 def test_from_entries_refuses_non_finite_or_negative_mass(bad, message):
     with pytest.raises(DomainError, match=message):
-        JointDistribution.from_entries({
+        oracles.from_entries({
             (ConditionalText.prefix([0]), 2): bad,
             (ConditionalText.prefix([1]), 3): 0.5,
         })

