@@ -19,7 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .output import write_csv
+from .output import spell, write_csv
 from .toy_model import ENUMERATION_BUDGET, ToyParams, token_id
 
 PREFIX = "prefix"
@@ -134,7 +134,7 @@ class JointDistribution:
 class NormalizedMatrix:
     """Joint divided elementwise by the root product of its marginals.
 
-    `tokens` and `cols` are the joint's catalogs.
+    `tokens` and `cols` are the joint's catalogs; `matrix` is read-only.
     """
 
     tokens: np.ndarray
@@ -146,6 +146,11 @@ class NormalizedMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
+
+    @functools.cached_property
+    def energy(self) -> float:
+        """sum(matrix**2), the squared Frobenius norm, computed once."""
+        return float(np.sum(self.matrix**2))
 
 
 def normalize(joint: JointDistribution) -> NormalizedMatrix:
@@ -160,10 +165,12 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
     pc, pg = joint.row_marginal(), joint.col_marginal()
     total = pc.sum()
     scale = np.outer(pc, pg)
+    matrix = np.divide(joint.mass, np.sqrt(scale, out=scale), out=scale)
+    matrix.flags.writeable = False  # `energy` is computed from it once
     return NormalizedMatrix(
         tokens=joint.tokens,
         cols=joint.cols,
-        matrix=np.divide(joint.mass, np.sqrt(scale, out=scale), out=scale),
+        matrix=matrix,
         row_weights=pc / total,
         col_weights=pg / total,
     )
@@ -178,10 +185,12 @@ def _enumerate(
     positions and puts `value` on every slot token of each of its target
     positions. Distinct patterns give distinct rows, so no two entries add.
     The row count of the whole joint is checked against `budget` while the
-    patterns are read, before anything is built.
+    patterns are read, before anything is built. Patterns with as many
+    visible and as many target positions form one group, whose rows, target
+    cells and masses each come from one broadcast.
     """
     r, big_t = params.r, params.T
-    kept, n_rows = [], 0
+    groups, n_rows = {}, 0
     for visible, targets, value in patterns:
         n_rows += r * big_t ** len(visible)
         if n_rows > budget:
@@ -189,31 +198,37 @@ def _enumerate(
                 f"{kind} joint needs more than {budget} rows, the enumeration "
                 "budget; use build_joint_from_sampler instead"
             )
-        kept.append((np.subtract(visible, 1), np.subtract(targets, 1), value))
+        groups.setdefault((len(visible), len(targets)), []).append(
+            (visible, targets, value))
     # Slot j of a (position, class) cell is the cell's slot-1 id plus j - 1.
     base = np.array([
         [token_id(params, p, y, 1) for p in range(1, params.s + 1)]
         for y in range(1, r + 1)
     ])
-    width = max(len(visible) for visible, _, _ in kept)
+    width = max(k for k, _ in groups)
     tokens = np.full((n_rows, width), -1, dtype=base.dtype)
     blocks, n = [], 0
-    for visible, targets, v in kept:
-        k = len(visible)
+    for (k, _), group in groups.items():
+        visible, targets, values = zip(*group)
         fills = np.indices((big_t,) * k).reshape(k, -1).T
-        tokens[n:n + r * len(fills), :k] = (
-            base[:, None, visible] + fills).reshape(-1, k)
-        # Row n + y * len(fills) + f targets every slot of class y's targets.
-        cells = (base[:, targets, None] + np.arange(big_t)).reshape(r, -1)
-        blocks.append((n, len(fills), cells, v))
-        n += r * len(fills)
+        # Row (y, p, f) of a block fills class y's cells at pattern p's
+        # visible positions with fill f ...
+        texts = base[:, np.subtract(visible, 1)][:, :, None] + fills
+        size = texts.size // k
+        tokens[n:n + size, :k] = texts.reshape(size, k)
+        # ... and targets every slot of class y's cells at p's targets.
+        cells = (base[:, np.subtract(targets, 1), None]
+                 + np.arange(big_t)).reshape(r, len(group), 1, -1)
+        blocks.append((n, texts.shape[:3], cells, values))
+        n += size
     order = np.lexsort(tokens.T[::-1])  # the last key is the primary one
     rank = np.argsort(order)  # the catalog row of each row built above
     cols = np.unique(np.concatenate([c.ravel() for _, _, c, _ in blocks]))
     mass = np.zeros((n_rows, len(cols)))
-    for start, n_fills, cells, v in blocks:
-        rows = rank[start:start + r * n_fills].reshape(r, n_fills, 1)
-        mass[rows, np.searchsorted(cols, cells)[:, None, :]] = v
+    for start, shape, cells, values in blocks:
+        rows = rank[start:start + math.prod(shape)].reshape(*shape, 1)
+        mass[rows, np.searchsorted(cols, cells)] = np.reshape(
+            values, (1, -1, 1, 1))
     return JointDistribution(kind=kind, tokens=tokens[order],
                              cols=tuple(cols.tolist()), mass=mass)
 
@@ -348,8 +363,8 @@ def build_joint_from_sampler(
     """Empirical joint from n Monte Carlo draws of an objective's sampler.
 
     Draws n classes and their slot fills, takes one pair from each sequence
-    with one `sample_pairs` call and counts the distinct pairs. The -1 pad
-    sorts first, so the rows come out in catalog order.
+    with one `sample_pairs` call and counts the distinct pairs. The rows
+    come out in catalog order.
     """
     from .objectives import sample_pairs
 
@@ -363,32 +378,107 @@ def build_joint_from_sampler(
     )
     # as wide as the longest text drawn
     texts = texts[:, :int((texts >= 0).sum(axis=1).max())]
-    tokens, row = np.unique(texts, axis=0, return_inverse=True)
+    tokens, row = _distinct_rows(texts, params.vocab_size + 1)
     cols, col = np.unique(targets, return_inverse=True)
     shape = (len(tokens), len(cols))
-    counts = np.bincount(row.ravel() * shape[1] + col,
-                         minlength=shape[0] * shape[1])
+    counts = np.bincount(row * shape[1] + col, minlength=shape[0] * shape[1])
     kind = PREFIX if spec.width is not None else UNMASKED
     return JointDistribution(kind=kind, tokens=tokens,
                              cols=tuple(cols.tolist()),
                              mass=counts.reshape(shape) / n)
 
 
-def write_joint_csv(joint: JointDistribution, path) -> None:
-    """Dump a joint as `row_key,col_token,value` triplets, catalog order."""
-    _write_triplets(path, joint.tokens, joint.cols, joint.mass)
+def _distinct_rows(texts: np.ndarray, radix: int):
+    """The distinct rows of `texts` in row order, and each row's index there.
+
+    Ids lie in -1..radix-2. Each row is packed into int64 words of as many
+    base-`radix` digits id + 1 as fit, first id most significant, so the
+    -1 pad is digit 0 and the words order the rows as the rows order
+    themselves. One `np.lexsort` over the words then groups equal rows.
+    """
+    digits = 1
+    while radix ** (digits + 1) <= 2**63:
+        digits += 1
+    words = []
+    for start in range(0, texts.shape[1], digits):
+        word = np.zeros(len(texts), np.int64)
+        for k in range(start, min(start + digits, texts.shape[1])):
+            word = word * radix + (texts[:, k] + 1)
+        words.append(word)
+    order = np.lexsort(words[::-1])  # the last key is the primary one
+    keys = np.stack(words)[:, order]
+    first = np.ones(len(texts), bool)  # the first row of each distinct row
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    index = np.empty(len(texts), np.intp)
+    index[order] = np.cumsum(first) - 1
+    return texts[order[first]], index
 
 
-def write_matrix_csv(m: NormalizedMatrix, path) -> None:
-    """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped."""
-    _write_triplets(path, m.tokens, m.cols, m.matrix)
+@dataclass(frozen=True, eq=False)
+class TripletSupport:
+    """The nonzero cells of `matrix` over the catalogs `tokens` x `cols`.
+
+    The cells, in row-major order (which is COO order), and their spelled
+    `row_key` and `col_token` columns are each found once, on first use. A
+    joint and its normalized matrix have the same nonzero cells, since
+    `normalize` divides by positive marginals (only a product of two
+    marginals outside the float range could break that), so one support
+    made from the joint serves both of its triplet files.
+    """
+
+    tokens: np.ndarray
+    cols: tuple[int, ...]
+    matrix: np.ndarray
+
+    @classmethod
+    def of(cls, joint: JointDistribution) -> "TripletSupport":
+        return cls(joint.tokens, joint.cols, joint.mass)
+
+    @functools.cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.matrix)
+
+    @functools.cached_property
+    def columns(self) -> list:
+        i, j = self.cells
+        return [(spell(_row_keys(self.tokens), _WIDTH), i),
+                (spell(np.asarray(self.cols), _WIDTH), j)]
 
 
-def _write_triplets(path, tokens, cols, matrix) -> None:
-    """The nonzero cells of `matrix` in row-major order, which is COO order."""
-    i, j = np.nonzero(matrix)
-    write_csv(path, ["row_key", "col_token", "value"],
-              [(_row_keys(tokens), i), (np.asarray(cols), j), matrix[i, j]])
+_HEADER = ["row_key", "col_token", "value"]
+_WIDTH = len(_HEADER)
+
+
+def write_joint_csv(
+    joint: JointDistribution, path, support: TripletSupport | None = None
+) -> None:
+    """Dump a joint as `row_key,col_token,value` triplets, catalog order.
+
+    `support` is the joint's own, when a caller shares it with
+    :func:`write_matrix_csv`.
+    """
+    if support is None:
+        support = TripletSupport.of(joint)
+    _write_triplets(path, support, joint.mass)
+
+
+def write_matrix_csv(
+    m: NormalizedMatrix, path, support: TripletSupport | None = None
+) -> None:
+    """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped.
+
+    `support` is that of the joint `m` normalizes, when a caller shares it
+    with :func:`write_joint_csv`.
+    """
+    if support is None:
+        support = TripletSupport(m.tokens, m.cols, m.matrix)
+    _write_triplets(path, support, m.matrix)
+
+
+def _write_triplets(path, support: TripletSupport, matrix) -> None:
+    """`matrix` at the cells of `support`, one triplet per cell."""
+    i, j = support.cells
+    write_csv(path, _HEADER, [*support.columns, matrix[i, j]])
 
 
 def _row_keys(tokens) -> np.ndarray:

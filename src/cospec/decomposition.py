@@ -85,8 +85,7 @@ def identity_residual(
     row_factor = np.sqrt(joint.row_marginal())[:, None] * f
     col_factor_t = np.sqrt(joint.col_marginal())[None, :] * w
     objective = float(np.sum((abar - row_factor @ col_factor_t) ** 2))
-    const = float(np.sum(abar**2))
-    return abs(loss - (objective - const))
+    return abs(loss - (objective - m.energy))
 
 
 def optimal_features(m: NormalizedMatrix, t: int) -> FactorPair:
@@ -164,8 +163,7 @@ def gd_factorize(
     threshold = target * 1.001 if target > 1e-9 else 1e-6
     f0 = init_scale * rng.standard_normal((m.matrix.shape[0], t))
     w = init_scale * rng.standard_normal((m.matrix.shape[1], t))
-    matrix = m.matrix
-    norm2 = float(np.sum(matrix**2))
+    matrix, norm2 = m.matrix, m.energy
     mtf0 = matrix.T @ f0
     k = np.block([[f0.T @ f0, mtf0.T], [mtf0, matrix.T @ matrix]])
     s = np.vstack([np.eye(t), np.zeros((w.shape[0], t))])

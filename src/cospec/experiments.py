@@ -22,6 +22,7 @@ from . import decomposition as dec
 from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
+    TripletSupport,
     admissible_counts,
     normalize,
     unmasked_count,
@@ -279,8 +280,12 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
             m, t_conn, lambda tok: token_label(cfg.params, tok)
         )
         connectivity[label] = connectivity_estimate(x)
-        write_joint_csv(joint, os.path.join(out_dir, f"joint_{_safe(label)}.csv"))
-        write_matrix_csv(m, os.path.join(out_dir, f"normalized_{_safe(label)}.csv"))
+        name = _safe(label)
+        support = TripletSupport.of(joint)  # the cells of both files
+        write_joint_csv(joint, os.path.join(out_dir, f"joint_{name}.csv"),
+                        support)
+        write_matrix_csv(m, os.path.join(out_dir, f"normalized_{name}.csv"),
+                         support)
         spectra[label] = numeric.values
         results[label] = {
             "rows": m.shape[0],

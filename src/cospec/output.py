@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,8 @@ def write_csv(path, header, columns) -> None:
 
     A column is an array, a list, or a pair `(values, index)` that stands
     for `values[index]`, so a caller with few distinct cells spells only
-    those. Every float cell is `repr` of a Python float, so files round-trip
+    those; `values` may be :func:`spell`'s, to spell them once for several
+    files. Every float cell is `repr` of a Python float, so files round-trip
     exactly. Quoting and `\r\n` endings are those of `csv.writer`'s default
     dialect, which the tests hold this writer to.
 
@@ -52,6 +55,22 @@ def write_csv(path, header, columns) -> None:
             fh.write(out.tobytes().translate(None, _PAD).decode())
 
 
+@dataclass(frozen=True, eq=False)
+class Spelled:
+    """A column's distinct cells, spelled once for rows of `width` fields."""
+
+    table: np.ndarray
+    cells_of: Callable
+    width: int
+
+
+def spell(column, width: int) -> Spelled:
+    """`column` spelled for rows of `width` fields, to be the `values` of
+    `(values, index)` columns in any number of `write_csv` calls."""
+    table, cells_of, _ = _spell(column, width)
+    return Spelled(table, cells_of, width)
+
+
 def _spell(column, width: int):
     """`column` as (table, cells_of, size) in rows of `width` fields.
 
@@ -68,8 +87,13 @@ def _spell(column, width: int):
     if isinstance(column, tuple):
         values, index = column
         index = np.asarray(index, dtype=np.intp)
-        table, cells_of, _ = _spell(values, width)
-        return table, lambda at: cells_of(index[at]), len(index)
+        if not isinstance(values, Spelled):
+            values = spell(values, width)
+        if values.width != width:
+            raise ValueError(f"cells spelled for rows of {values.width} "
+                             f"fields, not {width}")
+        return (values.table, lambda at: values.cells_of(index[at]),
+                len(index))
     if isinstance(column, np.ndarray) and column.dtype != object:
         if column.dtype.kind == "U":
             rows = np.arange(len(column))

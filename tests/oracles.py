@@ -606,3 +606,76 @@ def factor_gradients(pair, m):
     grad_row = -2.0 * residual @ pair.col_factor
     grad_col = -2.0 * residual.T @ pair.row_factor
     return grad_row, grad_col
+
+
+def enumerate_per_pattern(params, kind, patterns, budget):
+    """The library's former `cooccurrence._enumerate`: one pattern at a time.
+
+    Every class conditions on every slot fill of each pattern's visible
+    positions and puts `value` on every slot token of each of its target
+    positions; the row count is checked against `budget` while the
+    patterns are read. Each pattern's rows and target cells are built on
+    their own, with one `np.indices` call per pattern.
+    """
+    from cospec.cooccurrence import JointDistribution
+    from cospec.errors import ResourceError
+    from cospec.toy_model import token_id
+
+    r, big_t = params.r, params.T
+    kept, n_rows = [], 0
+    for visible, targets, value in patterns:
+        n_rows += r * big_t ** len(visible)
+        if n_rows > budget:
+            raise ResourceError(
+                f"{kind} joint needs more than {budget} rows, the enumeration "
+                "budget; use build_joint_from_sampler instead"
+            )
+        kept.append((np.subtract(visible, 1), np.subtract(targets, 1), value))
+    base = np.array([
+        [token_id(params, p, y, 1) for p in range(1, params.s + 1)]
+        for y in range(1, r + 1)
+    ])
+    width = max(len(visible) for visible, _, _ in kept)
+    tokens = np.full((n_rows, width), -1, dtype=base.dtype)
+    blocks, n = [], 0
+    for visible, targets, v in kept:
+        k = len(visible)
+        fills = np.indices((big_t,) * k).reshape(k, -1).T
+        tokens[n:n + r * len(fills), :k] = (
+            base[:, None, visible] + fills).reshape(-1, k)
+        cells = (base[:, targets, None] + np.arange(big_t)).reshape(r, -1)
+        blocks.append((n, len(fills), cells, v))
+        n += r * len(fills)
+    order = np.lexsort(tokens.T[::-1])
+    rank = np.argsort(order)
+    cols = np.unique(np.concatenate([c.ravel() for _, _, c, _ in blocks]))
+    mass = np.zeros((n_rows, len(cols)))
+    for start, n_fills, cells, v in blocks:
+        rows = rank[start:start + r * n_fills].reshape(r, n_fills, 1)
+        mass[rows, np.searchsorted(cols, cells)[:, None, :]] = v
+    return JointDistribution(kind=kind, tokens=tokens[order],
+                             cols=tuple(cols.tolist()), mass=mass)
+
+
+def joint_from_sampler_by_unique(spec, params, n, rng):
+    """The library's former `build_joint_from_sampler`: the same draws,
+    counted with `np.unique(axis=0)`, which sorts the texts as void rows."""
+    from cospec.cooccurrence import PREFIX, UNMASKED, JointDistribution
+    from cospec.objectives import sample_pairs
+
+    r, s, big_t = params.r, params.s, params.T
+    labels = rng.integers(r, size=(n, 1))
+    slots = rng.integers(big_t, size=(n, s))
+    texts, targets = sample_pairs(
+        spec, (np.arange(s) * r + labels) * big_t + slots, rng
+    )
+    texts = texts[:, :int((texts >= 0).sum(axis=1).max())]
+    tokens, row = np.unique(texts, axis=0, return_inverse=True)
+    cols, col = np.unique(targets, return_inverse=True)
+    shape = (len(tokens), len(cols))
+    counts = np.bincount(row.ravel() * shape[1] + col,
+                         minlength=shape[0] * shape[1])
+    kind = PREFIX if spec.width is not None else UNMASKED
+    return JointDistribution(kind=kind, tokens=tokens,
+                             cols=tuple(cols.tolist()),
+                             mass=counts.reshape(shape) / n)

@@ -1,6 +1,7 @@
 """Exact joint builders against independent dict-based reference builders."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from cospec import cooccurrence
 from cospec.cooccurrence import (
     ConditionalText,
     JointDistribution,
+    TripletSupport,
     admissible_counts,
     build_ar_joint,
     build_dar_joint,
@@ -428,3 +431,98 @@ def test_masked_row_count_formula():
         u = unmasked_count(s, rho)
         joint = build_masked_joint(params, rho)
         assert len(joint.rows) == r * math.comb(s, u) * big_t**u
+
+
+def assert_same_joint(got, want):
+    """Equal kind and catalogs, and tokens and mass equal bit for bit."""
+    assert (got.kind, got.cols) == (want.kind, want.cols)
+    for a, b in ((got.tokens, want.tokens), (got.mass, want.mass)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def grid_labels(s):
+    masks = [f"masked:{m / s}" for m in range(1, s)]  # u = s - 1 .. 1
+    return ["ar", "dar:2", f"dar:{s}", *masks, "vlm:0.25-0.75", "vlm:0.5-0.9"]
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_grouped_builder_matches_the_per_pattern_oracle(s, monkeypatch):
+    for r, big_t in itertools.product((1, 2, 3), (1, 2, 3)):
+        params = ToyParams(r, s, big_t)
+        for label in grid_labels(s):
+            spec = parse_objective(label)
+            got = exact_joint(spec, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(cooccurrence, "_enumerate",
+                              oracles.enumerate_per_pattern)
+                want = exact_joint(spec, params)
+            assert_same_joint(got, want)
+
+
+def test_grouped_builder_refuses_at_the_oracles_row_count():
+    # Mask patterns of three sizes, read in an order that is not the
+    # grouped builder's; every budget at or just below a running row total.
+    params = ToyParams(2, 5, 2)
+    patterns = [
+        (visible, [p for p in range(1, 6) if p not in visible], 0.5)
+        for u in (3, 1, 4)
+        for visible in itertools.combinations(range(1, 6), u)
+    ]
+    totals = np.cumsum([2 * 2 ** len(v) for v, _, _ in patterns])
+    for budget in sorted({*totals.tolist(), *(totals - 1).tolist()}):
+        outcomes = []
+        for build in (oracles.enumerate_per_pattern, cooccurrence._enumerate):
+            read = []
+
+            def stream():
+                for pattern in patterns:
+                    read.append(pattern)
+                    yield pattern
+
+            try:
+                joint = build(params, "unmasked", stream(), budget)
+                outcomes.append((len(read), joint.tokens.tobytes(),
+                                 joint.mass.tobytes()))
+            except ResourceError as exc:
+                outcomes.append((len(read), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        # refused by the first pattern that takes the total past the budget
+        first_over = int(np.searchsorted(totals, budget, side="right"))
+        assert outcomes[0][0] == min(first_over + 1, len(patterns))
+        assert (len(outcomes[0]) == 2) == (budget < totals[-1])
+
+
+@pytest.mark.parametrize("label, shape", [
+    *(pytest.param(label, (2, 4, 2), id=label)
+      for label in ("ar", "dar:2", "masked:0.5", "vlm:0.25-0.75")),
+    # texts of 11 ids in base 109, past one int64 word: 109**11 > 2**63
+    pytest.param("ar", (3, 12, 3), id="ar-3-12-3"),
+])
+def test_sampler_counting_matches_the_np_unique_oracle(label, shape):
+    spec, params = parse_objective(label), ToyParams(*shape)
+    got = build_joint_from_sampler(spec, params, 20_000,
+                                   np.random.default_rng(8))
+    want = oracles.joint_from_sampler_by_unique(spec, params, 20_000,
+                                                np.random.default_rng(8))
+    assert_same_joint(got, want)
+    assert got.mass.max() > 1 / 20_000  # some texts were drawn twice
+
+
+def test_normalized_energy_is_its_squared_norm():
+    m = normalize(build_vlm_joint(ToyParams(2, 4, 2), 0.25, 0.75))
+    assert m.energy == float(np.sum(m.matrix**2))
+    with pytest.raises(ValueError, match="read-only"):
+        m.matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_a_shared_support_writes_both_files_unchanged(label, tmp_path):
+    joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
+    m = normalize(joint)
+    support = TripletSupport.of(joint)
+    for write, table in ((write_joint_csv, joint), (write_matrix_csv, m)):
+        write(table, tmp_path / "shared.csv", support)
+        write(table, tmp_path / "own.csv")
+        got = (tmp_path / "shared.csv").read_bytes()
+        assert got == (tmp_path / "own.csv").read_bytes()

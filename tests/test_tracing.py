@@ -1,0 +1,53 @@
+"""The benchmark's tracer still finds and times what it names in `cospec`.
+
+`bench/tracing.py` wraps package functions by module and name, so a
+rename or a moved call in `cospec` would silently drop a layer from every
+traced benchmark run. These tests hold the names and the counts of one
+small traced `spectrum` run.
+"""
+
+import importlib
+import json
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+
+import tracing  # noqa: E402
+from cospec import cli  # noqa: E402
+
+
+@pytest.mark.parametrize("module, attr", [
+    pytest.param(module, attr, id=f"{module}.{attr}")
+    for module, attr, _ in tracing.SPANS
+])
+def test_every_traced_name_resolves(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_a_traced_spectrum_run_counts_its_builds_and_writes(tmp_path):
+    objectives = ["ar", "masked:0.5", "dar:2", "vlm:0.25-0.75"]
+    config = tmp_path / "spectrum.json"
+    config.write_text(json.dumps({
+        "experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
+        "objectives": objectives, "seed": 3,
+    }))
+    out = tmp_path / "out"
+    with tracing.Tracer() as tracer:
+        status = cli.main(["run", "--config", str(config), "--out", str(out)])
+    assert status == 0
+    metrics = tracing.layer_metrics(tracer, 1, 1.0, 1.0)
+    triplets = [path for path in out.iterdir()
+                if path.name.startswith(("joint_", "normalized_"))]
+    assert len(triplets) == 2 * len(objectives)
+    assert metrics["cooccurrence.write_s"]["value"] > 0
+    assert metrics["cooccurrence.build_s"]["value"] > 0
+    assert metrics["cooccurrence.write_mb"]["value"] == sum(
+        path.stat().st_size for path in triplets) / 2**20
+    assert metrics["cooccurrence.builds"]["value"] == len(objectives)
