@@ -3,8 +3,10 @@
 Builds the exact joint distribution each objective induces, checks the
 closed-form singular spectra and the loss/factorization identity, trains
 small linear-attention models, and evaluates the generation-loss bound and
-its two-stream grouped variant. Everything is exact or seeded; nothing
-depends on wall clock or hardware.
+its two-stream grouped variant. Everything is exact or seeded, so reruns
+in one environment are byte-identical. The BLAS kernel and thread count
+can move results: mostly in the last bits, but more where a statistic
+reads singular vectors inside a tied singular value.
 """
 
 from .cooccurrence import (
@@ -14,7 +16,6 @@ from .cooccurrence import (
     admissible_counts,
     build_ar_joint,
     build_dar_joint,
-    build_joint_from_sampler,
     build_masked_joint,
     build_vlm_joint,
     normalize,
@@ -52,6 +53,7 @@ from .generation import (
 )
 from .objectives import (
     ObjectiveSpec,
+    build_joint_from_sampler,
     exact_joint,
     parse_objective,
     sample_pairs,

@@ -158,11 +158,19 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
 
     Every row and every column of a joint carries mass, so nothing is
     dropped and nothing divides by zero: the result has the joint's shape
-    and catalogs. It is invariant to any global rescaling of the joint,
-    since both marginals rescale by the same factor. The outer product,
-    its root and the quotient share one joint-sized buffer.
+    and catalogs. It is invariant to any global rescaling of the joint that
+    keeps every product of a row and a column marginal a normal float;
+    a joint whose products leave that range is a `DomainError`. The outer
+    product, its root and the quotient share one joint-sized buffer.
     """
     pc, pg = joint.row_marginal(), joint.col_marginal()
+    # Python floats, which underflow and overflow without a warning
+    low = float(pc.min()) * float(pg.min())
+    high = float(pc.max()) * float(pg.max())
+    if not (low >= np.finfo(float).tiny and math.isfinite(high)):
+        raise DomainError(f"cannot normalize a joint whose products of "
+                          f"marginals run from {low:.3g} to {high:.3g}, "
+                          "outside the normal float range; rescale its mass")
     total = pc.sum()
     scale = np.outer(pc, pg)
     matrix = np.divide(joint.mass, np.sqrt(scale, out=scale), out=scale)
@@ -200,25 +208,22 @@ def _enumerate(
             )
         groups.setdefault((len(visible), len(targets)), []).append(
             (visible, targets, value))
-    # Slot j of a (position, class) cell is the cell's slot-1 id plus j - 1.
-    base = np.array([
-        [token_id(params, p, y, 1) for p in range(1, params.s + 1)]
-        for y in range(1, r + 1)
-    ])
+    # the id of class y's slot j at position p is ids[y, p, j], 0-based
+    ids = token_id(params, np.arange(1, params.s + 1)[:, None],
+                   np.arange(1, r + 1)[:, None, None], np.arange(1, big_t + 1))
     width = max(k for k, _ in groups)
-    tokens = np.full((n_rows, width), -1, dtype=base.dtype)
+    tokens = np.full((n_rows, width), -1, dtype=ids.dtype)
     blocks, n = [], 0
     for (k, _), group in groups.items():
         visible, targets, values = zip(*group)
         fills = np.indices((big_t,) * k).reshape(k, -1).T
         # Row (y, p, f) of a block fills class y's cells at pattern p's
         # visible positions with fill f ...
-        texts = base[:, np.subtract(visible, 1)][:, :, None] + fills
+        texts = ids[:, np.subtract(visible, 1)[:, None], fills]
         size = texts.size // k
         tokens[n:n + size, :k] = texts.reshape(size, k)
         # ... and targets every slot of class y's cells at p's targets.
-        cells = (base[:, np.subtract(targets, 1), None]
-                 + np.arange(big_t)).reshape(r, len(group), 1, -1)
+        cells = ids[:, np.subtract(targets, 1)].reshape(r, len(group), 1, -1)
         blocks.append((n, texts.shape[:3], cells, values))
         n += size
     order = np.lexsort(tokens.T[::-1])  # the last key is the primary one
@@ -354,66 +359,6 @@ def _mask_mixture(params: ToyParams, counts, budget: int) -> JointDistribution:
     return _enumerate(params, UNMASKED, masks(), budget)
 
 
-def build_joint_from_sampler(
-    spec,
-    params: ToyParams,
-    n: int,
-    rng: np.random.Generator,
-) -> JointDistribution:
-    """Empirical joint from n Monte Carlo draws of an objective's sampler.
-
-    Draws n classes and their slot fills, takes one pair from each sequence
-    with one `sample_pairs` call and counts the distinct pairs. The rows
-    come out in catalog order.
-    """
-    from .objectives import sample_pairs
-
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    r, s, big_t = params.r, params.s, params.T
-    labels = rng.integers(r, size=(n, 1))
-    slots = rng.integers(big_t, size=(n, s))
-    texts, targets = sample_pairs(
-        spec, (np.arange(s) * r + labels) * big_t + slots, rng
-    )
-    # as wide as the longest text drawn
-    texts = texts[:, :int((texts >= 0).sum(axis=1).max())]
-    tokens, row = _distinct_rows(texts, params.vocab_size + 1)
-    cols, col = np.unique(targets, return_inverse=True)
-    shape = (len(tokens), len(cols))
-    counts = np.bincount(row * shape[1] + col, minlength=shape[0] * shape[1])
-    kind = PREFIX if spec.width is not None else UNMASKED
-    return JointDistribution(kind=kind, tokens=tokens,
-                             cols=tuple(cols.tolist()),
-                             mass=counts.reshape(shape) / n)
-
-
-def _distinct_rows(texts: np.ndarray, radix: int):
-    """The distinct rows of `texts` in row order, and each row's index there.
-
-    Ids lie in -1..radix-2. Each row is packed into int64 words of as many
-    base-`radix` digits id + 1 as fit, first id most significant, so the
-    -1 pad is digit 0 and the words order the rows as the rows order
-    themselves. One `np.lexsort` over the words then groups equal rows.
-    """
-    digits = 1
-    while radix ** (digits + 1) <= 2**63:
-        digits += 1
-    words = []
-    for start in range(0, texts.shape[1], digits):
-        word = np.zeros(len(texts), np.int64)
-        for k in range(start, min(start + digits, texts.shape[1])):
-            word = word * radix + (texts[:, k] + 1)
-        words.append(word)
-    order = np.lexsort(words[::-1])  # the last key is the primary one
-    keys = np.stack(words)[:, order]
-    first = np.ones(len(texts), bool)  # the first row of each distinct row
-    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    index = np.empty(len(texts), np.intp)
-    index[order] = np.cumsum(first) - 1
-    return texts[order[first]], index
-
-
 @dataclass(frozen=True, eq=False)
 class TripletSupport:
     """The nonzero cells of `matrix` over the catalogs `tokens` x `cols`.
@@ -421,9 +366,8 @@ class TripletSupport:
     The cells, in row-major order (which is COO order), and their spelled
     `row_key` and `col_token` columns are each found once, on first use. A
     joint and its normalized matrix have the same nonzero cells, since
-    `normalize` divides by positive marginals (only a product of two
-    marginals outside the float range could break that), so one support
-    made from the joint serves both of its triplet files.
+    `normalize` divides by roots of normal products of marginals, so one
+    support made from the joint serves both of its triplet files.
     """
 
     tokens: np.ndarray
@@ -441,7 +385,7 @@ class TripletSupport:
     @functools.cached_property
     def columns(self) -> list:
         i, j = self.cells
-        return [(spell(_row_keys(self.tokens), _WIDTH), i),
+        return [(spell(self.tokens, _WIDTH), i),
                 (spell(np.asarray(self.cols), _WIDTH), j)]
 
 
@@ -480,17 +424,3 @@ def _write_triplets(path, support: TripletSupport, matrix) -> None:
     i, j = support.cells
     write_csv(path, _HEADER, [*support.columns, matrix[i, j]])
 
-
-def _row_keys(tokens) -> np.ndarray:
-    """Each text's token ids joined by `-`, as a `U` array built in numpy.
-
-    Each id is spelled once. A text is padded with -1 only after its last
-    token, and the pad, indexing the last spelling, spells nothing.
-    """
-    names = np.array([str(t) for t in range(tokens.max(initial=0) + 1)] + [""])
-    dashed = np.char.add("-", names)
-    dashed[-1] = ""
-    keys = names[tokens[:, 0]]
-    for k in range(1, tokens.shape[1]):
-        keys = np.char.add(keys, dashed[tokens[:, k]])
-    return keys

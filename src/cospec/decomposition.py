@@ -21,6 +21,7 @@ import numpy as np
 from .cooccurrence import JointDistribution, NormalizedMatrix
 from .errors import DomainError, NumericError
 from .output import write_csv, write_json
+from .toy_model import ToyParams, token_label
 
 
 @dataclass(frozen=True)
@@ -286,15 +287,13 @@ def load_factor_pair(directory, name: str = "factors") -> FactorPair:
     return pair
 
 
-def probe_features_for_joint(m: NormalizedMatrix, t: int, labeler):
+def probe_features_for_joint(m: NormalizedMatrix, t: int, params: ToyParams):
     """Rank-t optimal features of `m`, with class labels and row weights.
 
     Factorizes, inverts the row scaling, f(X) = row_factor[X] / sqrt(P_C(X)),
-    and labels each conditional text by `labeler` of its first token, called
-    once per distinct token. Returns (x, labels, weights), arrays aligned
-    with the normalized matrix's rows and ready for :func:`linear_probe`.
+    and labels each conditional text by the class of its first token. Returns
+    (x, labels, weights), arrays aligned with the normalized matrix's rows
+    and ready for :func:`linear_probe`.
     """
     x = optimal_features(m, t).row_factor / np.sqrt(m.row_weights)[:, None]
-    first, back = np.unique(m.tokens[:, 0], return_inverse=True)
-    labels = np.array([labeler(tok) for tok in first.tolist()])[back]
-    return x, labels, m.row_weights
+    return x, token_label(params, m.tokens[:, 0]), m.row_weights

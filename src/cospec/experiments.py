@@ -44,7 +44,6 @@ from .toy_model import (
     ToyParams,
     enumerate_sequences,
     sample_sequence,
-    token_label,
 )
 
 _TOP_KEYS = {
@@ -276,9 +275,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
         t_tail = cfg.rank if cfg.rank is not None else cfg.params.r
         t_conn = cfg.rank if cfg.rank is not None else cfg.params.r + 1
         t_conn = min(t_conn, min(m.shape))
-        x, _, _ = dec.probe_features_for_joint(
-            m, t_conn, lambda tok: token_label(cfg.params, tok)
-        )
+        x, _, _ = dec.probe_features_for_joint(m, t_conn, cfg.params)
         connectivity[label] = connectivity_estimate(x)
         name = _safe(label)
         support = TripletSupport.of(joint)  # the cells of both files
@@ -361,9 +358,7 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     for label in cfg.objectives:
         m = normalize(exact_joint(parse_objective(label), cfg.params))
         t = cfg.rank if cfg.rank is not None else cfg.params.r
-        x, labels, weights = dec.probe_features_for_joint(
-            m, t, lambda tok: token_label(cfg.params, tok)
-        )
+        x, labels, weights = dec.probe_features_for_joint(m, t, cfg.params)
         probe = dec.linear_probe(x, labels, reg=cfg.reg, weights=weights)
         entry = {"t": t, "reg": cfg.reg, "error": probe.error}
         write_json(os.path.join(out_dir, f"probe_{_safe(label)}.json"), entry)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cooccurrence import UNMASKED, JointDistribution, unmasked_count
 from .errors import DomainError, NumericError
-from .toy_model import LabeledSequence, ToyParams
+from .toy_model import LabeledSequence, ToyParams, token_id, token_label
 
 
 @dataclass
@@ -57,7 +57,7 @@ class TrainSettings:
 
 def target_catalog(params: ToyParams) -> tuple[int, ...]:
     """Token ids that can ever be generation targets (positions >= 2)."""
-    return tuple(range(params.r * params.T, params.vocab_size))
+    return tuple(range(token_id(params, 2, 1, 1), params.vocab_size))
 
 
 def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
@@ -260,14 +260,6 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
-def _design(joint: JointDistribution, vocab: int):
-    real = joint.tokens >= 0
-    incidence = np.zeros((len(real), vocab))
-    np.add.at(incidence, (np.nonzero(real)[0], joint.tokens[real]), 1.0)
-    return (incidence, joint.dense(), joint.row_marginal(),
-            joint.col_marginal(), np.array(joint.cols))
-
-
 class _Workspace:
     """One training step's loss and gradients, written into fixed buffers.
 
@@ -299,30 +291,32 @@ class _Workspace:
     each call overwrites `grads` in place, and the row scalings go through
     `einsum`, which needs no broadcast buffer. The plain chain rule through
     `incidence @ emb` sums in another order, so the two agree to rounding,
-    not bit for bit. A row whose tokens or targets leave one class block
-    is a `DomainError` naming the row.
+    not bit for bit. A row that starts with a pad, or whose tokens or
+    targets leave one class block, is a `DomainError` naming the row.
     """
 
-    def __init__(self, arrays, weights, params: ToyParams):
-        incidence, a, pc, self.pg, self.cols = arrays
+    def __init__(self, joint: JointDistribution, weights, params: ToyParams):
+        tokens, a, pc = joint.tokens, joint.dense(), joint.row_marginal()
+        self.pg, self.cols = joint.col_marginal(), np.array(joint.cols)
         vocab, d = weights[0].shape
         r, c = params.r, len(self.cols)
         m = vocab // r
-        token_class = np.arange(vocab) // params.T % r
-        row_class = token_class[np.argmax(incidence != 0, axis=1)]
+        token_class = token_label(params, np.arange(vocab)) - 1
+        real = tokens >= 0
+        if not real[:, 0].all():
+            i = int(np.argmin(real[:, 0]))
+            raise DomainError(f"joint row {i} (tokens {tokens[i].tolist()}) "
+                              "starts with a -1 pad")
+        row_class = token_class[tokens[:, 0]]
         col_class = token_class[self.cols]
-        astray = (
-            ((incidence != 0) & (token_class != row_class[:, None])).any(1)
-            | ((a != 0) & (col_class != row_class[:, None])).any(1)
-        )
+        astray = ((real & (token_class[tokens] != row_class[:, None])).any(1)
+                  | ((a != 0) & (col_class != row_class[:, None])).any(1))
         if astray.any():
             i = int(np.argmax(astray))
-            tokens = np.flatnonzero(incidence[i]).tolist()
-            raise DomainError(
-                f"joint row {i} (tokens {tokens}, targets "
-                f"{self.cols[a[i] != 0].tolist()}) does not lie in one class "
-                f"block at r={r}, T={params.T}"
-            )
+            ids = np.unique(tokens[i][real[i]]).tolist()
+            raise DomainError(f"joint row {i} (tokens {ids}, targets "
+                              f"{self.cols[a[i] != 0].tolist()}) does not lie "
+                              f"in one class block at r={r}, T={params.T}")
         self.perm = np.argsort(token_class, kind="stable")
         self.unperm = np.argsort(self.perm)
         rows = [np.flatnonzero(row_class == y) for y in range(r)]
@@ -330,14 +324,19 @@ class _Workspace:
         self.xxa = np.zeros((r, n, 3, m))
         self.pc2 = np.zeros((r, n))
         block = np.zeros((r, m), dtype=np.intp)
+        rank = np.empty(len(tokens), dtype=np.intp)  # row's place in class
         for y, rows_y in enumerate(rows):
-            x_y = incidence[np.ix_(rows_y, self.perm[y * m:(y + 1) * m])]
+            rank[rows_y] = np.arange(len(rows_y))
             cols_y = np.flatnonzero(col_class == y)
-            self.xxa[y, :len(rows_y), :2] = x_y[:, None]
             self.xxa[y, :len(rows_y), 2, :len(cols_y)] = a[
                 np.ix_(rows_y, cols_y)]
             self.pc2[y, :len(rows_y)] = 2.0 * pc[rows_y]
             block[y, :len(cols_y)] = cols_y
+        # each token's count at its place in its class's block, twice
+        i, j = np.nonzero(real)
+        np.add.at(self.xxa, (row_class[i], rank[i], 0,
+                             self.unperm[tokens[i, j]] % m), 1.0)
+        self.xxa[:, :, 1] = self.xxa[:, :, 0]
         # flat indices into Tu of each class's own (token, column) block;
         # a padded column reads column 0 against zero mass
         self.block = np.arange(vocab).reshape(r, m, 1) * c + block[:, None]
@@ -358,10 +357,9 @@ class _Workspace:
         )
         self.w_cols = np.empty((d, c))
         self.g_cols = np.empty((d, c))
-        self.grads = (
-            np.zeros_like(weights[0]), *np.split(self.g_w3, 3, axis=1),
-            np.zeros_like(weights[4]),
-        )
+        self.grads = (np.zeros_like(weights[0]),
+                      *np.split(self.g_w3, 3, axis=1),
+                      np.zeros_like(weights[4]))
         self.scratch = tuple(np.empty_like(w) for w in weights)
 
     def __call__(self, weights) -> float:
@@ -490,7 +488,7 @@ def train_model(
         np.eye(d) + noise * rng.standard_normal((d, d)),
         noise * rng.standard_normal((d, vocab)),
     )
-    step = _Workspace(_design(joint, vocab), weights, params)
+    step = _Workspace(joint, weights, params)
     _spot_check_gradients(weights, step, rng)
     losses = []
     for i in range(settings.steps):

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cooccurrence import (
+    PREFIX,
+    UNMASKED,
+    JointDistribution,
     admissible_counts,
     build_dar_joint,
     build_vlm_joint,
 )
 from .errors import DomainError
-from .toy_model import ENUMERATION_BUDGET
+from .toy_model import ENUMERATION_BUDGET, ToyParams, token_id
 
 
 @dataclass(frozen=True)
@@ -127,3 +130,60 @@ def exact_joint(spec: ObjectiveSpec, params, budget: int = ENUMERATION_BUDGET):
     if spec.width is not None:
         return build_dar_joint(params, spec.width, budget)
     return build_vlm_joint(params, spec.rho_lo, spec.rho_hi, budget)
+
+
+def build_joint_from_sampler(
+    spec: ObjectiveSpec,
+    params: ToyParams,
+    n: int,
+    rng: np.random.Generator,
+) -> JointDistribution:
+    """Empirical joint from n Monte Carlo draws of an objective's sampler.
+
+    Draws n classes and their slot fills, takes one pair from each sequence
+    with one `sample_pairs` call and counts the distinct pairs. The rows
+    come out in catalog order.
+    """
+    if n < 1:
+        raise DomainError(f"sample count must be >= 1, got {n}")
+    labels = rng.integers(params.r, size=(n, 1))
+    slots = rng.integers(params.T, size=(n, params.s))
+    sequences = token_id(params, np.arange(1, params.s + 1), labels + 1,
+                         slots + 1)
+    texts, targets = sample_pairs(spec, sequences, rng)
+    # as wide as the longest text drawn
+    texts = texts[:, :int((texts >= 0).sum(axis=1).max())]
+    tokens, row = _distinct_rows(texts, params.vocab_size + 1)
+    cols, col = np.unique(targets, return_inverse=True)
+    shape = (len(tokens), len(cols))
+    counts = np.bincount(row * shape[1] + col, minlength=shape[0] * shape[1])
+    kind = PREFIX if spec.width is not None else UNMASKED
+    return JointDistribution(kind=kind, tokens=tokens,
+                             cols=tuple(cols.tolist()),
+                             mass=counts.reshape(shape) / n)
+
+
+def _distinct_rows(texts: np.ndarray, radix: int):
+    """The distinct rows of `texts` in row order, and each row's index there.
+
+    Ids lie in -1..radix-2. Each row is packed into int64 words of as many
+    base-`radix` digits id + 1 as fit, first id most significant, so the
+    -1 pad is digit 0 and the words order the rows as the rows order
+    themselves. One `np.lexsort` over the words then groups equal rows.
+    """
+    digits = 1
+    while radix ** (digits + 1) <= 2**63:
+        digits += 1
+    words = []
+    for start in range(0, texts.shape[1], digits):
+        word = np.zeros(len(texts), np.int64)
+        for k in range(start, min(start + digits, texts.shape[1])):
+            word = word * radix + (texts[:, k] + 1)
+        words.append(word)
+    order = np.lexsort(words[::-1])  # the last key is the primary one
+    keys = np.stack(words)[:, order]
+    first = np.ones(len(texts), bool)  # the first row of each distinct row
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    index = np.empty(len(texts), np.intp)
+    index[order] = np.cumsum(first) - 1
+    return texts[order[first]], index

@@ -15,7 +15,6 @@ from .errors import NumericError
 # file are never held at once.
 _CHUNK_ROWS = 4096
 _SPECIAL = ',"\r\n'
-_SPECIAL_CODES = [ord(ch) for ch in _SPECIAL]
 # Pads each spelled cell to its column's width and is dropped before a
 # chunk is written. It never occurs in UTF-8, so every cell keeps its bytes.
 _PAD = b"\xff"
@@ -27,7 +26,9 @@ def write_csv(path, header, columns) -> None:
     A column is an array, a list, or a pair `(values, index)` that stands
     for `values[index]`, so a caller with few distinct cells spells only
     those; `values` may be :func:`spell`'s, to spell them once for several
-    files. Every float cell is `repr` of a Python float, so files round-trip
+    files. A 2-D integer array is a column of texts, one per row, padded
+    with -1 after the last id: each cell is the row's ids joined by `-`.
+    Every float cell is `repr` of a Python float, so files round-trip
     exactly. Quoting and `\r\n` endings are those of `csv.writer`'s default
     dialect, which the tests hold this writer to.
 
@@ -82,7 +83,7 @@ def _spell(column, width: int):
 
     A float is `repr` of a Python float: under numpy 2, `repr` of a numpy
     scalar is `np.float64(...)`. Floats are told apart by their bits, which
-    keeps -0.0 apart from 0.0. A text array is spelled in numpy, row by row.
+    keeps -0.0 apart from 0.0.
     """
     if isinstance(column, tuple):
         values, index = column
@@ -95,9 +96,9 @@ def _spell(column, width: int):
         return (values.table, lambda at: values.cells_of(index[at]),
                 len(index))
     if isinstance(column, np.ndarray) and column.dtype != object:
-        if column.dtype.kind == "U":
+        if column.ndim == 2:
             rows = np.arange(len(column))
-            return _text_table(column, width), rows.__getitem__, len(column)
+            return _id_table(column, width), rows.__getitem__, len(column)
         if column.dtype.kind == "f":
             column = np.ascontiguousarray(column, dtype=float).view(np.int64)
             distinct = np.unique(column)
@@ -121,27 +122,21 @@ def _table(cells) -> np.ndarray:
     return np.frombuffer(flat, np.uint8).reshape(len(data), widest)
 
 
-def _text_table(text: np.ndarray, width: int) -> np.ndarray:
-    """A `U` array as padded UTF-8 rows, one per element.
+def _id_table(texts: np.ndarray, width: int) -> np.ndarray:
+    """An (n, L) id matrix padded with -1 as padded UTF-8 rows, one per text.
 
-    An element that is ASCII and needs no quotes is its own code points,
-    padded with U+00FF, whose low byte is `_PAD`. Only the other elements
-    are spelled one at a time, by `_quoted`. Trailing NULs are padding in a
-    `U` array, so they are not part of an element.
+    Each id is spelled once. A text's first id is gathered from those
+    spellings, and each later id from the same spellings behind a `-`; a -1
+    gathers only `_PAD` bytes, except that a text of no ids in a one-field
+    row is `""`, as `csv.writer` spells it.
     """
-    if not len(text):  # `np.char.ljust` cannot take an empty array
-        return np.empty((0, 0), np.uint8)
-    length = np.char.str_len(text)
-    points = np.ascontiguousarray(text).view(np.uint32).reshape(len(text), -1)
-    odd = (points > 127) | np.isin(points, _SPECIAL_CODES, kind="table")
-    other = odd.any(axis=1) | ((length == 0) & (width == 1))
-    spelled = _table(_quoted(text[other].tolist(), width))
-    widest = max(int(length.max()), spelled.shape[1])
-    codes = np.char.ljust(text, widest, chr(_PAD[0])).view(np.uint32)
-    table = codes.reshape(len(text), -1)[:, :widest].astype(np.uint8)
-    table[other] = _PAD[0]
-    table[other, :spelled.shape[1]] = spelled
-    return table
+    names = _table(_quoted([str(t) for t in range(texts.max(initial=-1) + 1)]
+                           + [""], width))
+    dashed = np.insert(names, 0, ord("-"), axis=1)
+    dashed[-1] = _PAD[0]
+    n, length = texts.shape
+    later = dashed[texts[:, 1:]].reshape(n, (length - 1) * dashed.shape[1])
+    return np.concatenate([names[texts[:, 0]], later], axis=1)
 
 
 def _text(v) -> str:

@@ -11,7 +11,6 @@ sets of distinct (position, class) cells disjoint.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,35 +58,35 @@ class LabeledSequence:
     label: int
 
 
-def token_id(params: ToyParams, position: int, label: int, slot: int) -> int:
-    """Map a (position, class, slot) triple to its token id.
+def token_id(params: ToyParams, position, label, slot):
+    """Map (position, class, slot) to token ids; ints and arrays broadcast.
 
-    Positions, classes and slots are 1-based; ids are 0-based and dense, so
-    the map is a bijection onto ``range(params.vocab_size)``.
+    Positions, classes and slots are 1-based. The id is the 0-based C-order
+    index of the triple on the (s, r, T) grid, so the map is a bijection
+    onto ``range(params.vocab_size)`` and ids are position-major.
     """
-    if not 1 <= position <= params.s:
-        raise DomainError(f"position {position} outside 1..{params.s}")
-    if not 1 <= label <= params.r:
-        raise DomainError(f"class {label} outside 1..{params.r}")
-    if not 1 <= slot <= params.T:
-        raise DomainError(f"slot {slot} outside 1..{params.T}")
-    return ((position - 1) * params.r + (label - 1)) * params.T + (slot - 1)
+    try:
+        return np.ravel_multi_index((position - 1, label - 1, slot - 1),
+                                    (params.s, params.r, params.T))
+    except ValueError:
+        raise DomainError(
+            f"(position, class, slot) = ({position}, {label}, {slot}) "
+            f"outside 1..{params.s}, 1..{params.r}, 1..{params.T}"
+        ) from None
 
 
-def decode_token(params: ToyParams, token: int) -> tuple[int, int, int]:
-    """Invert :func:`token_id`, returning (position, class, slot)."""
-    if not 0 <= token < params.vocab_size:
-        raise DomainError(f"token {token} outside [0, {params.vocab_size})")
-    cell, slot = divmod(token, params.T)
-    position, label = divmod(cell, params.r)
-    return position + 1, label + 1, slot + 1
+def decode_token(params: ToyParams, token):
+    """Invert :func:`token_id`: (position, class, slot) of an id, or of
+    each id of an array as three arrays of its shape."""
+    try:
+        cell = np.unravel_index(token, (params.s, params.r, params.T))
+    except ValueError as exc:  # names the id and the vocabulary size
+        raise DomainError(f"token {exc}") from None
+    return tuple(index + 1 for index in cell)
 
 
-def token_position(params: ToyParams, token: int) -> int:
-    return decode_token(params, token)[0]
-
-
-def token_label(params: ToyParams, token: int) -> int:
+def token_label(params: ToyParams, token):
+    """The class of a token id, or of each id of an array."""
     return decode_token(params, token)[1]
 
 
@@ -102,13 +101,12 @@ def enumerate_sequences(params: ToyParams, budget: int = ENUMERATION_BUDGET):
             f"corpus has {params.corpus_size} sequences, over the enumeration "
             f"budget of {budget}; use sample_sequence instead"
         )
+    positions = np.arange(1, params.s + 1)
+    # every slot fill, lexicographic: the C order of the (T,) * s grid
+    fills = np.indices((params.T,) * params.s).reshape(params.s, -1).T + 1
     for label in range(1, params.r + 1):
-        for slots in itertools.product(range(1, params.T + 1), repeat=params.s):
-            tokens = tuple(
-                token_id(params, pos, label, slot)
-                for pos, slot in enumerate(slots, start=1)
-            )
-            yield LabeledSequence(tokens=tokens, label=label)
+        for tokens in token_id(params, positions, label, fills).tolist():
+            yield LabeledSequence(tokens=tuple(tokens), label=label)
 
 
 def sample_sequence(
@@ -118,8 +116,5 @@ def sample_sequence(
     if not 1 <= label <= params.r:
         raise DomainError(f"class {label} outside 1..{params.r}")
     slots = rng.integers(1, params.T + 1, size=params.s)
-    tokens = tuple(
-        token_id(params, pos, label, int(slot))
-        for pos, slot in enumerate(slots, start=1)
-    )
-    return LabeledSequence(tokens=tokens, label=label)
+    tokens = token_id(params, np.arange(1, params.s + 1), label, slots)
+    return LabeledSequence(tokens=tuple(tokens.tolist()), label=label)

@@ -190,6 +190,43 @@ def fd_gradient(fn, x, h=1e-6):
     return g
 
 
+def design(joint, vocab):
+    """The library's former training design: the joint's texts as a dense
+    (rows, vocab) token-count incidence, with its mass, marginals and
+    column catalog, the arrays `loss_and_grads` takes."""
+    real = joint.tokens >= 0
+    incidence = np.zeros((len(real), vocab))
+    np.add.at(incidence, (np.nonzero(real)[0], joint.tokens[real]), 1.0)
+    return (incidence, joint.dense(), joint.row_marginal(),
+            joint.col_marginal(), np.array(joint.cols))
+
+
+def class_blocks(arrays, params):
+    """The class blocks of `cospec.generation._Workspace`, read off
+    `design`'s incidence as the library formerly did: (xxa, pc2, block)."""
+    incidence, a, pc, _, cols = arrays
+    vocab = incidence.shape[1]
+    r, c = params.r, len(cols)
+    m = vocab // r
+    token_class = np.arange(vocab) // params.T % r
+    row_class = token_class[np.argmax(incidence != 0, axis=1)]
+    col_class = token_class[cols]
+    perm = np.argsort(token_class, kind="stable")
+    rows = [np.flatnonzero(row_class == y) for y in range(r)]
+    n = max(map(len, rows))
+    xxa = np.zeros((r, n, 3, m))
+    pc2 = np.zeros((r, n))
+    block = np.zeros((r, m), dtype=np.intp)
+    for y, rows_y in enumerate(rows):
+        x_y = incidence[np.ix_(rows_y, perm[y * m:(y + 1) * m])]
+        cols_y = np.flatnonzero(col_class == y)
+        xxa[y, :len(rows_y), :2] = x_y[:, None]
+        xxa[y, :len(rows_y), 2, :len(cols_y)] = a[np.ix_(rows_y, cols_y)]
+        pc2[y, :len(rows_y)] = 2.0 * pc[rows_y]
+        block[y, :len(cols_y)] = cols_y
+    return xxa, pc2, np.arange(vocab).reshape(r, m, 1) * c + block[:, None]
+
+
 # The training step as plain expressions, one fresh array per operation,
 # in the order of the chain rule through s = incidence @ emb. The class-block
 # step of `cospec.generation._Workspace` orders its sums differently, so the
@@ -598,6 +635,22 @@ def labeling_error(joint, labeler):
     values = joint.dense()[i, j]
     mismatch = labels[i, 0] != col_labels[j]
     return float(values[mismatch].sum()) / float(values.sum())
+
+
+def row_keys(tokens):
+    """The library's former row keys: each text's token ids joined by `-`,
+    as a `U` array built with `np.char`, one id spelling at a time.
+
+    A text is padded with -1 only after its last token, and the pad,
+    indexing the last spelling, spells nothing.
+    """
+    names = np.array([str(t) for t in range(tokens.max(initial=0) + 1)] + [""])
+    dashed = np.char.add("-", names)
+    dashed[-1] = ""
+    keys = names[tokens[:, 0]]
+    for k in range(1, tokens.shape[1]):
+        keys = np.char.add(keys, dashed[tokens[:, k]])
+    return keys
 
 
 def factor_gradients(pair, m):

@@ -39,7 +39,6 @@ from cospec.toy_model import (
     ToyParams,
     enumerate_sequences,
     sample_sequence,
-    token_label,
 )
 
 GRID = [
@@ -192,8 +191,7 @@ def test_c06_linear_probe_exact_at_class_rank():
         if spec.width is not None:
             continue
         x, labels, weights = dec.probe_features_for_joint(
-            normalize(exact_joint(spec, params)), params.r,
-            lambda tok, p=params: token_label(p, tok),
+            normalize(exact_joint(spec, params)), params.r, params
         )
         probe = dec.linear_probe(x, labels, reg=1e-8, weights=weights)
         assert probe.error == 0.0, (params, spec.label())

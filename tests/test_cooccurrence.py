@@ -1,6 +1,7 @@
 """Exact joint builders against independent dict-based reference builders."""
 
 import csv
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
-from cospec import cooccurrence
+from cospec import cooccurrence, output
 from cospec.cooccurrence import (
     ConditionalText,
     JointDistribution,
@@ -18,7 +19,6 @@ from cospec.cooccurrence import (
     admissible_counts,
     build_ar_joint,
     build_dar_joint,
-    build_joint_from_sampler,
     build_masked_joint,
     build_vlm_joint,
     normalize,
@@ -27,8 +27,13 @@ from cospec.cooccurrence import (
     write_matrix_csv,
 )
 from cospec.errors import DomainError, ResourceError
-from cospec.objectives import exact_joint, parse_objective
-from cospec.toy_model import ToyParams, token_position
+from cospec.output import spell
+from cospec.objectives import (
+    build_joint_from_sampler,
+    exact_joint,
+    parse_objective,
+)
+from cospec.toy_model import ToyParams, decode_token
 
 
 def as_plain_dict(joint: JointDistribution) -> dict:
@@ -162,7 +167,7 @@ def test_csv_writers_match_a_catalog_scan(label, tmp_path):
 def test_ar_columns_exclude_first_position():
     params = ToyParams(2, 3, 2)
     joint = build_ar_joint(params)
-    positions = {token_position(params, c) for c in joint.cols}
+    positions = {decode_token(params, c)[0] for c in joint.cols}
     assert positions == {2, 3}
     assert len(joint.rows) == 2 * (2 + 4)
 
@@ -187,8 +192,8 @@ def test_masked_target_position_is_never_visible():
     params = ToyParams(2, 4, 2)
     joint = build_masked_joint(params, 0.5)
     for (text, target) in joint.entries:
-        positions = [token_position(params, t) for t in text.tokens]
-        assert token_position(params, target) not in positions
+        positions = [decode_token(params, t)[0] for t in text.tokens]
+        assert decode_token(params, target)[0] not in positions
 
 
 def test_masked_column_marginal_is_uniform():
@@ -222,7 +227,7 @@ def test_lookahead_widens_target_support():
     joint = build_dar_joint(params, 2)
     one_row = next(t for t in joint.rows if len(t.tokens) == 1)
     targets = {
-        token_position(params, c)
+        decode_token(params, c)[0]
         for (text, c) in joint.entries
         if text == one_row
     }
@@ -458,6 +463,52 @@ def test_grouped_builder_matches_the_per_pattern_oracle(s, monkeypatch):
                               oracles.enumerate_per_pattern)
                 want = exact_joint(spec, params)
             assert_same_joint(got, want)
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_row_key_tables_spell_the_oracle_keys(s):
+    for r, big_t in itertools.product((1, 2, 3), (1, 2, 3)):
+        for label in grid_labels(s):
+            joint = exact_joint(parse_objective(label), ToyParams(r, s, big_t))
+            table = spell(joint.tokens, 3).table
+            keys = [row.tobytes().translate(None, output._PAD).decode()
+                    for row in table]
+            assert keys == oracles.row_keys(joint.tokens).tolist()
+
+
+# sha256 of the two triplet files of `masked:0.5` at (3, 12, 2), as written
+# when the row keys were a `U` array built with `np.char`
+_TRIPLET_DIGESTS = {
+    "joint": (93730585, "26fbc9793e32916a92d7265c3426caed"
+                        "8879669f34d8d59a3f104f96a8d34f37"),
+    "normalized": (91601689, "da4bc3769c80c8f7eac6fcdcd9a0f7e5"
+                             "cc7dab42a4c2acdde4a6b9dd7d281e80"),
+}
+
+
+def test_large_triplet_files_keep_their_bytes(tmp_path):
+    joint = exact_joint(parse_objective("masked:0.5"), ToyParams(3, 12, 2))
+    m = normalize(joint)
+    support = TripletSupport.of(joint)
+    for name, write, table in (("joint", write_joint_csv, joint),
+                               ("normalized", write_matrix_csv, m)):
+        path = tmp_path / f"{name}.csv"
+        write(table, path, support)
+        data = path.read_bytes()
+        path.unlink()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            _TRIPLET_DIGESTS[name])
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_normalize_refuses_a_joint_beyond_the_float_range(scale):
+    # at (1, 3, 2) the marginal products are about 1e-2 times scale**2,
+    # which underflows to 0 or overflows to inf
+    joint = build_ar_joint(ToyParams(1, 3, 2))
+    scaled = JointDistribution(kind=joint.kind, tokens=joint.tokens,
+                               cols=joint.cols, mass=joint.mass * scale)
+    with pytest.raises(DomainError, match="outside the normal float range"):
+        normalize(scaled)
 
 
 def test_grouped_builder_refuses_at_the_oracles_row_count():

@@ -31,7 +31,7 @@ from cospec.errors import DomainError, NumericError
 from cospec.experiments import derive_rng
 from cospec.objectives import exact_joint, parse_objective
 from cospec.spectral import predicted_ar_spectrum
-from cospec.toy_model import ToyParams, token_label
+from cospec.toy_model import ToyParams
 
 
 def random_maps(joint, dim, rng):
@@ -364,9 +364,7 @@ def test_encoder_inverts_row_weighting():
     params = ToyParams(1, 3, 1)
     joint = build_ar_joint(params)
     pair = optimal_features(normalize(joint), 2)
-    got, _, _ = probe_features_for_joint(
-        normalize(joint), 2, lambda tok: token_label(params, tok)
-    )
+    got, _, _ = probe_features_for_joint(normalize(joint), 2, params)
     # uniform conditional marginal of 1/2: features are sqrt(2) * factors
     assert_allclose(got, np.sqrt(2.0) * pair.row_factor, atol=1e-12)
 
@@ -374,8 +372,7 @@ def test_encoder_inverts_row_weighting():
 def test_same_class_features_align():
     params = ToyParams(2, 4, 2)
     x, labels, _ = probe_features_for_joint(
-        normalize(build_masked_joint(params, 0.5)), 2,
-        lambda tok: token_label(params, tok),
+        normalize(build_masked_joint(params, 0.5)), 2, params
     )
     by_class = {c: x[labels == c] for c in (1, 2)}
     same, cross = [], []
@@ -453,8 +450,7 @@ def test_probe_weights_act_like_multiplicity():
 def test_probe_argmax_survives_invertible_transform():
     params = ToyParams(2, 4, 2)
     x, labels, weights = probe_features_for_joint(
-        normalize(build_masked_joint(params, 0.5)), 2,
-        lambda tok: token_label(params, tok),
+        normalize(build_masked_joint(params, 0.5)), 2, params
     )
     rng = np.random.default_rng(8)
     m = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
@@ -475,9 +471,8 @@ def test_probe_requires_regularization_for_singular_features():
 def test_probe_features_carry_row_weights():
     joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
     params = ToyParams(2, 4, 2)
-    x, labels, weights = probe_features_for_joint(
-        normalize(joint), 2, lambda tok: token_label(params, tok)
-    )
+    x, labels, weights = probe_features_for_joint(normalize(joint), 2,
+                                                  params)
     assert x.shape == (len(joint.rows), 2)
     total = weights.sum()
     assert total == pytest.approx(1.0, abs=1e-12)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import oracles
 from cospec import generation
 from cospec.cooccurrence import (
-    ConditionalText, admissible_counts, build_ar_joint,
+    ConditionalText, JointDistribution, admissible_counts, build_ar_joint,
     build_masked_joint,
 )
 from cospec.errors import DomainError, NumericError
@@ -19,7 +19,6 @@ from cospec.generation import (
     LinearAttentionModel,
     TrainSettings,
     _Workspace,
-    _design,
     delta_term,
     gen_loss,
     generation_bound_terms,
@@ -316,14 +315,13 @@ def test_training_supports_narrow_feature_dimension():
 
 def _assert_gradients_match_finite_differences(params):
     joint = exact_joint(parse_objective("masked:" + str(1 / 3)), params)
-    arrays = _design(joint, params.vocab_size)
     rng = np.random.default_rng(7)
     d = params.vocab_size
     weights = tuple(
         np.eye(*shape) + 0.05 * rng.standard_normal(shape)
         for shape in [(d, d)] * 4
     ) + (0.05 * rng.standard_normal((d, d)),)
-    step = _Workspace(arrays, weights, params)
+    step = _Workspace(joint, weights, params)
     step(weights)
     grads = [g.copy() for g in step.grads]
     for idx in range(5):
@@ -373,9 +371,12 @@ def test_training_matches_the_plain_step(objective, shape, dim):
         np.random.default_rng(11), vocab, dim or vocab, cfg.init_noise
     )
     joint = exact_joint(spec, params)
-    arrays = _design(joint, vocab)
+    arrays = oracles.design(joint, vocab)
 
-    step = _Workspace(arrays, weights, params)
+    step = _Workspace(joint, weights, params)
+    for got, want in zip((step.xxa, step.pc2, step.block),
+                         oracles.class_blocks(arrays, params)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     loss = step(weights)
     want_loss, want_grads = oracles.loss_and_grads(weights, *arrays)
     assert_rel_close(loss, want_loss)
@@ -402,13 +403,34 @@ def test_a_joint_that_crosses_class_blocks_is_refused():
         ((0, 2), 4): 0.25,   # its tokens span classes 1 and 2
         ((6, 10), 1): 0.5,   # class 2 tokens, a class 1 target
     }
-    for bad in ((0, 2), (6, 10)):
+    for bad, target in (((0, 2), 4), ((6, 10), 1)):
         entries = {(unmasked(t), c): v for (t, c), v in rows.items()
                    if t in ((0, 4), bad)}
         joint = oracles.from_entries(entries)
         i = [tuple(t[t >= 0]) for t in joint.tokens].index(bad)
-        with pytest.raises(DomainError, match=f"joint row {i} .*one class"):
+        with pytest.raises(DomainError) as refused:
             train_model(joint, params, TrainSettings(steps=1))
+        assert str(refused.value) == (
+            f"joint row {i} (tokens {list(bad)}, targets [{target}]) does "
+            "not lie in one class block at r=2, T=2")
+
+
+@pytest.mark.parametrize("params, bad", [
+    (ToyParams(1, 3, 2), [-1, 2]),
+    # at (2, 3, 2), tokens 6 and 10 are positions 2 and 3 of class 2, the
+    # last class, which a leading -1 would index
+    (ToyParams(2, 3, 2), [-1, 6]),
+    (ToyParams(2, 3, 2), [-1, -1]),
+])
+def test_a_row_that_starts_with_a_pad_is_refused(params, bad):
+    target = params.vocab_size - 1
+    joint = JointDistribution(
+        kind="masked", tokens=np.array([bad, [0, 4]]),
+        cols=(target,), mass=np.array([[0.5], [0.5]]))
+    with pytest.raises(DomainError) as refused:
+        train_model(joint, params, TrainSettings(steps=1))
+    assert str(refused.value) == (
+        f"joint row 0 (tokens {bad}) starts with a -1 pad")
 
 
 def test_a_joint_beyond_the_vocabulary_is_refused():
@@ -422,7 +444,7 @@ def _step_peak(params):
     joint = exact_joint(parse_objective("masked:0.5"), params)
     vocab = params.vocab_size
     weights = oracles.init_weights(np.random.default_rng(0), vocab, vocab, 0.02)
-    step = _Workspace(_design(joint, vocab), weights, params)
+    step = _Workspace(joint, weights, params)
 
     def train_step():
         step(weights)

@@ -7,7 +7,6 @@ from cospec.cooccurrence import (
     admissible_counts,
     build_ar_joint,
     build_dar_joint,
-    build_joint_from_sampler,
     build_masked_joint,
     build_vlm_joint,
     unmasked_count,
@@ -15,6 +14,7 @@ from cospec.cooccurrence import (
 from cospec.errors import DomainError
 from cospec.objectives import (
     ObjectiveSpec,
+    build_joint_from_sampler,
     exact_joint,
     parse_objective,
     sample_pairs,

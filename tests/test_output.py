@@ -18,9 +18,11 @@ from cospec.toy_model import ToyParams
 def reference_csv(path, header, columns):
     """`csv.writer` over rows whose float cells are `repr(float(v))`.
 
-    A column `(values, index)` is `values[index]`.
+    A column `(values, index)` is `values[index]`, and a 2-D array column
+    is its rows' ids joined by `-`, -1 pads dropped.
     """
-    columns = [_indexed(*c) if isinstance(c, tuple) else c for c in columns]
+    columns = [_indexed(*c) if isinstance(c, tuple) else _keys(c)
+               for c in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
@@ -35,7 +37,15 @@ def reference_csv(path, header, columns):
 def _indexed(values, index):
     if isinstance(values, tuple):
         values = _indexed(*values)
+    values = _keys(values)
     return [values[i] for i in index]
+
+
+def _keys(column):
+    if isinstance(column, np.ndarray) and column.ndim == 2:
+        return ["-".join(str(t) for t in text if t >= 0)
+                for text in column.tolist()]
+    return column
 
 
 CASES = {
@@ -51,6 +61,12 @@ CASES = {
     "zero_rows": (["a", "b"], [np.array([]), []]),
     "strided": (["x"], [np.arange(12.0).reshape(3, 4)[:, 1] / 7]),
     "empty_text": ([""], [["", ""]]),
+    # texts of ids padded with -1, one with no ids at all
+    "id_texts": (["key", "n"], [
+        np.array([[3, 12, -1], [10, -1, -1], [0, 1, 2], [-1, -1, -1]]),
+        np.arange(4),
+    ]),
+    "one_field_id_texts": (["key"], [np.array([[7, 100], [-1, -1], [5, -1]])]),
 }
 
 

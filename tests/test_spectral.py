@@ -210,13 +210,12 @@ def test_connectivity_is_the_pairwise_mean(seed, n):
 
 def test_connectivity_masked_above_next_token():
     params = ToyParams(2, 4, 2)
-    labeler = lambda tok: token_label(params, tok)
     t = params.r + 1
     x_ar, _, _ = probe_features_for_joint(
-        normalize(build_ar_joint(params)), t, labeler
+        normalize(build_ar_joint(params)), t, params
     )
     x_m, _, _ = probe_features_for_joint(
-        normalize(build_masked_joint(params, 0.5)), t, labeler
+        normalize(build_masked_joint(params, 0.5)), t, params
     )
     conn_ar = connectivity_estimate(x_ar)
     conn_m = connectivity_estimate(x_m)

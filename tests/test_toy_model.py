@@ -10,7 +10,6 @@ from cospec.toy_model import (
     sample_sequence,
     token_id,
     token_label,
-    token_position,
 )
 
 
@@ -49,8 +48,32 @@ def test_decode_covers_whole_vocabulary():
     params = ToyParams(2, 3, 2)
     triples = {decode_token(params, t) for t in range(params.vocab_size)}
     assert len(triples) == params.vocab_size == 12
-    assert token_position(params, 11) == 3
+    assert decode_token(params, 11)[0] == 3
     assert token_label(params, 11) == 2
+
+
+def test_array_codec_matches_the_scalar_one():
+    params = ToyParams(3, 6, 3)
+    ids = np.arange(params.vocab_size)
+    triples = [decode_token(params, t) for t in range(params.vocab_size)]
+    position, label, slot = decode_token(params, ids)
+    assert list(zip(position.tolist(), label.tolist(), slot.tolist())) == (
+        triples)
+    assert token_label(params, ids).tolist() == [y for _, y, _ in triples]
+    assert decode_token(params, ids.reshape(6, -1))[0].tolist() == (
+        position.reshape(6, -1).tolist())
+    assert token_id(params, position, label, slot).tolist() == ids.tolist()
+    # scalars and arrays broadcast together
+    assert token_id(params, np.arange(1, 7), 2, 1).tolist() == [
+        token_id(params, p, 2, 1) for p in range(1, 7)]
+
+
+def test_array_codec_rejects_any_id_out_of_range():
+    params = ToyParams(2, 3, 2)
+    with pytest.raises(DomainError, match="index 12 is out of bounds .* 12"):
+        decode_token(params, np.array([0, 12, 3]))
+    with pytest.raises(DomainError, match=r"outside 1\.\.3, 1\.\.2, 1\.\.2"):
+        token_id(params, np.array([1, 2]), 1, np.array([1, 3]))
 
 
 def test_encode_rejects_out_of_range():
@@ -110,7 +133,7 @@ def test_sampler_respects_class_and_positions():
     for _ in range(50):
         x = sample_sequence(params, 2, rng)
         assert x.label == 2
-        assert [token_position(params, t) for t in x.tokens] == [1, 2, 3, 4]
+        assert [decode_token(params, t)[0] for t in x.tokens] == [1, 2, 3, 4]
         assert all(token_label(params, t) == 2 for t in x.tokens)
 
 
@@ -126,10 +149,10 @@ def test_sampler_slot_frequencies_are_uniform():
     rng = np.random.default_rng(17)
     n = 40_000
     counts = np.zeros((params.s, params.T))
-    for _ in range(n):
-        x = sample_sequence(params, 1, rng)
-        for pos, tok in enumerate(x.tokens):
-            counts[pos, decode_token(params, tok)[2] - 1] += 1
+    tokens = np.array([sample_sequence(params, 1, rng).tokens
+                       for _ in range(n)])
+    np.add.at(counts, (np.arange(params.s), decode_token(params, tokens)[2] - 1),
+              1)
     # each (position, slot) cell is Binomial(n, 1/T); allow 4 sigma
     expected = n / params.T
     sigma = np.sqrt(n * (1 / params.T) * (1 - 1 / params.T))
