@@ -19,7 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .output import spell, write_csv
+from .output import write_csv
 from .toy_model import ENUMERATION_BUDGET, ToyParams, token_id
 
 PREFIX = "prefix"
@@ -59,6 +59,25 @@ class ConditionalText:
         return "-".join(str(t) for t in self.tokens)
 
 
+def check_texts(tokens: np.ndarray) -> None:
+    """Refuse, naming the first bad row, what is not a matrix of texts.
+
+    The library's one text format is an (n, L) int matrix, n, L >= 1, with
+    one text per row: at least one token id, then -1 pads only.
+    """
+    if tokens.ndim != 2 or tokens.size == 0:
+        raise DomainError(f"texts must be an (n, L) token matrix with n, "
+                          f"L >= 1, got shape {tokens.shape}")
+    real = tokens >= 0
+    bad = (~real[:, 0] | (real[:, 1:] > real[:, :-1]).any(axis=1)
+           | (tokens < -1).any(axis=1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"row {i} (tokens {tokens[i].tolist()}) is not a "
+                          "text: it needs a token first and -1 pads only "
+                          "after its last token")
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint mass over (conditional text, target token), summing to 1.
@@ -68,9 +87,9 @@ class JointDistribution:
     its last token. The pad sorts below every id, so row order is Python
     tuple order. `cols` is the sorted catalog of target tokens, and `mass`
     the read-only (n_rows, n_cols) array of the joint over the two catalogs.
-    Construction is the one check of a joint: its mass is finite and
-    nonnegative, and every row and every column carries some, or it is a
-    `DomainError`.
+    Construction is the one check of a joint: `tokens` are texts (see
+    :func:`check_texts`), its mass is finite and nonnegative, and every row
+    and every column carries some, or it is a `DomainError`.
     """
 
     kind: str
@@ -87,6 +106,7 @@ class JointDistribution:
                               "the catalogs")
         if not mass.size:
             raise DomainError("joint distribution has empty support")
+        check_texts(self.tokens)
         pc, pg = mass.sum(axis=1), mass.sum(axis=0)
         # A NaN or an infinity anywhere, or an overflow, leaves no finite sum.
         if not np.isfinite(pc.sum()):
@@ -359,68 +379,22 @@ def _mask_mixture(params: ToyParams, counts, budget: int) -> JointDistribution:
     return _enumerate(params, UNMASKED, masks(), budget)
 
 
-@dataclass(frozen=True, eq=False)
-class TripletSupport:
-    """The nonzero cells of `matrix` over the catalogs `tokens` x `cols`.
+def write_joint_csv(joint: JointDistribution, path) -> None:
+    """Dump a joint as `row_key,col_token,value` triplets, catalog order."""
+    _write_triplets(path, joint.tokens, joint.cols, joint.mass)
 
-    The cells, in row-major order (which is COO order), and their spelled
-    `row_key` and `col_token` columns are each found once, on first use. A
-    joint and its normalized matrix have the same nonzero cells, since
-    `normalize` divides by roots of normal products of marginals, so one
-    support made from the joint serves both of its triplet files.
+
+def write_matrix_csv(m: NormalizedMatrix, path) -> None:
+    """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped."""
+    _write_triplets(path, m.tokens, m.cols, m.matrix)
+
+
+def _write_triplets(path, tokens, cols, matrix) -> None:
+    """The nonzero cells of `matrix` in row-major order, which is COO order.
+
+    Each catalog text and each column token is spelled once, then gathered
+    at the cells.
     """
-
-    tokens: np.ndarray
-    cols: tuple[int, ...]
-    matrix: np.ndarray
-
-    @classmethod
-    def of(cls, joint: JointDistribution) -> "TripletSupport":
-        return cls(joint.tokens, joint.cols, joint.mass)
-
-    @functools.cached_property
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.matrix)
-
-    @functools.cached_property
-    def columns(self) -> list:
-        i, j = self.cells
-        return [(spell(self.tokens, _WIDTH), i),
-                (spell(np.asarray(self.cols), _WIDTH), j)]
-
-
-_HEADER = ["row_key", "col_token", "value"]
-_WIDTH = len(_HEADER)
-
-
-def write_joint_csv(
-    joint: JointDistribution, path, support: TripletSupport | None = None
-) -> None:
-    """Dump a joint as `row_key,col_token,value` triplets, catalog order.
-
-    `support` is the joint's own, when a caller shares it with
-    :func:`write_matrix_csv`.
-    """
-    if support is None:
-        support = TripletSupport.of(joint)
-    _write_triplets(path, support, joint.mass)
-
-
-def write_matrix_csv(
-    m: NormalizedMatrix, path, support: TripletSupport | None = None
-) -> None:
-    """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped.
-
-    `support` is that of the joint `m` normalizes, when a caller shares it
-    with :func:`write_joint_csv`.
-    """
-    if support is None:
-        support = TripletSupport(m.tokens, m.cols, m.matrix)
-    _write_triplets(path, support, m.matrix)
-
-
-def _write_triplets(path, support: TripletSupport, matrix) -> None:
-    """`matrix` at the cells of `support`, one triplet per cell."""
-    i, j = support.cells
-    write_csv(path, _HEADER, [*support.columns, matrix[i, j]])
-
+    i, j = np.nonzero(matrix)
+    write_csv(path, ["row_key", "col_token", "value"],
+              [(tokens, i), (np.asarray(cols), j), matrix[i, j]])

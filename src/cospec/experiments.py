@@ -22,7 +22,6 @@ from . import decomposition as dec
 from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
-    TripletSupport,
     admissible_counts,
     normalize,
     unmasked_count,
@@ -62,7 +61,9 @@ class ExperimentConfig:
     experiment: str
     params: ToyParams
     seed: int = 0
-    objectives: tuple[str, ...] = ("ar",)
+    # (label, spec) pairs; the label is the config's own string
+    objectives: tuple[tuple[str, ObjectiveSpec], ...] = (
+        ("ar", ObjectiveSpec(width=1)),)
     rank: int | None = None
     reg: float = 1e-8
     trials: int = 100
@@ -187,7 +188,7 @@ def load_config(source) -> ExperimentConfig:
         experiment=name,
         params=params,
         seed=_number(raw.get("seed", 0), int, field="seed"),
-        objectives=tuple(objectives),
+        objectives=tuple(zip(objectives, specs)),
         rank=None if rank is None else _number(rank, int, 1, field="rank"),
         reg=_number(raw.get("reg", 1e-8), float, 0, field="reg"),
         trials=_number(raw.get("trials", 100), int, 1, field="trials"),
@@ -260,8 +261,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
     results = {}
     spectra = {}
     connectivity = {}
-    for label in cfg.objectives:
-        spec = parse_objective(label)
+    for label, spec in cfg.objectives:
         joint = exact_joint(spec, cfg.params)
         m = normalize(joint)
         numeric = singular_spectrum(m)
@@ -278,11 +278,8 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
         x, _, _ = dec.probe_features_for_joint(m, t_conn, cfg.params)
         connectivity[label] = connectivity_estimate(x)
         name = _safe(label)
-        support = TripletSupport.of(joint)  # the cells of both files
-        write_joint_csv(joint, os.path.join(out_dir, f"joint_{name}.csv"),
-                        support)
-        write_matrix_csv(m, os.path.join(out_dir, f"normalized_{name}.csv"),
-                         support)
+        write_joint_csv(joint, os.path.join(out_dir, f"joint_{name}.csv"))
+        write_matrix_csv(m, os.path.join(out_dir, f"normalized_{name}.csv"))
         spectra[label] = numeric.values
         results[label] = {
             "rows": m.shape[0],
@@ -291,21 +288,15 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
             "tail_energy": {"t": t_tail, "value": tail_energy(numeric, t_tail)},
             "top_singular_values": numeric.values[:10],
         }
-    return {
-        "experiment": "spectrum",
-        "params": cfg.params.to_dict(),
-        "results": results,
-        "spectra": spectra,
-        "connectivity": connectivity,
-    }
+    return {"results": results, "spectra": spectra,
+            "connectivity": connectivity}
 
 
 def run_identity(cfg: ExperimentConfig, out_dir) -> dict:
     """Randomized trials of the loss/factorization identity per objective."""
     results = {}
     dims = (1, 2, 4)
-    for label in cfg.objectives:
-        spec = parse_objective(label)
+    for label, spec in cfg.objectives:
         joint = exact_joint(spec, cfg.params)
         m = normalize(joint)
         worst = 0.0
@@ -316,18 +307,13 @@ def run_identity(cfg: ExperimentConfig, out_dir) -> dict:
             w = rng.standard_normal((t, len(joint.cols)))
             worst = max(worst, dec.identity_residual(f, w, joint, m))
         results[label] = {"trials": cfg.trials, "max_residual": worst}
-    return {
-        "experiment": "identity",
-        "params": cfg.params.to_dict(),
-        "results": results,
-    }
+    return {"results": results}
 
 
 def run_factorize(cfg: ExperimentConfig, out_dir) -> dict:
     """Gradient-descent factorization against the truncated-SVD optimum."""
     results = {}
-    for label in cfg.objectives:
-        spec = parse_objective(label)
+    for label, spec in cfg.objectives:
         m = normalize(exact_joint(spec, cfg.params))
         t = cfg.rank if cfg.rank is not None else cfg.params.r
         t = min(t, min(m.shape))
@@ -345,29 +331,21 @@ def run_factorize(cfg: ExperimentConfig, out_dir) -> dict:
             "iterations": run.iterations,
             "converged": run.converged,
         }
-    return {
-        "experiment": "factorize",
-        "params": cfg.params.to_dict(),
-        "results": results,
-    }
+    return {"results": results}
 
 
 def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     """Linear probe error on each objective's optimal features."""
     results = {}
-    for label in cfg.objectives:
-        m = normalize(exact_joint(parse_objective(label), cfg.params))
+    for label, spec in cfg.objectives:
+        m = normalize(exact_joint(spec, cfg.params))
         t = cfg.rank if cfg.rank is not None else cfg.params.r
         x, labels, weights = dec.probe_features_for_joint(m, t, cfg.params)
         probe = dec.linear_probe(x, labels, reg=cfg.reg, weights=weights)
         entry = {"t": t, "reg": cfg.reg, "error": probe.error}
         write_json(os.path.join(out_dir, f"probe_{_safe(label)}.json"), entry)
         results[label] = entry
-    return {
-        "experiment": "probe",
-        "params": cfg.params.to_dict(),
-        "results": results,
-    }
+    return {"results": results}
 
 
 def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
@@ -392,8 +370,7 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     reports = {}
     bound_rows = {}
     delta_ar = None
-    for label in cfg.objectives:
-        spec = parse_objective(label)
+    for label, spec in cfg.objectives:
         rng = derive_rng(cfg.seed, "genbound", label)
         joint = exact_joint(spec, params)
         result = gen.train_model(joint, params, cfg.train, rng)
@@ -423,13 +400,7 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
         }
         for label, rows in bound_rows.items()
     }
-    return {
-        "experiment": "genbound",
-        "params": params.to_dict(),
-        "models": reports,
-        "bounds": bounds,
-        "delta_ar": delta_ar,
-    }
+    return {"models": reports, "bounds": bounds, "delta_ar": delta_ar}
 
 
 def run_masks(cfg: ExperimentConfig, out_dir) -> dict:
@@ -447,8 +418,6 @@ def run_masks(cfg: ExperimentConfig, out_dir) -> dict:
     rng = derive_rng(cfg.seed, "masks", "perturb")
     drift = max_query_drift(model, a, params, rng, trials=cfg.trials)
     return {
-        "experiment": "masks",
-        "params": params.to_dict(),
         "assignment": list(a.groups),
         "max_query_drift": drift,
         "mask_files": ["content_mask.csv", "query_mask.csv"],
@@ -516,8 +485,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     dataset = list(enumerate_sequences(params))
     rows = []
     delta_ar_by_seed: dict[int, float] = {}
-    for label in cfg.objectives:
-        spec = parse_objective(label)
+    for label, spec in cfg.objectives:
         joint = exact_joint(spec, params)
         for seed_i in range(cfg.seeds):
             rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
@@ -551,12 +519,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
          for row in rows]
         for name in columns
     ])
-    return {
-        "experiment": "sweep",
-        "params": params.to_dict(),
-        "rows": rows,
-        "gaps": gaps,
-    }
+    return {"rows": rows, "gaps": gaps}
 
 
 EXPERIMENTS = {
@@ -608,12 +571,17 @@ def emit_plot_data(report: dict, out_dir) -> tuple[list[str], list[str]]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Execute one experiment and write its report and plot data."""
+    """Execute one experiment and write its report and plot data.
+
+    The report is the runner's sections plus the experiment's name and
+    params.
+    """
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory: {exc}") from exc
-    report = EXPERIMENTS[cfg.experiment](cfg, out_dir)
+    report = {"experiment": cfg.experiment, "params": cfg.params.to_dict(),
+              **EXPERIMENTS[cfg.experiment](cfg, out_dir)}
     write_report(report, out_dir)
     emit_plot_data(report, out_dir)
     return report

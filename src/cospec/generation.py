@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import UNMASKED, JointDistribution, unmasked_count
+from .cooccurrence import (
+    UNMASKED,
+    JointDistribution,
+    check_texts,
+    unmasked_count,
+)
 from .errors import DomainError, NumericError
 from .toy_model import LabeledSequence, ToyParams, token_id, token_label
 
@@ -73,13 +78,8 @@ def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
     GEMM sums in another order and moves the features in their last bits.
     """
     tokens = np.asarray(tokens)
+    check_texts(tokens)
     real = tokens >= 0
-    if (tokens.ndim != 2 or tokens.size == 0 or not real[:, 0].all()
-            or (real[:, 1:] > real[:, :-1]).any()):
-        raise DomainError(
-            "pooled attention needs an (n, L) token matrix whose rows hold "
-            "at least one token and pad only after the last one"
-        )
     total = model.emb[tokens[:, 0]]
     for j in range(1, tokens.shape[1]):
         np.add(total, model.emb[tokens[:, j]], out=total,
@@ -291,8 +291,8 @@ class _Workspace:
     each call overwrites `grads` in place, and the row scalings go through
     `einsum`, which needs no broadcast buffer. The plain chain rule through
     `incidence @ emb` sums in another order, so the two agree to rounding,
-    not bit for bit. A row that starts with a pad, or whose tokens or
-    targets leave one class block, is a `DomainError` naming the row.
+    not bit for bit. A row whose tokens or targets leave one class block
+    is a `DomainError` naming the row.
     """
 
     def __init__(self, joint: JointDistribution, weights, params: ToyParams):
@@ -303,10 +303,6 @@ class _Workspace:
         m = vocab // r
         token_class = token_label(params, np.arange(vocab)) - 1
         real = tokens >= 0
-        if not real[:, 0].all():
-            i = int(np.argmin(real[:, 0]))
-            raise DomainError(f"joint row {i} (tokens {tokens[i].tolist()}) "
-                              "starts with a -1 pad")
         row_class = token_class[tokens[:, 0]]
         col_class = token_class[self.cols]
         astray = ((real & (token_class[tokens] != row_class[:, None])).any(1)

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +23,7 @@ def write_csv(path, header, columns) -> None:
 
     A column is an array, a list, or a pair `(values, index)` that stands
     for `values[index]`, so a caller with few distinct cells spells only
-    those; `values` may be :func:`spell`'s, to spell them once for several
-    files. A 2-D integer array is a column of texts, one per row, padded
+    those. A 2-D integer array is a column of texts, one per row, padded
     with -1 after the last id: each cell is the row's ids joined by `-`.
     Every float cell is `repr` of a Python float, so files round-trip
     exactly. Quoting and `\r\n` endings are those of `csv.writer`'s default
@@ -56,22 +53,6 @@ def write_csv(path, header, columns) -> None:
             fh.write(out.tobytes().translate(None, _PAD).decode())
 
 
-@dataclass(frozen=True, eq=False)
-class Spelled:
-    """A column's distinct cells, spelled once for rows of `width` fields."""
-
-    table: np.ndarray
-    cells_of: Callable
-    width: int
-
-
-def spell(column, width: int) -> Spelled:
-    """`column` spelled for rows of `width` fields, to be the `values` of
-    `(values, index)` columns in any number of `write_csv` calls."""
-    table, cells_of, _ = _spell(column, width)
-    return Spelled(table, cells_of, width)
-
-
 def _spell(column, width: int):
     """`column` as (table, cells_of, size) in rows of `width` fields.
 
@@ -88,13 +69,8 @@ def _spell(column, width: int):
     if isinstance(column, tuple):
         values, index = column
         index = np.asarray(index, dtype=np.intp)
-        if not isinstance(values, Spelled):
-            values = spell(values, width)
-        if values.width != width:
-            raise ValueError(f"cells spelled for rows of {values.width} "
-                             f"fields, not {width}")
-        return (values.table, lambda at: values.cells_of(index[at]),
-                len(index))
+        table, cells_of, _ = _spell(values, width)
+        return table, lambda at: cells_of(index[at]), len(index)
     if isinstance(column, np.ndarray) and column.dtype != object:
         if column.ndim == 2:
             rows = np.arange(len(column))

@@ -15,7 +15,6 @@ from cospec import cooccurrence, output
 from cospec.cooccurrence import (
     ConditionalText,
     JointDistribution,
-    TripletSupport,
     admissible_counts,
     build_ar_joint,
     build_dar_joint,
@@ -27,7 +26,6 @@ from cospec.cooccurrence import (
     write_matrix_csv,
 )
 from cospec.errors import DomainError, ResourceError
-from cospec.output import spell
 from cospec.objectives import (
     build_joint_from_sampler,
     exact_joint,
@@ -470,7 +468,7 @@ def test_row_key_tables_spell_the_oracle_keys(s):
     for r, big_t in itertools.product((1, 2, 3), (1, 2, 3)):
         for label in grid_labels(s):
             joint = exact_joint(parse_objective(label), ToyParams(r, s, big_t))
-            table = spell(joint.tokens, 3).table
+            table = output._id_table(joint.tokens, 3)
             keys = [row.tobytes().translate(None, output._PAD).decode()
                     for row in table]
             assert keys == oracles.row_keys(joint.tokens).tolist()
@@ -489,11 +487,10 @@ _TRIPLET_DIGESTS = {
 def test_large_triplet_files_keep_their_bytes(tmp_path):
     joint = exact_joint(parse_objective("masked:0.5"), ToyParams(3, 12, 2))
     m = normalize(joint)
-    support = TripletSupport.of(joint)
     for name, write, table in (("joint", write_joint_csv, joint),
                                ("normalized", write_matrix_csv, m)):
         path = tmp_path / f"{name}.csv"
-        write(table, path, support)
+        write(table, path)
         data = path.read_bytes()
         path.unlink()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
@@ -565,15 +562,3 @@ def test_normalized_energy_is_its_squared_norm():
     assert m.energy == float(np.sum(m.matrix**2))
     with pytest.raises(ValueError, match="read-only"):
         m.matrix[0, 0] = 0.0
-
-
-@pytest.mark.parametrize("label", LABELS)
-def test_a_shared_support_writes_both_files_unchanged(label, tmp_path):
-    joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
-    m = normalize(joint)
-    support = TripletSupport.of(joint)
-    for write, table in ((write_joint_csv, joint), (write_matrix_csv, m)):
-        write(table, tmp_path / "shared.csv", support)
-        write(table, tmp_path / "own.csv")
-        got = (tmp_path / "shared.csv").read_bytes()
-        assert got == (tmp_path / "own.csv").read_bytes()

@@ -17,6 +17,7 @@ from cospec.experiments import (
     run_experiment,
 )
 from cospec.generation import TrainSettings
+from cospec.objectives import parse_objective
 from cospec.output import to_jsonable
 from cospec.toy_model import ToyParams
 
@@ -43,7 +44,11 @@ def test_config_accepts_dict_json_and_path(tmp_path):
     from_file = load_config(path)
     assert from_dict == from_string == from_file
     assert from_dict.params == ToyParams(2, 4, 2)
-    assert from_dict.objectives == ("ar",)
+    assert from_dict.objectives == (("ar", parse_objective("ar")),)
+    # each objective keeps the config's own string as its label
+    spelled = cfg(objectives=["masked:0.50", "dar:2"]).objectives
+    assert spelled == (("masked:0.50", parse_objective("masked:0.5")),
+                       ("dar:2", parse_objective("dar:2")))
 
 
 def test_config_rejects_unknown_fields():

@@ -421,16 +421,21 @@ def test_a_joint_that_crosses_class_blocks_is_refused():
     # last class, which a leading -1 would index
     (ToyParams(2, 3, 2), [-1, 6]),
     (ToyParams(2, 3, 2), [-1, -1]),
+    (ToyParams(1, 3, 2), [0, -1, 2]),  # a pad between tokens
+    (ToyParams(1, 3, 2), [-1, -1, -1]),  # an all-pad row
+    (ToyParams(1, 3, 2), [0, -2, -1]),  # a pad other than -1
 ])
 def test_a_row_that_starts_with_a_pad_is_refused(params, bad):
-    target = params.vocab_size - 1
-    joint = JointDistribution(
-        kind="masked", tokens=np.array([bad, [0, 4]]),
-        cols=(target,), mass=np.array([[0.5], [0.5]]))
+    # The joint refuses the text, so no writer, pooling or training step
+    # sees it; the first bad row is named.
+    good = [0, 4, -1][:len(bad)]
     with pytest.raises(DomainError) as refused:
-        train_model(joint, params, TrainSettings(steps=1))
+        JointDistribution(kind="unmasked", tokens=np.array([good, bad, bad]),
+                          cols=(params.vocab_size - 1,),
+                          mass=np.full((3, 1), 1 / 3))
     assert str(refused.value) == (
-        f"joint row 0 (tokens {bad}) starts with a -1 pad")
+        f"row 1 (tokens {bad}) is not a text: it needs a token first and -1 "
+        "pads only after its last token")
 
 
 def test_a_joint_beyond_the_vocabulary_is_refused():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cospec.cooccurrence import normalize, write_joint_csv, write_matrix_csv
 from cospec.errors import NumericError
 from cospec.objectives import exact_joint, parse_objective
-from cospec.output import spell, write_csv, write_json
+from cospec.output import write_csv, write_json
 from cospec.spectral import singular_spectrum
 from cospec.toy_model import ToyParams
 
@@ -186,21 +186,6 @@ def test_triplet_files_match_csv_writer(label, params, tmp_path):
                        values])
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
-
-
-def test_spelled_cells_serve_several_files(tmp_path):
-    words = np.array(["a", "b,c", "", "d\"e"])
-    keys = spell(words, 2)
-    for index in ([0, 1, 2, 3], [3, 3, 1]):
-        numbers = np.arange(len(index)) / 3
-        write_csv(tmp_path / "got.csv", ["k", "v"], [(keys, index), numbers])
-        reference_csv(tmp_path / "want.csv", ["k", "v"],
-                      [(list(words), index), numbers])
-        got = (tmp_path / "got.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
-    # a one-field row spells an empty cell `""`, so the width must match
-    with pytest.raises(ValueError, match="rows of 2 fields, not 1"):
-        write_csv(tmp_path / "got.csv", None, [(keys, [2])])
 
 
 def test_spectrum_csv_format(tmp_path):

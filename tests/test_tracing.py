@@ -11,6 +11,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -18,6 +19,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import tracing  # noqa: E402
 from cospec import cli  # noqa: E402
+from cospec.objectives import exact_joint, parse_objective  # noqa: E402
+from cospec.toy_model import ToyParams  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", [
@@ -51,3 +54,11 @@ def test_a_traced_spectrum_run_counts_its_builds_and_writes(tmp_path):
     assert metrics["cooccurrence.write_mb"]["value"] == sum(
         path.stat().st_size for path in triplets) / 2**20
     assert metrics["cooccurrence.builds"]["value"] == len(objectives)
+    # the tracer counts rows by `len(joint.rows)` and cells by
+    # `len(joint.entries)`; both must still count the joint's own
+    joints = [exact_joint(parse_objective(label), ToyParams(2, 4, 2))
+              for label in objectives]
+    assert metrics["cooccurrence.rows"]["value"] == sum(
+        len(joint.tokens) for joint in joints)
+    assert metrics["cooccurrence.nnz"]["value"] == sum(
+        np.count_nonzero(joint.mass) for joint in joints)
