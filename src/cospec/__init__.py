@@ -59,7 +59,6 @@ from .objectives import (
     sample_pairs,
 )
 from .spectral import (
-    SingularSpectrum,
     connectivity_estimate,
     exact_ar_spectrum,
     predicted_ar_spectrum,
@@ -68,7 +67,6 @@ from .spectral import (
     tail_energy,
 )
 from .toy_model import (
-    LabeledSequence,
     ToyParams,
     decode_token,
     enumerate_sequences,
@@ -80,11 +78,9 @@ from .twostream import (
     GroupAssignment,
     TwoStreamModel,
     build_masks,
-    enumerate_assignments,
     parse_assignment,
     partition_groups,
     prediction_weights,
-    semi_ar_loss,
     two_stream_forward,
     two_stream_layer,
 )

@@ -38,26 +38,6 @@ class ConditionalText:
     kind: str
     tokens: tuple[int, ...]
 
-    @classmethod
-    def prefix(cls, tokens) -> "ConditionalText":
-        tokens = tuple(int(t) for t in tokens)
-        if not tokens:
-            raise DomainError("prefix must be nonempty")
-        return cls(PREFIX, tokens)
-
-    @classmethod
-    def unmasked(cls, tokens) -> "ConditionalText":
-        tokens = tuple(sorted(int(t) for t in tokens))
-        if not tokens:
-            raise DomainError("unmasked set must be nonempty")
-        if len(set(tokens)) != len(tokens):
-            raise DomainError("unmasked set has duplicate tokens")
-        return cls(UNMASKED, tokens)
-
-    def key(self) -> str:
-        """Stable string form used in triplet CSV exports."""
-        return "-".join(str(t) for t in self.tokens)
-
 
 def check_texts(tokens: np.ndarray) -> None:
     """Refuse, naming the first bad row, what is not a matrix of texts.
@@ -107,6 +87,11 @@ class JointDistribution:
         if not mass.size:
             raise DomainError("joint distribution has empty support")
         check_texts(self.tokens)
+        bad = np.diff(self.cols, prepend=-1) <= 0  # ids >= 0, ascending
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DomainError(f"cols entry {j} ({self.cols[j]}) is not an "
+                              "id >= 0 above the entry before it")
         pc, pg = mass.sum(axis=1), mass.sum(axis=0)
         # A NaN or an infinity anywhere, or an overflow, leaves no finite sum.
         if not np.isfinite(pc.sum()):
@@ -276,30 +261,18 @@ _COUNT_SLACK = 1e-9
 
 
 def unmasked_count(s: int, rho_m: float) -> int:
-    """Number of visible positions for a mask ratio, validated to be integral."""
-    if not 0.0 < rho_m < 1.0:
-        raise DomainError(f"mask ratio must lie in (0, 1), got {rho_m}")
-    u = s * (1.0 - rho_m)
-    u_int = round(u)
-    if abs(u - u_int) > _COUNT_SLACK:
-        admissible = [m / s for m in range(1, s)]
-        raise DomainError(
-            f"mask ratio {rho_m} leaves a non-integer unmasked count "
-            f"{u:.4g} at s={s}; admissible ratios: {admissible}"
-        )
-    if not 1 <= u_int <= s - 1:
-        raise DomainError(
-            f"unmasked count {u_int} outside 1..{s - 1} at s={s}"
-        )
-    return int(u_int)
+    """Number of visible positions for a mask ratio: the one count of the
+    range rho_m..rho_m, or a `DomainError`."""
+    return admissible_counts(s, rho_m, rho_m)[0]
 
 
 def admissible_counts(s: int, lo: float, hi: float) -> list[int]:
     """Unmasked counts of the mask ratios m/s in [lo, hi], ascending in ratio.
 
     The count of m/s is s - m, so the counts descend; an empty grid is a
-    `DomainError`. The ends are read on the count with the slack of
-    :func:`unmasked_count`, which accepts R exactly when R..R has a grid.
+    `DomainError`. The ends are read on the count with `_COUNT_SLACK`, so a
+    ratio written to ten digits, such as 0.3333333333 at s = 3, is on the
+    grid. :func:`unmasked_count` reads one ratio R as the range R..R.
     """
     if not 0.0 < lo <= hi < 1.0:
         raise DomainError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")

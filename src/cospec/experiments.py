@@ -38,12 +38,7 @@ from .spectral import (
     singular_spectrum,
     tail_energy,
 )
-from .toy_model import (
-    ENUMERATION_BUDGET,
-    ToyParams,
-    enumerate_sequences,
-    sample_sequence,
-)
+from .toy_model import ENUMERATION_BUDGET, ToyParams, sample_sequence
 
 _TOP_KEYS = {
     "experiment", "seed", "params", "objectives", "rank", "reg", "trials",
@@ -269,9 +264,9 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
         max_err = None
         if closed is not None:
             n = max(len(numeric), len(closed))
-            max_err = float(
-                np.max(np.abs(numeric.padded(n) - closed.padded(n)))
-            )
+            max_err = float(np.max(np.abs(
+                np.pad(numeric, (0, n - len(numeric)))
+                - np.pad(closed, (0, n - len(closed))))))
         t_tail = cfg.rank if cfg.rank is not None else cfg.params.r
         t_conn = cfg.rank if cfg.rank is not None else cfg.params.r + 1
         t_conn = min(t_conn, min(m.shape))
@@ -280,13 +275,13 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
         name = _safe(label)
         write_joint_csv(joint, os.path.join(out_dir, f"joint_{name}.csv"))
         write_matrix_csv(m, os.path.join(out_dir, f"normalized_{name}.csv"))
-        spectra[label] = numeric.values
+        spectra[label] = numeric
         results[label] = {
             "rows": m.shape[0],
             "cols": m.shape[1],
             "max_abs_error_vs_closed_form": max_err,
             "tail_energy": {"t": t_tail, "value": tail_energy(numeric, t_tail)},
-            "top_singular_values": numeric.values[:10],
+            "top_singular_values": numeric[:10],
         }
     return {"results": results, "spectra": spectra,
             "connectivity": connectivity}
@@ -366,7 +361,6 @@ def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
 def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     """Train one model per objective; measure losses, bound terms, and gaps."""
     params = cfg.params
-    dataset = list(enumerate_sequences(params))
     reports = {}
     bound_rows = {}
     delta_ar = None
@@ -378,7 +372,7 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
             delta_ar = gen.delta_term(result.model, joint)
         elif spec.width is None:
             bound_rows[label] = _bound_rows(cfg, spec, result.model, joint)
-        g = gen.gen_loss(result.model, dataset, params)
+        g = gen.gen_loss(result.model, params)
         reports[label] = {
             "gen_loss": g.total,
             "nll": g.nll,
@@ -457,11 +451,11 @@ def _query_drift(model, a, params, rng, trials: int) -> float:
     texts = []
     for _ in range(trials):
         label = int(rng.integers(1, params.r + 1))
-        x = sample_sequence(params, label, rng).tokens
+        x = sample_sequence(params, label, rng)
         texts.append(x)
         for start in starts:
-            other = sample_sequence(params, label, rng).tokens
-            texts.append(x[:start] + other[start:])
+            other = sample_sequence(params, label, rng)
+            texts.append(np.concatenate((x[:start], other[start:])))
     _, g_out = ts.two_stream_forward(model, texts, a)
     # per trial: the drawn text, then the text redrawn from each group on
     g_out = g_out.reshape(trials, 1 + len(starts), *g_out.shape[1:])
@@ -482,7 +476,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     columns = ("spec", "rho", "seed", "gen_loss", "bound", "delta", "eta",
                "normW2")
     params = cfg.params
-    dataset = list(enumerate_sequences(params))
     rows = []
     delta_ar_by_seed: dict[int, float] = {}
     for label, spec in cfg.objectives:
@@ -490,7 +483,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
         for seed_i in range(cfg.seeds):
             rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
             model = gen.train_model(joint, params, cfg.train, rng).model
-            total = gen.gen_loss(model, dataset, params).total
+            total = gen.gen_loss(model, params).total
             # (rho, bound, delta, eta, normW2) of each row
             if spec.width is not None:
                 delta = gen.delta_term(model, joint)

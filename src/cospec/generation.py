@@ -23,7 +23,7 @@ from .cooccurrence import (
     unmasked_count,
 )
 from .errors import DomainError, NumericError
-from .toy_model import LabeledSequence, ToyParams, token_id, token_label
+from .toy_model import ToyParams, enumerate_sequences, token_id, token_label
 
 
 @dataclass
@@ -113,23 +113,20 @@ class GenerationReport:
 
 
 def gen_loss(
-    model: LinearAttentionModel,
-    dataset: list[LabeledSequence],
-    params: ToyParams,
+    model: LinearAttentionModel, params: ToyParams
 ) -> GenerationReport:
-    """Quadratic generation loss, averaged over positions 2..s and sequences.
+    """Quadratic generation loss, averaged over positions 2..s and the corpus.
 
-    Per position k the prediction is the normalized score vector over the
+    The corpus is enumerated whole, every sequence weighted equally. Per
+    position k the prediction is the normalized score vector over the
     target catalog given the length-(k-1) prefix; the loss is the negative
     score of the true token plus the mean squared score (negatives drawn
     uniformly from the catalog). Softmax NLL and perplexity are reported
     alongside for orientation only; the bound is about the quadratic form.
     """
-    if not dataset:
-        raise DomainError("empty dataset")
     cols = np.array(target_catalog(params))
     w_cols = model.w_out[:, cols]
-    corpus = np.array([x.tokens for x in dataset])
+    corpus = enumerate_sequences(params)
     rows = np.arange(len(corpus))
     s = params.s
     per_position: dict[int, float] = {}

@@ -8,7 +8,6 @@ connectivity estimate of learned features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,35 +22,13 @@ SVD_BUDGET = 4000
 CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Descending singular values; closed forms hold only the nonzero ones."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=float)
-        )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def padded(self, n: int) -> np.ndarray:
-        """Values extended (or truncated) to length n with zeros."""
-        v = self.values
-        if len(v) >= n:
-            return v[:n].copy()
-        return np.concatenate([v, np.zeros(n - len(v))])
-
-
-def _spectrum(values) -> SingularSpectrum:
+def _spectrum(values) -> np.ndarray:
+    """`values` as floats, noise clamped to zero, in descending order."""
     v = np.asarray(values, dtype=float)
-    v = np.where(v < CLAMP, 0.0, v)
-    return SingularSpectrum(values=np.sort(v)[::-1])
+    return np.sort(np.where(v < CLAMP, 0.0, v))[::-1]
 
 
-def singular_spectrum(m: NormalizedMatrix | np.ndarray) -> SingularSpectrum:
+def singular_spectrum(m: NormalizedMatrix | np.ndarray) -> np.ndarray:
     """Full numeric spectrum, descending, length min(rows, cols)."""
     a = m.matrix if isinstance(m, NormalizedMatrix) else np.asarray(m, float)
     if max(a.shape) > SVD_BUDGET:
@@ -61,7 +38,7 @@ def singular_spectrum(m: NormalizedMatrix | np.ndarray) -> SingularSpectrum:
     return _spectrum(np.linalg.svd(a, compute_uv=False))
 
 
-def exact_ar_spectrum(params: ToyParams) -> SingularSpectrum:
+def exact_ar_spectrum(params: ToyParams) -> np.ndarray:
     """Nonzero spectrum of the next-token matrix as actually constructed.
 
     The matrix is block diagonal with one rank-1 all-equal block per
@@ -71,7 +48,7 @@ def exact_ar_spectrum(params: ToyParams) -> SingularSpectrum:
     return _spectrum(np.ones(params.r * (params.s - 1)))
 
 
-def predicted_ar_spectrum(params: ToyParams) -> SingularSpectrum:
+def predicted_ar_spectrum(params: ToyParams) -> np.ndarray:
     """Stated closed form for the next-token spectrum: r * s ones.
 
     This overcounts the construction by r unit values (there are s - 1
@@ -85,7 +62,7 @@ def predicted_ar_spectrum(params: ToyParams) -> SingularSpectrum:
 
 def predicted_masked_spectrum(
     params: ToyParams, rho_lo: float, rho_hi: float
-) -> SingularSpectrum:
+) -> np.ndarray:
     """Nonzero masked spectrum over the admissible ratios in [lo, hi].
 
     r ones, then r*(s-1) copies of sqrt(mean of u / ((s - u) * (s - 1))),
@@ -103,11 +80,11 @@ def predicted_masked_spectrum(
     return _spectrum(np.concatenate([np.ones(r), np.full(r * (s - 1), middle)]))
 
 
-def tail_energy(spectrum: SingularSpectrum, t: int) -> float:
+def tail_energy(spectrum: np.ndarray, t: int) -> float:
     """Fourth-power mass beyond the first t singular values."""
     if t < 0:
         raise DomainError(f"feature dimension must be >= 0, got {t}")
-    return float(np.sum(spectrum.values[t:] ** 4))
+    return float(np.sum(spectrum[t:] ** 4))
 
 
 def connectivity_estimate(features) -> float:

@@ -50,14 +50,6 @@ class ToyParams:
         return {"r": self.r, "s": self.s, "T": self.T}
 
 
-@dataclass(frozen=True)
-class LabeledSequence:
-    """`s` token ids plus the class that generated them."""
-
-    tokens: tuple[int, ...]
-    label: int
-
-
 def token_id(params: ToyParams, position, label, slot):
     """Map (position, class, slot) to token ids; ints and arrays broadcast.
 
@@ -91,30 +83,29 @@ def token_label(params: ToyParams, token):
 
 
 def enumerate_sequences(params: ToyParams, budget: int = ENUMERATION_BUDGET):
-    """Yield every corpus sequence exactly once, in deterministic order.
+    """Every corpus sequence exactly once: an (r * T**s, s) id matrix.
 
-    Order is class-major, then lexicographic in the per-position slots. The
-    implied probability of each yielded sequence is ``1 / params.corpus_size``.
+    Rows are class-major, then lexicographic in the per-position slots, and
+    each has probability ``1 / params.corpus_size``. A row's class is
+    ``token_label(params, row[0])``.
     """
     if params.corpus_size > budget:
         raise ResourceError(
             f"corpus has {params.corpus_size} sequences, over the enumeration "
             f"budget of {budget}; use sample_sequence instead"
         )
-    positions = np.arange(1, params.s + 1)
     # every slot fill, lexicographic: the C order of the (T,) * s grid
     fills = np.indices((params.T,) * params.s).reshape(params.s, -1).T + 1
-    for label in range(1, params.r + 1):
-        for tokens in token_id(params, positions, label, fills).tolist():
-            yield LabeledSequence(tokens=tuple(tokens), label=label)
+    labels = np.arange(1, params.r + 1)[:, None, None]
+    ids = token_id(params, np.arange(1, params.s + 1), labels, fills)
+    return ids.reshape(-1, params.s)
 
 
 def sample_sequence(
     params: ToyParams, label: int, rng: np.random.Generator
-) -> LabeledSequence:
-    """Draw one sequence of the given class, slots i.i.d. uniform."""
+) -> np.ndarray:
+    """The (s,) ids of one sequence of class `label`, slots i.i.d. uniform."""
     if not 1 <= label <= params.r:
         raise DomainError(f"class {label} outside 1..{params.r}")
     slots = rng.integers(1, params.T + 1, size=params.s)
-    tokens = token_id(params, np.arange(1, params.s + 1), label, slots)
-    return LabeledSequence(tokens=tuple(tokens.tolist()), label=label)
+    return token_id(params, np.arange(1, params.s + 1), label, slots)

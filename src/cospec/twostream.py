@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .generation import score_losses, target_catalog
 from .output import write_csv
-from .toy_model import LabeledSequence, ToyParams
+from .toy_model import ToyParams
 
 
 @dataclass(frozen=True)
@@ -93,23 +92,6 @@ def parse_assignment(text: str, s: int) -> GroupAssignment:
     except (KeyError, ValueError) as exc:
         raise DomainError(f"assignment needs integer g1 and t: {text!r}") from exc
     return partition_groups(s, g1, t)
-
-
-def enumerate_assignments(s: int):
-    """All contiguous assignments of s positions (compositions of s)."""
-    if s < 1:
-        raise DomainError(f"need s >= 1, got {s}")
-    for pattern in range(1 << (s - 1)):
-        sizes = []
-        run = 1
-        for bit in range(s - 1):
-            if pattern >> bit & 1:
-                sizes.append(run)
-                run = 1
-            else:
-                run += 1
-        sizes.append(run)
-        yield GroupAssignment.from_sizes(sizes)
 
 
 @dataclass(frozen=True)
@@ -211,32 +193,6 @@ def two_stream_forward(model: TwoStreamModel, tokens, a: GroupAssignment):
     g0 = np.broadcast_to(model.pos, h0.shape)
     masks = build_masks(a)
     return two_stream_layer(h0, g0, masks, model.wq, model.wk, model.wv)
-
-
-def semi_ar_loss(
-    model: TwoStreamModel,
-    x: LabeledSequence,
-    a: GroupAssignment,
-    params: ToyParams,
-) -> float:
-    """Grouped prediction loss: uniform over groups 2.., uniform within.
-
-    Every predicted token's score vector comes from its query-stream row,
-    so all tokens of a group are predicted in parallel from the same
-    earlier-group content.
-    """
-    _, g_out = two_stream_forward(model, x.tokens, a)
-    if a.num_groups < 2:
-        raise DomainError("assignment has a single group; nothing to predict")
-    cols = np.array(target_catalog(params))
-    group = np.array(a.groups)
-    pred = group > 1
-    z = g_out[pred] @ model.w_out[:, cols]
-    targets = np.searchsorted(cols, np.array(x.tokens)[pred])
-    losses = score_losses(z)[np.arange(len(z)), targets]
-    # the mean within each predicted group, then over the groups
-    group = group[pred] - 2
-    return float(np.mean(np.bincount(group, losses) / np.bincount(group)))
 
 
 def prediction_weights(s: int, t: int) -> dict[tuple[int, int], float]:

@@ -107,7 +107,7 @@ def scan_joint_csv(joint, path):
     """Joint CSV by scanning every (row, column) pair of the catalogs."""
     entries = dict(joint.entries)
     _write_triplets(path, (
-        (text.key(), tok, entries[(text, tok)])
+        (text_key(text), tok, entries[(text, tok)])
         for text in joint.rows
         for tok in joint.cols
         if (text, tok) in entries
@@ -160,6 +160,26 @@ def pooled_rows(emb, wq, wk, wv, tokens):
         v = total @ wv
         out.append(float(q @ k) * v)
     return np.stack(out)
+
+
+def gen_loss_loop(model, params):
+    """Per-position quadratic generation loss, one corpus sequence and one
+    prefix at a time: {k: mean over the r * T**s sequences}."""
+    r, s, T = params.r, params.s, params.T
+    cols = list(range(r * T, params.vocab_size))  # positions 2..s
+    out = {}
+    for k in range(2, s + 1):
+        losses = []
+        for y in range(1, r + 1):
+            for fill in itertools.product(range(1, T + 1), repeat=s):
+                ids = [token(p, y, j, r, T) for p, j in enumerate(fill, 1)]
+                f = brute_pooled(model.emb, model.wq, model.wk, model.wv,
+                                 ids[:k - 1])
+                z = f @ model.w_out[:, cols]
+                z = z / np.linalg.norm(z)
+                losses.append(-z[cols.index(ids[k - 1])] + np.mean(z**2))
+        out[k] = math.fsum(losses) / len(losses)
+    return out
 
 
 def brute_eta(emb, wq, wk, wv, ids):
@@ -432,14 +452,15 @@ def tv_distance(p, q):
 
 
 def ar_reference_loss(model, x, params):
-    """Next-token loss computed directly, without the mask machinery.
+    """Next-token loss of the (s,) ids `x`, computed directly, without the
+    mask machinery.
 
     Mirrors what the grouped pipeline must reduce to at width 1: for each
     position the query is that position's position-embedding row, keys and
     values come from the strictly earlier content rows.
     """
     d = model.emb.shape[1]
-    h0 = model.emb[list(x.tokens)] + model.pos
+    h0 = model.emb[x] + model.pos
     keys = h0 @ model.wk
     values = h0 @ model.wv
     cols = list(range(params.r * params.T, params.vocab_size))
@@ -457,7 +478,7 @@ def ar_reference_loss(model, x, params):
         if norm > 0:
             z = z / norm
         losses.append(
-            -float(z[col_index[x.tokens[p - 1]]]) + float(np.mean(z**2))
+            -float(z[col_index[int(x[p - 1])]]) + float(np.mean(z**2))
         )
     return float(np.mean(losses))
 
@@ -504,12 +525,12 @@ def query_drift_loop(model, groups, params, rng, trials):
     worst = 0.0
     for _ in range(max(1, trials)):
         label = int(rng.integers(1, params.r + 1))
-        x = sample_sequence(params, label, rng)
-        _, g_ref = per_text_forward(model, x.tokens, groups)
+        x = sample_sequence(params, label, rng).tolist()
+        _, g_ref = per_text_forward(model, x, groups)
         for g in range(2, max(groups) + 1):
             rows = [p for p, gp in enumerate(groups) if gp == g]
-            other = sample_sequence(params, label, rng)
-            tokens = x.tokens[:rows[0]] + other.tokens[rows[0]:]
+            other = sample_sequence(params, label, rng).tolist()
+            tokens = x[:rows[0]] + other[rows[0]:]
             _, g_new = per_text_forward(model, tokens, groups)
             worst = max(worst,
                         float(np.max(np.abs(g_new[rows] - g_ref[rows]))))
@@ -532,7 +553,7 @@ def lookahead_position_law(s: int, t: int) -> dict[tuple[int, int], float]:
 
 
 def sample_pair(spec, x, rng):
-    """Draw one (conditional text, target token) pair from a sequence.
+    """Draw one (conditional text, target token) pair from the ids `x`.
 
     The law matches the exact joint builders: a prefix length uniform over
     1..s-1 and the target uniform over its window, or a count uniform over
@@ -540,23 +561,23 @@ def sample_pair(spec, x, rng):
     rest. Two spellings of one objective parse to equal specs, so they draw
     the same stream.
     """
-    from cospec.cooccurrence import ConditionalText, admissible_counts
+    from cospec.cooccurrence import admissible_counts
     from cospec.errors import DomainError
 
-    s = len(x.tokens)
+    x = np.asarray(x).tolist()
+    s = len(x)
     if s < 2:
         raise DomainError(f"sequence length must be >= 2, got {s}")
     if spec.width is not None:
         k = int(rng.integers(1, s))
         target_pos = int(rng.integers(k, min(k + spec.width, s)))
-        return ConditionalText.prefix(x.tokens[:k]), x.tokens[target_pos]
+        return prefix_text(x[:k]), x[target_pos]
     counts = admissible_counts(s, spec.rho_lo, spec.rho_hi)
     u = counts[int(rng.integers(len(counts)))]
     visible = np.sort(rng.choice(s, size=u, replace=False))
     hidden = np.setdiff1d(np.arange(s), visible)
     target_pos = int(rng.choice(hidden))
-    text = ConditionalText.unmasked(x.tokens[p] for p in visible)
-    return text, x.tokens[target_pos]
+    return unmasked_text(x[p] for p in visible), x[target_pos]
 
 
 def from_entries(entries):
@@ -587,6 +608,11 @@ def from_entries(entries):
     tokens = np.array([t + (-1,) * (width - len(t)) for t in texts])
     return JointDistribution(kind=kinds.pop(), tokens=tokens, cols=cols,
                              mass=mass)
+
+
+def padded(spectrum, n):
+    """A spectrum with zeros appended up to length n."""
+    return np.pad(spectrum, (0, n - len(spectrum)))
 
 
 def block_matrix_spectrum(p_a, p_b, s_a, s_b):
@@ -732,3 +758,85 @@ def joint_from_sampler_by_unique(spec, params, n, rng):
     return JointDistribution(kind=kind, tokens=tokens,
                              cols=tuple(cols.tolist()),
                              mass=counts.reshape(shape) / n)
+
+
+# `ConditionalText`'s former constructors and key, which only tests used.
+
+
+def prefix_text(tokens):
+    """A prefix `ConditionalText`: nonempty, in sequence order."""
+    from cospec.cooccurrence import PREFIX, ConditionalText
+    from cospec.errors import DomainError
+
+    tokens = tuple(int(t) for t in tokens)
+    if not tokens:
+        raise DomainError("prefix must be nonempty")
+    return ConditionalText(PREFIX, tokens)
+
+
+def unmasked_text(tokens):
+    """An unmasked-set `ConditionalText`: nonempty, distinct, sorted."""
+    from cospec.cooccurrence import UNMASKED, ConditionalText
+    from cospec.errors import DomainError
+
+    tokens = tuple(sorted(int(t) for t in tokens))
+    if not tokens:
+        raise DomainError("unmasked set must be nonempty")
+    if len(set(tokens)) != len(tokens):
+        raise DomainError("unmasked set has duplicate tokens")
+    return ConditionalText(UNMASKED, tokens)
+
+
+def text_key(text):
+    """The triplet CSV key of a `ConditionalText`: its ids joined by `-`."""
+    return "-".join(str(t) for t in text.tokens)
+
+
+# The grouped prediction loss and the assignment enumeration that
+# `cospec.twostream` formerly held for its tests.
+
+
+def enumerate_assignments(s):
+    """All contiguous assignments of s positions (compositions of s)."""
+    from cospec.errors import DomainError
+    from cospec.twostream import GroupAssignment
+
+    if s < 1:
+        raise DomainError(f"need s >= 1, got {s}")
+    for pattern in range(1 << (s - 1)):
+        sizes = []
+        run = 1
+        for bit in range(s - 1):
+            if pattern >> bit & 1:
+                sizes.append(run)
+                run = 1
+            else:
+                run += 1
+        sizes.append(run)
+        yield GroupAssignment.from_sizes(sizes)
+
+
+def semi_ar_loss(model, x, a, params):
+    """Grouped prediction loss of the (s,) ids `x`: uniform over groups
+    2.., uniform within.
+
+    Every predicted token's score vector comes from its query-stream row,
+    so all tokens of a group are predicted in parallel from the same
+    earlier-group content.
+    """
+    from cospec.errors import DomainError
+    from cospec.generation import score_losses, target_catalog
+    from cospec.twostream import two_stream_forward
+
+    _, g_out = two_stream_forward(model, x, a)
+    if a.num_groups < 2:
+        raise DomainError("assignment has a single group; nothing to predict")
+    cols = np.array(target_catalog(params))
+    group = np.array(a.groups)
+    pred = group > 1
+    z = g_out[pred] @ model.w_out[:, cols]
+    targets = np.searchsorted(cols, np.asarray(x)[pred])
+    losses = score_losses(z)[np.arange(len(z)), targets]
+    # the mean within each predicted group, then over the groups
+    group = group[pred] - 2
+    return float(np.mean(np.bincount(group, losses) / np.bincount(group)))

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from numpy.testing import assert_allclose
 import oracles
 from cospec import cooccurrence, output
 from cospec.cooccurrence import (
-    ConditionalText,
     JointDistribution,
     admissible_counts,
     build_ar_joint,
@@ -133,8 +133,8 @@ def test_from_entries_round_trips(label):
 def test_from_entries_rejects_mixed_kinds():
     with pytest.raises(DomainError, match="kinds"):
         oracles.from_entries({
-            (ConditionalText.prefix([0]), 2): 0.5,
-            (ConditionalText.unmasked([1]), 2): 0.5,
+            (oracles.prefix_text([0]), 2): 0.5,
+            (oracles.unmasked_text([1]), 2): 0.5,
         })
 
 
@@ -300,7 +300,7 @@ def test_sampled_joint_approaches_exact():
 
 def test_normalize_single_entry():
     joint = oracles.from_entries(
-        {(ConditionalText.prefix([0]), 2): 1.0}
+        {(oracles.prefix_text([0]), 2): 1.0}
     )
     m = normalize(joint)
     assert m.matrix.shape == (1, 1)
@@ -316,7 +316,7 @@ entry_values = st.lists(
 @given(values=entry_values, scale=st.floats(0.1, 50.0))
 @settings(max_examples=60)
 def test_normalize_is_scale_invariant(values, scale):
-    rows = [ConditionalText.prefix([0]), ConditionalText.prefix([1])]
+    rows = [oracles.prefix_text([0]), oracles.prefix_text([1])]
     keys = [(rows[0], 2), (rows[0], 3), (rows[1], 2), (rows[1], 3)]
     base = normalize(
         oracles.from_entries(dict(zip(keys, values)))
@@ -338,7 +338,7 @@ def test_normalize_weights_are_marginals():
 
 
 def test_joint_rejects_bad_entries():
-    text = ConditionalText.prefix([0])
+    text = oracles.prefix_text([0])
     with pytest.raises(DomainError):
         oracles.from_entries({})
     with pytest.raises(DomainError):
@@ -355,8 +355,8 @@ def test_joint_rejects_bad_entries():
 def test_from_entries_refuses_non_finite_or_negative_mass(bad, message):
     with pytest.raises(DomainError, match=message):
         oracles.from_entries({
-            (ConditionalText.prefix([0]), 2): bad,
-            (ConditionalText.prefix([1]), 3): 0.5,
+            (oracles.prefix_text([0]), 2): bad,
+            (oracles.prefix_text([1]), 3): 0.5,
         })
 
 
@@ -372,6 +372,17 @@ def test_joint_refuses_mass_of_another_shape():
     with pytest.raises(DomainError, match="does not match"):
         JointDistribution(kind="prefix", tokens=np.array([[0], [1]]),
                           cols=(2, 3), mass=np.full((2, 3), 1 / 6))
+
+
+@pytest.mark.parametrize("cols, entry", [((-1, 3), "entry 0 (-1)"),
+                                         ((3, 3), "entry 1 (3)"),
+                                         ((4, 3), "entry 1 (3)")])
+def test_joint_refuses_cols_that_are_not_ascending_ids(cols, entry):
+    # a column catalog of ids >= 0 in strictly increasing order is what
+    # the training step and the triplet writers index by
+    with pytest.raises(DomainError, match=re.escape(entry)):
+        JointDistribution(kind="prefix", tokens=np.array([[0], [1]]),
+                          cols=cols, mass=np.full((2, 2), 0.25))
 
 
 @pytest.mark.parametrize(
@@ -394,12 +405,12 @@ def test_normalize_keeps_the_catalogs():
 
 
 def test_conditional_text_canonical_forms():
-    assert ConditionalText.unmasked([5, 2, 9]).tokens == (2, 5, 9)
+    assert oracles.unmasked_text([5, 2, 9]).tokens == (2, 5, 9)
     with pytest.raises(DomainError):
-        ConditionalText.unmasked([3, 3])
+        oracles.unmasked_text([3, 3])
     with pytest.raises(DomainError):
-        ConditionalText.prefix([])
-    assert ConditionalText.prefix([4, 1]).key() == "4-1"
+        oracles.prefix_text([])
+    assert oracles.text_key(oracles.prefix_text([4, 1])) == "4-1"
 
 
 def test_joint_csv_export(tmp_path):
@@ -413,7 +424,7 @@ def test_joint_csv_export(tmp_path):
     # repr round-trips values exactly
     text_key, tok, value = lines[1]
     key = (
-        ConditionalText.prefix([int(t) for t in text_key.split("-")]),
+        oracles.prefix_text([int(t) for t in text_key.split("-")]),
         int(tok),
     )
     assert float(value) == joint.entries[key]

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 import oracles
 from cospec.cooccurrence import (
-    ConditionalText,
     build_ar_joint,
     build_masked_joint,
     normalize,
@@ -50,7 +49,7 @@ def test_zero_encoder_gives_zero_loss():
 def test_perfectly_aligned_single_entry_scores_minus_one():
     # one (conditional, target) pair with unit mass and a unit score:
     # doubled alignment -2 plus unit contrast +1
-    text = ConditionalText.prefix([0])
+    text = oracles.prefix_text([0])
     joint = oracles.from_entries({(text, 1): 1.0})
     enc = np.array([[1.0]])
     emb = np.array([[1.0]])
@@ -82,7 +81,7 @@ def test_identity_residual_vanishes_on_corpus_joints(joint):
 )
 @settings(max_examples=60)
 def test_identity_residual_vanishes_on_arbitrary_joints(values, dim, seed):
-    rows = [ConditionalText.prefix([i]) for i in range(3)]
+    rows = [oracles.prefix_text([i]) for i in range(3)]
     keys = [(rows[i], 3 + j) for i in range(3) for j in range(2)]
     joint = oracles.from_entries(dict(zip(keys, values)))
     enc, emb = random_maps(joint, dim, np.random.default_rng(seed))
@@ -112,7 +111,7 @@ def test_stated_next_token_tail_would_be_larger():
     # rs - 2 = 4; the built matrix achieves 2 (see exact_ar_spectrum)
     params = ToyParams(2, 3, 2)
     predicted = predicted_ar_spectrum(params)
-    assert float(np.sum(predicted.values[2:] ** 2)) == pytest.approx(4.0)
+    assert float(np.sum(predicted[2:] ** 2)) == pytest.approx(4.0)
 
 
 def test_masked_optimal_objective_closed_form():

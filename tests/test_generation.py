@@ -10,8 +10,7 @@ from numpy.testing import assert_allclose
 import oracles
 from cospec import generation
 from cospec.cooccurrence import (
-    ConditionalText, JointDistribution, admissible_counts, build_ar_joint,
-    build_masked_joint,
+    JointDistribution, admissible_counts, build_ar_joint, build_masked_joint,
 )
 from cospec.errors import DomainError, NumericError
 from cospec.generation import (
@@ -30,7 +29,7 @@ from cospec.generation import (
     train_model,
 )
 from cospec.objectives import exact_joint, parse_objective
-from cospec.toy_model import ToyParams, enumerate_sequences
+from cospec.toy_model import ToyParams
 
 
 def random_model(vocab, dim, seed):
@@ -112,12 +111,22 @@ def test_target_catalog_skips_first_position():
     assert target_catalog(params) == tuple(range(4, 12))
 
 
+@pytest.mark.parametrize("r, s, big_t", [(2, 3, 2), (1, 4, 3)])
+def test_gen_loss_scores_every_sequence_of_the_corpus(r, s, big_t):
+    params = ToyParams(r, s, big_t)
+    model = random_model(params.vocab_size, 3, seed=r + s)
+    report = gen_loss(model, params)
+    want = oracles.gen_loss_loop(model, params)
+    assert report.per_position == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert report.total == pytest.approx(np.mean(list(want.values())),
+                                         rel=1e-12, abs=1e-12)
+
+
 def test_zero_output_head_scores_zero_loss():
     params = ToyParams(1, 3, 2)
     model = random_model(params.vocab_size, 3, seed=1)
     model.w_out = np.zeros_like(model.w_out)
-    dataset = list(enumerate_sequences(params))
-    report = gen_loss(model, dataset, params)
+    report = gen_loss(model, params)
     assert report.total == 0.0
     assert set(report.per_position) == {2, 3}
     # uniform softmax over the catalog
@@ -134,14 +143,9 @@ def test_single_column_catalog_is_free():
         wv=np.eye(2),
         w_out=np.ones((2, 2)),
     )
-    report = gen_loss(model, list(enumerate_sequences(params)), params)
+    report = gen_loss(model, params)
     assert report.total == pytest.approx(0.0, abs=1e-12)
     assert report.perplexity == pytest.approx(1.0)
-
-
-def test_gen_loss_requires_data():
-    with pytest.raises(DomainError):
-        gen_loss(random_model(4, 2, 0), [], ToyParams(1, 2, 2))
 
 
 def test_misalignment_weights_at_half_masking():
@@ -397,7 +401,7 @@ def test_a_joint_that_crosses_class_blocks_is_refused():
     # at (2, 3, 2), tokens 0 and 2 are position 1 of classes 1 and 2, and
     # tokens 6 and 10 are positions 2 and 3 of class 2
     params = ToyParams(2, 3, 2)
-    unmasked = ConditionalText.unmasked
+    unmasked = oracles.unmasked_text
     rows = {
         ((0, 4), 8): 0.25,   # class 1 throughout
         ((0, 2), 4): 0.25,   # its tokens span classes 1 and 2
@@ -546,7 +550,6 @@ def test_trained_masked_model_respects_its_bound():
     params = ToyParams(1, 6, 2)
     joint = exact_joint(parse_objective("masked:0.5"), params)
     result = train_model(joint, params, None, np.random.default_rng(3))
-    dataset = list(enumerate_sequences(params))
-    report = gen_loss(result.model, dataset, params)
+    report = gen_loss(result.model, params)
     terms = generation_bound_terms(result.model, params, 0.5, joint)
     assert report.total <= masked_generation_bound(terms)

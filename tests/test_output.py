@@ -190,7 +190,7 @@ def test_triplet_files_match_csv_writer(label, params, tmp_path):
 
 def test_spectrum_csv_format(tmp_path):
     path = tmp_path / "spectrum.csv"
-    sigma = singular_spectrum(np.diag([2.0, 1.0])).values
+    sigma = singular_spectrum(np.diag([2.0, 1.0]))
     write_csv(path, ["rank", "sigma"], [[1, 2], sigma])
     with open(path, newline="") as fh:
         lines = list(csv.reader(fh))

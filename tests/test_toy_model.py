@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -110,21 +112,34 @@ def test_params_dict_round_trip():
 
 def test_enumeration_covers_corpus_once():
     params = ToyParams(2, 3, 2)
-    seqs = list(enumerate_sequences(params))
-    assert len(seqs) == params.corpus_size == 16
-    assert len({x.tokens for x in seqs}) == 16
-    assert sum(1 for x in seqs if x.label == 1) == 8
+    seqs = enumerate_sequences(params)
+    assert seqs.shape == (params.corpus_size, params.s) == (16, 3)
+    assert len({tuple(x) for x in seqs.tolist()}) == 16
+    assert sum(1 for x in seqs if token_label(params, x[0]) == 1) == 8
     for x in seqs:
-        for pos, tok in enumerate(x.tokens, start=1):
+        label = token_label(params, x[0])
+        for pos, tok in enumerate(x, start=1):
             got_pos, got_label, _ = decode_token(params, tok)
             assert got_pos == pos
-            assert got_label == x.label
+            assert got_label == label
+
+
+@pytest.mark.parametrize("r, s, big_t", [(2, 3, 2), (1, 4, 3)])
+def test_enumeration_order_is_class_major_then_lexicographic(r, s, big_t):
+    # `gen_loss` sums over the corpus rows in this order
+    params = ToyParams(r, s, big_t)
+    want = [
+        [token_id(params, p, y, j) for p, j in enumerate(fill, start=1)]
+        for y in range(1, r + 1)
+        for fill in itertools.product(range(1, big_t + 1), repeat=s)
+    ]
+    assert enumerate_sequences(params).tolist() == want
 
 
 def test_enumeration_budget_points_at_sampler():
     params = ToyParams(3, 12, 3)
     with pytest.raises(ResourceError, match="sample_sequence"):
-        list(enumerate_sequences(params))
+        enumerate_sequences(params)
 
 
 def test_sampler_respects_class_and_positions():
@@ -132,16 +147,31 @@ def test_sampler_respects_class_and_positions():
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = sample_sequence(params, 2, rng)
-        assert x.label == 2
-        assert [decode_token(params, t)[0] for t in x.tokens] == [1, 2, 3, 4]
-        assert all(token_label(params, t) == 2 for t in x.tokens)
+        assert x.shape == (params.s,)
+        assert [decode_token(params, t)[0] for t in x] == [1, 2, 3, 4]
+        assert all(token_label(params, t) == 2 for t in x)
 
 
 def test_sampler_is_reproducible():
     params = ToyParams(2, 5, 3)
     a = [sample_sequence(params, 1, np.random.default_rng(9)) for _ in range(20)]
     b = [sample_sequence(params, 1, np.random.default_rng(9)) for _ in range(20)]
-    assert a == b
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_sampler_draws_one_slot_vector(seed):
+    # one `integers(1, T + 1, size=s)` draw per sequence, which the `masks`
+    # experiment's stream of trials depends on
+    params = ToyParams(2, 5, 3)
+    rng = np.random.default_rng(seed)
+    got = [sample_sequence(params, 2, rng) for _ in range(3)]
+    ref = np.random.default_rng(seed)
+    want = [token_id(params, np.arange(1, params.s + 1), 2,
+                     ref.integers(1, params.T + 1, size=params.s))
+            for _ in range(3)]
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sampler_slot_frequencies_are_uniform():
@@ -149,8 +179,7 @@ def test_sampler_slot_frequencies_are_uniform():
     rng = np.random.default_rng(17)
     n = 40_000
     counts = np.zeros((params.s, params.T))
-    tokens = np.array([sample_sequence(params, 1, rng).tokens
-                       for _ in range(n)])
+    tokens = np.array([sample_sequence(params, 1, rng) for _ in range(n)])
     np.add.at(counts, (np.arange(params.s), decode_token(params, tokens)[2] - 1),
               1)
     # each (position, slot) cell is Binomial(n, 1/T); allow 4 sigma

@@ -2,8 +2,8 @@
 
 `bench/tracing.py` wraps package functions by module and name, so a
 rename or a moved call in `cospec` would silently drop a layer from every
-traced benchmark run. These tests hold the names and the counts of one
-small traced `spectrum` run.
+traced benchmark run. These tests hold the names, and the counts of small
+traced `spectrum`, `genbound` and `masks` runs.
 """
 
 import importlib
@@ -34,18 +34,24 @@ def test_every_traced_name_resolves(module, attr):
     assert callable(owner)
 
 
-def test_a_traced_spectrum_run_counts_its_builds_and_writes(tmp_path):
-    objectives = ["ar", "masked:0.5", "dar:2", "vlm:0.25-0.75"]
-    config = tmp_path / "spectrum.json"
-    config.write_text(json.dumps({
-        "experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
-        "objectives": objectives, "seed": 3,
-    }))
+def traced_run(tmp_path, config):
+    """Per-layer metrics of one traced `cospec run` of `config`."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "out"
     with tracing.Tracer() as tracer:
-        status = cli.main(["run", "--config", str(config), "--out", str(out)])
+        status = cli.main(["run", "--config", str(path), "--out", str(out)])
     assert status == 0
-    metrics = tracing.layer_metrics(tracer, 1, 1.0, 1.0)
+    return tracing.layer_metrics(tracer, 1, 1.0, 1.0)
+
+
+def test_a_traced_spectrum_run_counts_its_builds_and_writes(tmp_path):
+    objectives = ["ar", "masked:0.5", "dar:2", "vlm:0.25-0.75"]
+    metrics = traced_run(tmp_path, {
+        "experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
+        "objectives": objectives, "seed": 3,
+    })
+    out = tmp_path / "out"
     triplets = [path for path in out.iterdir()
                 if path.name.startswith(("joint_", "normalized_"))]
     assert len(triplets) == 2 * len(objectives)
@@ -62,3 +68,24 @@ def test_a_traced_spectrum_run_counts_its_builds_and_writes(tmp_path):
         len(joint.tokens) for joint in joints)
     assert metrics["cooccurrence.nnz"]["value"] == sum(
         np.count_nonzero(joint.mass) for joint in joints)
+
+
+def test_a_traced_genbound_run_times_training_and_scoring(tmp_path):
+    metrics = traced_run(tmp_path, {
+        "experiment": "genbound", "params": {"r": 1, "s": 4, "T": 2},
+        "objectives": ["ar", "masked:0.5"], "train": {"steps": 20},
+        "seed": 3,
+    })
+    assert metrics["generation.models"]["value"] == 2
+    assert metrics["generation.train_steps"]["value"] == 40
+    assert metrics["generation.train_s"]["value"] > 0
+    assert metrics["generation.gen_loss_s"]["value"] > 0
+
+
+def test_a_traced_masks_run_counts_its_forwards(tmp_path):
+    metrics = traced_run(tmp_path, {
+        "experiment": "masks", "params": {"r": 2, "s": 4, "T": 2},
+        "trials": 4, "seed": 3,
+    })
+    assert metrics["twostream.forwards"]["value"] >= 1
+    assert metrics["twostream.forward_s"]["value"] > 0

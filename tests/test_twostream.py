@@ -13,12 +13,10 @@ from cospec.toy_model import ToyParams, sample_sequence
 from cospec.twostream import (
     GroupAssignment,
     build_masks,
-    enumerate_assignments,
     init_two_stream,
     parse_assignment,
     partition_groups,
     prediction_weights,
-    semi_ar_loss,
     two_stream_forward,
     two_stream_layer,
     write_mask_csv,
@@ -69,7 +67,7 @@ def test_parse_assignment_strings():
 
 def test_enumerate_assignments_counts_compositions():
     for s in (1, 2, 3, 4, 5):
-        assignments = list(enumerate_assignments(s))
+        assignments = list(oracles.enumerate_assignments(s))
         assert len(assignments) == 2 ** (s - 1)
         assert len({a.groups for a in assignments}) == len(assignments)
         for a in assignments:
@@ -88,7 +86,7 @@ def test_mask_hand_example():
 
 def test_query_mask_is_content_mask_minus_same_group():
     for s in range(1, 6):
-        for a in enumerate_assignments(s):
+        for a in oracles.enumerate_assignments(s):
             masks = build_masks(a)
             content_ok = np.isfinite(masks.content)
             query_ok = np.isfinite(masks.query)
@@ -142,11 +140,11 @@ def test_query_stream_ignores_forbidden_tokens():
     a = partition_groups(5, 1, 2)
     rng = np.random.default_rng(4)
     x = sample_sequence(params, 1, rng)
-    _, g_ref = two_stream_forward(model, x.tokens, a)
+    _, g_ref = two_stream_forward(model, x, a)
     for g in range(2, a.num_groups + 1):
         start = a.positions_of(g)[0]
         other = sample_sequence(params, 1, rng)
-        tokens = list(x.tokens[: start - 1]) + list(other.tokens[start - 1:])
+        tokens = np.concatenate((x[: start - 1], other[start - 1:]))
         _, g_new = two_stream_forward(model, tokens, a)
         for p in a.positions_of(g):
             assert np.max(np.abs(g_new[p - 1] - g_ref[p - 1])) <= 1e-12
@@ -158,10 +156,10 @@ def test_stacked_forward_is_bit_equal_to_one_text_at_a_time(seed):
     model = init_two_stream(params, dim=8, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(10 + seed)
     texts = np.array([
-        sample_sequence(params, int(rng.integers(1, 3)), rng).tokens
+        sample_sequence(params, int(rng.integers(1, 3)), rng)
         for _ in range(12)
     ])
-    for a in enumerate_assignments(6):
+    for a in oracles.enumerate_assignments(6):
         h_out, g_out = two_stream_forward(model, texts, a)
         for k, tokens in enumerate(texts):
             h_ref, g_ref = oracles.per_text_forward(model, tokens, a.groups)
@@ -205,7 +203,7 @@ def test_singleton_groups_give_plain_next_token_loss():
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = sample_sequence(params, int(rng.integers(1, 3)), rng)
-        got = semi_ar_loss(model, x, a, params)
+        got = oracles.semi_ar_loss(model, x, a, params)
         want = oracles.ar_reference_loss(model, x, params)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -215,12 +213,13 @@ def test_two_group_split_is_last_token_loss():
     model = init_two_stream(params, dim=5, rng=np.random.default_rng(7))
     a = GroupAssignment.from_sizes([3, 1])
     x = sample_sequence(params, 1, np.random.default_rng(8))
-    _, g_out = two_stream_forward(model, x.tokens, a)
+    _, g_out = two_stream_forward(model, x, a)
     cols = list(target_catalog(params))
     z = g_out[3] @ model.w_out[:, cols]
     z = z / np.linalg.norm(z)
-    want = -float(z[cols.index(x.tokens[3])]) + float(np.mean(z**2))
-    assert semi_ar_loss(model, x, a, params) == pytest.approx(want, abs=1e-12)
+    want = -float(z[cols.index(x[3])]) + float(np.mean(z**2))
+    got = oracles.semi_ar_loss(model, x, a, params)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_single_group_has_nothing_to_predict():
@@ -228,7 +227,7 @@ def test_single_group_has_nothing_to_predict():
     model = init_two_stream(params, dim=4, rng=np.random.default_rng(9))
     x = sample_sequence(params, 1, np.random.default_rng(10))
     with pytest.raises(DomainError):
-        semi_ar_loss(model, x, GroupAssignment.from_sizes([3]), params)
+        oracles.semi_ar_loss(model, x, GroupAssignment.from_sizes([3]), params)
 
 
 def test_prediction_weights_are_a_distribution():
