@@ -26,7 +26,6 @@ from .decomposition import (
     gd_factorize,
     identity_residual,
     linear_probe,
-    load_factor_pair,
     optimal_features,
     probe_features_for_joint,
     save_factor_pair,
@@ -61,7 +60,6 @@ from .objectives import (
 from .spectral import (
     connectivity_estimate,
     exact_ar_spectrum,
-    predicted_ar_spectrum,
     predicted_masked_spectrum,
     singular_spectrum,
     tail_energy,
@@ -74,13 +72,10 @@ from .toy_model import (
     token_id,
 )
 from .twostream import (
-    CausalMaskPair,
-    GroupAssignment,
     TwoStreamModel,
     build_masks,
     parse_assignment,
     partition_groups,
-    prediction_weights,
     two_stream_forward,
     two_stream_layer,
 )

@@ -146,7 +146,6 @@ class NormalizedMatrix:
     cols: tuple[int, ...]
     matrix: np.ndarray
     row_weights: np.ndarray
-    col_weights: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -185,7 +184,6 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
         cols=joint.cols,
         matrix=matrix,
         row_weights=pc / total,
-        col_weights=pg / total,
     )
 
 

@@ -10,8 +10,6 @@ of learned features.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -267,24 +265,6 @@ def save_factor_pair(pair: FactorPair, directory, name: str = "factors") -> None
     for fname, mat in ((header["row_file"], pair.row_factor),
                        (header["col_file"], pair.col_factor)):
         write_csv(os.path.join(directory, fname), None, list(mat.T))
-
-
-def load_factor_pair(directory, name: str = "factors") -> FactorPair:
-    with open(os.path.join(directory, f"{name}.json")) as fh:
-        header = json.load(fh)
-    mats = []
-    for key in ("row_file", "col_file"):
-        with open(os.path.join(directory, header[key]), newline="") as fh:
-            mats.append(
-                np.array([[float(v) for v in row] for row in csv.reader(fh)])
-            )
-    pair = FactorPair(row_factor=mats[0], col_factor=mats[1],
-                      rank=int(header["rank"]))
-    if pair.row_factor.shape != (header["rows"], header["rank"]):
-        raise DomainError("row factor shape disagrees with header")
-    if pair.col_factor.shape != (header["cols"], header["rank"]):
-        raise DomainError("column factor shape disagrees with header")
-    return pair
 
 
 def probe_features_for_joint(m: NormalizedMatrix, t: int, params: ToyParams):

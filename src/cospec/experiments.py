@@ -251,6 +251,11 @@ def _closed_form_spectrum(spec: ObjectiveSpec, params: ToyParams):
     return None
 
 
+def _rank(cfg: ExperimentConfig, m, default: int) -> int:
+    """The config's `rank`, else `default`, at most min(m.shape)."""
+    return min(default if cfg.rank is None else cfg.rank, min(m.shape))
+
+
 def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
     """Build each objective's joint, decompose it, compare to closed forms."""
     results = {}
@@ -267,9 +272,8 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
             max_err = float(np.max(np.abs(
                 np.pad(numeric, (0, n - len(numeric)))
                 - np.pad(closed, (0, n - len(closed))))))
-        t_tail = cfg.rank if cfg.rank is not None else cfg.params.r
-        t_conn = cfg.rank if cfg.rank is not None else cfg.params.r + 1
-        t_conn = min(t_conn, min(m.shape))
+        t_tail = _rank(cfg, m, cfg.params.r)
+        t_conn = _rank(cfg, m, cfg.params.r + 1)
         x, _, _ = dec.probe_features_for_joint(m, t_conn, cfg.params)
         connectivity[label] = connectivity_estimate(x)
         name = _safe(label)
@@ -310,8 +314,7 @@ def run_factorize(cfg: ExperimentConfig, out_dir) -> dict:
     results = {}
     for label, spec in cfg.objectives:
         m = normalize(exact_joint(spec, cfg.params))
-        t = cfg.rank if cfg.rank is not None else cfg.params.r
-        t = min(t, min(m.shape))
+        t = _rank(cfg, m, cfg.params.r)
         best = dec.optimal_features(m, t)
         optimal = dec.decomposition_objective(best, m)
         run = dec.gd_factorize(
@@ -334,7 +337,7 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     results = {}
     for label, spec in cfg.objectives:
         m = normalize(exact_joint(spec, cfg.params))
-        t = cfg.rank if cfg.rank is not None else cfg.params.r
+        t = _rank(cfg, m, cfg.params.r)
         x, labels, weights = dec.probe_features_for_joint(m, t, cfg.params)
         probe = dec.linear_probe(x, labels, reg=cfg.reg, weights=weights)
         entry = {"t": t, "reg": cfg.reg, "error": probe.error}
@@ -353,7 +356,7 @@ def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
     for rho in cfg.rho_m or [(s - u) / s for u in counts]:
         u = unmasked_count(s, rho)
         if u >= 2 and u in counts:
-            terms = gen.generation_bound_terms(model, cfg.params, rho, joint)
+            terms = gen.generation_bound_terms(model, joint, u)
             rows.append((rho, terms, gen.masked_generation_bound(terms)))
     return rows
 
@@ -405,14 +408,14 @@ def run_masks(cfg: ExperimentConfig, out_dir) -> dict:
         a = ts.parse_assignment(text, params.s)
     except DomainError as exc:
         raise ConfigError(str(exc), field="assignment") from exc
-    masks = ts.build_masks(a)
-    ts.write_mask_csv(masks.content, os.path.join(out_dir, "content_mask.csv"))
-    ts.write_mask_csv(masks.query, os.path.join(out_dir, "query_mask.csv"))
+    content, query = ts.build_masks(a)
+    ts.write_mask_csv(content, os.path.join(out_dir, "content_mask.csv"))
+    ts.write_mask_csv(query, os.path.join(out_dir, "query_mask.csv"))
     model = ts.init_two_stream(params, dim=8, rng=derive_rng(cfg.seed, "masks"))
     rng = derive_rng(cfg.seed, "masks", "perturb")
     drift = max_query_drift(model, a, params, rng, trials=cfg.trials)
     return {
-        "assignment": list(a.groups),
+        "assignment": a.tolist(),
         "max_query_drift": drift,
         "mask_files": ["content_mask.csv", "query_mask.csv"],
     }
@@ -425,13 +428,14 @@ _TRIALS_PER_FORWARD = 1024
 
 def max_query_drift(
     model: ts.TwoStreamModel,
-    a: ts.GroupAssignment,
+    a: np.ndarray,
     params: ToyParams,
     rng: np.random.Generator,
     trials: int = 8,
 ) -> float:
     """Worst change in a query row when same-or-later-group tokens change.
 
+    `a` is the group id per position, as `ts.partition_groups` gives it.
     For each predicted group, every token in that group or after it is
     outside the group's allowed keys, so redrawing all of them must leave
     that group's query outputs untouched. Returns the max abs drift seen.
@@ -447,7 +451,7 @@ def max_query_drift(
 def _query_drift(model, a, params, rng, trials: int) -> float:
     """`max_query_drift` over `trials` trials, whose texts are all drawn
     first and then run as one stack."""
-    starts = [a.positions_of(g)[0] - 1 for g in range(2, a.num_groups + 1)]
+    starts = np.flatnonzero(np.diff(a)) + 1
     texts = []
     for _ in range(trials):
         label = int(rng.integers(1, params.r + 1))
@@ -460,7 +464,7 @@ def _query_drift(model, a, params, rng, trials: int) -> float:
     # per trial: the drawn text, then the text redrawn from each group on
     g_out = g_out.reshape(trials, 1 + len(starts), *g_out.shape[1:])
     # row p of redrawn text k is read if position p is in group 2 + k
-    read = np.array(a.groups) == np.arange(2, a.num_groups + 1)[:, None]
+    read = a == a[starts][:, None]
     drift = np.abs(g_out[:, 1:] - g_out[:, :1])[:, read]
     return float(np.max(drift, initial=0.0))
 

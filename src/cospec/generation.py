@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import (
-    UNMASKED,
-    JointDistribution,
-    check_texts,
-    unmasked_count,
-)
+from .cooccurrence import UNMASKED, JointDistribution, check_texts
 from .errors import DomainError, NumericError
 from .toy_model import ToyParams, enumerate_sequences, token_id, token_label
 
@@ -148,9 +143,9 @@ def gen_loss(
     )
 
 
-def misalignment_weight(s: int, rho_m: float, k: int) -> float:
-    """Cubic length-misalignment weight at generation position k."""
-    u = unmasked_count(s, rho_m)
+def misalignment_weight(u: int, k: int) -> float:
+    """Cubic length-misalignment weight at generation position k, for a
+    model that saw u unmasked tokens."""
     return float(u**3 - (k - 1) ** 3)
 
 
@@ -162,8 +157,7 @@ class GenerationBoundTerms:
     eta: float
     delta: float
     output_norm: float
-    s: int
-    rho_m: float
+    u: int
 
 
 def max_output_discrepancy(model: LinearAttentionModel) -> float:
@@ -204,51 +198,40 @@ def delta_term(model: LinearAttentionModel, joint: JointDistribution) -> float:
 
 
 def generation_bound_terms(
-    model: LinearAttentionModel,
-    params: ToyParams,
-    rho_m: float,
-    joint: JointDistribution,
+    model: LinearAttentionModel, joint: JointDistribution, u: int
 ) -> GenerationBoundTerms:
-    """Measure the bound's ingredients for one model at one mask ratio.
+    """Measure the bound's ingredients for one model at u unmasked tokens.
 
     `joint` is the mask joint the model trained on. Its rows with u visible
-    tokens are those of the one-ratio joint at `rho_m`, with the same
-    column catalog and support, so `delta` is taken over them alone.
+    tokens are those of the one-ratio joint at the ratio that leaves u,
+    with the same column catalog and support, so `delta` is taken over
+    them alone.
     """
-    u = unmasked_count(params.s, rho_m)
     if u < 2:
-        raise DomainError(
-            f"bound needs an unmasked count >= 2, got {u} at s={params.s}, "
-            f"rho_m={rho_m}"
-        )
+        raise DomainError(f"bound needs an unmasked count >= 2, got {u}")
     rows = (joint.tokens >= 0).sum(axis=1) == u
     if joint.kind != UNMASKED or not rows.any():
         raise DomainError(
-            f"bound at rho_m={rho_m} needs a mask joint with rows of {u} "
-            f"visible tokens, as a model trained at that ratio has"
+            f"bound at u={u} needs a mask joint with rows of {u} visible "
+            f"tokens, as a model trained at that ratio has"
         )
-    weights = {
-        k: misalignment_weight(params.s, rho_m, k) for k in range(2, u + 1)
-    }
     own = JointDistribution(kind=joint.kind, tokens=joint.tokens[rows],
                             cols=joint.cols, mass=joint.mass[rows])
     return GenerationBoundTerms(
-        weights=weights,
+        weights={k: misalignment_weight(u, k) for k in range(2, u + 1)},
         eta=max_output_discrepancy(model),
         delta=delta_term(model, own),
         output_norm=model.output_norm(),
-        s=params.s,
-        rho_m=rho_m,
+        u=u,
     )
 
 
 def masked_generation_bound(terms: GenerationBoundTerms) -> float:
     """Upper bound on masked-model generation loss from measured terms."""
-    u = unmasked_count(terms.s, terms.rho_m)
     acc = 0.0
     for k, w in terms.weights.items():
         acc += w**2 / (k - 1) ** 6 + w * terms.output_norm**2 * terms.eta
-    return acc / (2.0 * u) + terms.delta + 1.0
+    return acc / (2.0 * terms.u) + terms.delta + 1.0
 
 
 @dataclass(frozen=True)

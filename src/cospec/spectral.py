@@ -48,18 +48,6 @@ def exact_ar_spectrum(params: ToyParams) -> np.ndarray:
     return _spectrum(np.ones(params.r * (params.s - 1)))
 
 
-def predicted_ar_spectrum(params: ToyParams) -> np.ndarray:
-    """Stated closed form for the next-token spectrum: r * s ones.
-
-    This overcounts the construction by r unit values (there are s - 1
-    prefix lengths, not s); :func:`exact_ar_spectrum` is what numeric SVD
-    reproduces. The prediction is kept because the comparative claims
-    downstream are phrased against it, and it only widens the next-token
-    side of every inequality they assert.
-    """
-    return _spectrum(np.ones(params.r * params.s))
-
-
 def predicted_masked_spectrum(
     params: ToyParams, rho_lo: float, rho_hi: float
 ) -> np.ndarray:

@@ -18,64 +18,19 @@ from .output import write_csv
 from .toy_model import ToyParams
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Group index per position, 1-based, non-decreasing in steps of one."""
-
-    groups: tuple[int, ...]
-
-    def __post_init__(self):
-        g = self.groups
-        if not g:
-            raise DomainError("assignment covers no positions")
-        if g[0] != 1:
-            raise DomainError(f"first group must be 1, got {g[0]}")
-        for a, b in zip(g, g[1:]):
-            if b not in (a, a + 1):
-                raise DomainError(
-                    f"groups must be contiguous and non-decreasing, got {g}"
-                )
-
-    @classmethod
-    def from_sizes(cls, sizes) -> "GroupAssignment":
-        sizes = [int(n) for n in sizes]
-        if any(n < 1 for n in sizes):
-            raise DomainError(f"group sizes must be positive, got {sizes}")
-        groups = []
-        for g, n in enumerate(sizes, start=1):
-            groups.extend([g] * n)
-        return cls(groups=tuple(groups))
-
-    @property
-    def length(self) -> int:
-        return len(self.groups)
-
-    @property
-    def num_groups(self) -> int:
-        return self.groups[-1]
-
-    def positions_of(self, g: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i, gi in enumerate(self.groups) if gi == g)
-
-
-def partition_groups(s: int, g1: int, t: int) -> GroupAssignment:
-    """First group of size g1, then width-t groups, remainder in the last."""
+def partition_groups(s: int, g1: int, t: int) -> np.ndarray:
+    """1-based group id per position: a first group of g1, then width-t
+    groups, the remainder in the last."""
     if t < 1:
         raise DomainError(f"group width must be >= 1, got {t}")
     if not 1 <= g1 <= t:
         raise DomainError(f"first group size {g1} outside 1..{t}")
     if s < g1:
         raise DomainError(f"sequence length {s} shorter than first group {g1}")
-    sizes = [g1]
-    covered = g1
-    while covered < s:
-        n = min(t, s - covered)
-        sizes.append(n)
-        covered += n
-    return GroupAssignment.from_sizes(sizes)
+    return np.concatenate([np.ones(g1, int), 2 + np.arange(s - g1) // t])
 
 
-def parse_assignment(text: str, s: int) -> GroupAssignment:
+def parse_assignment(text: str, s: int) -> np.ndarray:
     """Parse the config form `g1=1,t=2` into an assignment of length s."""
     fields = {}
     for part in text.split(","):
@@ -94,19 +49,13 @@ def parse_assignment(text: str, s: int) -> GroupAssignment:
     return partition_groups(s, g1, t)
 
 
-@dataclass(frozen=True)
-class CausalMaskPair:
-    """Additive masks: content may see up to its own group, query before it."""
-
-    content: np.ndarray
-    query: np.ndarray
-
-
-def build_masks(a: GroupAssignment) -> CausalMaskPair:
-    g = np.array(a.groups)
+def build_masks(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Additive (content, query) masks: content may see up to its own
+    group, query only the groups before it."""
+    g = np.asarray(groups)
     content = np.where(g[:, None] >= g[None, :], 0.0, -np.inf)
     query = np.where(g[:, None] > g[None, :], 0.0, -np.inf)
-    return CausalMaskPair(content=content, query=query)
+    return content, query
 
 
 def _masked_attention(queries, keys, values, mask):
@@ -129,26 +78,28 @@ def _masked_attention(queries, keys, values, mask):
     return out
 
 
-def two_stream_layer(h, g, masks: CausalMaskPair, wq, wk, wv):
+def two_stream_layer(h, g, masks, wq, wk, wv):
     """One shared-weight attention layer over both streams.
 
     The content stream self-attends under the content mask; the query
     stream reads keys and values from the content stream under the strict
     mask, so its output for a position never depends on that position's
-    token. `h` and `g` are (positions, dim) or stacks of them.
+    token. `h` and `g` are (positions, dim) or stacks of them; `masks` is
+    the (content, query) pair of `build_masks`.
     """
     h = np.asarray(h, float)
     g = np.asarray(g, float)
     if h.shape != g.shape:
         raise DomainError(f"stream shapes differ: {h.shape} vs {g.shape}")
-    if masks.content.shape != (h.shape[-2], h.shape[-2]):
+    content, query = masks
+    if content.shape != (h.shape[-2], h.shape[-2]):
         raise DomainError(
-            f"mask shape {masks.content.shape} does not fit {h.shape[-2]} positions"
+            f"mask shape {content.shape} does not fit {h.shape[-2]} positions"
         )
     keys = h @ wk
     values = h @ wv
-    h_out = _masked_attention(h @ wq, keys, values, masks.content)
-    g_out = _masked_attention(g @ wq, keys, values, masks.query)
+    h_out = _masked_attention(h @ wq, keys, values, content)
+    g_out = _masked_attention(g @ wq, keys, values, query)
     return h_out, g_out
 
 
@@ -178,47 +129,22 @@ def init_two_stream(
     )
 
 
-def two_stream_forward(model: TwoStreamModel, tokens, a: GroupAssignment):
+def two_stream_forward(model: TwoStreamModel, tokens, groups):
     """Run the layer once: content gets token + position, query position only.
 
     `tokens` is one text or an (n, s) matrix of texts, which run as one
     stack; each text's rows equal those of its own run, bit for bit.
     """
     tokens = np.asarray(tokens, dtype=np.intp)
-    if tokens.ndim not in (1, 2) or tokens.shape[-1] != a.length:
+    if tokens.ndim not in (1, 2) or tokens.shape[-1] != len(groups):
         raise DomainError(
-            f"tokens of shape {tokens.shape} do not fit assignment of {a.length}"
+            f"tokens of shape {tokens.shape} do not fit assignment of "
+            f"{len(groups)}"
         )
     h0 = model.emb[tokens] + model.pos
     g0 = np.broadcast_to(model.pos, h0.shape)
-    masks = build_masks(a)
-    return two_stream_layer(h0, g0, masks, model.wq, model.wk, model.wv)
-
-
-def prediction_weights(s: int, t: int) -> dict[tuple[int, int], float]:
-    """Law of (prefix length, target position) under grouped prediction.
-
-    Averages over the first-group size g1 = 1..t uniformly; within one
-    assignment each predicted group is weighted uniformly, then its
-    positions uniformly. The prefix length of a predicted position is the
-    last position of the previous group. Matches the lookahead sampler's
-    law exactly when t divides s - 1.
-    """
-    out: dict[tuple[int, int], float] = {}
-    for g1 in range(1, t + 1):
-        a = partition_groups(s, g1, t)
-        n_pred = a.num_groups - 1
-        if n_pred == 0:
-            continue
-        for g in range(2, a.num_groups + 1):
-            positions = a.positions_of(g)
-            k = positions[0] - 1
-            for p in positions:
-                key = (k, p)
-                out[key] = out.get(key, 0.0) + 1.0 / (
-                    t * n_pred * len(positions)
-                )
-    return out
+    return two_stream_layer(h0, g0, build_masks(groups),
+                            model.wq, model.wk, model.wv)
 
 
 def write_mask_csv(mask: np.ndarray, path) -> None:

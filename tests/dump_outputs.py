@@ -51,6 +51,13 @@ EXTRA_CONFIGS = [
       for experiment in ("genbound", "sweep")),
     {"experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
      "objectives": ["masked:0.25", "vlm:0.25-0.75", "dar:3"], "seed": 5},
+    # two-stream groups: one group only, one group per position, a short
+    # last group, and more trials than one stacked forward takes
+    *({"experiment": "masks", "params": {"r": 2, "s": s, "T": 2},
+       "assignment": assignment, "trials": trials, "seed": 5}
+      for s, assignment, trials in ((3, "g1=3,t=3", 20), (4, "g1=1,t=1", 20),
+                                    (5, "g1=1,t=3", 20),
+                                    (4, "g1=1,t=2", 2500))),
 ]
 
 

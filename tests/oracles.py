@@ -7,7 +7,9 @@ package's vectorized implementations against these.
 
 import csv
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 
@@ -797,9 +799,9 @@ def text_key(text):
 
 
 def enumerate_assignments(s):
-    """All contiguous assignments of s positions (compositions of s)."""
+    """All contiguous assignments of s positions (compositions of s), each
+    as the (s,) array of 1-based group ids."""
     from cospec.errors import DomainError
-    from cospec.twostream import GroupAssignment
 
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
@@ -813,7 +815,7 @@ def enumerate_assignments(s):
             else:
                 run += 1
         sizes.append(run)
-        yield GroupAssignment.from_sizes(sizes)
+        yield np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
 def semi_ar_loss(model, x, a, params):
@@ -829,10 +831,10 @@ def semi_ar_loss(model, x, a, params):
     from cospec.twostream import two_stream_forward
 
     _, g_out = two_stream_forward(model, x, a)
-    if a.num_groups < 2:
+    if a[-1] < 2:
         raise DomainError("assignment has a single group; nothing to predict")
     cols = np.array(target_catalog(params))
-    group = np.array(a.groups)
+    group = np.asarray(a)
     pred = group > 1
     z = g_out[pred] @ model.w_out[:, cols]
     targets = np.searchsorted(cols, np.asarray(x)[pred])
@@ -840,3 +842,75 @@ def semi_ar_loss(model, x, a, params):
     # the mean within each predicted group, then over the groups
     group = group[pred] - 2
     return float(np.mean(np.bincount(group, losses) / np.bincount(group)))
+
+
+# The grouped prediction law, the stated next-token spectrum and the
+# factor-pair reader, which `cospec` formerly held for its tests, and the
+# group-size loop that `partition_groups` replaced.
+
+
+def partition_groups_loop(s, g1, t):
+    """Group id per position: sizes g1, then t, t, ..., the last short."""
+    sizes = [g1]
+    while sum(sizes) < s:
+        sizes.append(min(t, s - sum(sizes)))
+    return [g for g, n in enumerate(sizes, start=1) for _ in range(n)]
+
+
+def prediction_weights(s, t):
+    """Law of (prefix length, target position) under grouped prediction.
+
+    Averages over the first-group size g1 = 1..t uniformly; within one
+    assignment each predicted group is weighted uniformly, then its
+    positions uniformly. The prefix length of a predicted position is the
+    last position of the previous group. Matches the lookahead sampler's
+    law exactly when t divides s - 1.
+    """
+    from cospec.twostream import partition_groups
+
+    out = {}
+    for g1 in range(1, t + 1):
+        a = partition_groups(s, g1, t)
+        n_pred = int(a[-1]) - 1
+        for g in range(2, n_pred + 2):
+            positions = np.flatnonzero(a == g) + 1
+            k = int(positions[0]) - 1
+            for p in positions:
+                key = (k, int(p))
+                out[key] = out.get(key, 0.0) + 1.0 / (
+                    t * n_pred * len(positions)
+                )
+    return out
+
+
+def predicted_ar_spectrum(params):
+    """Stated closed form for the next-token spectrum: r * s ones.
+
+    This overcounts the construction by r unit values (there are s - 1
+    prefix lengths, not s); `exact_ar_spectrum` is what numeric SVD
+    reproduces. The comparative claims are phrased against it, and it only
+    widens the next-token side of every inequality they assert.
+    """
+    return np.ones(params.r * params.s)
+
+
+def load_factor_pair(directory, name="factors"):
+    """Read back a pair that `save_factor_pair` wrote, checking its header."""
+    from cospec.decomposition import FactorPair
+    from cospec.errors import DomainError
+
+    with open(os.path.join(directory, f"{name}.json")) as fh:
+        header = json.load(fh)
+    mats = []
+    for key in ("row_file", "col_file"):
+        with open(os.path.join(directory, header[key]), newline="") as fh:
+            mats.append(
+                np.array([[float(v) for v in row] for row in csv.reader(fh)])
+            )
+    pair = FactorPair(row_factor=mats[0], col_factor=mats[1],
+                      rank=int(header["rank"]))
+    if pair.row_factor.shape != (header["rows"], header["rank"]):
+        raise DomainError("row factor shape disagrees with header")
+    if pair.col_factor.shape != (header["cols"], header["rank"]):
+        raise DomainError("column factor shape disagrees with header")
+    return pair

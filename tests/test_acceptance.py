@@ -20,7 +20,7 @@ import oracles
 from cospec import decomposition as dec
 from cospec import generation as gen
 from cospec import twostream as ts
-from cospec.cooccurrence import normalize
+from cospec.cooccurrence import normalize, unmasked_count
 from cospec.experiments import (
     derive_rng,
     load_config,
@@ -30,7 +30,6 @@ from cospec.experiments import (
 from cospec.objectives import exact_joint, parse_objective, sample_pairs
 from cospec.spectral import (
     exact_ar_spectrum,
-    predicted_ar_spectrum,
     predicted_masked_spectrum,
     singular_spectrum,
     tail_energy,
@@ -99,7 +98,7 @@ def test_c03_masked_spectrum_elementwise_below_ar():
         if spec.width is not None:
             continue
         n = params.r * params.s
-        ar = predicted_ar_spectrum(params)
+        ar = oracles.predicted_ar_spectrum(params)
         masked = predicted_masked_spectrum(params, spec.rho_lo, spec.rho_hi)
         ar_vals = oracles.padded(ar, n)
         masked_vals = oracles.padded(masked, n)
@@ -112,7 +111,7 @@ def test_c03_masked_spectrum_elementwise_below_ar():
 
     params = ToyParams(2, 4, 2)
     masked = predicted_masked_spectrum(params, 0.5, 0.5)
-    ar = predicted_ar_spectrum(params)
+    ar = oracles.predicted_ar_spectrum(params)
     assert tail_energy(masked, 2) == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert tail_energy(masked, 2) == pytest.approx(0.667, abs=5e-4)
     assert tail_energy(ar, 2) == pytest.approx(6.0, rel=1e-12)
@@ -242,15 +241,16 @@ def test_c07_masked_generation_bound_holds():
     for r, s, rho in combos:
         params = ToyParams(r, s, T_FIXED)
         joint = exact_joint(parse_objective(f"masked:{rho}"), params)
+        u = unmasked_count(s, rho)
         for seed_i in range(10):
             model, scored = _trained(f"masked:{rho}", r, s, seed_i)
-            terms = gen.generation_bound_terms(model, params, rho, joint)
+            terms = gen.generation_bound_terms(model, joint, u)
             bound = gen.masked_generation_bound(terms)
             assert scored.total <= bound + 1e-9, (r, s, rho, seed_i)
     params = ToyParams(1, 8, T_FIXED)
     terms = gen.generation_bound_terms(
-        _trained("masked:0.5", 1, 8, 0)[0], params, 0.5,
-        exact_joint(parse_objective("masked:0.5"), params),
+        _trained("masked:0.5", 1, 8, 0)[0],
+        exact_joint(parse_objective("masked:0.5"), params), 4,
     )
     assert terms.weights[3] == 56.0
 
@@ -287,7 +287,7 @@ def test_c10_query_stream_ignores_forbidden_positions():
         params = ToyParams(2, s, 2)
         model = ts.init_two_stream(params, dim=6, rng=derive_rng(0, "c10", str(s)))
         for a in oracles.enumerate_assignments(s):
-            rng = derive_rng(0, "c10", str(s), "-".join(map(str, a.groups)))
+            rng = derive_rng(0, "c10", str(s), "-".join(map(str, a)))
             assert max_query_drift(model, a, params, rng, trials=2) <= 1e-12
 
     # one group per position reproduces plain next-token prediction
@@ -319,7 +319,7 @@ def test_c11_grouped_prediction_law_matches_sampler():
                              minlength=s * (s + 1)).reshape(s, s + 1)
         empirical = {pair: n / draws
                      for pair, n in np.ndenumerate(counts) if n}
-        law = ts.prediction_weights(s, 2)
+        law = oracles.prediction_weights(s, 2)
         assert oracles.tv_distance(empirical, law) < 0.01, s
 
 

@@ -20,7 +20,6 @@ from cospec.decomposition import (
     gd_factorize,
     identity_residual,
     linear_probe,
-    load_factor_pair,
     optimal_features,
     probe_features_for_joint,
     save_factor_pair,
@@ -29,7 +28,6 @@ from cospec.decomposition import (
 from cospec.errors import DomainError, NumericError
 from cospec.experiments import derive_rng
 from cospec.objectives import exact_joint, parse_objective
-from cospec.spectral import predicted_ar_spectrum
 from cospec.toy_model import ToyParams
 
 
@@ -110,7 +108,7 @@ def test_stated_next_token_tail_would_be_larger():
     # the overcounting closed form (rs unit values) puts the rank-2 tail at
     # rs - 2 = 4; the built matrix achieves 2 (see exact_ar_spectrum)
     params = ToyParams(2, 3, 2)
-    predicted = predicted_ar_spectrum(params)
+    predicted = oracles.predicted_ar_spectrum(params)
     assert float(np.sum(predicted[2:] ** 2)) == pytest.approx(4.0)
 
 
@@ -482,7 +480,7 @@ def test_factor_pair_round_trips_through_disk(tmp_path):
     m = normalize(build_ar_joint(ToyParams(2, 3, 2)))
     pair = optimal_features(m, 2)
     save_factor_pair(pair, tmp_path, name="best")
-    loaded = load_factor_pair(tmp_path, name="best")
+    loaded = oracles.load_factor_pair(tmp_path, name="best")
     assert loaded.rank == 2
     assert_allclose(loaded.row_factor, pair.row_factor, atol=0)
     assert_allclose(loaded.col_factor, pair.col_factor, atol=0)
@@ -496,4 +494,4 @@ def test_factor_pair_load_checks_header(tmp_path):
     header["rows"] = 99
     header_path.write_text(json.dumps(header))
     with pytest.raises(DomainError, match="header"):
-        load_factor_pair(tmp_path)
+        oracles.load_factor_pair(tmp_path)

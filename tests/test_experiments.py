@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from cospec import experiments
+from cospec.cooccurrence import normalize
 from cospec.errors import ConfigError
 from cospec.experiments import (
     ExperimentConfig,
@@ -17,7 +19,7 @@ from cospec.experiments import (
     run_experiment,
 )
 from cospec.generation import TrainSettings
-from cospec.objectives import parse_objective
+from cospec.objectives import exact_joint, parse_objective
 from cospec.output import to_jsonable
 from cospec.toy_model import ToyParams
 
@@ -160,10 +162,30 @@ def test_factorize_experiment_saves_factors(tmp_path):
     entry = report["results"]["masked:0.5"]
     assert entry["converged"]
     assert entry["gd_objective"] <= entry["optimal_objective"] * 1.001 + 1e-9
-    from cospec.decomposition import load_factor_pair
-
-    pair = load_factor_pair(tmp_path, name="factors_masked_0p5")
+    pair = oracles.load_factor_pair(tmp_path, name="factors_masked_0p5")
     assert pair.rank == 2
+
+
+def test_exact_runners_clamp_a_large_rank_alike(tmp_path):
+    # a rank above min(rows, cols) is that bound in every exact runner,
+    # and each report names the rank it used
+    objectives = ["ar", "masked:0.5"]
+    params = ToyParams(1, 4, 2)
+    bound = {label: min(normalize(exact_joint(parse_objective(label),
+                                              params)).shape)
+             for label in objectives}
+    assert bound == {"ar": 6, "masked:0.5": 8}
+    used = {}
+    for name, read in (("spectrum", lambda e: e["tail_energy"]["t"]),
+                       ("factorize", lambda e: e["rank"]),
+                       ("probe", lambda e: e["t"])):
+        config = load_config({"experiment": name,
+                              "params": {"r": 1, "s": 4, "T": 2},
+                              "objectives": objectives, "rank": 100})
+        report = run_experiment(config, tmp_path / name)
+        used[name] = {label: read(report["results"][label])
+                      for label in objectives}
+    assert used == {name: bound for name in used}
 
 
 def test_factorize_reports_the_gap_over_steps(tmp_path):

@@ -11,6 +11,7 @@ import oracles
 from cospec import generation
 from cospec.cooccurrence import (
     JointDistribution, admissible_counts, build_ar_joint, build_masked_joint,
+    unmasked_count,
 )
 from cospec.errors import DomainError, NumericError
 from cospec.generation import (
@@ -149,23 +150,25 @@ def test_single_column_catalog_is_free():
 
 
 def test_misalignment_weights_at_half_masking():
-    assert misalignment_weight(8, 0.5, 2) == pytest.approx(63.0)
-    assert misalignment_weight(8, 0.5, 3) == pytest.approx(56.0)
-    assert misalignment_weight(8, 0.5, 4) == pytest.approx(37.0)
+    u = unmasked_count(8, 0.5)
+    assert misalignment_weight(u, 2) == pytest.approx(63.0)
+    assert misalignment_weight(u, 3) == pytest.approx(56.0)
+    assert misalignment_weight(u, 4) == pytest.approx(37.0)
     # one past the unmasked count the mismatch vanishes
-    assert misalignment_weight(8, 0.5, 5) == pytest.approx(0.0)
+    assert misalignment_weight(u, 5) == pytest.approx(0.0)
 
 
 def test_bound_uses_the_integer_unmasked_count():
     # in floating point 9 * (1 - 1/3) is 6.000000000000001, and
     # 10 * (1 - 0.8) is 1.9999999999999996
-    weights = {k: misalignment_weight(9, 1 / 3, k) for k in range(2, 7)}
+    assert unmasked_count(9, 1 / 3) == 6
+    assert unmasked_count(10, 0.8) == 2
+    weights = {k: misalignment_weight(6, k) for k in range(2, 7)}
     assert weights == {k: float(6**3 - (k - 1) ** 3) for k in range(2, 7)}
     assert weights[2] == 215.0
-    assert misalignment_weight(10, 0.8, 2) == 7.0
+    assert misalignment_weight(2, 2) == 7.0
     terms = GenerationBoundTerms(
-        weights=weights, eta=0.1, delta=0.2, output_norm=1.5, s=9,
-        rho_m=1 / 3,
+        weights=weights, eta=0.1, delta=0.2, output_norm=1.5, u=6,
     )
     acc = 0.0
     for k, w in weights.items():
@@ -202,8 +205,7 @@ def test_bound_arithmetic_from_fixed_terms():
         eta=0.1,
         delta=0.0,
         output_norm=1.0,
-        s=8,
-        rho_m=0.5,
+        u=4,
     )
     acc = (63.0**2 + 63.0 * 0.1) + (56.0**2 / 2**6 + 56.0 * 0.1) \
         + (37.0**2 / 3**6 + 37.0 * 0.1)
@@ -213,14 +215,13 @@ def test_bound_arithmetic_from_fixed_terms():
 def test_bound_shrinks_as_mask_ratio_grows():
     bounds = []
     for rho in (0.25, 0.5, 0.75):
-        u = int(8 * (1 - rho))
+        u = unmasked_count(8, rho)
         terms = GenerationBoundTerms(
-            weights={k: misalignment_weight(8, rho, k) for k in range(2, u + 1)},
+            weights={k: misalignment_weight(u, k) for k in range(2, u + 1)},
             eta=0.1,
             delta=0.0,
             output_norm=1.0,
-            s=8,
-            rho_m=rho,
+            u=u,
         )
         bounds.append(masked_generation_bound(terms))
     assert bounds[0] > bounds[1] > bounds[2]
@@ -230,15 +231,15 @@ def test_bound_terms_need_two_unmasked_positions():
     params = ToyParams(1, 4, 2)
     model = random_model(params.vocab_size, 2, seed=0)
     with pytest.raises(DomainError):
-        generation_bound_terms(model, params, 0.75,
-                               build_masked_joint(params, 0.75))
+        generation_bound_terms(model, build_masked_joint(params, 0.75),
+                               unmasked_count(params.s, 0.75))
 
 
 def test_bound_terms_weight_range():
     params = ToyParams(1, 8, 2)
     model = random_model(params.vocab_size, 4, seed=4)
-    terms = generation_bound_terms(model, params, 0.5,
-                                   build_masked_joint(params, 0.5))
+    terms = generation_bound_terms(model, build_masked_joint(params, 0.5),
+                                   unmasked_count(params.s, 0.5))
     assert set(terms.weights) == {2, 3, 4}
     assert terms.weights[3] == pytest.approx(56.0)
     assert terms.output_norm == pytest.approx(model.output_norm())
@@ -266,7 +267,7 @@ def test_bound_delta_from_the_own_joint_is_the_one_ratio_delta(
     assert counts
     for u in counts:
         rho = (s - u) / s
-        got = generation_bound_terms(model, params, rho, joint).delta
+        got = generation_bound_terms(model, joint, u).delta
         assert got == delta_term(model, build_masked_joint(params, rho))
 
 
@@ -277,7 +278,7 @@ def test_bound_terms_refuse_a_joint_without_rows_at_the_ratio():
     model = random_model(params.vocab_size, 4, seed=4)
     for joint in (build_masked_joint(params, 0.5), build_ar_joint(params)):
         with pytest.raises(DomainError, match="rows of 3 visible tokens"):
-            generation_bound_terms(model, params, 0.625, joint)
+            generation_bound_terms(model, joint, unmasked_count(8, 0.625))
 
 
 def test_training_memorizes_a_deterministic_corpus():
@@ -551,5 +552,6 @@ def test_trained_masked_model_respects_its_bound():
     joint = exact_joint(parse_objective("masked:0.5"), params)
     result = train_model(joint, params, None, np.random.default_rng(3))
     report = gen_loss(result.model, params)
-    terms = generation_bound_terms(result.model, params, 0.5, joint)
+    terms = generation_bound_terms(result.model, joint,
+                                   unmasked_count(params.s, 0.5))
     assert report.total <= masked_generation_bound(terms)

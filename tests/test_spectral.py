@@ -16,7 +16,6 @@ from cospec.errors import DomainError, ResourceError
 from cospec.spectral import (
     connectivity_estimate,
     exact_ar_spectrum,
-    predicted_ar_spectrum,
     predicted_masked_spectrum,
     singular_spectrum,
     tail_energy,
@@ -43,7 +42,7 @@ def test_predicted_next_token_form_overcounts_by_r():
     # comparisons downstream use it, so the relationship is pinned here
     params = ToyParams(2, 3, 2)
     exact = exact_ar_spectrum(params)
-    predicted = predicted_ar_spectrum(params)
+    predicted = oracles.predicted_ar_spectrum(params)
     assert int(np.sum(exact > 0.5)) == params.r * (params.s - 1)
     assert int(np.sum(predicted > 0.5)) == params.r * params.s
     n = max(len(exact), len(predicted))
@@ -138,7 +137,7 @@ def test_tail_energy_closed_forms_at_r():
     # predicted forms at r=2, s=4, T=2, rho=0.5 and t=r
     params = ToyParams(2, 4, 2)
     masked_tail = tail_energy(predicted_masked_spectrum(params, 0.5, 0.5), 2)
-    ar_tail = tail_energy(predicted_ar_spectrum(params), 2)
+    ar_tail = tail_energy(oracles.predicted_ar_spectrum(params), 2)
     assert masked_tail == pytest.approx(2.0 / 3.0)
     assert ar_tail == pytest.approx(6.0)
 

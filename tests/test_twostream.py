@@ -11,12 +11,10 @@ from cospec.experiments import derive_rng, max_query_drift
 from cospec.generation import target_catalog
 from cospec.toy_model import ToyParams, sample_sequence
 from cospec.twostream import (
-    GroupAssignment,
     build_masks,
     init_two_stream,
     parse_assignment,
     partition_groups,
-    prediction_weights,
     two_stream_forward,
     two_stream_layer,
     write_mask_csv,
@@ -24,10 +22,19 @@ from cospec.twostream import (
 
 
 def test_partition_examples():
-    assert partition_groups(4, 1, 2).groups == (1, 2, 2, 3)
-    assert partition_groups(5, 2, 2).groups == (1, 1, 2, 2, 3)
-    assert partition_groups(4, 1, 1).groups == (1, 2, 3, 4)
-    assert partition_groups(3, 3, 3).groups == (1, 1, 1)
+    assert partition_groups(4, 1, 2).tolist() == [1, 2, 2, 3]
+    assert partition_groups(5, 2, 2).tolist() == [1, 1, 2, 2, 3]
+    assert partition_groups(4, 1, 1).tolist() == [1, 2, 3, 4]
+    assert partition_groups(3, 3, 3).tolist() == [1, 1, 1]
+
+
+def test_partition_groups_matches_the_group_size_loop():
+    for s in range(1, 9):
+        for t in range(1, s + 1):
+            for g1 in range(1, t + 1):
+                got = partition_groups(s, g1, t)
+                assert got.tolist() == oracles.partition_groups_loop(s, g1, t)
+                assert got.dtype.kind == "i", (s, g1, t)
 
 
 def test_partition_validation():
@@ -42,21 +49,20 @@ def test_partition_validation():
 
 
 def test_assignment_shape_rules():
-    with pytest.raises(DomainError):
-        GroupAssignment(groups=(2, 2))
-    with pytest.raises(DomainError):
-        GroupAssignment(groups=(1, 3))
-    with pytest.raises(DomainError):
-        GroupAssignment(groups=())
-    a = GroupAssignment.from_sizes([2, 1, 3])
-    assert a.groups == (1, 1, 2, 3, 3, 3)
-    assert a.num_groups == 3
-    assert a.positions_of(3) == (4, 5, 6)
+    # every assignment the config can name covers its s positions, starts
+    # at group 1 and steps up by at most one group per position
+    for s in range(1, 9):
+        for t in range(1, s + 1):
+            for g1 in range(1, t + 1):
+                a = partition_groups(s, g1, t)
+                assert a.shape == (s,)
+                assert a[0] == 1
+                assert set(np.diff(a).tolist()) <= {0, 1}
 
 
 def test_parse_assignment_strings():
-    assert parse_assignment("g1=2,t=3", 7).groups == (1, 1, 2, 2, 2, 3, 3)
-    assert parse_assignment(" g1=1, t=1 ", 3).groups == (1, 2, 3)
+    assert parse_assignment("g1=2,t=3", 7).tolist() == [1, 1, 2, 2, 2, 3, 3]
+    assert parse_assignment(" g1=1, t=1 ", 3).tolist() == [1, 2, 3]
     with pytest.raises(DomainError, match="unknown"):
         parse_assignment("g1=1,t=2,x=3", 4)
     with pytest.raises(DomainError):
@@ -69,34 +75,35 @@ def test_enumerate_assignments_counts_compositions():
     for s in (1, 2, 3, 4, 5):
         assignments = list(oracles.enumerate_assignments(s))
         assert len(assignments) == 2 ** (s - 1)
-        assert len({a.groups for a in assignments}) == len(assignments)
+        assert len({tuple(a) for a in assignments}) == len(assignments)
         for a in assignments:
-            assert a.length == s
-            assert a.groups[0] == 1
+            assert a.shape == (s,)
+            assert a[0] == 1
+            assert set(np.diff(a).tolist()) <= {0, 1}
 
 
 def test_mask_hand_example():
-    masks = build_masks(GroupAssignment(groups=(1, 2, 2, 3)))
+    content, query = build_masks(np.array([1, 2, 2, 3]))
     # position 2 (row index 1): content sees its own group, query does not
-    assert [np.isfinite(v) for v in masks.content[1]] == [True, True, True, False]
-    assert [np.isfinite(v) for v in masks.query[1]] == [True, False, False, False]
-    assert np.all(np.isfinite(masks.content[3]))
-    assert [np.isfinite(v) for v in masks.query[3]] == [True, True, True, False]
+    assert [np.isfinite(v) for v in content[1]] == [True, True, True, False]
+    assert [np.isfinite(v) for v in query[1]] == [True, False, False, False]
+    assert np.all(np.isfinite(content[3]))
+    assert [np.isfinite(v) for v in query[3]] == [True, True, True, False]
 
 
 def test_query_mask_is_content_mask_minus_same_group():
     for s in range(1, 6):
         for a in oracles.enumerate_assignments(s):
-            masks = build_masks(a)
-            content_ok = np.isfinite(masks.content)
-            query_ok = np.isfinite(masks.query)
+            content, query = build_masks(a)
+            content_ok = np.isfinite(content)
+            query_ok = np.isfinite(query)
             assert not np.any(query_ok & ~content_ok)
-            same_group = np.equal.outer(a.groups, a.groups)
+            same_group = np.equal.outer(a, a)
             assert_allclose(content_ok & ~query_ok, same_group & content_ok)
 
 
 def test_layer_with_uniform_logits_averages_allowed_values():
-    a = GroupAssignment(groups=(1, 2, 2))
+    a = np.array([1, 2, 2])
     rng = np.random.default_rng(0)
     h = rng.standard_normal((3, 4))
     g = rng.standard_normal((3, 4))
@@ -112,7 +119,7 @@ def test_layer_with_uniform_logits_averages_allowed_values():
 
 
 def test_layer_single_position_conventions():
-    a = GroupAssignment(groups=(1,))
+    a = np.array([1])
     rng = np.random.default_rng(1)
     h = rng.standard_normal((1, 3))
     g = rng.standard_normal((1, 3))
@@ -123,7 +130,7 @@ def test_layer_single_position_conventions():
 
 
 def test_layer_shape_errors():
-    a = GroupAssignment(groups=(1, 2))
+    a = np.array([1, 2])
     rng = np.random.default_rng(2)
     w = rng.standard_normal((3, 3))
     with pytest.raises(DomainError, match="shapes"):
@@ -141,13 +148,13 @@ def test_query_stream_ignores_forbidden_tokens():
     rng = np.random.default_rng(4)
     x = sample_sequence(params, 1, rng)
     _, g_ref = two_stream_forward(model, x, a)
-    for g in range(2, a.num_groups + 1):
-        start = a.positions_of(g)[0]
+    for g in range(2, a[-1] + 1):
+        rows = np.flatnonzero(a == g)
         other = sample_sequence(params, 1, rng)
-        tokens = np.concatenate((x[: start - 1], other[start - 1:]))
+        tokens = np.concatenate((x[: rows[0]], other[rows[0]:]))
         _, g_new = two_stream_forward(model, tokens, a)
-        for p in a.positions_of(g):
-            assert np.max(np.abs(g_new[p - 1] - g_ref[p - 1])) <= 1e-12
+        for p in rows:
+            assert np.max(np.abs(g_new[p] - g_ref[p])) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -162,9 +169,9 @@ def test_stacked_forward_is_bit_equal_to_one_text_at_a_time(seed):
     for a in oracles.enumerate_assignments(6):
         h_out, g_out = two_stream_forward(model, texts, a)
         for k, tokens in enumerate(texts):
-            h_ref, g_ref = oracles.per_text_forward(model, tokens, a.groups)
-            assert h_out[k].tobytes() == h_ref.tobytes(), a.groups
-            assert g_out[k].tobytes() == g_ref.tobytes(), a.groups
+            h_ref, g_ref = oracles.per_text_forward(model, tokens, a)
+            assert h_out[k].tobytes() == h_ref.tobytes(), a
+            assert g_out[k].tobytes() == g_ref.tobytes(), a
         h_one, g_one = two_stream_forward(model, texts[0], a)
         assert h_one.tobytes() == h_out[0].tobytes()
         assert g_one.tobytes() == g_out[0].tobytes()
@@ -182,7 +189,7 @@ def test_query_drift_matches_the_per_text_loop(seed, per_forward, monkeypatch):
     got_rng = derive_rng(seed, "masks", "perturb")
     want_rng = derive_rng(seed, "masks", "perturb")
     got = max_query_drift(model, a, params, got_rng, trials=100)
-    want = oracles.query_drift_loop(model, a.groups, params, want_rng, 100)
+    want = oracles.query_drift_loop(model, a.tolist(), params, want_rng, 100)
     assert got == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -211,7 +218,7 @@ def test_singleton_groups_give_plain_next_token_loss():
 def test_two_group_split_is_last_token_loss():
     params = ToyParams(1, 4, 2)
     model = init_two_stream(params, dim=5, rng=np.random.default_rng(7))
-    a = GroupAssignment.from_sizes([3, 1])
+    a = np.array([1, 1, 1, 2])
     x = sample_sequence(params, 1, np.random.default_rng(8))
     _, g_out = two_stream_forward(model, x, a)
     cols = list(target_catalog(params))
@@ -227,44 +234,47 @@ def test_single_group_has_nothing_to_predict():
     model = init_two_stream(params, dim=4, rng=np.random.default_rng(9))
     x = sample_sequence(params, 1, np.random.default_rng(10))
     with pytest.raises(DomainError):
-        oracles.semi_ar_loss(model, x, GroupAssignment.from_sizes([3]), params)
+        oracles.semi_ar_loss(model, x, np.ones(3, int), params)
 
 
 def test_prediction_weights_are_a_distribution():
     for s, t in [(4, 2), (5, 2), (6, 3), (5, 1)]:
-        law = prediction_weights(s, t)
+        law = oracles.prediction_weights(s, t)
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         for (k, p) in law:
             assert 1 <= k < p <= s
 
 
 def test_width_one_grouping_is_the_next_token_law():
-    assert prediction_weights(5, 1) == pytest.approx(oracles.lookahead_position_law(5, 1))
+    assert oracles.prediction_weights(5, 1) == pytest.approx(
+        oracles.lookahead_position_law(5, 1))
 
 
 @pytest.mark.parametrize("s,t", [(5, 2), (7, 3), (3, 2)])
 def test_grouped_law_matches_lookahead_when_width_divides(s, t):
     # exact coincidence requires the group width to divide s - 1
-    tv = oracles.tv_distance(prediction_weights(s, t), oracles.lookahead_position_law(s, t))
+    tv = oracles.tv_distance(oracles.prediction_weights(s, t),
+                             oracles.lookahead_position_law(s, t))
     assert tv < 1e-12
 
 
 def test_grouped_law_gap_at_misaligned_width():
-    tv = oracles.tv_distance(prediction_weights(4, 2), oracles.lookahead_position_law(4, 2))
+    tv = oracles.tv_distance(oracles.prediction_weights(4, 2),
+                             oracles.lookahead_position_law(4, 2))
     assert tv == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_mask_csv_golden(tmp_path):
-    masks = build_masks(GroupAssignment(groups=(1, 2, 2)))
+    content, query = build_masks(np.array([1, 2, 2]))
     path = tmp_path / "mask.csv"
-    write_mask_csv(masks.query, path)
+    write_mask_csv(query, path)
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == [
             ["0", "0", "0"],
             ["1", "0", "0"],
             ["1", "0", "0"],
         ]
-    write_mask_csv(masks.content, path)
+    write_mask_csv(content, path)
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == [
             ["1", "0", "0"],
