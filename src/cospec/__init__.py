@@ -12,7 +12,6 @@ reads singular vectors inside a tied singular value.
 from .cooccurrence import (
     ConditionalText,
     JointDistribution,
-    NormalizedMatrix,
     admissible_counts,
     build_ar_joint,
     build_dar_joint,
@@ -21,7 +20,6 @@ from .cooccurrence import (
     normalize,
 )
 from .decomposition import (
-    FactorPair,
     decomposition_objective,
     gd_factorize,
     identity_residual,

@@ -69,7 +69,8 @@ class JointDistribution:
     the read-only (n_rows, n_cols) array of the joint over the two catalogs.
     Construction is the one check of a joint: `tokens` are texts (see
     :func:`check_texts`), its mass is finite and nonnegative, and every row
-    and every column carries some, or it is a `DomainError`.
+    and every column carries some, or it is a `DomainError`. The normalized
+    matrix and its squared norm are computed once, on first use.
     """
 
     kind: str
@@ -134,36 +135,25 @@ class JointDistribution:
         """Column sums of :meth:`dense`, aligned with `cols`; read-only."""
         return self._col_marginal
 
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """Joint divided elementwise by the root product of its marginals.
-
-    `tokens` and `cols` are the joint's catalogs; `matrix` is read-only.
-    """
-
-    tokens: np.ndarray
-    cols: tuple[int, ...]
-    matrix: np.ndarray
-    row_weights: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+    @functools.cached_property
+    def normalized(self) -> np.ndarray:
+        """:func:`normalize` of this joint, computed on first use."""
+        return normalize(self)
 
     @functools.cached_property
     def energy(self) -> float:
-        """sum(matrix**2), the squared Frobenius norm, computed once."""
-        return float(np.sum(self.matrix**2))
+        """sum(normalized**2), the squared Frobenius norm, computed once."""
+        return float(np.sum(self.normalized**2))
 
 
-def normalize(joint: JointDistribution) -> NormalizedMatrix:
-    """Build the normalized matrix A / sqrt(outer(row marginal, col marginal)).
+def normalize(joint: JointDistribution) -> np.ndarray:
+    """The normalized matrix A / sqrt(outer(row marginal, col marginal)).
 
     Every row and every column of a joint carries mass, so nothing is
-    dropped and nothing divides by zero: the result has the joint's shape
-    and catalogs. It is invariant to any global rescaling of the joint that
-    keeps every product of a row and a column marginal a normal float;
+    dropped and nothing divides by zero: the read-only result has the
+    joint's shape, aligned with its catalogs. `joint.normalized` calls this
+    once per joint. It is invariant to any global rescaling of the joint
+    that keeps every product of a row and a column marginal a normal float;
     a joint whose products leave that range is a `DomainError`. The outer
     product, its root and the quotient share one joint-sized buffer.
     """
@@ -175,16 +165,10 @@ def normalize(joint: JointDistribution) -> NormalizedMatrix:
         raise DomainError(f"cannot normalize a joint whose products of "
                           f"marginals run from {low:.3g} to {high:.3g}, "
                           "outside the normal float range; rescale its mass")
-    total = pc.sum()
     scale = np.outer(pc, pg)
     matrix = np.divide(joint.mass, np.sqrt(scale, out=scale), out=scale)
-    matrix.flags.writeable = False  # `energy` is computed from it once
-    return NormalizedMatrix(
-        tokens=joint.tokens,
-        cols=joint.cols,
-        matrix=matrix,
-        row_weights=pc / total,
-    )
+    matrix.flags.writeable = False  # `joint.normalized` shares it
+    return matrix
 
 
 def _enumerate(
@@ -290,13 +274,13 @@ def admissible_counts(s: int, lo: float, hi: float) -> list[int]:
 def build_masked_joint(
     params: ToyParams, rho_m: float, budget: int = ENUMERATION_BUDGET
 ) -> JointDistribution:
-    """Exact masked-prediction joint: the one-ratio :func:`build_vlm_joint`.
+    """Exact masked-prediction joint: :func:`build_vlm_joint` at one ratio.
 
     Conditions on each size-u subset of positions (u = s * (1 - rho_m)) and
     targets one masked position; all nonzero entries share the value
     1 / (r * C(s, u) * (s - u) * T**(u + 1)).
     """
-    return _mask_mixture(params, [unmasked_count(params.s, rho_m)], budget)
+    return build_vlm_joint(params, rho_m, rho_m, budget)
 
 
 def build_dar_joint(
@@ -332,13 +316,8 @@ def build_vlm_joint(
     This is the exact law of first drawing a mask ratio uniformly from the
     admissible grid in [rho_lo, rho_hi] and then masking at that ratio.
     """
-    counts = admissible_counts(params.s, rho_lo, rho_hi)
-    return _mask_mixture(params, counts, budget)
-
-
-def _mask_mixture(params: ToyParams, counts, budget: int) -> JointDistribution:
-    """One enumeration of the masked joints at `counts`, mixed uniformly."""
     r, s, big_t = params.r, params.s, params.T
+    counts = admissible_counts(s, rho_lo, rho_hi)
 
     def masks():
         for u in counts:
@@ -355,9 +334,9 @@ def write_joint_csv(joint: JointDistribution, path) -> None:
     _write_triplets(path, joint.tokens, joint.cols, joint.mass)
 
 
-def write_matrix_csv(m: NormalizedMatrix, path) -> None:
-    """Dump a normalized matrix as `row_key,col_token,value`, zeros skipped."""
-    _write_triplets(path, m.tokens, m.cols, m.matrix)
+def write_matrix_csv(joint: JointDistribution, path) -> None:
+    """Dump `joint.normalized` as `row_key,col_token,value`, zeros skipped."""
+    _write_triplets(path, joint.tokens, joint.cols, joint.normalized)
 
 
 def _write_triplets(path, tokens, cols, matrix) -> None:

@@ -16,19 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccurrence import JointDistribution, NormalizedMatrix
+from .cooccurrence import JointDistribution
 from .errors import DomainError, NumericError
 from .output import write_csv, write_json
+from .spectral import check_svd_budget
 from .toy_model import ToyParams, token_label
-
-
-@dataclass(frozen=True)
-class FactorPair:
-    """Low-rank factors: row_factor @ col_factor.T approximates the matrix."""
-
-    row_factor: np.ndarray
-    col_factor: np.ndarray
-    rank: int
 
 
 def spectral_loss(f, w, joint: JointDistribution) -> float:
@@ -57,64 +49,65 @@ def spectral_loss(f, w, joint: JointDistribution) -> float:
     return -2.0 * align + contrast
 
 
-def decomposition_objective(pair: FactorPair, m: NormalizedMatrix) -> float:
-    """Squared Frobenius distance between the matrix and the factor product."""
-    approx = pair.row_factor @ pair.col_factor.T
-    if approx.shape != m.matrix.shape:
+def decomposition_objective(f, g, a) -> float:
+    """Squared Frobenius distance between `a` and the factor product f g^T."""
+    approx = f @ g.T
+    if approx.shape != a.shape:
         raise DomainError(
             f"factor product shape {approx.shape} does not match "
-            f"matrix shape {m.matrix.shape}"
+            f"matrix shape {a.shape}"
         )
-    return float(np.sum((m.matrix - approx) ** 2))
+    return float(np.sum((a - approx) ** 2))
 
 
-def identity_residual(
-    f, w, joint: JointDistribution, m: NormalizedMatrix
-) -> float:
+def identity_residual(f, w, joint: JointDistribution) -> float:
     """Gap between the loss and the factorization objective minus its constant.
 
     Takes the same arrays as :func:`spectral_loss`. Assembles row factors
     sqrt(P_C(X)) * f(X) and column factors sqrt(P_G(X+)) * W[:, X+], and
-    returns |loss - (objective - const)| with const = sum(A^2 / (P_C P_G)).
-    Zero (to rounding) for every encoder and embedding, which is the
-    equivalence the rest of the package leans on. `m` is `normalize(joint)`.
+    returns |loss - (objective - const)| with const = sum(A^2 / (P_C P_G)),
+    the joint's `energy`. Zero (to rounding) for every encoder and
+    embedding, which is the equivalence the rest of the package leans on.
     """
     loss = spectral_loss(f, w, joint)  # checks both shapes
-    abar = m.matrix
     row_factor = np.sqrt(joint.row_marginal())[:, None] * f
     col_factor_t = np.sqrt(joint.col_marginal())[None, :] * w
+    abar = joint.normalized
     objective = float(np.sum((abar - row_factor @ col_factor_t) ** 2))
-    return abs(loss - (objective - m.energy))
+    return abs(loss - (objective - joint.energy))
 
 
-def optimal_features(m: NormalizedMatrix, t: int) -> FactorPair:
-    """Best rank-t factorization via truncated SVD, symmetric energy split.
+def _check_rank(a, t: int) -> None:
+    """Refuse a rank outside 1..min(a.shape), and a matrix past the SVD
+    budget."""
+    n = min(a.shape)
+    if not 1 <= t <= n:
+        raise DomainError(f"rank {t} outside 1..{n} for shape {a.shape}")
+    check_svd_budget(a)
+
+
+def optimal_features(a, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best rank-t factors (f, g) of `a` via truncated SVD, symmetric split.
 
     Both factors absorb sqrt(sigma), making them comparable in norm. The
     achieved objective is the sum of squared singular values beyond t.
     """
-    n = min(m.matrix.shape)
-    if not 1 <= t <= n:
-        raise DomainError(f"rank {t} outside 1..{n} for shape {m.matrix.shape}")
-    u, sigma, vt = np.linalg.svd(m.matrix, full_matrices=False)
+    _check_rank(a, t)
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     u, vt = u[:, :t], vt[:t]
     # Fix the per-component sign so factorizations are reproducible run to
     # run: largest-magnitude entry of each left vector is made nonnegative.
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(t)]
     sign = np.where(peak < 0, -1.0, 1.0)
     scale = np.sqrt(sigma[:t])
-    return FactorPair(
-        row_factor=u * sign * scale[None, :],
-        col_factor=vt.T * sign * scale[None, :],
-        rank=t,
-    )
+    return u * sign * scale[None, :], vt.T * sign * scale[None, :]
 
 
 @dataclass(frozen=True)
 class GDResult:
-    """Outcome of a gradient-descent factorization run."""
+    """Outcome of a gradient-descent factorization run; `pair` is (f, g)."""
 
-    pair: FactorPair
+    pair: tuple[np.ndarray, np.ndarray]
     objective: float
     target: float
     iterations: int
@@ -123,14 +116,14 @@ class GDResult:
 
 
 def gd_factorize(
-    m: NormalizedMatrix,
+    a,
     t: int,
     lr: float = 0.05,
     steps: int = 5000,
     rng: np.random.Generator | None = None,
     init_scale: float = 0.1,
 ) -> GDResult:
-    """Factorize by plain gradient descent from a small random start.
+    """Factorize M = `a` by gradient descent from a small random start.
 
     Stops as soon as the objective is within 0.1% of the SVD optimum (or
     within an absolute 1e-6 when the optimum is essentially zero). Runs
@@ -154,17 +147,15 @@ def gd_factorize(
     if steps < 1:
         raise DomainError(f"step count must be >= 1, got {steps}")
     rng = np.random.default_rng(0) if rng is None else rng
-    n = min(m.matrix.shape)
-    if not 1 <= t <= n:
-        raise DomainError(f"rank {t} outside 1..{n} for shape {m.matrix.shape}")
-    sigma = np.linalg.svd(m.matrix, compute_uv=False)
+    _check_rank(a, t)
+    sigma = np.linalg.svd(a, compute_uv=False)
     target = float(np.sum(sigma[t:] ** 2))
     threshold = target * 1.001 if target > 1e-9 else 1e-6
-    f0 = init_scale * rng.standard_normal((m.matrix.shape[0], t))
-    w = init_scale * rng.standard_normal((m.matrix.shape[1], t))
-    matrix, norm2 = m.matrix, m.energy
-    mtf0 = matrix.T @ f0
-    k = np.block([[f0.T @ f0, mtf0.T], [mtf0, matrix.T @ matrix]])
+    f0 = init_scale * rng.standard_normal((a.shape[0], t))
+    w = init_scale * rng.standard_normal((a.shape[1], t))
+    norm2 = float(np.sum(a**2))
+    mtf0 = a.T @ f0
+    k = np.block([[f0.T @ f0, mtf0.T], [mtf0, a.T @ a]])
     s = np.vstack([np.eye(t), np.zeros((w.shape[0], t))])
     ks, sw = np.empty_like(s), np.empty_like(s)
     mtf = ks[t:]  # M^T f, the last cols rows of K S
@@ -197,9 +188,9 @@ def gd_factorize(
         w += np.multiply(mtf, step, out=mtf)
     if trajectory[-1][0] != iterations:
         trajectory.append((iterations, objective))
-    f = f0 @ s[:t] + matrix @ s[t:]
+    f = f0 @ s[:t] + a @ s[t:]
     return GDResult(
-        pair=FactorPair(row_factor=f, col_factor=w, rank=t),
+        pair=(f, w),
         objective=objective,
         target=target,
         iterations=iterations,
@@ -252,28 +243,31 @@ def linear_probe(x, labels, reg: float, weights=None) -> ProbeResult:
     return ProbeResult(classes=classes, coef=coef, error=error, reg=reg)
 
 
-def save_factor_pair(pair: FactorPair, directory, name: str = "factors") -> None:
-    """Persist a factor pair as a JSON header plus two CSV matrices."""
+def save_factor_pair(f, g, directory, name: str = "factors") -> None:
+    """Persist factors (f, g) as a JSON header plus two CSV matrices."""
     header = {
-        "rank": pair.rank,
-        "rows": pair.row_factor.shape[0],
-        "cols": pair.col_factor.shape[0],
+        "rank": f.shape[1],
+        "rows": f.shape[0],
+        "cols": g.shape[0],
         "row_file": f"{name}_rows.csv",
         "col_file": f"{name}_cols.csv",
     }
     write_json(os.path.join(directory, f"{name}.json"), header)
-    for fname, mat in ((header["row_file"], pair.row_factor),
-                       (header["col_file"], pair.col_factor)):
+    for fname, mat in ((header["row_file"], f), (header["col_file"], g)):
         write_csv(os.path.join(directory, fname), None, list(mat.T))
 
 
-def probe_features_for_joint(m: NormalizedMatrix, t: int, params: ToyParams):
-    """Rank-t optimal features of `m`, with class labels and row weights.
+def probe_features_for_joint(joint: JointDistribution, t: int,
+                             params: ToyParams):
+    """Rank-t optimal features of a joint, with class labels and row weights.
 
-    Factorizes, inverts the row scaling, f(X) = row_factor[X] / sqrt(P_C(X)),
-    and labels each conditional text by the class of its first token. Returns
-    (x, labels, weights), arrays aligned with the normalized matrix's rows
-    and ready for :func:`linear_probe`.
+    Factorizes the normalized matrix, inverts the row scaling,
+    f(X) = row_factor[X] / sqrt(P_C(X)) with P_C the row marginal over its
+    mass, and labels each conditional text by the class of its first token.
+    Returns (x, labels, weights), arrays aligned with `joint.tokens` and
+    ready for :func:`linear_probe`; the weights are P_C.
     """
-    x = optimal_features(m, t).row_factor / np.sqrt(m.row_weights)[:, None]
-    return x, token_label(params, m.tokens[:, 0]), m.row_weights
+    pc = joint.row_marginal()
+    weights = pc / pc.sum()
+    x = optimal_features(joint.normalized, t)[0] / np.sqrt(weights)[:, None]
+    return x, token_label(params, joint.tokens[:, 0]), weights

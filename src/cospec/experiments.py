@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
     admissible_counts,
-    normalize,
     unmasked_count,
     write_joint_csv,
     write_matrix_csv,
@@ -40,10 +39,6 @@ from .spectral import (
 )
 from .toy_model import ENUMERATION_BUDGET, ToyParams, sample_sequence
 
-_TOP_KEYS = {
-    "experiment", "seed", "params", "objectives", "rank", "reg", "trials",
-    "train", "rho_m", "seeds", "assignment",
-}
 # (type, least allowed value[, whether it is excluded]) of each `train` field
 _TRAIN_KINDS = {
     "dim": (int, 1), "lr": (float, 0, True), "steps": (int, 1),
@@ -53,6 +48,8 @@ _TRAIN_KINDS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config: one field per key, with `load_config`'s defaults."""
+
     experiment: str
     params: ToyParams
     seed: int = 0
@@ -66,6 +63,9 @@ class ExperimentConfig:
     rho_m: tuple[float, ...] | None = None
     seeds: int = 3
     assignment: str | None = None
+
+
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_config(source) -> ExperimentConfig:
@@ -124,7 +124,8 @@ def load_config(source) -> ExperimentConfig:
     except DomainError as exc:
         raise ConfigError(str(exc), field="params") from exc
 
-    objectives = raw.get("objectives", ["ar"])
+    objectives = raw.get("objectives",
+                         [label for label, _ in ExperimentConfig.objectives])
     if not isinstance(objectives, list) or not objectives:
         raise ConfigError("must be a nonempty list", field="objectives")
     specs = []
@@ -154,11 +155,20 @@ def load_config(source) -> ExperimentConfig:
         if not isinstance(rho_m, list) or not rho_m:
             raise ConfigError("must be a ratio or list of ratios", field="rho_m")
         rho_m = tuple(_number(rho, float, field="rho_m") for rho in rho_m)
-        for rho in rho_m:
+        counts = []
+        for i, rho in enumerate(rho_m):
             try:
-                unmasked_count(params.s, rho)
+                u = unmasked_count(params.s, rho)
             except DomainError as exc:
                 raise ConfigError(str(exc), field="rho_m") from exc
+            if u in counts:
+                j = counts.index(u)
+                raise ConfigError(
+                    f"expected distinct ratios, got rho_m[{i}] = {rho!r}, "
+                    f"which leaves {u} positions unmasked, as "
+                    f"rho_m[{j}] = {rho_m[j]!r} does", field="rho_m",
+                )
+            counts.append(u)
 
     train_raw = raw.get("train", {})
     if not isinstance(train_raw, dict):
@@ -182,14 +192,18 @@ def load_config(source) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment=name,
         params=params,
-        seed=_number(raw.get("seed", 0), int, field="seed"),
+        seed=_number(raw.get("seed", ExperimentConfig.seed), int,
+                     field="seed"),
         objectives=tuple(zip(objectives, specs)),
         rank=None if rank is None else _number(rank, int, 1, field="rank"),
-        reg=_number(raw.get("reg", 1e-8), float, 0, field="reg"),
-        trials=_number(raw.get("trials", 100), int, 1, field="trials"),
+        reg=_number(raw.get("reg", ExperimentConfig.reg), float, 0,
+                    field="reg"),
+        trials=_number(raw.get("trials", ExperimentConfig.trials), int, 1,
+                       field="trials"),
         train=train,
         rho_m=rho_m,
-        seeds=_number(raw.get("seeds", 3), int, 1, field="seeds"),
+        seeds=_number(raw.get("seeds", ExperimentConfig.seeds), int, 1,
+                      field="seeds"),
         assignment=assignment,
     )
     for key, count in (("trials", cfg.trials), ("seeds", cfg.seeds),
@@ -251,9 +265,10 @@ def _closed_form_spectrum(spec: ObjectiveSpec, params: ToyParams):
     return None
 
 
-def _rank(cfg: ExperimentConfig, m, default: int) -> int:
-    """The config's `rank`, else `default`, at most min(m.shape)."""
-    return min(default if cfg.rank is None else cfg.rank, min(m.shape))
+def _rank(cfg: ExperimentConfig, joint, default: int) -> int:
+    """The config's `rank`, else `default`, at most min(joint.mass.shape)."""
+    return min(default if cfg.rank is None else cfg.rank,
+               min(joint.mass.shape))
 
 
 def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
@@ -263,8 +278,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
     connectivity = {}
     for label, spec in cfg.objectives:
         joint = exact_joint(spec, cfg.params)
-        m = normalize(joint)
-        numeric = singular_spectrum(m)
+        numeric = singular_spectrum(joint.normalized)
         closed = _closed_form_spectrum(spec, cfg.params)
         max_err = None
         if closed is not None:
@@ -272,17 +286,18 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
             max_err = float(np.max(np.abs(
                 np.pad(numeric, (0, n - len(numeric)))
                 - np.pad(closed, (0, n - len(closed))))))
-        t_tail = _rank(cfg, m, cfg.params.r)
-        t_conn = _rank(cfg, m, cfg.params.r + 1)
-        x, _, _ = dec.probe_features_for_joint(m, t_conn, cfg.params)
+        t_tail = _rank(cfg, joint, cfg.params.r)
+        t_conn = _rank(cfg, joint, cfg.params.r + 1)
+        x, _, _ = dec.probe_features_for_joint(joint, t_conn, cfg.params)
         connectivity[label] = connectivity_estimate(x)
         name = _safe(label)
         write_joint_csv(joint, os.path.join(out_dir, f"joint_{name}.csv"))
-        write_matrix_csv(m, os.path.join(out_dir, f"normalized_{name}.csv"))
+        write_matrix_csv(joint,
+                         os.path.join(out_dir, f"normalized_{name}.csv"))
         spectra[label] = numeric
         results[label] = {
-            "rows": m.shape[0],
-            "cols": m.shape[1],
+            "rows": len(joint.tokens),
+            "cols": len(joint.cols),
             "max_abs_error_vs_closed_form": max_err,
             "tail_energy": {"t": t_tail, "value": tail_energy(numeric, t_tail)},
             "top_singular_values": numeric[:10],
@@ -297,14 +312,13 @@ def run_identity(cfg: ExperimentConfig, out_dir) -> dict:
     dims = (1, 2, 4)
     for label, spec in cfg.objectives:
         joint = exact_joint(spec, cfg.params)
-        m = normalize(joint)
         worst = 0.0
         for trial in range(cfg.trials):
             rng = derive_rng(cfg.seed, "identity", label, str(trial))
             t = dims[trial % len(dims)]
             f = rng.standard_normal((len(joint.tokens), t))
             w = rng.standard_normal((t, len(joint.cols)))
-            worst = max(worst, dec.identity_residual(f, w, joint, m))
+            worst = max(worst, dec.identity_residual(f, w, joint))
         results[label] = {"trials": cfg.trials, "max_residual": worst}
     return {"results": results}
 
@@ -313,14 +327,14 @@ def run_factorize(cfg: ExperimentConfig, out_dir) -> dict:
     """Gradient-descent factorization against the truncated-SVD optimum."""
     results = {}
     for label, spec in cfg.objectives:
-        m = normalize(exact_joint(spec, cfg.params))
-        t = _rank(cfg, m, cfg.params.r)
-        best = dec.optimal_features(m, t)
-        optimal = dec.decomposition_objective(best, m)
+        joint = exact_joint(spec, cfg.params)
+        a, t = joint.normalized, _rank(cfg, joint, cfg.params.r)
+        f, g = dec.optimal_features(a, t)
+        optimal = dec.decomposition_objective(f, g, a)
         run = dec.gd_factorize(
-            m, t, rng=derive_rng(cfg.seed, "factorize", label)
+            a, t, rng=derive_rng(cfg.seed, "factorize", label)
         )
-        dec.save_factor_pair(best, out_dir, name=f"factors_{_safe(label)}")
+        dec.save_factor_pair(f, g, out_dir, name=f"factors_{_safe(label)}")
         results[label] = {
             "rank": t,
             "optimal_objective": optimal,
@@ -336,9 +350,9 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     """Linear probe error on each objective's optimal features."""
     results = {}
     for label, spec in cfg.objectives:
-        m = normalize(exact_joint(spec, cfg.params))
-        t = _rank(cfg, m, cfg.params.r)
-        x, labels, weights = dec.probe_features_for_joint(m, t, cfg.params)
+        joint = exact_joint(spec, cfg.params)
+        t = _rank(cfg, joint, cfg.params.r)
+        x, labels, weights = dec.probe_features_for_joint(joint, t, cfg.params)
         probe = dec.linear_probe(x, labels, reg=cfg.reg, weights=weights)
         entry = {"t": t, "reg": cfg.reg, "error": probe.error}
         write_json(os.path.join(out_dir, f"probe_{_safe(label)}.json"), entry)

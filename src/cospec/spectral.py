@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 
-from .cooccurrence import NormalizedMatrix, admissible_counts
+from .cooccurrence import admissible_counts
 from .errors import DomainError, ResourceError
 from .toy_model import ToyParams
 
-# Dense SVD refuses matrices larger than this on either side.
+# Dense SVD refuses a matrix whose thin SVD, rows * cols * min(rows, cols),
+# costs more than that of a square matrix of this side.
 SVD_BUDGET = 4000
 
 # Singular values below this are numerical noise and clamp to zero.
@@ -28,13 +29,19 @@ def _spectrum(values) -> np.ndarray:
     return np.sort(np.where(v < CLAMP, 0.0, v))[::-1]
 
 
-def singular_spectrum(m: NormalizedMatrix | np.ndarray) -> np.ndarray:
-    """Full numeric spectrum, descending, length min(rows, cols)."""
-    a = m.matrix if isinstance(m, NormalizedMatrix) else np.asarray(m, float)
-    if max(a.shape) > SVD_BUDGET:
+def check_svd_budget(a: np.ndarray) -> None:
+    """Refuse a matrix past `SVD_BUDGET` with a `ResourceError`."""
+    rows, cols = a.shape
+    if rows * cols * min(rows, cols) > SVD_BUDGET**3:
         raise ResourceError(
-            f"matrix {a.shape} exceeds the dense SVD budget of {SVD_BUDGET}"
+            f"matrix {a.shape} exceeds the dense SVD budget of {SVD_BUDGET}^3"
         )
+
+
+def singular_spectrum(a: np.ndarray) -> np.ndarray:
+    """Full numeric spectrum, descending, length min(rows, cols)."""
+    a = np.asarray(a, float)
+    check_svd_budget(a)
     return _spectrum(np.linalg.svd(a, compute_uv=False))
 
 

@@ -116,15 +116,16 @@ def scan_joint_csv(joint, path):
     ))
 
 
-def scan_matrix_csv(m, path):
+def scan_matrix_csv(joint, path):
     """Normalized-matrix CSV by scanning every cell, zeros skipped."""
     keys = ["-".join(str(t) for t in text if t >= 0)
-            for text in m.tokens.tolist()]
+            for text in joint.tokens.tolist()]
+    a = joint.normalized
     _write_triplets(path, (
-        (key, tok, m.matrix[i, j])
+        (key, tok, a[i, j])
         for i, key in enumerate(keys)
-        for j, tok in enumerate(m.cols)
-        if m.matrix[i, j] != 0.0
+        for j, tok in enumerate(joint.cols)
+        if a[i, j] != 0.0
     ))
 
 
@@ -681,12 +682,10 @@ def row_keys(tokens):
     return keys
 
 
-def factor_gradients(pair, m):
-    """Analytic gradients of the factorization objective in both factors."""
-    residual = m.matrix - pair.row_factor @ pair.col_factor.T
-    grad_row = -2.0 * residual @ pair.col_factor
-    grad_col = -2.0 * residual.T @ pair.row_factor
-    return grad_row, grad_col
+def factor_gradients(f, g, a):
+    """Analytic gradients of |a - f g^T|^2 in both factors."""
+    residual = a - f @ g.T
+    return -2.0 * residual @ g, -2.0 * residual.T @ f
 
 
 def enumerate_per_pattern(params, kind, patterns, budget):
@@ -895,8 +894,8 @@ def predicted_ar_spectrum(params):
 
 
 def load_factor_pair(directory, name="factors"):
-    """Read back a pair that `save_factor_pair` wrote, checking its header."""
-    from cospec.decomposition import FactorPair
+    """Read back the (f, g) that `save_factor_pair` wrote, checking its
+    header."""
     from cospec.errors import DomainError
 
     with open(os.path.join(directory, f"{name}.json")) as fh:
@@ -907,10 +906,9 @@ def load_factor_pair(directory, name="factors"):
             mats.append(
                 np.array([[float(v) for v in row] for row in csv.reader(fh)])
             )
-    pair = FactorPair(row_factor=mats[0], col_factor=mats[1],
-                      rank=int(header["rank"]))
-    if pair.row_factor.shape != (header["rows"], header["rank"]):
+    f, g = mats
+    if f.shape != (header["rows"], header["rank"]):
         raise DomainError("row factor shape disagrees with header")
-    if pair.col_factor.shape != (header["cols"], header["rank"]):
+    if g.shape != (header["cols"], header["rank"]):
         raise DomainError("column factor shape disagrees with header")
-    return pair
+    return f, g

@@ -83,13 +83,12 @@ def test_c02_factorization_identity_residual_bounded():
     dims = (1, 2, 4)
     for label in ("ar", "masked:0.5", "dar:2", "vlm:0.5-0.75"):
         joint = exact_joint(parse_objective(label), params)
-        m = normalize(joint)
         for trial in range(100):
             rng = derive_rng(0, "c02", label, str(trial))
             t = dims[trial % len(dims)]
             f = rng.standard_normal((len(joint.rows), t))
             w = rng.standard_normal((t, len(joint.cols)))
-            assert dec.identity_residual(f, w, joint, m) < 1e-9
+            assert dec.identity_residual(f, w, joint) < 1e-9
     assert time.monotonic() - start < 30.0
 
 
@@ -137,7 +136,8 @@ def test_c05_gd_factorization_reaches_svd_optimum():
         m = normalize(exact_joint(spec, params))
         for t_nominal in (params.r, params.r + 2):
             t = min(t_nominal, min(m.shape))
-            optimal = dec.decomposition_objective(dec.optimal_features(m, t), m)
+            optimal = dec.decomposition_objective(*dec.optimal_features(m, t),
+                                                  m)
             run = dec.gd_factorize(
                 m, t, lr=0.1, steps=6000,
                 rng=derive_rng(
@@ -155,31 +155,22 @@ def test_c05_gd_factorization_reaches_svd_optimum():
     # analytic factor gradients against central differences
     m = normalize(exact_joint(parse_objective("masked:0.5"), ToyParams(2, 4, 2)))
     rng = derive_rng(0, "c05", "fd")
-    pair = dec.FactorPair(
-        row_factor=rng.standard_normal((m.shape[0], 2)),
-        col_factor=rng.standard_normal((m.shape[1], 2)),
-        rank=2,
-    )
-    grad_row, grad_col = oracles.factor_gradients(pair, m)
+    f = rng.standard_normal((m.shape[0], 2))
+    g = rng.standard_normal((m.shape[1], 2))
+    grad_row, grad_col = oracles.factor_gradients(f, g, m)
 
     def obj_rows(flat):
-        p = dec.FactorPair(
-            flat.reshape(pair.row_factor.shape), pair.col_factor, 2
-        )
-        return dec.decomposition_objective(p, m)
+        return dec.decomposition_objective(flat.reshape(f.shape), g, m)
 
     def obj_cols(flat):
-        p = dec.FactorPair(
-            pair.row_factor, flat.reshape(pair.col_factor.shape), 2
-        )
-        return dec.decomposition_objective(p, m)
+        return dec.decomposition_objective(f, flat.reshape(g.shape), m)
 
     np.testing.assert_allclose(
-        grad_row.ravel(), oracles.fd_gradient(obj_rows, pair.row_factor.ravel()),
+        grad_row.ravel(), oracles.fd_gradient(obj_rows, f.ravel()),
         rtol=1e-5, atol=1e-8,
     )
     np.testing.assert_allclose(
-        grad_col.ravel(), oracles.fd_gradient(obj_cols, pair.col_factor.ravel()),
+        grad_col.ravel(), oracles.fd_gradient(obj_cols, g.ravel()),
         rtol=1e-5, atol=1e-8,
     )
 
@@ -191,7 +182,7 @@ def test_c06_linear_probe_exact_at_class_rank():
         if spec.width is not None:
             continue
         x, labels, weights = dec.probe_features_for_joint(
-            normalize(exact_joint(spec, params)), params.r, params
+            exact_joint(spec, params), params.r, params
         )
         probe = dec.linear_probe(x, labels, reg=1e-8, weights=weights)
         assert probe.error == 0.0, (params, spec.label())

@@ -25,6 +25,7 @@ from cospec.cooccurrence import (
     write_joint_csv,
     write_matrix_csv,
 )
+from cospec.decomposition import probe_features_for_joint
 from cospec.errors import DomainError, ResourceError
 from cospec.objectives import (
     build_joint_from_sampler,
@@ -146,7 +147,7 @@ def test_marginals_are_the_dense_sums(label):
     assert list(joint.cols) == cols
     assert np.array_equal(joint.row_marginal(), pc)
     assert np.array_equal(joint.col_marginal(), pg)
-    assert np.array_equal(normalize(joint).matrix, matrix)
+    assert np.array_equal(normalize(joint), matrix)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -154,7 +155,7 @@ def test_csv_writers_match_a_catalog_scan(label, tmp_path):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
     for write, scan, obj in (
         (write_joint_csv, oracles.scan_joint_csv, joint),
-        (write_matrix_csv, oracles.scan_matrix_csv, normalize(joint)),
+        (write_matrix_csv, oracles.scan_matrix_csv, joint),
     ):
         write(obj, tmp_path / "got.csv")
         scan(obj, tmp_path / "want.csv")
@@ -172,9 +173,10 @@ def test_ar_columns_exclude_first_position():
 
 def test_ar_normalized_entries_depend_only_on_prefix_length():
     params = ToyParams(2, 3, 2)
-    m = normalize(build_ar_joint(params))
-    for i, length in enumerate((m.tokens >= 0).sum(axis=1)):
-        nonzero = m.matrix[i][m.matrix[i] != 0.0]
+    joint = build_ar_joint(params)
+    a = joint.normalized
+    for i, length in enumerate((joint.tokens >= 0).sum(axis=1)):
+        nonzero = a[i][a[i] != 0.0]
         assert_allclose(nonzero, 1.0 / np.sqrt(2.0 ** (length + 1)), atol=1e-12)
 
 
@@ -302,10 +304,11 @@ def test_normalize_single_entry():
     joint = oracles.from_entries(
         {(oracles.prefix_text([0]), 2): 1.0}
     )
-    m = normalize(joint)
-    assert m.matrix.shape == (1, 1)
-    assert m.matrix[0, 0] == pytest.approx(1.0)
-    assert m.row_weights[0] == pytest.approx(1.0)
+    a = normalize(joint)
+    assert a.shape == (1, 1)
+    assert a[0, 0] == pytest.approx(1.0)
+    _, _, weights = probe_features_for_joint(joint, 1, ToyParams(1, 3, 1))
+    assert weights[0] == pytest.approx(1.0)
 
 
 entry_values = st.lists(
@@ -326,16 +329,17 @@ def test_normalize_is_scale_invariant(values, scale):
             {k: scale * v for k, v in zip(keys, values)}
         )
     )
-    assert_allclose(scaled.matrix, base.matrix, atol=1e-12)
+    assert_allclose(scaled, base, atol=1e-12)
 
 
 def test_normalize_weights_are_marginals():
-    joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
-    m = normalize(joint)
-    assert m.row_weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert_allclose(m.row_weights, joint.row_marginal() / joint.mass.sum(),
+    params = ToyParams(2, 4, 2)
+    joint = build_masked_joint(params, 0.5)
+    _, _, weights = probe_features_for_joint(joint, 2, params)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(weights, joint.row_marginal() / joint.mass.sum(),
                     rtol=1e-12)
-    assert np.all(m.row_weights > 0)
+    assert np.all(weights > 0)
 
 
 def test_joint_rejects_bad_entries():
@@ -395,14 +399,7 @@ def test_normalize_bytes_match_the_three_array_expression(label):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
     pc, pg = joint.row_marginal(), joint.col_marginal()
     want = joint.mass / np.sqrt(np.outer(pc, pg))
-    assert normalize(joint).matrix.tobytes() == want.tobytes()
-
-
-def test_normalize_keeps_the_catalogs():
-    joint = build_ar_joint(ToyParams(2, 3, 2))
-    m = normalize(joint)
-    assert m.tokens is joint.tokens and m.cols == joint.cols
-    assert m.shape == joint.dense().shape
+    assert normalize(joint).tobytes() == want.tobytes()
 
 
 def test_conditional_text_canonical_forms():
@@ -432,12 +429,12 @@ def test_joint_csv_export(tmp_path):
 
 
 def test_matrix_csv_skips_zeros(tmp_path):
-    m = normalize(build_ar_joint(ToyParams(2, 3, 2)))
+    joint = build_ar_joint(ToyParams(2, 3, 2))
     path = tmp_path / "matrix.csv"
-    write_matrix_csv(m, path)
+    write_matrix_csv(joint, path)
     with open(path, newline="") as fh:
         lines = list(csv.reader(fh))
-    assert len(lines) == 1 + int(np.count_nonzero(m.matrix))
+    assert len(lines) == 1 + int(np.count_nonzero(joint.normalized))
 
 
 def test_masked_row_count_formula():
@@ -498,11 +495,10 @@ _TRIPLET_DIGESTS = {
 
 def test_large_triplet_files_keep_their_bytes(tmp_path):
     joint = exact_joint(parse_objective("masked:0.5"), ToyParams(3, 12, 2))
-    m = normalize(joint)
-    for name, write, table in (("joint", write_joint_csv, joint),
-                               ("normalized", write_matrix_csv, m)):
+    for name, write in (("joint", write_joint_csv),
+                        ("normalized", write_matrix_csv)):
         path = tmp_path / f"{name}.csv"
-        write(table, path)
+        write(joint, path)
         data = path.read_bytes()
         path.unlink()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
@@ -570,7 +566,8 @@ def test_sampler_counting_matches_the_np_unique_oracle(label, shape):
 
 
 def test_normalized_energy_is_its_squared_norm():
-    m = normalize(build_vlm_joint(ToyParams(2, 4, 2), 0.25, 0.75))
-    assert m.energy == float(np.sum(m.matrix**2))
+    joint = build_vlm_joint(ToyParams(2, 4, 2), 0.25, 0.75)
+    assert joint.energy == float(np.sum(joint.normalized**2))
+    assert joint.normalized.tobytes() == normalize(joint).tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        m.matrix[0, 0] = 0.0
+        joint.normalized[0, 0] = 0.0

@@ -1,6 +1,5 @@
 """Loss/factorization identity, SVD optimum, GD factorizer, and the probe."""
 
-import functools
 import json
 
 import numpy as np
@@ -15,7 +14,6 @@ from cospec.cooccurrence import (
     normalize,
 )
 from cospec.decomposition import (
-    FactorPair,
     decomposition_objective,
     gd_factorize,
     identity_residual,
@@ -25,7 +23,7 @@ from cospec.decomposition import (
     save_factor_pair,
     spectral_loss,
 )
-from cospec.errors import DomainError, NumericError
+from cospec.errors import DomainError, NumericError, ResourceError
 from cospec.experiments import derive_rng
 from cospec.objectives import exact_joint, parse_objective
 from cospec.toy_model import ToyParams
@@ -52,7 +50,7 @@ def test_perfectly_aligned_single_entry_scores_minus_one():
     enc = np.array([[1.0]])
     emb = np.array([[1.0]])
     assert spectral_loss(enc, emb, joint) == pytest.approx(-1.0)
-    assert identity_residual(enc, emb, joint, normalize(joint)) < 1e-12
+    assert identity_residual(enc, emb, joint) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -65,11 +63,10 @@ def test_perfectly_aligned_single_entry_scores_minus_one():
     ids=["ar", "masked", "masked-small"],
 )
 def test_identity_residual_vanishes_on_corpus_joints(joint):
-    m = normalize(joint)
     for trial in range(25):
         rng = np.random.default_rng(trial)
         enc, emb = random_maps(joint, dim=1 + trial % 4, rng=rng)
-        assert identity_residual(enc, emb, joint, m) < 1e-9
+        assert identity_residual(enc, emb, joint) < 1e-9
 
 
 @given(
@@ -83,7 +80,7 @@ def test_identity_residual_vanishes_on_arbitrary_joints(values, dim, seed):
     keys = [(rows[i], 3 + j) for i in range(3) for j in range(2)]
     joint = oracles.from_entries(dict(zip(keys, values)))
     enc, emb = random_maps(joint, dim, np.random.default_rng(seed))
-    assert identity_residual(enc, emb, joint, normalize(joint)) < 1e-9
+    assert identity_residual(enc, emb, joint) < 1e-9
 
 
 def test_identity_holds_for_zero_and_scaled_maps():
@@ -92,16 +89,16 @@ def test_identity_holds_for_zero_and_scaled_maps():
     enc, emb = random_maps(joint, 3, rng)
     for scale in (0.0, 0.1, 10.0):
         scaled = scale * enc
-        assert identity_residual(scaled, emb, joint, normalize(joint)) < 1e-9
+        assert identity_residual(scaled, emb, joint) < 1e-9
 
 
 def test_optimal_objective_is_squared_tail():
     m = normalize(build_ar_joint(ToyParams(2, 3, 2)))
     # four unit singular values; rank 2 leaves the other two
-    pair = optimal_features(m, 2)
-    assert decomposition_objective(pair, m) == pytest.approx(2.0, abs=1e-9)
-    full = optimal_features(m, min(m.shape))
-    assert decomposition_objective(full, m) < 1e-18
+    f, g = optimal_features(m, 2)
+    assert decomposition_objective(f, g, m) == pytest.approx(2.0, abs=1e-9)
+    f, g = optimal_features(m, min(m.shape))
+    assert decomposition_objective(f, g, m) < 1e-18
 
 
 def test_stated_next_token_tail_would_be_larger():
@@ -114,9 +111,9 @@ def test_stated_next_token_tail_would_be_larger():
 
 def test_masked_optimal_objective_closed_form():
     m = normalize(build_masked_joint(ToyParams(2, 4, 2), 0.5))
-    pair = optimal_features(m, 2)
+    f, g = optimal_features(m, 2)
     # r(s-1) middle values of sqrt(1/3) remain past the r unit values
-    assert decomposition_objective(pair, m) == pytest.approx(2.0, abs=1e-9)
+    assert decomposition_objective(f, g, m) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_optimal_features_validates_rank():
@@ -134,10 +131,10 @@ def test_optimal_features_validates_rank():
 def test_optimal_features_bytes_match_the_per_vector_sign_loop(label, params):
     m = normalize(exact_joint(parse_objective(label), params))
     for t in range(1, min(m.shape) + 1):
-        pair = optimal_features(m, t)
-        rows, cols = oracles.sign_fixed_features(m.matrix, t)
-        assert pair.row_factor.tobytes() == rows.tobytes()
-        assert pair.col_factor.tobytes() == cols.tobytes()
+        f, g = optimal_features(m, t)
+        rows, cols = oracles.sign_fixed_features(m, t)
+        assert f.tobytes() == rows.tobytes()
+        assert g.tobytes() == cols.tobytes()
 
 
 @given(seed=st.integers(0, 10_000))
@@ -146,37 +143,22 @@ def test_svd_factors_beat_random_pairs(seed):
     m = normalize(build_masked_joint(ToyParams(1, 4, 2), 0.5))
     rng = np.random.default_rng(seed)
     t = int(rng.integers(1, min(m.shape) + 1))
-    best = decomposition_objective(optimal_features(m, t), m)
-    pair = FactorPair(
-        row_factor=rng.standard_normal((m.shape[0], t)),
-        col_factor=rng.standard_normal((m.shape[1], t)),
-        rank=t,
-    )
-    assert best <= decomposition_objective(pair, m) + 1e-12
+    best = decomposition_objective(*optimal_features(m, t), m)
+    f = rng.standard_normal((m.shape[0], t))
+    g = rng.standard_normal((m.shape[1], t))
+    assert best <= decomposition_objective(f, g, m) + 1e-12
 
 
 def test_factor_gradients_match_finite_differences():
     m = normalize(build_ar_joint(ToyParams(1, 3, 2)))
     rng = np.random.default_rng(3)
-    pair = FactorPair(
-        row_factor=rng.standard_normal((m.shape[0], 2)),
-        col_factor=rng.standard_normal((m.shape[1], 2)),
-        rank=2,
-    )
-    grad_row, grad_col = oracles.factor_gradients(pair, m)
-
-    def obj_row(f):
-        return decomposition_objective(
-            FactorPair(row_factor=f, col_factor=pair.col_factor, rank=2), m
-        )
-
-    def obj_col(w):
-        return decomposition_objective(
-            FactorPair(row_factor=pair.row_factor, col_factor=w, rank=2), m
-        )
-
-    fd_row = oracles.fd_gradient(obj_row, pair.row_factor.copy())
-    fd_col = oracles.fd_gradient(obj_col, pair.col_factor.copy())
+    f = rng.standard_normal((m.shape[0], 2))
+    g = rng.standard_normal((m.shape[1], 2))
+    grad_row, grad_col = oracles.factor_gradients(f, g, m)
+    fd_row = oracles.fd_gradient(lambda x: decomposition_objective(x, g, m),
+                                 f.copy())
+    fd_col = oracles.fd_gradient(lambda x: decomposition_objective(f, x, m),
+                                 g.copy())
     assert np.max(np.abs(fd_row - grad_row)) / max(np.abs(fd_row).max(), 1.0) < 1e-5
     assert np.max(np.abs(fd_col - grad_col)) / max(np.abs(fd_col).max(), 1.0) < 1e-5
 
@@ -237,15 +219,15 @@ def test_gd_matches_the_plain_loop_bit_for_bit(label, steps):
     m = normalize(exact_joint(parse_objective(label), ToyParams(2, 6, 2)))
     run = gd_factorize(m, 2, steps=steps, rng=np.random.default_rng(3))
     f, w, objective, iterations, converged, trajectory = (
-        oracles.gd_factorize_plain(m.matrix, 2, 0.05, steps,
+        oracles.gd_factorize_plain(m, 2, 0.05, steps,
                                    np.random.default_rng(3))
     )
     assert converged == (steps == 5000)
     assert (run.objective, run.iterations, run.converged, run.trajectory) == (
         objective, iterations, converged, trajectory
     )
-    assert run.pair.row_factor.tobytes() == f.tobytes()
-    assert run.pair.col_factor.tobytes() == w.tobytes()
+    assert run.pair[0].tobytes() == f.tobytes()
+    assert run.pair[1].tobytes() == w.tobytes()
 
 
 # The bench `factorize` operation: these four objectives at (2,8,2), with
@@ -260,7 +242,7 @@ def _gd_against_oracles(m, t, steps, rng_factory, atol=0.0):
     run = gd_factorize(m, t, steps=steps, rng=rng_factory())
     for oracle in (oracles.gd_factorize_gram, oracles.gd_factorize_residual):
         f, w, objective, iterations, converged, trajectory = (
-            oracle(m.matrix, t, 0.05, steps, rng_factory())
+            oracle(m, t, 0.05, steps, rng_factory())
         )
         assert (run.iterations, run.converged) == (iterations, converged)
         assert [i for i, _ in run.trajectory] == [i for i, _ in trajectory]
@@ -268,7 +250,7 @@ def _gd_against_oracles(m, t, steps, rng_factory, atol=0.0):
         assert_allclose([v for _, v in run.trajectory],
                         [v for _, v in trajectory], rtol=1e-12, atol=atol)
         # Factors agree relative to their largest entry.
-        for got, want in ((run.pair.row_factor, f), (run.pair.col_factor, w)):
+        for got, want in zip(run.pair, (f, w)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -303,7 +285,7 @@ def test_gd_agrees_with_the_oracles_where_the_coordinate_gram_is_singular(
     # that is the objectives' bound; the factors keep 1e-12.
     m = normalize(exact_joint(parse_objective(label), ToyParams(*shape)))
     assert m.shape[0] <= t + m.shape[1]
-    atol = 16 * np.finfo(float).eps * float(np.sum(m.matrix**2))
+    atol = 16 * np.finfo(float).eps * float(np.sum(m**2))
     _gd_against_oracles(m, t, 5000, lambda: np.random.default_rng(3), atol=atol)
 
 
@@ -321,16 +303,12 @@ def test_gd_gram_objective_equals_the_frobenius_objective(label, t, scale, seed)
     run = gd_factorize(m, t, steps=1, rng=np.random.default_rng(seed),
                        init_scale=scale)
     rng = np.random.default_rng(seed)
-    pair = FactorPair(
-        row_factor=scale * rng.standard_normal((m.shape[0], t)),
-        col_factor=scale * rng.standard_normal((m.shape[1], t)),
-        rank=t,
-    )
-    want = decomposition_objective(pair, m)
+    f = scale * rng.standard_normal((m.shape[0], t))
+    g = scale * rng.standard_normal((m.shape[1], t))
+    want = decomposition_objective(f, g, m)
     # The three Gram terms are bounded by (|M| + |f w^T|)^2, and the form
     # carries a rounding error of a few epsilon times that.
-    size = (np.linalg.norm(m.matrix)
-            + np.linalg.norm(pair.row_factor @ pair.col_factor.T)) ** 2
+    size = (np.linalg.norm(m) + np.linalg.norm(f @ g.T)) ** 2
     assert abs(run.trajectory[0][1] - want) <= 64 * np.finfo(float).eps * size
 
 
@@ -338,10 +316,10 @@ def test_gd_gram_objective_equals_the_frobenius_objective(label, t, scale, seed)
 def test_gd_divergence_names_learning_rate():
     m = normalize(build_masked_joint(ToyParams(2, 4, 2), 0.5))
     with pytest.raises(FloatingPointError) as plain:
-        oracles.gd_factorize_plain(m.matrix, 2, 10.0, 200,
+        oracles.gd_factorize_plain(m, 2, 10.0, 200,
                                    np.random.default_rng(0))
     with pytest.raises(FloatingPointError, match=f"^{plain.value}$"):
-        oracles.gd_factorize_gram(m.matrix, 2, 10.0, 200,
+        oracles.gd_factorize_gram(m, 2, 10.0, 200,
                                   np.random.default_rng(0))
     with pytest.raises(NumericError, match=f"at {plain.value} with lr=10.0"):
         gd_factorize(m, 2, lr=10.0, steps=200, rng=np.random.default_rng(0))
@@ -357,19 +335,25 @@ def test_gd_validates_arguments():
         gd_factorize(m, 9)
 
 
+@pytest.mark.parametrize("factorize", [optimal_features, gd_factorize])
+def test_factorizers_refuse_a_matrix_past_the_svd_budget(factorize):
+    with pytest.raises(ResourceError, match="budget"):
+        factorize(np.zeros((4001, 4001)), 1)
+
+
 def test_encoder_inverts_row_weighting():
     params = ToyParams(1, 3, 1)
     joint = build_ar_joint(params)
-    pair = optimal_features(normalize(joint), 2)
-    got, _, _ = probe_features_for_joint(normalize(joint), 2, params)
+    f, _ = optimal_features(normalize(joint), 2)
+    got, _, _ = probe_features_for_joint(joint, 2, params)
     # uniform conditional marginal of 1/2: features are sqrt(2) * factors
-    assert_allclose(got, np.sqrt(2.0) * pair.row_factor, atol=1e-12)
+    assert_allclose(got, np.sqrt(2.0) * f, atol=1e-12)
 
 
 def test_same_class_features_align():
     params = ToyParams(2, 4, 2)
     x, labels, _ = probe_features_for_joint(
-        normalize(build_masked_joint(params, 0.5)), 2, params
+        build_masked_joint(params, 0.5), 2, params
     )
     by_class = {c: x[labels == c] for c in (1, 2)}
     same, cross = [], []
@@ -387,8 +371,7 @@ def test_shape_mismatch_is_a_domain_error():
     joint = build_masked_joint(ToyParams(1, 4, 2), 0.5)
     rows, cols = len(joint.rows), len(joint.cols)
     f, w = np.zeros((rows, 2)), np.zeros((2, cols))
-    identity = functools.partial(identity_residual, m=normalize(joint))
-    for fn in (spectral_loss, identity):
+    for fn in (spectral_loss, identity_residual):
         with pytest.raises(DomainError):
             fn(np.zeros((rows + 1, 2)), w, joint)
         with pytest.raises(DomainError):
@@ -447,7 +430,7 @@ def test_probe_weights_act_like_multiplicity():
 def test_probe_argmax_survives_invertible_transform():
     params = ToyParams(2, 4, 2)
     x, labels, weights = probe_features_for_joint(
-        normalize(build_masked_joint(params, 0.5)), 2, params
+        build_masked_joint(params, 0.5), 2, params
     )
     rng = np.random.default_rng(8)
     m = np.eye(2) + 0.5 * rng.standard_normal((2, 2))
@@ -468,8 +451,7 @@ def test_probe_requires_regularization_for_singular_features():
 def test_probe_features_carry_row_weights():
     joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
     params = ToyParams(2, 4, 2)
-    x, labels, weights = probe_features_for_joint(normalize(joint), 2,
-                                                  params)
+    x, labels, weights = probe_features_for_joint(joint, 2, params)
     assert x.shape == (len(joint.rows), 2)
     total = weights.sum()
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -478,17 +460,17 @@ def test_probe_features_carry_row_weights():
 
 def test_factor_pair_round_trips_through_disk(tmp_path):
     m = normalize(build_ar_joint(ToyParams(2, 3, 2)))
-    pair = optimal_features(m, 2)
-    save_factor_pair(pair, tmp_path, name="best")
-    loaded = oracles.load_factor_pair(tmp_path, name="best")
-    assert loaded.rank == 2
-    assert_allclose(loaded.row_factor, pair.row_factor, atol=0)
-    assert_allclose(loaded.col_factor, pair.col_factor, atol=0)
+    f, g = optimal_features(m, 2)
+    save_factor_pair(f, g, tmp_path, name="best")
+    loaded_f, loaded_g = oracles.load_factor_pair(tmp_path, name="best")
+    assert loaded_f.shape[1] == 2
+    assert_allclose(loaded_f, f, atol=0)
+    assert_allclose(loaded_g, g, atol=0)
 
 
 def test_factor_pair_load_checks_header(tmp_path):
     m = normalize(build_ar_joint(ToyParams(1, 3, 1)))
-    save_factor_pair(optimal_features(m, 1), tmp_path)
+    save_factor_pair(*optimal_features(m, 1), tmp_path)
     header_path = tmp_path / "factors.json"
     header = json.loads(header_path.read_text())
     header["rows"] = 99

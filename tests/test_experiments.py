@@ -3,12 +3,13 @@
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import oracles
-from cospec import experiments
+from cospec import cooccurrence, experiments
 from cospec.cooccurrence import normalize
 from cospec.errors import ConfigError
 from cospec.experiments import (
@@ -90,6 +91,18 @@ def test_config_validates_mask_ratio_grid():
     assert cfg(rho_m=[0.25, 0.75]).rho_m == (0.25, 0.75)
 
 
+def test_config_refuses_ratios_of_one_unmasked_count():
+    # at s = 4, 0.5 and 0.5000000001 both leave u = 2 positions visible, so
+    # one ratio would be bounded twice
+    with pytest.raises(ConfigError, match=r"rho_m\[1\] = 0\.5000000001, "
+                       r"which leaves 2 .* rho_m\[0\] = 0\.5 ") as exc:
+        cfg(rho_m=[0.5, 0.5000000001, 0.25])
+    assert exc.value.field == "rho_m"
+    with pytest.raises(ConfigError, match=r"rho_m\[2\] = 0\.25, .* "
+                       r"rho_m\[0\] = 0\.25 "):
+        cfg(rho_m=[0.25, 0.75, 0.25])
+
+
 def test_config_rejects_garbage_sources(tmp_path):
     with pytest.raises(ConfigError, match="config"):
         load_config("/no/such/config.json")
@@ -106,6 +119,11 @@ def test_config_rejects_garbage_sources(tmp_path):
 def test_config_train_settings_pass_through():
     got = cfg(train={"dim": 4, "lr": 0.01, "steps": 10})
     assert got.train == TrainSettings(dim=4, lr=0.01, steps=10)
+
+
+def test_config_train_kinds_name_every_train_setting():
+    assert set(experiments._TRAIN_KINDS) == {
+        f.name for f in fields(TrainSettings)}
 
 
 def test_derived_streams_are_stable_and_distinct():
@@ -162,8 +180,8 @@ def test_factorize_experiment_saves_factors(tmp_path):
     entry = report["results"]["masked:0.5"]
     assert entry["converged"]
     assert entry["gd_objective"] <= entry["optimal_objective"] * 1.001 + 1e-9
-    pair = oracles.load_factor_pair(tmp_path, name="factors_masked_0p5")
-    assert pair.rank == 2
+    f, _ = oracles.load_factor_pair(tmp_path, name="factors_masked_0p5")
+    assert f.shape[1] == 2
 
 
 def test_exact_runners_clamp_a_large_rank_alike(tmp_path):
@@ -293,6 +311,26 @@ def test_sweep_experiment_csv_layout(tmp_path):
     assert set(report["gaps"]["0.5"]) == {"masked:0.5|0", "masked:0.5|1"}
 
 
+@pytest.mark.parametrize("experiment", ["spectrum", "identity", "factorize",
+                                        "probe"])
+def test_exact_runners_normalize_each_joint_once(monkeypatch, tmp_path,
+                                                 experiment):
+    # `spectrum` reads the matrix three times: SVD, probe features, writer
+    calls = []
+    real = cooccurrence.normalize
+
+    def counted(joint):
+        calls.append(joint)
+        return real(joint)
+
+    monkeypatch.setattr(cooccurrence, "normalize", counted)
+    objectives = ["ar", "masked:0.5", "dar:2"]
+    run_experiment(cfg(experiment=experiment, objectives=objectives,
+                       trials=6), tmp_path)
+    assert len(calls) == len(objectives)
+    assert len({id(joint) for joint in calls}) == len(objectives)
+
+
 @pytest.mark.parametrize("experiment, builds", [
     # ar, masked:0.5 and vlm: the bound terms and the ar delta term read the
     # training joint of their model
@@ -358,4 +396,6 @@ def test_config_defaults_round_trip():
     assert isinstance(config, ExperimentConfig)
     assert config.seed == 0
     assert config.trials == 100
+    assert config.reg == 1e-8
+    assert config.seeds == 3
     assert config.train == TrainSettings()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cospec.cooccurrence import normalize, write_joint_csv, write_matrix_csv
+from cospec.cooccurrence import write_joint_csv, write_matrix_csv
 from cospec.errors import NumericError
 from cospec.objectives import exact_joint, parse_objective
 from cospec.output import write_csv, write_json
@@ -169,21 +169,16 @@ def test_write_csv_matches_csv_writer_across_chunks(tmp_path):
 ])
 def test_triplet_files_match_csv_writer(label, params, tmp_path):
     joint = exact_joint(parse_objective(label), params)
-    m = normalize(joint)
-    i, j = np.nonzero(m.matrix)
-    r, c = np.nonzero(joint.dense())
-    for write, table, triplets in (
-        (write_joint_csv, joint,
-         (joint.tokens, joint.cols, r, c, joint.dense()[r, c])),
-        (write_matrix_csv, m, (m.tokens, m.cols, i, j, m.matrix[i, j])),
-    ):
-        tokens, cols, rows, targets, values = triplets
-        keys = ["-".join(str(t) for t in text if t >= 0)
-                for text in tokens.tolist()]
-        write(table, tmp_path / "got.csv")
+    keys = ["-".join(str(t) for t in text if t >= 0)
+            for text in joint.tokens.tolist()]
+    for write, table in ((write_joint_csv, joint.dense()),
+                         (write_matrix_csv, joint.normalized)):
+        rows, targets = np.nonzero(table)
+        write(joint, tmp_path / "got.csv")
         reference_csv(tmp_path / "want.csv", ["row_key", "col_token", "value"],
-                      [[keys[r] for r in rows], [cols[c] for c in targets],
-                       values])
+                      [[keys[r] for r in rows],
+                       [joint.cols[c] for c in targets],
+                       table[rows, targets]])
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
 

@@ -211,11 +211,9 @@ def test_connectivity_is_the_pairwise_mean(seed, n):
 def test_connectivity_masked_above_next_token():
     params = ToyParams(2, 4, 2)
     t = params.r + 1
-    x_ar, _, _ = probe_features_for_joint(
-        normalize(build_ar_joint(params)), t, params
-    )
+    x_ar, _, _ = probe_features_for_joint(build_ar_joint(params), t, params)
     x_m, _, _ = probe_features_for_joint(
-        normalize(build_masked_joint(params, 0.5)), t, params
+        build_masked_joint(params, 0.5), t, params
     )
     conn_ar = connectivity_estimate(x_ar)
     conn_m = connectivity_estimate(x_m)
@@ -228,5 +226,8 @@ def test_connectivity_masked_above_next_token():
 
 
 def test_dense_svd_budget():
+    # the budget bounds rows * cols * min(rows, cols), the thin SVD's cost:
+    # a square side past it is refused, a tall, thin matrix is not
     with pytest.raises(ResourceError, match="budget"):
-        singular_spectrum(np.zeros((4001, 2)))
+        singular_spectrum(np.zeros((4001, 4001)))
+    assert len(singular_spectrum(np.zeros((16128, 40)))) == 40
