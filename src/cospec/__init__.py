@@ -10,7 +10,6 @@ reads singular vectors inside a tied singular value.
 """
 
 from .cooccurrence import (
-    ConditionalText,
     JointDistribution,
     admissible_counts,
     build_ar_joint,

@@ -12,9 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -24,19 +22,6 @@ from .toy_model import ENUMERATION_BUDGET, ToyParams, token_id
 
 PREFIX = "prefix"
 UNMASKED = "unmasked"
-
-
-@dataclass(frozen=True, order=True)
-class ConditionalText:
-    """Canonical key for the conditioning side of a pretraining pair.
-
-    A prefix keeps its tokens in sequence order; an unmasked set keeps them
-    sorted, which (because ids are position-major) is position order. Token
-    ids encode their own positions, so no separate position list is stored.
-    """
-
-    kind: str
-    tokens: tuple[int, ...]
 
 
 def check_texts(tokens: np.ndarray) -> None:
@@ -107,21 +92,15 @@ class JointDistribution:
         object.__setattr__(self, "_row_marginal", pc)
         object.__setattr__(self, "_col_marginal", pg)
 
-    @functools.cached_property
-    def rows(self) -> tuple[ConditionalText, ...]:
-        """`tokens` as `ConditionalText` objects, built on first use."""
-        return tuple(
-            ConditionalText(self.kind, tuple(t for t in text if t >= 0))
-            for text in self.tokens.tolist()
-        )
+    @property
+    def rows(self) -> np.ndarray:
+        """The conditional texts: `tokens` itself."""
+        return self.tokens
 
     @property
-    def entries(self) -> Mapping[tuple[ConditionalText, int], float]:
-        """Read-only {(text, token): mass} view of the nonzero cells."""
-        i, j = np.nonzero(self.mass)
-        keys = zip([self.rows[k] for k in i.tolist()],
-                   [self.cols[k] for k in j.tolist()])
-        return MappingProxyType(dict(zip(keys, self.mass[i, j].tolist())))
+    def entries(self) -> np.ndarray:
+        """The (nnz, 2) (row, col) indices of the nonzero cells, COO order."""
+        return np.argwhere(self.mass)
 
     def dense(self) -> np.ndarray:
         """The joint as a rows x cols array: `mass`, read-only."""

@@ -166,26 +166,28 @@ def gd_factorize(
     objective = float("inf")
     converged = False
     iterations = 0
-    for i in range(1, steps + 1):
-        np.matmul(k, s, out=ks)
-        np.matmul(s.T, ks, out=ftf)
-        np.matmul(w.T, w, out=wtw)
-        objective = (norm2 - 2.0 * float(np.multiply(mtf, w, out=prod).sum())
-                     + float((ftf * wtw).sum()))
-        if not math.isfinite(objective):
-            raise NumericError(
-                f"factorization diverged at step {i} with lr={lr}; lower it"
-            )
-        if i == 1 or i % 50 == 0:
-            trajectory.append((i, objective))
-        iterations = i
-        if objective <= threshold + 1e-12:
-            converged = True
-            break
-        s -= np.multiply(np.matmul(s, wtw, out=sw), step, out=sw)
-        s[t:] += np.multiply(w, step, out=prod)
-        np.subtract(mtf, np.matmul(w, ftf, out=prod), out=mtf)
-        w += np.multiply(mtf, step, out=mtf)
+    # a diverging step overflows; the finiteness test below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            np.matmul(k, s, out=ks)
+            np.matmul(s.T, ks, out=ftf)
+            np.matmul(w.T, w, out=wtw)
+            objective = (norm2
+                         - 2.0 * float(np.multiply(mtf, w, out=prod).sum())
+                         + float((ftf * wtw).sum()))
+            if not math.isfinite(objective):
+                raise NumericError(f"factorization diverged at step {i} "
+                                   f"with lr={lr}; lower it")
+            if i == 1 or i % 50 == 0:
+                trajectory.append((i, objective))
+            iterations = i
+            if objective <= threshold + 1e-12:
+                converged = True
+                break
+            s -= np.multiply(np.matmul(s, wtw, out=sw), step, out=sw)
+            s[t:] += np.multiply(w, step, out=prod)
+            np.subtract(mtf, np.matmul(w, ftf, out=prod), out=mtf)
+            w += np.multiply(mtf, step, out=mtf)
     if trajectory[-1][0] != iterations:
         trajectory.append((iterations, objective))
     f = f0 @ s[:t] + a @ s[t:]

@@ -62,7 +62,7 @@ class ExperimentConfig:
     train: gen.TrainSettings = field(default_factory=gen.TrainSettings)
     rho_m: tuple[float, ...] | None = None
     seeds: int = 3
-    assignment: str | None = None
+    assignment: str = "g1=1,t=2"
 
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -184,10 +184,16 @@ def load_config(source) -> ExperimentConfig:
 
     rank = raw.get("rank")
     assignment = raw.get("assignment")
-    if assignment is not None and not isinstance(assignment, str):
+    if assignment is None:
+        assignment = ExperimentConfig.assignment
+    if not isinstance(assignment, str):
         raise ConfigError(
             f"expected str, got {assignment!r}", field="assignment"
         )
+    try:
+        ts.parse_assignment(assignment, params.s)
+    except DomainError as exc:
+        raise ConfigError(str(exc), field="assignment") from exc
 
     cfg = ExperimentConfig(
         experiment=name,
@@ -417,11 +423,7 @@ def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
 def run_masks(cfg: ExperimentConfig, out_dir) -> dict:
     """Dump the two causal masks and measure query-stream leakage."""
     params = cfg.params
-    text = cfg.assignment if cfg.assignment is not None else "g1=1,t=2"
-    try:
-        a = ts.parse_assignment(text, params.s)
-    except DomainError as exc:
-        raise ConfigError(str(exc), field="assignment") from exc
+    a = ts.parse_assignment(cfg.assignment, params.s)
     content, query = ts.build_masks(a)
     ts.write_mask_csv(content, os.path.join(out_dir, "content_mask.csv"))
     ts.write_mask_csv(query, os.path.join(out_dir, "query_mask.csv"))

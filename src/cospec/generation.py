@@ -135,11 +135,13 @@ def gen_loss(
         nll_total += float(-logsm[rows, targets].mean())
     total = float(np.mean(list(per_position.values())))
     nll = nll_total / (s - 1)
+    with np.errstate(over="ignore"):  # `write_json` refuses an infinity
+        perplexity = float(np.exp(nll))
     return GenerationReport(
         total=total,
         per_position=per_position,
         nll=nll,
-        perplexity=float(np.exp(nll)),
+        perplexity=perplexity,
     )
 
 
@@ -467,17 +469,20 @@ def train_model(
     step = _Workspace(joint, weights, params)
     _spot_check_gradients(weights, step, rng)
     losses = []
-    for i in range(settings.steps):
-        loss = step(weights)
-        norm = step.grad_norm()
-        if not (math.isfinite(loss) and math.isfinite(norm)):
-            raise NumericError(
-                f"training diverged at step {i} (loss {loss}, gradient "
-                f"norm {norm}) with lr={settings.lr}"
-            )
-        losses.append(loss)
-        scale = settings.lr * min(1.0, settings.clip / norm) if norm > 0 else 0.0
-        step.descend(weights, scale)
+    # a diverging step overflows; the finiteness test below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(settings.steps):
+            loss = step(weights)
+            norm = step.grad_norm()
+            if not (math.isfinite(loss) and math.isfinite(norm)):
+                raise NumericError(
+                    f"training diverged at step {i} (loss {loss}, gradient "
+                    f"norm {norm}) with lr={settings.lr}"
+                )
+            losses.append(loss)
+            scale = (settings.lr * min(1.0, settings.clip / norm)
+                     if norm > 0 else 0.0)
+            step.descend(weights, scale)
     emb, wq, wk, wv, w_out = weights
     model = LinearAttentionModel(emb=emb, wq=wq, wk=wk, wv=wv, w_out=w_out)
     return TrainResult(model=model, losses=tuple(losses))

@@ -58,6 +58,9 @@ EXTRA_CONFIGS = [
       for s, assignment, trials in ((3, "g1=3,t=3", 20), (4, "g1=1,t=1", 20),
                                     (5, "g1=1,t=3", 20),
                                     (4, "g1=1,t=2", 2500))),
+    # the `assignment` default, which no other masks config leaves out
+    {"experiment": "masks", "params": {"r": 2, "s": 5, "T": 2}, "trials": 20,
+     "seed": 5},
     # the exact runners on a lookahead window and on a ratio that leaves
     # one position hidden, and once with a `rank` above the smaller side
     *({"experiment": experiment, "params": {"r": 1, "s": 4, "T": 2},

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,12 +108,12 @@ def _write_triplets(path, triplets):
 
 def scan_joint_csv(joint, path):
     """Joint CSV by scanning every (row, column) pair of the catalogs."""
-    entries = dict(joint.entries)
+    cells = entries(joint)
     _write_triplets(path, (
-        (text_key(text), tok, entries[(text, tok)])
-        for text in joint.rows
+        (text_key(text), tok, cells[(text, tok)])
+        for text in rows(joint)
         for tok in joint.cols
-        if (text, tok) in entries
+        if (text, tok) in cells
     ))
 
 
@@ -583,6 +584,38 @@ def sample_pair(spec, x, rng):
     return unmasked_text(x[p] for p in visible), x[target_pos]
 
 
+@dataclass(frozen=True, order=True)
+class ConditionalText:
+    """Canonical key for the conditioning side of a pretraining pair.
+
+    A prefix keeps its tokens in sequence order; an unmasked set keeps them
+    sorted, which (because ids are position-major) is position order. Token
+    ids encode their own positions, so no separate position list is stored.
+    """
+
+    kind: str
+    tokens: tuple[int, ...]
+
+
+def rows(joint):
+    """A joint's `tokens` as a tuple of `ConditionalText`, pads dropped."""
+    return tuple(
+        ConditionalText(joint.kind, tuple(t for t in text if t >= 0))
+        for text in joint.tokens.tolist()
+    )
+
+
+def entries(joint):
+    """A joint's nonzero cells as a {(ConditionalText, token): mass} dict."""
+    texts = rows(joint)
+    return {
+        (texts[i], joint.cols[j]): float(joint.mass[i, j])
+        for i in range(len(texts))
+        for j in range(len(joint.cols))
+        if joint.mass[i, j] != 0.0
+    }
+
+
 def from_entries(entries):
     """A `JointDistribution` from a {(ConditionalText, token): mass} dict.
 
@@ -761,12 +794,12 @@ def joint_from_sampler_by_unique(spec, params, n, rng):
                              mass=counts.reshape(shape) / n)
 
 
-# `ConditionalText`'s former constructors and key, which only tests used.
+# `ConditionalText`'s constructors and key.
 
 
 def prefix_text(tokens):
     """A prefix `ConditionalText`: nonempty, in sequence order."""
-    from cospec.cooccurrence import PREFIX, ConditionalText
+    from cospec.cooccurrence import PREFIX
     from cospec.errors import DomainError
 
     tokens = tuple(int(t) for t in tokens)
@@ -777,7 +810,7 @@ def prefix_text(tokens):
 
 def unmasked_text(tokens):
     """An unmasked-set `ConditionalText`: nonempty, distinct, sorted."""
-    from cospec.cooccurrence import UNMASKED, ConditionalText
+    from cospec.cooccurrence import UNMASKED
     from cospec.errors import DomainError
 
     tokens = tuple(sorted(int(t) for t in tokens))

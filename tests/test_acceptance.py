@@ -86,7 +86,7 @@ def test_c02_factorization_identity_residual_bounded():
         for trial in range(100):
             rng = derive_rng(0, "c02", label, str(trial))
             t = dims[trial % len(dims)]
-            f = rng.standard_normal((len(joint.rows), t))
+            f = rng.standard_normal((len(joint.tokens), t))
             w = rng.standard_normal((t, len(joint.cols)))
             assert dec.identity_residual(f, w, joint) < 1e-9
     assert time.monotonic() - start < 30.0

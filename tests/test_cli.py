@@ -5,6 +5,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -12,6 +15,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cospec
 from cospec.cli import main
 from cospec.experiments import EXPERIMENTS
 
@@ -172,18 +176,34 @@ def test_oversized_corpus_exhausts_the_budget(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("resource budget exceeded:")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverging_training_reports_numeric_failure(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {
-        "experiment": "genbound",
-        "params": {"r": 1, "s": 3, "T": 1},
-        "objectives": ["ar"],
-        "train": {"lr": 1e6, "clip": 1e18, "steps": 30},
-    })
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure:")
-    assert "diverged" in err
+@pytest.mark.parametrize("payload, message", [
+    # the training step overflows its gradient norm
+    ({"experiment": "genbound", "params": {"r": 1, "s": 3, "T": 1},
+      "objectives": ["ar"], "train": {"lr": 1e6, "clip": 1e18, "steps": 30}},
+     "training diverged at step 2"),
+    # training ends finite, but its perplexity overflows to an infinity
+    ({"experiment": "genbound", "params": {"r": 1, "s": 3, "T": 2},
+      "objectives": ["ar"], "train": {"lr": 1000, "steps": 50}},
+     "not JSON compliant: inf"),
+    # the factorization's objective overflows
+    ({"experiment": "factorize", "params": {"r": 2, "s": 10, "T": 2},
+      "objectives": ["masked:0.5"]},
+     "factorization diverged at step 7"),
+], ids=["train-step", "perplexity", "gd-step"])
+def test_diverging_training_reports_numeric_failure(tmp_path, payload,
+                                                    message):
+    # a fresh interpreter shows the warnings a user would see on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cospec.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-m", "cospec.cli", "run", "--config",
+         write_cfg(tmp_path, payload), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("numeric failure:") and message in lines[0]
 
 
 def test_subcommand_is_required():

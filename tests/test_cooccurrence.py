@@ -36,7 +36,8 @@ from cospec.toy_model import ToyParams, decode_token
 
 
 def as_plain_dict(joint: JointDistribution) -> dict:
-    return {(text.tokens, tok): v for (text, tok), v in joint.entries.items()}
+    return {(text.tokens, tok): v
+            for (text, tok), v in oracles.entries(joint).items()}
 
 
 @pytest.mark.parametrize("r,s,big_t", [(2, 3, 2), (1, 4, 3), (3, 3, 1)])
@@ -72,18 +73,34 @@ def test_total_mass_is_one(label):
 @pytest.mark.parametrize("label", LABELS)
 def test_joint_arrays_are_catalog_ordered_and_read_only(label):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
-    assert list(joint.rows) == sorted(joint.rows)
+    assert list(oracles.rows(joint)) == sorted(oracles.rows(joint))
     assert list(joint.cols) == sorted(joint.cols)
-    assert joint.dense().shape == (len(joint.rows), len(joint.cols))
+    assert joint.dense().shape == (len(joint.tokens), len(joint.cols))
     # the entries come in catalog row-major order, with no repeated cell
-    ri = {text: i for i, text in enumerate(joint.rows)}
+    ri = {text: i for i, text in enumerate(oracles.rows(joint))}
     ci = {tok: j for j, tok in enumerate(joint.cols)}
-    flat = [ri[text] * len(joint.cols) + ci[tok] for text, tok in joint.entries]
+    flat = [ri[text] * len(joint.cols) + ci[tok]
+            for text, tok in oracles.entries(joint)]
     assert np.all(np.diff(flat) > 0)
     assert np.all(joint.row_marginal() > 0) and np.all(joint.col_marginal() > 0)
     for a in (joint.dense(), joint.row_marginal(), joint.col_marginal()):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_rows_and_entries_are_array_views(label):
+    params = ToyParams(2, 4, 2)
+    spec = parse_objective(label)
+    for joint in (exact_joint(spec, params),
+                  build_joint_from_sampler(spec, params, 500,
+                                           np.random.default_rng(3))):
+        assert joint.rows is joint.tokens
+        cells = joint.entries
+        assert len(cells) == np.count_nonzero(joint.mass)
+        # the (row, col) index of each nonzero cell, in COO order
+        assert np.array_equal(cells, np.transpose(np.nonzero(joint.mass)))
+        assert len(cells) == len(oracles.entries(joint))
 
 
 def oracle_conditionals(label, r, s, big_t):
@@ -116,16 +133,17 @@ def test_token_matrix_is_the_padded_sorted_catalog(label, r, s, big_t):
     assert np.all(pad[:, :-1] <= pad[:, 1:])
     texts = [tuple(t for t in row if t >= 0) for row in tokens.tolist()]
     assert all(a < b for a, b in zip(texts, texts[1:]))
-    assert [t.tokens for t in joint.rows] == texts
+    assert [t.tokens for t in oracles.rows(joint)] == texts
     assert texts == oracle_conditionals(label, r, s, big_t)
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_from_entries_round_trips(label):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
-    again = oracles.from_entries(joint.entries)
+    again = oracles.from_entries(oracles.entries(joint))
     assert again.kind == joint.kind
-    assert again.cols == joint.cols and again.rows == joint.rows
+    assert again.cols == joint.cols
+    assert oracles.rows(again) == oracles.rows(joint)
     assert np.array_equal(again.tokens, joint.tokens)
     assert again.tokens.tobytes() == joint.tokens.tobytes()
     assert again.dense().tobytes() == joint.dense().tobytes()
@@ -143,7 +161,7 @@ def test_from_entries_rejects_mixed_kinds():
 def test_marginals_are_the_dense_sums(label):
     joint = exact_joint(parse_objective(label), ToyParams(2, 4, 2))
     rows, cols, matrix, pc, pg = oracles.normalized_dense(as_plain_dict(joint))
-    assert [text.tokens for text in joint.rows] == rows
+    assert [text.tokens for text in oracles.rows(joint)] == rows
     assert list(joint.cols) == cols
     assert np.array_equal(joint.row_marginal(), pc)
     assert np.array_equal(joint.col_marginal(), pg)
@@ -168,7 +186,7 @@ def test_ar_columns_exclude_first_position():
     joint = build_ar_joint(params)
     positions = {decode_token(params, c)[0] for c in joint.cols}
     assert positions == {2, 3}
-    assert len(joint.rows) == 2 * (2 + 4)
+    assert len(joint.tokens) == 2 * (2 + 4)
 
 
 def test_ar_normalized_entries_depend_only_on_prefix_length():
@@ -183,15 +201,15 @@ def test_ar_normalized_entries_depend_only_on_prefix_length():
 def test_masked_entries_share_one_value():
     # r * C(s,u) * (s-u) * T^(u+1) = 2 * 6 * 2 * 8 at r=2, s=4, T=2, u=2
     joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
-    values = sorted(set(joint.entries.values()))
+    values = sorted(set(oracles.entries(joint).values()))
     assert values == [pytest.approx(1.0 / 192.0)]
-    assert len(joint.rows) == 2 * 6 * 4
+    assert len(joint.tokens) == 2 * 6 * 4
 
 
 def test_masked_target_position_is_never_visible():
     params = ToyParams(2, 4, 2)
     joint = build_masked_joint(params, 0.5)
-    for (text, target) in joint.entries:
+    for (text, target) in oracles.entries(joint):
         positions = [decode_token(params, t)[0] for t in text.tokens]
         assert decode_token(params, target)[0] not in positions
 
@@ -218,17 +236,17 @@ def test_lookahead_width_one_is_next_token():
     params = ToyParams(2, 4, 2)
     dar, ar = build_dar_joint(params, 1), build_ar_joint(params)
     assert as_plain_dict(dar) == as_plain_dict(ar)
-    assert dar.rows == ar.rows and dar.cols == ar.cols
+    assert oracles.rows(dar) == oracles.rows(ar) and dar.cols == ar.cols
     assert dar.dense().tobytes() == ar.dense().tobytes()
 
 
 def test_lookahead_widens_target_support():
     params = ToyParams(2, 4, 2)
     joint = build_dar_joint(params, 2)
-    one_row = next(t for t in joint.rows if len(t.tokens) == 1)
+    one_row = next(t for t in oracles.rows(joint) if len(t.tokens) == 1)
     targets = {
         decode_token(params, c)[0]
-        for (text, c) in joint.entries
+        for (text, c) in oracles.entries(joint)
         if text == one_row
     }
     assert targets == {2, 3}
@@ -267,7 +285,7 @@ def test_budget_counts_the_whole_mixture():
     params = ToyParams(2, 4, 2)
     with pytest.raises(ResourceError, match="budget"):
         build_vlm_joint(params, 0.25, 0.5, budget=100)
-    assert len(build_vlm_joint(params, 0.25, 0.5, budget=112).rows) == 112
+    assert len(build_vlm_joint(params, 0.25, 0.5, budget=112).tokens) == 112
 
 
 def test_sampled_joint_single_draw():
@@ -275,8 +293,11 @@ def test_sampled_joint_single_draw():
     joint = build_joint_from_sampler(
         parse_objective("ar"), params, 1, np.random.default_rng(0)
     )
-    assert len(joint.entries) == 1
+    assert len(oracles.entries(joint)) == 1
     assert joint.mass.sum() == pytest.approx(1.0)
+    with pytest.raises(DomainError, match="sample count must be >= 1, got 0"):
+        build_joint_from_sampler(parse_objective("ar"), params, 0,
+                                 np.random.default_rng(0))
 
 
 def test_sampled_joint_is_reproducible():
@@ -284,7 +305,7 @@ def test_sampled_joint_is_reproducible():
     spec = parse_objective("masked:0.5")
     a = build_joint_from_sampler(spec, params, 300, np.random.default_rng(4))
     b = build_joint_from_sampler(spec, params, 300, np.random.default_rng(4))
-    assert a.entries == b.entries
+    assert oracles.entries(a) == oracles.entries(b)
 
 
 def test_sampled_joint_approaches_exact():
@@ -346,11 +367,14 @@ def test_joint_rejects_bad_entries():
     text = oracles.prefix_text([0])
     with pytest.raises(DomainError):
         oracles.from_entries({})
+    with pytest.raises(DomainError, match="empty support"):
+        JointDistribution(kind="prefix", tokens=np.zeros((0, 1), dtype=int),
+                          cols=(), mass=np.zeros((0, 0)))
     with pytest.raises(DomainError):
         oracles.from_entries({(text, 1): -0.5})
     # explicit zeros are dropped, not kept as structural entries
     joint = oracles.from_entries({(text, 1): 1.0, (text, 2): 0.0})
-    assert (text, 2) not in joint.entries
+    assert (text, 2) not in oracles.entries(joint)
     assert joint.cols == (1,)
 
 
@@ -418,14 +442,15 @@ def test_joint_csv_export(tmp_path):
     with open(path, newline="") as fh:
         lines = list(csv.reader(fh))
     assert lines[0] == ["row_key", "col_token", "value"]
-    assert len(lines) == 1 + len(joint.entries)
+    cells = oracles.entries(joint)
+    assert len(lines) == 1 + len(cells)
     # repr round-trips values exactly
     text_key, tok, value = lines[1]
     key = (
         oracles.prefix_text([int(t) for t in text_key.split("-")]),
         int(tok),
     )
-    assert float(value) == joint.entries[key]
+    assert float(value) == cells[key]
 
 
 def test_matrix_csv_skips_zeros(tmp_path):
@@ -442,7 +467,7 @@ def test_masked_row_count_formula():
         params = ToyParams(r, s, big_t)
         u = unmasked_count(s, rho)
         joint = build_masked_joint(params, rho)
-        assert len(joint.rows) == r * math.comb(s, u) * big_t**u
+        assert len(joint.tokens) == r * math.comb(s, u) * big_t**u
 
 
 def assert_same_joint(got, want):

@@ -30,14 +30,14 @@ from cospec.toy_model import ToyParams
 
 
 def random_maps(joint, dim, rng):
-    enc = rng.standard_normal((len(joint.rows), dim))
+    enc = rng.standard_normal((len(joint.tokens), dim))
     emb = rng.standard_normal((dim, len(joint.cols)))
     return enc, emb
 
 
 def test_zero_encoder_gives_zero_loss():
     joint = build_ar_joint(ToyParams(1, 3, 2))
-    enc = np.zeros((len(joint.rows), 2))
+    enc = np.zeros((len(joint.tokens), 2))
     emb = np.zeros((2, len(joint.cols)))
     assert spectral_loss(enc, emb, joint) == 0.0
 
@@ -99,6 +99,9 @@ def test_optimal_objective_is_squared_tail():
     assert decomposition_objective(f, g, m) == pytest.approx(2.0, abs=1e-9)
     f, g = optimal_features(m, min(m.shape))
     assert decomposition_objective(f, g, m) < 1e-18
+    with pytest.raises(DomainError, match=r"shape \(4, 8\) does not match "
+                       r"matrix shape \(12, 8\)"):
+        decomposition_objective(f[:4], g, m)
 
 
 def test_stated_next_token_tail_would_be_larger():
@@ -312,13 +315,15 @@ def test_gd_gram_objective_equals_the_frobenius_objective(label, t, scale, seed)
     assert abs(run.trajectory[0][1] - want) <= 64 * np.finfo(float).eps * size
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_gd_divergence_names_learning_rate():
     m = normalize(build_masked_joint(ToyParams(2, 4, 2), 0.5))
-    with pytest.raises(FloatingPointError) as plain:
+    # the oracles overflow as the package does; silence them the same way
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError) as plain:
         oracles.gd_factorize_plain(m, 2, 10.0, 200,
                                    np.random.default_rng(0))
-    with pytest.raises(FloatingPointError, match=f"^{plain.value}$"):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=f"^{plain.value}$"):
         oracles.gd_factorize_gram(m, 2, 10.0, 200,
                                   np.random.default_rng(0))
     with pytest.raises(NumericError, match=f"at {plain.value} with lr=10.0"):
@@ -369,7 +374,7 @@ def test_same_class_features_align():
 
 def test_shape_mismatch_is_a_domain_error():
     joint = build_masked_joint(ToyParams(1, 4, 2), 0.5)
-    rows, cols = len(joint.rows), len(joint.cols)
+    rows, cols = len(joint.tokens), len(joint.cols)
     f, w = np.zeros((rows, 2)), np.zeros((2, cols))
     for fn in (spectral_loss, identity_residual):
         with pytest.raises(DomainError):
@@ -452,7 +457,7 @@ def test_probe_features_carry_row_weights():
     joint = build_masked_joint(ToyParams(2, 4, 2), 0.5)
     params = ToyParams(2, 4, 2)
     x, labels, weights = probe_features_for_joint(joint, 2, params)
-    assert x.shape == (len(joint.rows), 2)
+    assert x.shape == (len(joint.tokens), 2)
     total = weights.sum()
     assert total == pytest.approx(1.0, abs=1e-12)
     assert set(labels.tolist()) == {1, 2}

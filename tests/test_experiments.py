@@ -59,6 +59,9 @@ def test_config_rejects_unknown_fields():
         cfg(banana=1)
     with pytest.raises(ConfigError, match="train"):
         cfg(train={"momentum": 0.9})
+    with pytest.raises(ConfigError, match="must be an object") as exc:
+        cfg(train=[20])
+    assert exc.value.field == "train"
 
 
 def test_config_rejects_bad_params():
@@ -67,6 +70,9 @@ def test_config_rejects_bad_params():
     with pytest.raises(ConfigError, match="params"):
         load_config({"experiment": "spectrum",
                      "params": {"r": 0, "s": 4, "T": 2}})
+    with pytest.raises(ConfigError, match="missing required") as exc:
+        load_config({"experiment": "spectrum"})
+    assert exc.value.field == "params"
     with pytest.raises(ConfigError, match="experiment"):
         load_config({"params": {"r": 1, "s": 3, "T": 1}})
     with pytest.raises(ConfigError, match="experiment"):
@@ -87,6 +93,10 @@ def test_config_validates_mask_ratio_grid():
         cfg(rho_m=0.3)
     with pytest.raises(ConfigError, match="rho_m"):
         cfg(rho_m=[0.5, 0.35])
+    for bad in ("0.5", {}):
+        with pytest.raises(ConfigError, match="must be a ratio") as exc:
+            cfg(rho_m=bad)
+        assert exc.value.field == "rho_m"
     assert cfg(rho_m=0.5).rho_m == (0.5,)
     assert cfg(rho_m=[0.25, 0.75]).rho_m == (0.25, 0.75)
 
@@ -290,6 +300,26 @@ def test_masks_experiment_outputs(tmp_path):
         )
 
 
+def test_a_bad_assignment_is_refused_before_any_output(tmp_path):
+    # g1 = 9 leaves no room at s = 4, so the masks run never starts
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="first group size 9") as exc:
+        run_experiment(load_config({
+            "experiment": "masks", "params": {"r": 1, "s": 4, "T": 2},
+            "assignment": "g1=9,t=2",
+        }), out)
+    assert exc.value.field == "assignment"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["spectrum", "probe", "genbound"])
+def test_every_experiment_refuses_a_bad_assignment(experiment):
+    # as a bad `rho_m` is refused whether or not the experiment reads it
+    with pytest.raises(ConfigError, match="cannot parse") as exc:
+        cfg(experiment=experiment, assignment="banana")
+    assert exc.value.field == "assignment"
+
+
 def test_sweep_experiment_csv_layout(tmp_path):
     config = load_config({
         "experiment": "sweep",
@@ -398,4 +428,6 @@ def test_config_defaults_round_trip():
     assert config.trials == 100
     assert config.reg == 1e-8
     assert config.seeds == 3
+    assert config.assignment == "g1=1,t=2"
+    assert cfg(assignment=None).assignment == "g1=1,t=2"
     assert config.train == TrainSettings()

@@ -527,7 +527,6 @@ class _InfiniteGradient(_Workspace):
         return super().grad_norm()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_finite_gradient_norm_is_a_numeric_error(monkeypatch):
     # the loss stays finite; an infinite norm would make the step scale 0.0
     # and freeze the weights for every remaining step
@@ -538,7 +537,6 @@ def test_a_non_finite_gradient_norm_is_a_numeric_error(monkeypatch):
                     settings_, np.random.default_rng(0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_divergence_is_reported():
     params = ToyParams(1, 3, 1)
     settings_ = TrainSettings(lr=1e6, clip=1e18, steps=200)

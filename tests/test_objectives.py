@@ -200,7 +200,7 @@ def test_batched_law_matches_the_scalar_oracle_and_the_exact_joint(label):
     params = ToyParams(2, 4, 2)
     spec = parse_objective(label)
     joint = exact_joint(spec, params)
-    exact = dict(joint.entries)
+    exact = oracles.entries(joint)
     n_batch, n_scalar = 200_000, 5_000
     batched = build_joint_from_sampler(spec, params, n_batch,
                                        np.random.default_rng(21))
@@ -215,14 +215,15 @@ def test_batched_law_matches_the_scalar_oracle_and_the_exact_joint(label):
         key = oracles.sample_pair(spec, x, rng)
         counts[key] = counts.get(key, 0) + 1
     scalar = {key: c / n_scalar for key, c in counts.items()}
-    assert set(batched.entries) <= set(exact)
+    sampled = oracles.entries(batched)
+    assert set(sampled) <= set(exact)
     assert set(scalar) <= set(exact)
     # each bound fails with probability below 1e-6
     to_exact = _tv_bound(len(exact), n_batch)
     to_scalar = to_exact + _tv_bound(len(exact), n_scalar)
     assert to_exact < 0.03 and to_scalar < 0.22
-    assert oracles.tv_distance(dict(batched.entries), exact) < to_exact
-    assert oracles.tv_distance(dict(batched.entries), scalar) < to_scalar
+    assert oracles.tv_distance(sampled, exact) < to_exact
+    assert oracles.tv_distance(sampled, scalar) < to_scalar
 
 
 def test_sampled_joint_past_the_budget_is_a_valid_prefix_joint():
@@ -249,14 +250,14 @@ def test_sampled_joint_past_the_budget_is_a_valid_prefix_joint():
 
 def test_exact_joint_dispatch():
     params = ToyParams(2, 4, 2)
-    assert exact_joint(parse_objective("ar"), params).entries == \
-        build_ar_joint(params).entries
-    assert exact_joint(parse_objective("masked:0.5"), params).entries == \
-        build_masked_joint(params, 0.5).entries
-    assert exact_joint(parse_objective("dar:2"), params).entries == \
-        build_dar_joint(params, 2).entries
-    assert exact_joint(parse_objective("vlm:0.5-0.75"), params).entries == \
-        build_vlm_joint(params, 0.5, 0.75).entries
+    for label, joint in [
+        ("ar", build_ar_joint(params)),
+        ("masked:0.5", build_masked_joint(params, 0.5)),
+        ("dar:2", build_dar_joint(params, 2)),
+        ("vlm:0.5-0.75", build_vlm_joint(params, 0.5, 0.75)),
+    ]:
+        assert oracles.entries(exact_joint(parse_objective(label), params)) \
+            == oracles.entries(joint)
 
 
 # Two spellings of one objective: a width-1 lookahead is next-token
