@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import shutil
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -39,7 +40,9 @@ from .spectral import (
 )
 from .toy_model import ENUMERATION_BUDGET, ToyParams, sample_sequence
 
-# (type, least allowed value[, whether it is excluded]) of each `train` field
+# (type, least allowed value[, whether it is excluded]) of each number field
+_KINDS = {"seed": (int,), "rank": (int, 1), "reg": (float, 0),
+          "trials": (int, 1), "seeds": (int, 1)}
 _TRAIN_KINDS = {
     "dim": (int, 1), "lr": (float, 0, True), "steps": (int, 1),
     "init_noise": (float, 0), "clip": (float, 0, True),
@@ -63,9 +66,6 @@ class ExperimentConfig:
     rho_m: tuple[float, ...] | None = None
     seeds: int = 3
     assignment: str = "g1=1,t=2"
-
-
-_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_config(source) -> ExperimentConfig:
@@ -96,7 +96,7 @@ def load_config(source) -> ExperimentConfig:
         raw = source
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object", field="config")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(
             f"unknown fields {sorted(unknown)}", field="config"
@@ -176,13 +176,8 @@ def load_config(source) -> ExperimentConfig:
     unknown = train_raw.keys() - _TRAIN_KINDS
     if unknown:
         raise ConfigError(f"unknown fields {sorted(unknown)}", field="train")
-    train = gen.TrainSettings(**{
-        key: _number(v, *_TRAIN_KINDS[key], field=f"train.{key}")
-        for key, v in train_raw.items()
-        if not (key == "dim" and v is None)
-    })
+    train = gen.TrainSettings(**_numbers(train_raw, _TRAIN_KINDS, "train."))
 
-    rank = raw.get("rank")
     assignment = raw.get("assignment")
     if assignment is None:
         assignment = ExperimentConfig.assignment
@@ -198,19 +193,11 @@ def load_config(source) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment=name,
         params=params,
-        seed=_number(raw.get("seed", ExperimentConfig.seed), int,
-                     field="seed"),
         objectives=tuple(zip(objectives, specs)),
-        rank=None if rank is None else _number(rank, int, 1, field="rank"),
-        reg=_number(raw.get("reg", ExperimentConfig.reg), float, 0,
-                    field="reg"),
-        trials=_number(raw.get("trials", ExperimentConfig.trials), int, 1,
-                       field="trials"),
         train=train,
         rho_m=rho_m,
-        seeds=_number(raw.get("seeds", ExperimentConfig.seeds), int, 1,
-                      field="seeds"),
         assignment=assignment,
+        **_numbers(raw, _KINDS),
     )
     for key, count in (("trials", cfg.trials), ("seeds", cfg.seeds),
                        ("train.steps", cfg.train.steps)):
@@ -219,6 +206,14 @@ def load_config(source) -> ExperimentConfig:
                 f"{key}: {count:.3g} exceeds the budget of {ENUMERATION_BUDGET}"
             )
     return cfg
+
+
+def _numbers(raw: dict, kinds: dict, prefix: str = "") -> dict:
+    """The fields of `raw` that `kinds` names, each read by `_number`; a
+    null `rank` or `dim`, whose default is None, is None."""
+    return {key: None if v is None and key in ("rank", "dim")
+            else _number(v, *kinds[key], field=prefix + key)
+            for key, v in raw.items() if key in kinds}
 
 
 def _number(value, kind, least=None, above=False, *, field: str):
@@ -256,10 +251,8 @@ def _safe(label: str) -> str:
     return label.replace(":", "_").replace("-", "_").replace(".", "p")
 
 
-def write_report(report: dict, out_dir) -> str:
-    path = os.path.join(out_dir, "report.json")
-    write_json(path, report)
-    return path
+def write_report(report: dict, out_dir) -> None:
+    write_json(os.path.join(out_dir, "report.json"), report)
 
 
 def _closed_form_spectrum(spec: ObjectiveSpec, params: ToyParams):
@@ -288,10 +281,9 @@ def run_spectrum(cfg: ExperimentConfig, out_dir) -> dict:
         closed = _closed_form_spectrum(spec, cfg.params)
         max_err = None
         if closed is not None:
-            n = max(len(numeric), len(closed))
+            # the closed form is never longer than the numeric spectrum
             max_err = float(np.max(np.abs(
-                np.pad(numeric, (0, n - len(numeric)))
-                - np.pad(closed, (0, n - len(closed))))))
+                numeric - np.pad(closed, (0, len(numeric) - len(closed))))))
         t_tail = _rank(cfg, joint, cfg.params.r)
         t_conn = _rank(cfg, joint, cfg.params.r + 1)
         x, _, _ = dec.probe_features_for_joint(joint, t_conn, cfg.params)
@@ -457,32 +449,26 @@ def max_query_drift(
     that group's query outputs untouched. Returns the max abs drift seen.
     """
     trials = max(1, trials)
-    return max(
-        _query_drift(model, a, params, rng,
-                     min(_TRIALS_PER_FORWARD, trials - done))
-        for done in range(0, trials, _TRIALS_PER_FORWARD)
-    )
-
-
-def _query_drift(model, a, params, rng, trials: int) -> float:
-    """`max_query_drift` over `trials` trials, whose texts are all drawn
-    first and then run as one stack."""
     starts = np.flatnonzero(np.diff(a)) + 1
-    texts = []
-    for _ in range(trials):
-        label = int(rng.integers(1, params.r + 1))
-        x = sample_sequence(params, label, rng)
-        texts.append(x)
-        for start in starts:
-            other = sample_sequence(params, label, rng)
-            texts.append(np.concatenate((x[:start], other[start:])))
-    _, g_out = ts.two_stream_forward(model, texts, a)
-    # per trial: the drawn text, then the text redrawn from each group on
-    g_out = g_out.reshape(trials, 1 + len(starts), *g_out.shape[1:])
     # row p of redrawn text k is read if position p is in group 2 + k
     read = a == a[starts][:, None]
-    drift = np.abs(g_out[:, 1:] - g_out[:, :1])[:, read]
-    return float(np.max(drift, initial=0.0))
+    worst = 0.0
+    # each stack's texts are all drawn first and then run as one forward
+    for done in range(0, trials, _TRIALS_PER_FORWARD):
+        texts = []
+        for _ in range(min(_TRIALS_PER_FORWARD, trials - done)):
+            label = int(rng.integers(1, params.r + 1))
+            x = sample_sequence(params, label, rng)
+            texts.append(x)
+            for start in starts:
+                other = sample_sequence(params, label, rng)
+                texts.append(np.concatenate((x[:start], other[start:])))
+        _, g_out = ts.two_stream_forward(model, texts, a)
+        # per trial: the drawn text, then the text redrawn from each group on
+        g_out = g_out.reshape(-1, 1 + len(starts), *g_out.shape[1:])
+        drift = np.abs(g_out[:, 1:] - g_out[:, :1])[:, read]
+        worst = np.max(drift, initial=worst)
+    return float(worst)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
@@ -546,11 +532,11 @@ EXPERIMENTS = {
 }
 
 
-def emit_plot_data(report: dict, out_dir) -> tuple[list[str], list[str]]:
+def emit_plot_data(report: dict, out_dir) -> None:
     """Write plot-ready CSVs for whatever sections the report carries.
 
-    Returns (written, skipped) file name lists; a section that is present
-    but empty still gets its header-only file.
+    A section that is absent gets no file; one that is present but empty
+    still gets its header-only file.
     """
     tables = {}
     if "spectra" in report:
@@ -578,23 +564,30 @@ def emit_plot_data(report: dict, out_dir) -> tuple[list[str], list[str]]:
         ])
     for name, (header, columns) in tables.items():
         write_csv(os.path.join(out_dir, name), header, columns)
-    skipped = [name for name in ("spectrum.csv", "perk.csv", "connectivity.csv")
-               if name not in tables]
-    return list(tables), skipped
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment and write its report and plot data.
 
     The report is the runner's sections plus the experiment's name and
-    params.
+    params. A failed run removes the outermost directory that it made, so
+    it leaves no partial output; one that already existed is kept.
     """
+    made = os.path.abspath(out_dir)
+    while not os.path.exists(os.path.dirname(made)):
+        made = os.path.dirname(made)
+    existed = os.path.exists(made)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory: {exc}") from exc
-    report = {"experiment": cfg.experiment, "params": cfg.params.to_dict(),
-              **EXPERIMENTS[cfg.experiment](cfg, out_dir)}
-    write_report(report, out_dir)
-    emit_plot_data(report, out_dir)
+    try:
+        report = {"experiment": cfg.experiment, "params": cfg.params.to_dict(),
+                  **EXPERIMENTS[cfg.experiment](cfg, out_dir)}
+        write_report(report, out_dir)
+        emit_plot_data(report, out_dir)
+    except BaseException:
+        if not existed:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     return report

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -140,27 +141,32 @@ def _quoted(cells, width: int):
     return cells
 
 
-def to_jsonable(obj):
-    """`obj` with str dict keys, lists for sequences and no numpy types."""
+def to_jsonable(obj, key: str = ""):
+    """`obj` with str dict keys, lists for sequences and no numpy types; a
+    NaN or an infinity is a `NumericError` naming its key path below `key`,
+    as in `models/ar/perplexity is inf`."""
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): to_jsonable(v, f"{key}/{k}") for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj.item() if isinstance(obj, np.generic) else obj
+        return [to_jsonable(v, f"{key}/{i}") for i, v in enumerate(obj)]
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise NumericError(f"{key.lstrip('/')} is {obj}")
+    return obj
 
 
 def write_json(path, obj) -> None:
     """Write `obj` as strict JSON: sorted keys, indent 2, one newline.
 
-    A NaN or an infinity is a `NumericError` naming the file, which is then
-    not written: strict JSON has no spelling for either.
+    A NaN or an infinity, which strict JSON cannot spell, is a
+    `NumericError` naming the file and the key; the file is not written.
     """
     try:
         text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2,
                           allow_nan=False)
-    except ValueError as exc:
+    except (NumericError, ValueError) as exc:
         raise NumericError(f"{path}: {exc}") from exc
     with open(path, "w") as fh:
         fh.write(text + "\n")

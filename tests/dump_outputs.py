@@ -52,12 +52,14 @@ EXTRA_CONFIGS = [
     {"experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
      "objectives": ["masked:0.25", "vlm:0.25-0.75", "dar:3"], "seed": 5},
     # two-stream groups: one group only, one group per position, a short
-    # last group, and more trials than one stacked forward takes
+    # last group, more trials than one stacked forward takes, and exactly
+    # two full stacks
     *({"experiment": "masks", "params": {"r": 2, "s": s, "T": 2},
        "assignment": assignment, "trials": trials, "seed": 5}
       for s, assignment, trials in ((3, "g1=3,t=3", 20), (4, "g1=1,t=1", 20),
                                     (5, "g1=1,t=3", 20),
-                                    (4, "g1=1,t=2", 2500))),
+                                    (4, "g1=1,t=2", 2500),
+                                    (5, "g1=2,t=2", 2048))),
     # the `assignment` default, which no other masks config leaves out
     {"experiment": "masks", "params": {"r": 2, "s": 5, "T": 2}, "trials": 20,
      "seed": 5},

@@ -184,7 +184,7 @@ def test_oversized_corpus_exhausts_the_budget(tmp_path, capsys):
     # training ends finite, but its perplexity overflows to an infinity
     ({"experiment": "genbound", "params": {"r": 1, "s": 3, "T": 2},
       "objectives": ["ar"], "train": {"lr": 1000, "steps": 50}},
-     "not JSON compliant: inf"),
+     "report.json: models/ar/perplexity is inf"),
     # the factorization's objective overflows
     ({"experiment": "factorize", "params": {"r": 2, "s": 10, "T": 2},
       "objectives": ["masked:0.5"]},
@@ -204,6 +204,32 @@ def test_diverging_training_reports_numeric_failure(tmp_path, payload,
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert lines[0].startswith("numeric failure:") and message in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+# a `spectrum` run that writes the `ar` files, then exceeds the budget on
+# the second objective
+HALF_WRITTEN = {"experiment": "spectrum", "params": {"r": 2, "s": 12, "T": 2},
+                "objectives": ["ar", "vlm:0.25-0.75"]}
+
+
+@pytest.mark.parametrize("out", ["o", "o/deeper/still"])
+def test_a_failed_run_removes_the_directories_it_made(tmp_path, capsys, out):
+    cfg = write_cfg(tmp_path, HALF_WRITTEN)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource budget exceeded:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_failed_run_keeps_a_directory_that_existed(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    cfg = write_cfg(tmp_path, HALF_WRITTEN)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_subcommand_is_required():

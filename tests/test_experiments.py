@@ -136,6 +136,22 @@ def test_config_train_kinds_name_every_train_setting():
         f.name for f in fields(TrainSettings)}
 
 
+def test_config_kinds_name_every_number_field():
+    assert set(experiments._KINDS) == {
+        f.name for f in fields(ExperimentConfig)
+        if f.type in ("int", "float", "int | None")}
+
+
+def test_config_null_numbers():
+    # a null field whose default is None keeps None; any other is refused
+    assert cfg(rank=None).rank is None
+    assert cfg(train={"dim": None}).train.dim is None
+    for key in ("seed", "reg", "trials", "seeds"):
+        with pytest.raises(ConfigError, match="got None") as exc:
+            cfg(**{key: None})
+        assert exc.value.field == key
+
+
 def test_derived_streams_are_stable_and_distinct():
     a = derive_rng(7, "spectrum", "ar").standard_normal(4)
     b = derive_rng(7, "spectrum", "ar").standard_normal(4)
@@ -392,13 +408,11 @@ def test_training_joints_are_built_outside_the_seed_loop(
     assert counts == builds
 
 
-def test_plot_emission_reports_skipped_sections(tmp_path):
-    written, skipped = emit_plot_data({}, tmp_path)
-    assert written == []
-    assert sorted(skipped) == ["connectivity.csv", "perk.csv", "spectrum.csv"]
+def test_plot_emission_skips_absent_sections(tmp_path):
+    assert emit_plot_data({}, tmp_path) is None
     assert os.listdir(tmp_path) == []
-    written, skipped = emit_plot_data({"models": {}}, tmp_path)
-    assert written == ["perk.csv"]
+    emit_plot_data({"models": {}}, tmp_path)
+    assert os.listdir(tmp_path) == ["perk.csv"]
     assert read_lines(tmp_path / "perk.csv") == [["model", "k", "loss"]]
 
 

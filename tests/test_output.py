@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cospec.cooccurrence import write_joint_csv, write_matrix_csv
 from cospec.errors import NumericError
 from cospec.objectives import exact_joint, parse_objective
-from cospec.output import write_csv, write_json
+from cospec.output import to_jsonable, write_csv, write_json
 from cospec.spectral import singular_spectrum
 from cospec.toy_model import ToyParams
 
@@ -205,6 +205,13 @@ def test_write_json_is_canonical(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
 def test_write_json_rejects_non_finite_numbers(bad, tmp_path):
     path = tmp_path / "report.json"
-    with pytest.raises(NumericError, match="report.json"):
+    with pytest.raises(NumericError,
+                       match=r"report\.json: models/ar/perplexity is "):
         write_json(path, {"models": {"ar": {"perplexity": bad}}})
     assert not path.exists()
+
+
+def test_json_refusal_names_the_index_in_a_sequence():
+    spectra = {"ar": np.array([1.0, 0.5, np.inf]), "dar:2": (2.0, np.nan)}
+    with pytest.raises(NumericError, match=r"^spectra/ar/2 is inf$"):
+        to_jsonable({"spectra": spectra})

@@ -178,10 +178,11 @@ def test_stacked_forward_is_bit_equal_to_one_text_at_a_time(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("per_forward", [1024, 7])
+@pytest.mark.parametrize("per_forward", [1024, 25, 7])
 def test_query_drift_matches_the_per_text_loop(seed, per_forward, monkeypatch):
     # the bench `masks` op, whose 100 trials run as one stack or, split
-    # into stacks of 7 trials, as several
+    # into stacks of 25 or 7 trials, as four full stacks or as several with
+    # a short last one
     monkeypatch.setattr(experiments, "_TRIALS_PER_FORWARD", per_forward)
     params = ToyParams(2, 8, 2)
     a = parse_assignment("g1=2,t=2", params.s)
