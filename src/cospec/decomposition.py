@@ -72,8 +72,8 @@ def identity_residual(f, w, joint: JointDistribution) -> float:
     loss = spectral_loss(f, w, joint)  # checks both shapes
     row_factor = np.sqrt(joint.row_marginal())[:, None] * f
     col_factor_t = np.sqrt(joint.col_marginal())[None, :] * w
-    abar = joint.normalized
-    objective = float(np.sum((abar - row_factor @ col_factor_t) ** 2))
+    objective = decomposition_objective(row_factor, col_factor_t.T,
+                                        joint.normalized)
     return abs(loss - (objective - joint.energy))
 
 
@@ -208,7 +208,6 @@ class ProbeResult:
     classes: tuple[int, ...]
     coef: np.ndarray
     error: float
-    reg: float
 
 
 def linear_probe(x, labels, reg: float, weights=None) -> ProbeResult:
@@ -242,7 +241,7 @@ def linear_probe(x, labels, reg: float, weights=None) -> ProbeResult:
         ) from exc
     pred = np.array(classes)[np.argmax(x @ coef, axis=1)]
     error = float(np.sum(w * (pred != y)) / np.sum(w))
-    return ProbeResult(classes=classes, coef=coef, error=error, reg=reg)
+    return ProbeResult(classes=classes, coef=coef, error=error)
 
 
 def save_factor_pair(f, g, directory, name: str = "factors") -> None:

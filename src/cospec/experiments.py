@@ -9,6 +9,7 @@ contract and is tested end to end.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -359,9 +360,19 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
-    """(rho, terms, bound) of a mask model at each ratio of `rho_m` (else
-    the grid) that is on `spec`'s grid and leaves u >= 2 visible; `joint` is
-    the one the model trained on."""
+    """(rho, entry) of each ratio `model` is measured at; `joint` is the one
+    it trained on.
+
+    A prefix model has one row at rho 0.0, whose `bound` is its `delta`, the
+    worst pretraining error (its bound has no length term). A mask model
+    has one row per ratio of `rho_m` (else the grid) that is on `spec`'s
+    grid and leaves u >= 2 visible, with the bound's terms and the bound.
+    """
+    if spec.width is not None:
+        delta = gen.delta_term(model, joint)
+        return [(0.0, {"bound": delta, "delta": delta,
+                       "eta": gen.max_output_discrepancy(model),
+                       "output_norm": model.output_norm()})]
     s = cfg.params.s
     counts = admissible_counts(s, spec.rho_lo, spec.rho_hi)
     rows = []
@@ -369,47 +380,50 @@ def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
         u = unmasked_count(s, rho)
         if u >= 2 and u in counts:
             terms = gen.generation_bound_terms(model, joint, u)
-            rows.append((rho, terms, gen.masked_generation_bound(terms)))
+            rows.append((rho, {
+                "weights": terms.weights, "eta": terms.eta,
+                "delta": terms.delta, "output_norm": terms.output_norm,
+                "bound": gen.masked_generation_bound(terms),
+            }))
     return rows
+
+
+def _trained(cfg: ExperimentConfig, name: str, streams):
+    """Train and measure one model per objective and substream.
+
+    Each joint is built once, and the model of (label, stream) trains from
+    `derive_rng(cfg.seed, name, label, *stream)`. Returns the records
+    `(label, spec, stream, entry, rows)`, objective-major, where `entry` is
+    `gen_loss`'s with `final_train_loss` and `rows` is `_bound_rows`'; and
+    the next-token model's `delta` per stream.
+    """
+    records, delta_ar = [], {}
+    for label, spec in cfg.objectives:
+        joint = exact_joint(spec, cfg.params)
+        for stream in streams:
+            rng = derive_rng(cfg.seed, name, label, *stream)
+            result = gen.train_model(joint, cfg.params, cfg.train, rng)
+            rows = _bound_rows(cfg, spec, result.model, joint)
+            if spec.width == 1:
+                delta_ar[stream] = rows[0][1]["delta"]
+            entry = {**gen.gen_loss(result.model, cfg.params),
+                     "final_train_loss": result.losses[-1]}
+            records.append((label, spec, stream, entry, rows))
+    return records, delta_ar
 
 
 def run_genbound(cfg: ExperimentConfig, out_dir) -> dict:
     """Train one model per objective; measure losses, bound terms, and gaps."""
-    params = cfg.params
-    reports = {}
-    bound_rows = {}
-    delta_ar = None
-    for label, spec in cfg.objectives:
-        rng = derive_rng(cfg.seed, "genbound", label)
-        joint = exact_joint(spec, params)
-        result = gen.train_model(joint, params, cfg.train, rng)
-        if spec.width == 1:
-            delta_ar = gen.delta_term(result.model, joint)
-        elif spec.width is None:
-            bound_rows[label] = _bound_rows(cfg, spec, result.model, joint)
-        g = gen.gen_loss(result.model, params)
-        reports[label] = {
-            "gen_loss": g.total,
-            "nll": g.nll,
-            "perplexity": g.perplexity,
-            "per_position": g.per_position,
-            "final_train_loss": result.losses[-1],
-        }
+    records, delta_ar = _trained(cfg, "genbound", [()])
+    delta_ar = delta_ar.get(())
     bounds = {
-        label: {
-            f"{rho:g}": {
-                "weights": terms.weights,
-                "eta": terms.eta,
-                "delta": terms.delta,
-                "output_norm": terms.output_norm,
-                "bound": bound,
-                "gap_vs_ar": None if delta_ar is None else bound - delta_ar,
-            }
-            for rho, terms, bound in rows
-        }
-        for label, rows in bound_rows.items()
+        label: {f"{rho:g}": {**entry, "gap_vs_ar": None if delta_ar is None
+                             else entry["bound"] - delta_ar}
+                for rho, entry in rows}
+        for label, spec, _, _, rows in records if spec.width is None
     }
-    return {"models": reports, "bounds": bounds, "delta_ar": delta_ar}
+    return {"models": {label: entry for label, _, _, entry, _ in records},
+            "bounds": bounds, "delta_ar": delta_ar}
 
 
 def run_masks(cfg: ExperimentConfig, out_dir) -> dict:
@@ -476,43 +490,22 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
 
     The bound column always holds the model's own theoretical bound: the
     masked expression at the row's ratio for masked and variable-ratio
-    models, and the worst pretraining error itself for the next-token
-    model (whose bound has no length term; its rho is reported as 0).
+    models, and the worst pretraining error itself for a prefix model
+    (whose bound has no length term; its rho is reported as 0).
     """
     columns = ("spec", "rho", "seed", "gen_loss", "bound", "delta", "eta",
                "normW2")
-    params = cfg.params
-    rows = []
-    delta_ar_by_seed: dict[int, float] = {}
-    for label, spec in cfg.objectives:
-        joint = exact_joint(spec, params)
-        for seed_i in range(cfg.seeds):
-            rng = derive_rng(cfg.seed, "sweep", label, str(seed_i))
-            model = gen.train_model(joint, params, cfg.train, rng).model
-            total = gen.gen_loss(model, params).total
-            # (rho, bound, delta, eta, normW2) of each row
-            if spec.width is not None:
-                delta = gen.delta_term(model, joint)
-                if spec.width == 1:
-                    delta_ar_by_seed[seed_i] = delta
-                found = [(0.0, delta, delta, gen.max_output_discrepancy(model),
-                          model.output_norm())]
-            else:
-                found = [(rho, bound, terms.delta, terms.eta, terms.output_norm)
-                         for rho, terms, bound in _bound_rows(cfg, spec, model,
-                                                              joint)]
-            rows += [
-                dict(zip(columns, (label, rho, seed_i, total, *rest)))
-                for rho, *rest in found
-            ]
-    gaps: dict[str, dict[str, float]] = {}
-    for row in rows:
-        seed_i = row["seed"]
-        if row["rho"] and seed_i in delta_ar_by_seed:
-            key = f"{row['rho']:g}"
-            gaps.setdefault(key, {})[f"{row['spec']}|{seed_i}"] = (
-                row["bound"] - delta_ar_by_seed[seed_i]
-            )
+    records, delta_ar = _trained(cfg, "sweep",
+                                 [(str(i),) for i in range(cfg.seeds)])
+    rows, gaps = [], {}
+    for label, spec, stream, entry, found in records:
+        for rho, terms in found:
+            rows.append(dict(zip(columns, (
+                label, rho, int(stream[0]), entry["gen_loss"], terms["bound"],
+                terms["delta"], terms["eta"], terms["output_norm"]))))
+            if spec.width is None and stream in delta_ar:
+                gaps.setdefault(f"{rho:g}", {})[f"{label}|{stream[0]}"] = (
+                    terms["bound"] - delta_ar[stream])
     write_csv(os.path.join(out_dir, "sweep.csv"), columns, [
         [row[name] if name in ("spec", "seed") else float(row[name])
          for row in rows]
@@ -570,8 +563,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment and write its report and plot data.
 
     The report is the runner's sections plus the experiment's name and
-    params. A failed run removes the outermost directory that it made, so
-    it leaves no partial output; one that already existed is kept.
+    params. A failed run removes the outermost directory that it made. In
+    an `out_dir` that already existed it removes the entries it added and
+    keeps the others, also one that it overwrote.
     """
     made = os.path.abspath(out_dir)
     while not os.path.exists(os.path.dirname(made)):
@@ -579,6 +573,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     existed = os.path.exists(made)
     try:
         os.makedirs(out_dir, exist_ok=True)
+        before = set(os.listdir(out_dir))
     except OSError as exc:
         raise ConfigError(f"cannot make output directory: {exc}") from exc
     try:
@@ -587,7 +582,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         write_report(report, out_dir)
         emit_plot_data(report, out_dir)
     except BaseException:
-        if not existed:
+        if existed:
+            for name in set(os.listdir(out_dir)) - before:
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(out_dir, name))
+        else:
             shutil.rmtree(made, ignore_errors=True)
         raise
     return report

@@ -34,21 +34,28 @@ import workloads  # noqa: E402
 
 _MIXED = ["ar", "dar:2", "masked:0.25", "vlm:0.25-0.5"]
 _WIDE = ["ar", "vlm:0.5-0.75"]
+_AR_LAST = ["vlm:0.25-0.5", "dar:2", "ar"]
+_NO_AR = ["masked:0.5", "vlm:0.25-0.5"]
 # Branches the other configs miss: prefix and mask models side by side in
-# `genbound` and `sweep`, with and without `rho_m`, a mask ratio that leaves
-# one position hidden (`masked:0.25` at s = 4), bound ratios dropped for
-# leaving one position visible (u = 1 on the grid of `vlm:0.5-0.75` at
-# s = 4) or for lying off the model's grid (0.25), and the closed form of a
-# ratio range and of a wide lookahead window in `spectrum`.
+# `genbound` and `sweep`, with and without `rho_m`, with the next-token
+# baseline after the mask models and with no baseline at all, a mask ratio
+# that leaves one position hidden (`masked:0.25` at s = 4), bound ratios
+# dropped for leaving one position visible (u = 1 on the grid of
+# `vlm:0.5-0.75` at s = 4) or for lying off the model's grid (0.25), and
+# the closed form of a ratio range and of a wide lookahead window in
+# `spectrum`.
 EXTRA_CONFIGS = [
     *({"experiment": experiment, "params": {"r": 1, "s": 4, "T": 2},
        "objectives": objectives, "train": {"steps": 60}, "seeds": 2,
        "seed": 5, **extra}
-      for objectives, extra in ((_MIXED, {}),
-                                (_MIXED, {"rho_m": [0.25, 0.5]}),
-                                (_WIDE, {}),
-                                (_WIDE, {"rho_m": [0.25, 0.5, 0.75]}))
-      for experiment in ("genbound", "sweep")),
+      for objectives, extra, experiments in (
+          (_MIXED, {}, ("genbound", "sweep")),
+          (_MIXED, {"rho_m": [0.25, 0.5]}, ("genbound", "sweep")),
+          (_WIDE, {}, ("genbound", "sweep")),
+          (_WIDE, {"rho_m": [0.25, 0.5, 0.75]}, ("genbound", "sweep")),
+          (_AR_LAST, {}, ("genbound", "sweep")),
+          (_NO_AR, {}, ("sweep",)))
+      for experiment in experiments),
     {"experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
      "objectives": ["masked:0.25", "vlm:0.25-0.75", "dar:3"], "seed": 5},
     # two-stream groups: one group only, one group per position, a short

@@ -237,7 +237,7 @@ def test_c07_masked_generation_bound_holds():
             model, scored = _trained(f"masked:{rho}", r, s, seed_i)
             terms = gen.generation_bound_terms(model, joint, u)
             bound = gen.masked_generation_bound(terms)
-            assert scored.total <= bound + 1e-9, (r, s, rho, seed_i)
+            assert scored["gen_loss"] <= bound + 1e-9, (r, s, rho, seed_i)
     params = ToyParams(1, 8, T_FIXED)
     terms = gen.generation_bound_terms(
         _trained("masked:0.5", 1, 8, 0)[0],
@@ -254,7 +254,7 @@ def test_c08_per_step_loss_rank_correlation_negative():
             wins = 0
             for seed_i in range(10):
                 _, scored = _trained("masked:0.5", r, s, seed_i)
-                losses = [scored.per_position[k] for k in ks]
+                losses = [scored["per_position"][k] for k in ks]
                 if oracles.spearman(ks, losses) < 0.0:
                     wins += 1
             assert wins >= 8, (r, s, wins)
@@ -268,7 +268,7 @@ def test_c09_variable_ratio_beats_worst_fixed_ratio():
             _, mixed = _trained("vlm:0.5-0.75", r, s, seed_i)
             _, low = _trained("masked:0.5", r, s, seed_i)
             _, high = _trained("masked:0.75", r, s, seed_i)
-            if mixed.total <= max(low.total, high.total) + 1e-12:
+            if mixed["gen_loss"] <= max(low["gen_loss"], high["gen_loss"]) + 1e-12:
                 wins += 1
         assert wins >= 8, (r, wins)
 

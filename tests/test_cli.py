@@ -209,27 +209,41 @@ def test_diverging_training_reports_numeric_failure(tmp_path, payload,
 
 # a `spectrum` run that writes the `ar` files, then exceeds the budget on
 # the second objective
-HALF_WRITTEN = {"experiment": "spectrum", "params": {"r": 2, "s": 12, "T": 2},
-                "objectives": ["ar", "vlm:0.25-0.75"]}
+# writes the `ar` factor files, then diverges on `masked:0.5`
+HALF_WRITTEN = {"experiment": "factorize",
+                "params": {"r": 2, "s": 10, "T": 2},
+                "objectives": ["ar", "masked:0.5"]}
 
 
 @pytest.mark.parametrize("out", ["o", "o/deeper/still"])
 def test_a_failed_run_removes_the_directories_it_made(tmp_path, capsys, out):
     cfg = write_cfg(tmp_path, HALF_WRITTEN)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 4
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("resource budget exceeded:")
+    assert err.startswith("numeric failure:")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 
-def test_a_failed_run_keeps_a_directory_that_existed(tmp_path):
+def test_a_failed_run_keeps_a_directory_that_existed(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
     (out / "notes.txt").write_text("kept")
     cfg = write_cfg(tmp_path, HALF_WRITTEN)
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert os.listdir(out) == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "kept"
+
+
+def test_a_failed_run_keeps_a_file_that_it_overwrote(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "factors_ar.json").write_text("kept")
+    cfg = write_cfg(tmp_path, HALF_WRITTEN)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert sorted(os.listdir(out)) == ["factors_ar.json"]
+    assert (out / "factors_ar.json").read_text() != "kept"
 
 
 def test_subcommand_is_required():

@@ -19,7 +19,7 @@ from cospec.experiments import (
     load_config,
     run_experiment,
 )
-from cospec.generation import TrainSettings
+from cospec.generation import TrainSettings, gen_loss, train_model
 from cospec.objectives import exact_joint, parse_objective
 from cospec.output import to_jsonable
 from cospec.toy_model import ToyParams
@@ -273,6 +273,54 @@ def test_genbound_experiment_sections(tmp_path):
     ks = [int(row[1]) for row in perk[1:]]
     assert ks == sorted(ks)
     assert len(perk) == 1 + 2 * 3
+
+
+def test_genbound_model_entry_is_the_gen_loss_entry(tmp_path):
+    config = load_config({
+        "experiment": "genbound",
+        "params": {"r": 1, "s": 4, "T": 2},
+        "objectives": ["dar:2", "masked:0.5"],
+        "train": {"steps": 30},
+        "seed": 4,
+    })
+    report = run_experiment(config, tmp_path)
+    for label, spec in config.objectives:
+        result = train_model(exact_joint(spec, config.params), config.params,
+                             config.train, derive_rng(4, "genbound", label))
+        assert report["models"][label] == {
+            **gen_loss(result.model, config.params),
+            "final_train_loss": result.losses[-1],
+        }
+
+
+def test_sweep_gaps_read_the_baseline_of_the_same_seed(tmp_path):
+    common = {"params": {"r": 1, "s": 4, "T": 2}, "train": {"steps": 20},
+              "seeds": 2, "seed": 3}
+    report = run_experiment(load_config(dict(
+        common, experiment="sweep",
+        objectives=["masked:0.5", "vlm:0.25-0.5", "ar"])), tmp_path / "a")
+    delta_ar = {row["seed"]: row["delta"] for row in report["rows"]
+                if row["spec"] == "ar"}
+    masked = [row for row in report["rows"] if row["spec"] != "ar"]
+    assert len(delta_ar) == 2 and len(masked) == 2 * (1 + 2)
+    assert report["gaps"] == {
+        f"{rho:g}": {f"{row['spec']}|{row['seed']}":
+                     row["bound"] - delta_ar[row["seed"]]
+                     for row in masked if row["rho"] == rho}
+        for rho in {row["rho"] for row in masked}
+    }
+
+    objectives = ["masked:0.5", "vlm:0.25-0.5"]
+    report = run_experiment(load_config(dict(
+        common, experiment="sweep", objectives=objectives)), tmp_path / "b")
+    assert report["gaps"] == {}
+    report = run_experiment(load_config(dict(
+        common, experiment="genbound", objectives=objectives)),
+        tmp_path / "c")
+    assert report["delta_ar"] is None
+    entries = [e for rows in report["bounds"].values() for e in rows.values()]
+    assert len(entries) == 3
+    assert all(e["gap_vs_ar"] is None for e in entries)
 
 
 @pytest.mark.parametrize("baseline", [" ar ", "dar:1"])
