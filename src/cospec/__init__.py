@@ -37,7 +37,6 @@ from .experiments import (
     run_experiment,
 )
 from .generation import (
-    GenerationBoundTerms,
     LinearAttentionModel,
     TrainSettings,
     gen_loss,

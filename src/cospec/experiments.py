@@ -9,13 +9,13 @@ contract and is tested end to end.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import numbers
 import os
 import shutil
+import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -72,23 +72,23 @@ class ExperimentConfig:
 def load_config(source) -> ExperimentConfig:
     """Validate a config from a dict, a JSON string, or a file path.
 
-    A bad field is a `ConfigError`; a `trials`, `seeds` or `train.steps`
-    count above the enumeration budget, a loop that would not end, is a
-    `ResourceError`.
+    A bad field is a `ConfigError`. A vocabulary r*s*T (every runner lists
+    it), or a `trials`, `seeds`, `train.steps` or `train.dim` count, above
+    the enumeration budget is a `ResourceError`.
     """
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
         try:
             with open(source, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(str(exc), field="config") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {os.fspath(source)!r}: {exc}",
                               field="config") from exc
+        except ValueError as exc:  # bad JSON, or an int of too many digits
+            raise ConfigError(str(exc), field="config") from exc
     elif isinstance(source, str):
         try:
             raw = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(
                 f"not an existing file and not valid JSON: {str(source)[:80]!r}",
                 field="config",
@@ -124,6 +124,7 @@ def load_config(source) -> ExperimentConfig:
         params = ToyParams(**sizes)
     except DomainError as exc:
         raise ConfigError(str(exc), field="params") from exc
+    _within_budget("params: vocabulary r*s*T", params.vocab_size)
 
     objectives = raw.get("objectives",
                          [label for label, _ in ExperimentConfig.objectives])
@@ -201,12 +202,19 @@ def load_config(source) -> ExperimentConfig:
         **_numbers(raw, _KINDS),
     )
     for key, count in (("trials", cfg.trials), ("seeds", cfg.seeds),
-                       ("train.steps", cfg.train.steps)):
-        if count > ENUMERATION_BUDGET:
-            raise ResourceError(
-                f"{key}: {count:.3g} exceeds the budget of {ENUMERATION_BUDGET}"
-            )
+                       ("train.steps", cfg.train.steps),
+                       ("train.dim", cfg.train.dim or 0)):
+        _within_budget(key, count)
     return cfg
+
+
+def _within_budget(key: str, count: int) -> None:
+    """Refuse a count above the enumeration budget as a `ResourceError`."""
+    if count > ENUMERATION_BUDGET:
+        # `.3g` reads an int as a float, and no float reaches 1e309
+        size = f"{count:.3g}" if count < 1e308 else "at least 1e+308"
+        raise ResourceError(
+            f"{key}: {size} exceeds the budget of {ENUMERATION_BUDGET}")
 
 
 def _numbers(raw: dict, kinds: dict, prefix: str = "") -> dict:
@@ -379,12 +387,7 @@ def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
     for rho in cfg.rho_m or [(s - u) / s for u in counts]:
         u = unmasked_count(s, rho)
         if u >= 2 and u in counts:
-            terms = gen.generation_bound_terms(model, joint, u)
-            rows.append((rho, {
-                "weights": terms.weights, "eta": terms.eta,
-                "delta": terms.delta, "output_norm": terms.output_norm,
-                "bound": gen.masked_generation_bound(terms),
-            }))
+            rows.append((rho, gen.generation_bound_terms(model, joint, u)))
     return rows
 
 
@@ -563,30 +566,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment and write its report and plot data.
 
     The report is the runner's sections plus the experiment's name and
-    params. A failed run removes the outermost directory that it made. In
-    an `out_dir` that already existed it removes the entries it added and
-    keeps the others, also one that it overwrote.
+    params. Every file is written into a staging directory, made in the
+    nearest existing directory of `out_dir`'s path, and moved into
+    `out_dir` once all are written: a failed run leaves the file system as
+    it found it.
     """
-    made = os.path.abspath(out_dir)
-    while not os.path.exists(os.path.dirname(made)):
-        made = os.path.dirname(made)
-    existed = os.path.exists(made)
+    base = os.path.abspath(out_dir)
+    while not os.path.lexists(base):
+        base = os.path.dirname(base)
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        before = set(os.listdir(out_dir))
+        stage = tempfile.mkdtemp(dir=base)
     except OSError as exc:
-        raise ConfigError(f"cannot make output directory: {exc}") from exc
+        raise ConfigError(f"cannot make output directory "
+                          f"{os.fspath(out_dir)!r}: {exc.strerror}") from exc
     try:
         report = {"experiment": cfg.experiment, "params": cfg.params.to_dict(),
-                  **EXPERIMENTS[cfg.experiment](cfg, out_dir)}
-        write_report(report, out_dir)
-        emit_plot_data(report, out_dir)
-    except BaseException:
-        if existed:
-            for name in set(os.listdir(out_dir)) - before:
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(out_dir, name))
-        else:
-            shutil.rmtree(made, ignore_errors=True)
-        raise
+                  **EXPERIMENTS[cfg.experiment](cfg, stage)}
+        write_report(report, stage)
+        emit_plot_data(report, stage)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return report

@@ -137,17 +137,6 @@ def misalignment_weight(u: int, k: int) -> float:
     return float(u**3 - (k - 1) ** 3)
 
 
-@dataclass(frozen=True)
-class GenerationBoundTerms:
-    """Everything the masked generation bound needs, measured on one model."""
-
-    weights: dict[int, float]
-    eta: float
-    delta: float
-    output_norm: float
-    u: int
-
-
 def max_output_discrepancy(model: LinearAttentionModel) -> float:
     """Largest distance between single-triple attention outputs, exactly.
 
@@ -187,13 +176,14 @@ def delta_term(model: LinearAttentionModel, joint: JointDistribution) -> float:
 
 def generation_bound_terms(
     model: LinearAttentionModel, joint: JointDistribution, u: int
-) -> GenerationBoundTerms:
-    """Measure the bound's ingredients for one model at u unmasked tokens.
+) -> dict:
+    """The bound's row for one model at u unmasked tokens.
 
-    `joint` is the mask joint the model trained on. Its rows with u visible
-    tokens are those of the one-ratio joint at the ratio that leaves u,
-    with the same column catalog and support, so `delta` is taken over
-    them alone.
+    Returns `weights` (the misalignment weight of each position 2..u),
+    `eta`, `delta`, `output_norm` and the `bound` they give. `joint` is the
+    mask joint the model trained on. Its rows with u visible tokens are
+    those of the one-ratio joint at the ratio that leaves u, with the same
+    column catalog and support, so `delta` is taken over them alone.
     """
     if u < 2:
         raise DomainError(f"bound needs an unmasked count >= 2, got {u}")
@@ -205,21 +195,22 @@ def generation_bound_terms(
         )
     own = JointDistribution(kind=joint.kind, tokens=joint.tokens[rows],
                             cols=joint.cols, mass=joint.mass[rows])
-    return GenerationBoundTerms(
-        weights={k: misalignment_weight(u, k) for k in range(2, u + 1)},
-        eta=max_output_discrepancy(model),
-        delta=delta_term(model, own),
-        output_norm=model.output_norm(),
-        u=u,
-    )
+    terms = {"eta": max_output_discrepancy(model),
+             "delta": delta_term(model, own),
+             "output_norm": model.output_norm()}
+    return {"weights": {k: misalignment_weight(u, k) for k in range(2, u + 1)},
+            **terms, "bound": masked_generation_bound(u, **terms)}
 
 
-def masked_generation_bound(terms: GenerationBoundTerms) -> float:
-    """Upper bound on masked-model generation loss from measured terms."""
+def masked_generation_bound(u: int, *, eta: float, delta: float,
+                            output_norm: float) -> float:
+    """Upper bound on masked-model generation loss at u unmasked tokens,
+    from the measured terms."""
     acc = 0.0
-    for k, w in terms.weights.items():
-        acc += w**2 / (k - 1) ** 6 + w * terms.output_norm**2 * terms.eta
-    return acc / (2.0 * terms.u) + terms.delta + 1.0
+    for k in range(2, u + 1):
+        w = misalignment_weight(u, k)
+        acc += w**2 / (k - 1) ** 6 + w * output_norm**2 * eta
+    return acc / (2.0 * u) + delta + 1.0
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -167,6 +168,6 @@ def write_json(path, obj) -> None:
         text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2,
                           allow_nan=False)
     except (NumericError, ValueError) as exc:
-        raise NumericError(f"{path}: {exc}") from exc
+        raise NumericError(f"{os.path.basename(path)}: {exc}") from exc
     with open(path, "w") as fh:
         fh.write(text + "\n")

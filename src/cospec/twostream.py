@@ -20,14 +20,16 @@ from .toy_model import ToyParams
 
 def partition_groups(s: int, g1: int, t: int) -> np.ndarray:
     """1-based group id per position: a first group of g1, then width-t
-    groups, the remainder in the last."""
+    groups, the remainder in the last. A width above s gives the groups of
+    width s."""
     if t < 1:
         raise DomainError(f"group width must be >= 1, got {t}")
     if not 1 <= g1 <= t:
         raise DomainError(f"first group size {g1} outside 1..{t}")
     if s < g1:
         raise DomainError(f"sequence length {s} shorter than first group {g1}")
-    return np.concatenate([np.ones(g1, int), 2 + np.arange(s - g1) // t])
+    return np.concatenate([np.ones(g1, int),
+                           2 + np.arange(s - g1) // min(t, s)])
 
 
 def parse_assignment(text: str, s: int) -> np.ndarray:

@@ -11,10 +11,12 @@ output byte-identical when a dump made in a checkout of the change (OUT)
 and one made in a checkout of the parent (PARENT_OUT) do not differ.
 `--diff` makes no dump: it prints one JSON line `[path, parent, change]`
 per moved value of a CSV cell (`file.csv:row:column`, from 1) or a JSON
-leaf (`file.json:key/index/...`), and per file that is on one side only
-(`"<file>"` marks the side that has it) or differs in bytes but in no value
-(`"<bytes>"`). It prints nothing, and exits 0, when the trees are
-identical. Pytest does not collect this file.
+leaf (`file.json:key/index/...`), per file or directory that is on one
+side only or is a file on one side and a directory on the other
+(`"<file>"` and `"<dir>"` mark what each side has), and per file that
+differs in bytes but in no value (`"<bytes>"`). So a directory left behind,
+even an empty one, shows. It prints nothing, and exits 0, when the trees
+are identical. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ EXTRA_CONFIGS = [
 ]
 
 
-def dump(out: str, seeds) -> int:
-    """Run every config into `out`; return the number of files written."""
+def dump(out: str, seeds) -> dict:
+    """Run every config into `out`; return the number of files and of
+    directories below it, by the marks `_entries` gives them."""
     workloads.pin_blas()
     cli = workloads.import_cospec().cli
     from test_acceptance import RERUN_CONFIGS
@@ -103,20 +106,27 @@ def dump(out: str, seeds) -> int:
                              "--out", target])
         if code != 0:
             raise SystemExit(f"{name}: cospec exited {code}")
-    return sum(len(files) for _, _, files in os.walk(out))
+    kinds = list(_entries(out).values())
+    return {kind: kinds.count(kind) for kind in ("<file>", "<dir>")}
+
+
+def _entries(top: str) -> dict:
+    """`"<file>"` or `"<dir>"` of every entry below `top`, by its path
+    relative to `top`."""
+    return {os.path.relpath(os.path.join(root, name), top): kind
+            for root, dirs, files in os.walk(top)
+            for kind, names in (("<dir>", dirs), ("<file>", files))
+            for name in names}
 
 
 def diff(parent: str, change: str):
     """Yield (path, parent value, change value) for each moved value."""
-    trees = [{os.path.relpath(os.path.join(root, name), top)
-              for root, _, names in os.walk(top) for name in names}
-             for top in (parent, change)]
-    for path in sorted(trees[0] | trees[1]):
-        if path not in trees[0]:
-            yield path, None, "<file>"
-        elif path not in trees[1]:
-            yield path, "<file>", None
-        else:
+    trees = [_entries(top) for top in (parent, change)]
+    for path in sorted(trees[0].keys() | trees[1].keys()):
+        kinds = trees[0].get(path), trees[1].get(path)
+        if kinds[0] != kinds[1]:
+            yield path, *kinds
+        elif kinds[0] == "<file>":
             old, new = (_read(os.path.join(top, path))
                         for top in (parent, change))
             if old != new:
@@ -168,7 +178,9 @@ def main(argv=None) -> int:
         for moved, line in enumerate(diff(args.diff, args.out), 1):
             print(json.dumps(list(line)))
         return 1 if moved else 0
-    print(f"{dump(args.out, args.seeds)} files in {args.out}")
+    counts = dump(args.out, args.seeds)
+    print(f"{counts['<file>']} files and {counts['<dir>']} directories in "
+          f"{args.out}")
     return 0
 
 

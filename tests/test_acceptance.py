@@ -235,15 +235,14 @@ def test_c07_masked_generation_bound_holds():
         u = unmasked_count(s, rho)
         for seed_i in range(10):
             model, scored = _trained(f"masked:{rho}", r, s, seed_i)
-            terms = gen.generation_bound_terms(model, joint, u)
-            bound = gen.masked_generation_bound(terms)
+            bound = gen.generation_bound_terms(model, joint, u)["bound"]
             assert scored["gen_loss"] <= bound + 1e-9, (r, s, rho, seed_i)
     params = ToyParams(1, 8, T_FIXED)
     terms = gen.generation_bound_terms(
         _trained("masked:0.5", 1, 8, 0)[0],
         exact_joint(parse_objective("masked:0.5"), params), 4,
     )
-    assert terms.weights[3] == 56.0
+    assert terms["weights"][3] == 56.0
 
 
 def test_c08_per_step_loss_rank_correlation_negative():

@@ -44,6 +44,28 @@ def test_run_writes_report_and_announces_it(tmp_path, capsys):
     assert f"wrote {out_dir}/report.json" in capsys.readouterr().out
     report = json.loads((out_dir / "report.json").read_text())
     assert report["experiment"] == "spectrum"
+    # no staging directory is left beside the output
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
+
+
+def test_a_run_into_an_existing_directory_adds_only_its_files(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "report.json").write_text("old")
+    cfg = write_cfg(tmp_path, {
+        "experiment": "spectrum",
+        "params": {"r": 1, "s": 3, "T": 2},
+        "objectives": ["ar"],
+    })
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "connectivity.csv", "joint_ar.csv", "normalized_ar.csv", "notes.txt",
+        "report.json", "spectrum.csv"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert json.loads((out / "report.json").read_text())["experiment"] \
+        == "spectrum"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "o"]
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -149,21 +171,30 @@ def make_path(tmp_path, kind):
                                     "params": {"r": 1, "s": 3, "T": 2}}))
     elif kind == "file":
         path.write_text("")
+    elif kind == "below-file":
+        path.write_text("")
+        path = path / "sub"
+    elif kind == "broken-link":
+        path.symlink_to(tmp_path / "missing")
     return str(path)
 
 
 @pytest.mark.parametrize("config, out", [
-    ("directory", "new"),  # --config names a directory
-    ("latin1", "new"),     # --config names a file that is not UTF-8
-    ("config", "file"),    # --out names an existing file
+    ("directory", "new"),     # --config names a directory
+    ("latin1", "new"),        # --config names a file that is not UTF-8
+    ("config", "file"),       # --out names an existing file
+    ("config", "below-file"),  # --out lies below an existing file
+    ("config", "broken-link"),  # --out is a link to nothing
 ])
 def test_unusable_path_is_a_config_error(tmp_path, capsys, config, out):
     argv = ["run", "--config", make_path(tmp_path, config),
             "--out", make_path(tmp_path, out)]
+    before = sorted(os.listdir(tmp_path))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_oversized_corpus_exhausts_the_budget(tmp_path, capsys):
@@ -204,12 +235,11 @@ def test_diverging_training_reports_numeric_failure(tmp_path, payload,
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert lines[0].startswith("numeric failure:") and message in lines[0]
-    assert not (tmp_path / "o").exists()
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-# a `spectrum` run that writes the `ar` files, then exceeds the budget on
-# the second objective
-# writes the `ar` factor files, then diverges on `masked:0.5`
+# writes the `ar` factor files, then its GD factorization diverges on
+# `masked:0.5` (exit 3)
 HALF_WRITTEN = {"experiment": "factorize",
                 "params": {"r": 2, "s": 10, "T": 2},
                 "objectives": ["ar", "masked:0.5"]}
@@ -222,7 +252,7 @@ def test_a_failed_run_removes_the_directories_it_made(tmp_path, capsys, out):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
     assert len(err.splitlines()) == 1
-    assert not (tmp_path / "o").exists()
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_a_failed_run_keeps_a_directory_that_existed(tmp_path, capsys):
@@ -234,6 +264,7 @@ def test_a_failed_run_keeps_a_directory_that_existed(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert os.listdir(out) == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "o"]
 
 
 def test_a_failed_run_keeps_a_file_that_it_overwrote(tmp_path):
@@ -243,7 +274,8 @@ def test_a_failed_run_keeps_a_file_that_it_overwrote(tmp_path):
     cfg = write_cfg(tmp_path, HALF_WRITTEN)
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     assert sorted(os.listdir(out)) == ["factors_ar.json"]
-    assert (out / "factors_ar.json").read_text() != "kept"
+    assert (out / "factors_ar.json").read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "o"]
 
 
 def test_subcommand_is_required():
@@ -252,18 +284,72 @@ def test_subcommand_is_required():
     assert exc.value.code == 2
 
 
-def test_impossible_allocation_exhausts_the_budget(tmp_path, capsys):
-    # numpy refuses a 10^14-element array at once, without touching memory
-    cfg = write_cfg(tmp_path, {
-        "experiment": "genbound",
-        "params": {"r": 1, "s": 3, "T": 1},
-        "objectives": ["ar"],
-        "train": {"dim": 10_000_000_000_000, "steps": 1},
-    })
+# Integers too large for numpy to size an array by, each refused at load
+# before any array is made
+@pytest.mark.parametrize("fields, name", [
+    *(({"experiment": experiment, "params": {"r": 1, "s": 10**20, "T": 1}},
+       "params") for experiment in sorted(EXPERIMENTS)),
+    ({"experiment": "masks", "params": {"r": 10**20, "s": 3, "T": 1}},
+     "params"),
+    ({"experiment": "masks", "params": {"r": 1, "s": 3, "T": 10**20}},
+     "params"),
+    *(({"experiment": "genbound", "train": {"dim": dim, "steps": 1}},
+       "train.dim") for dim in (10**13, 2**63 - 1, 10**20)),
+    # too large for `.3g`, which reads an int as a float
+    ({"experiment": "identity", "trials": 10**400}, "trials"),
+])
+def test_huge_integer_exhausts_the_budget(tmp_path, capsys, fields, name):
+    cfg = write_cfg(tmp_path, {"params": {"r": 1, "s": 3, "T": 1},
+                               "objectives": ["ar"], **fields})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("resource budget exceeded:")
+    assert err.startswith(f"resource budget exceeded: {name}: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("experiment", ["masks", "spectrum"])
+def test_a_group_width_above_the_length_runs_as_the_length(tmp_path,
+                                                          experiment):
+    reports = []
+    for width in (10**20, 3):
+        out = tmp_path / str(width)
+        cfg = write_cfg(tmp_path, {
+            "experiment": experiment,
+            "params": {"r": 1, "s": 3, "T": 1},
+            "objectives": ["ar"],
+            "trials": 2,
+            "assignment": f"g1=1,t={width}",
+        })
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_an_int_of_too_many_digits_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "identity", "params": {"r": 1, "s": 3, '
+                    '"T": 1}, "trials": ' + "9" * 5000 + "}")
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_impossible_allocation_exhausts_the_budget(
+    tmp_path, capsys, monkeypatch
+):
+    def refused(cfg, out_dir):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setitem(EXPERIMENTS, "spectrum", refused)
+    cfg = write_cfg(tmp_path, {"experiment": "spectrum",
+                               "params": {"r": 1, "s": 3, "T": 1}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "resource budget exceeded: Unable to allocate 74.5 GiB\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -299,7 +385,10 @@ def test_empty_variable_ratio_grid_is_a_config_error(tmp_path, capsys):
 
 
 # Fuzzing the exit contract. Numbers stay small so that a config that
-# happens to be valid finishes quickly.
+# happens to be valid finishes quickly. The integers from 2^63 on, past
+# what numpy sizes an array by, are refused at load, but for a group width
+# above s, which is read as s.
+_HUGE = st.integers(2**63, 10**400)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
     | st.floats(-4, 4) | st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -328,7 +417,8 @@ _OBJECTIVE = st.one_of(
 
 @st.composite
 def _small_config(draw):
-    """A well-typed config at small sizes: r, s, T <= 2/4/2, <= 5 steps."""
+    """A well-typed config at small sizes: r, s, T <= 2/4/2, <= 5 steps;
+    or with a huge size, dimension or group width."""
     cfg = {
         "experiment": draw(st.sampled_from(sorted(EXPERIMENTS))),
         "params": {"r": draw(st.integers(1, 2)), "s": draw(st.integers(2, 4)),
@@ -345,7 +435,12 @@ def _small_config(draw):
         "reg": st.floats(0, 1),
         "rho_m": st.floats(0, 1) | st.lists(st.floats(0, 1), max_size=3),
         "assignment": st.sampled_from(["g1=1,t=2", "g1=2,t=2", "g1=1,t=1",
-                                       "g1=3,t=2", "t=2", "g1=x,t=1"]),
+                                       "g1=3,t=2", "t=2", "g1=x,t=1"])
+        | _HUGE.map(lambda t: f"g1=1,t={t}"),
+        "params.r": _HUGE,
+        "params.s": _HUGE,
+        "params.T": _HUGE,
+        "train.dim": _HUGE,
         "train.lr": st.floats(1e-3, 0.5),
         "train.clip": st.floats(0.1, 10),
         "train.init_noise": st.floats(0, 0.1),

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from cospec import cooccurrence, experiments
-from cospec.cooccurrence import normalize
+from cospec.cooccurrence import normalize, unmasked_count
 from cospec.errors import ConfigError
 from cospec.experiments import (
     ExperimentConfig,
@@ -19,7 +19,12 @@ from cospec.experiments import (
     load_config,
     run_experiment,
 )
-from cospec.generation import TrainSettings, gen_loss, train_model
+from cospec.generation import (
+    TrainSettings,
+    gen_loss,
+    generation_bound_terms,
+    train_model,
+)
 from cospec.objectives import exact_joint, parse_objective
 from cospec.output import to_jsonable
 from cospec.toy_model import ToyParams
@@ -291,6 +296,31 @@ def test_genbound_model_entry_is_the_gen_loss_entry(tmp_path):
             **gen_loss(result.model, config.params),
             "final_train_loss": result.losses[-1],
         }
+
+
+def test_genbound_bound_entry_is_the_bound_row(tmp_path):
+    # each reported bound, less its gap, is `generation_bound_terms`' row
+    # for the model retrained from the same substream
+    config = load_config({
+        "experiment": "genbound",
+        "params": {"r": 1, "s": 4, "T": 2},
+        "objectives": ["masked:0.5", "vlm:0.25-0.5", "ar"],
+        "train": {"steps": 30},
+        "seed": 4,
+    })
+    report = run_experiment(config, tmp_path)
+    assert set(report["bounds"]) == {"masked:0.5", "vlm:0.25-0.5"}
+    checked = 0
+    for label, spec in config.objectives[:2]:
+        joint = exact_joint(spec, config.params)
+        model = train_model(joint, config.params, config.train,
+                            derive_rng(4, "genbound", label)).model
+        for rho, entry in report["bounds"][label].items():
+            row = {k: v for k, v in entry.items() if k != "gap_vs_ar"}
+            u = unmasked_count(config.params.s, float(rho))
+            assert row == generation_bound_terms(model, joint, u)
+            checked += 1
+    assert checked == 3
 
 
 def test_sweep_gaps_read_the_baseline_of_the_same_seed(tmp_path):

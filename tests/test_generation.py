@@ -15,7 +15,6 @@ from cospec.cooccurrence import (
 )
 from cospec.errors import DomainError, NumericError
 from cospec.generation import (
-    GenerationBoundTerms,
     LinearAttentionModel,
     TrainSettings,
     _Workspace,
@@ -167,13 +166,11 @@ def test_bound_uses_the_integer_unmasked_count():
     assert weights == {k: float(6**3 - (k - 1) ** 3) for k in range(2, 7)}
     assert weights[2] == 215.0
     assert misalignment_weight(2, 2) == 7.0
-    terms = GenerationBoundTerms(
-        weights=weights, eta=0.1, delta=0.2, output_norm=1.5, u=6,
-    )
     acc = 0.0
     for k, w in weights.items():
         acc += w**2 / (k - 1) ** 6 + w * 1.5**2 * 0.1
-    assert masked_generation_bound(terms) == acc / (2.0 * 6) + 0.2 + 1.0
+    assert masked_generation_bound(6, eta=0.1, delta=0.2, output_norm=1.5) \
+        == acc / (2.0 * 6) + 0.2 + 1.0
 
 
 def test_discrepancy_zero_when_embeddings_collapse():
@@ -200,30 +197,18 @@ def test_worst_pretraining_error_of_silent_model_is_zero():
 
 
 def test_bound_arithmetic_from_fixed_terms():
-    terms = GenerationBoundTerms(
-        weights={2: 63.0, 3: 56.0, 4: 37.0},
-        eta=0.1,
-        delta=0.0,
-        output_norm=1.0,
-        u=4,
-    )
+    # the weights at u = 4 are 63, 56 and 37
     acc = (63.0**2 + 63.0 * 0.1) + (56.0**2 / 2**6 + 56.0 * 0.1) \
         + (37.0**2 / 3**6 + 37.0 * 0.1)
-    assert masked_generation_bound(terms) == pytest.approx(acc / 8.0 + 1.0)
+    assert masked_generation_bound(4, eta=0.1, delta=0.0, output_norm=1.0) \
+        == pytest.approx(acc / 8.0 + 1.0)
 
 
 def test_bound_shrinks_as_mask_ratio_grows():
     bounds = []
     for rho in (0.25, 0.5, 0.75):
-        u = unmasked_count(8, rho)
-        terms = GenerationBoundTerms(
-            weights={k: misalignment_weight(u, k) for k in range(2, u + 1)},
-            eta=0.1,
-            delta=0.0,
-            output_norm=1.0,
-            u=u,
-        )
-        bounds.append(masked_generation_bound(terms))
+        bounds.append(masked_generation_bound(
+            unmasked_count(8, rho), eta=0.1, delta=0.0, output_norm=1.0))
     assert bounds[0] > bounds[1] > bounds[2]
 
 
@@ -240,9 +225,12 @@ def test_bound_terms_weight_range():
     model = random_model(params.vocab_size, 4, seed=4)
     terms = generation_bound_terms(model, build_masked_joint(params, 0.5),
                                    unmasked_count(params.s, 0.5))
-    assert set(terms.weights) == {2, 3, 4}
-    assert terms.weights[3] == pytest.approx(56.0)
-    assert terms.output_norm == pytest.approx(model.output_norm())
+    assert set(terms["weights"]) == {2, 3, 4}
+    assert terms["weights"][3] == pytest.approx(56.0)
+    assert terms["output_norm"] == pytest.approx(model.output_norm())
+    assert terms["bound"] == masked_generation_bound(
+        4, eta=terms["eta"], delta=terms["delta"],
+        output_norm=terms["output_norm"])
 
 
 @pytest.mark.parametrize("objective, shape", [
@@ -267,7 +255,7 @@ def test_bound_delta_from_the_own_joint_is_the_one_ratio_delta(
     assert counts
     for u in counts:
         rho = (s - u) / s
-        got = generation_bound_terms(model, joint, u).delta
+        got = generation_bound_terms(model, joint, u)["delta"]
         assert got == delta_term(model, build_masked_joint(params, rho))
 
 
@@ -552,4 +540,4 @@ def test_trained_masked_model_respects_its_bound():
     report = gen_loss(result.model, params)
     terms = generation_bound_terms(result.model, joint,
                                    unmasked_count(params.s, 0.5))
-    assert report["gen_loss"] <= masked_generation_bound(terms)
+    assert report["gen_loss"] <= terms["bound"]
