@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .output import write_csv
-from .toy_model import ENUMERATION_BUDGET, ToyParams, token_id
+from .toy_model import CELL_BUDGET, ENUMERATION_BUDGET, ToyParams, token_id
 
 PREFIX = "prefix"
 UNMASKED = "unmasked"
@@ -168,10 +168,7 @@ def _enumerate(
     for visible, targets, value in patterns:
         n_rows += r * big_t ** len(visible)
         if n_rows > budget:
-            raise ResourceError(
-                f"{kind} joint needs more than {budget} rows, the enumeration "
-                "budget; use build_joint_from_sampler instead"
-            )
+            raise _too_many_rows(kind, budget)
         groups.setdefault((len(visible), len(targets)), []).append(
             (visible, targets, value))
     # the id of class y's slot j at position p is ids[y, p, j], 0-based
@@ -202,6 +199,48 @@ def _enumerate(
             values, (1, -1, 1, 1))
     return JointDistribution(kind=kind, tokens=tokens[order],
                              cols=tuple(cols.tolist()), mass=mass)
+
+
+def check_joint_size(
+    params: ToyParams, counts=None, budget: int = ENUMERATION_BUDGET
+) -> None:
+    """Refuse, before any of it is formed, an exact joint past the budgets.
+
+    `counts` are the unmasked counts of a mask joint; None is the prefix
+    family, whose size does not depend on its window. A joint has r T^k
+    rows per pattern of k visible positions (one pattern per prefix length,
+    C(s, u) per unmasked count u), and r T columns per position it targets
+    (positions 2..s, or all s). More rows than `budget`, or more cells than
+    `CELL_BUDGET`, is a `ResourceError`. The sum stops at the first term
+    past `budget`, so a refusal costs a few big-int products; the largest,
+    C(s, u) at the s = 200,000 the vocabulary budget admits, takes about
+    0.5 s on a 2-core x86 box. The builders call this first, and
+    `load_config` calls it for each objective.
+    """
+    r, s, big_t = params.r, params.s, params.T
+    if counts is None:
+        kind, targets, groups = PREFIX, s - 1, ((i, 1) for i in range(1, s))
+    else:
+        kind, targets = UNMASKED, s
+        groups = ((u, math.comb(s, u)) for u in counts)
+    rows = 0
+    for k, patterns in groups:
+        rows += r * patterns * big_t**k
+        if rows > budget:
+            raise _too_many_rows(kind, budget)
+    cols = r * targets * big_t
+    if rows * cols > CELL_BUDGET:
+        raise ResourceError(
+            f"{kind} joint of {rows} rows and {cols} columns needs more than "
+            f"{CELL_BUDGET} cells, the cell budget; use "
+            "build_joint_from_sampler instead"
+        )
+
+
+def _too_many_rows(kind: str, budget: int) -> ResourceError:
+    return ResourceError(f"{kind} joint needs more than {budget} rows, the "
+                         "enumeration budget; use build_joint_from_sampler "
+                         "instead")
 
 
 def build_ar_joint(
@@ -273,6 +312,7 @@ def build_dar_joint(
     """
     if t < 1:
         raise DomainError(f"lookahead width must be >= 1, got {t}")
+    check_joint_size(params, budget=budget)
     r, s, big_t = params.r, params.s, params.T
 
     def windows():
@@ -297,6 +337,7 @@ def build_vlm_joint(
     """
     r, s, big_t = params.r, params.s, params.T
     counts = admissible_counts(s, rho_lo, rho_hi)
+    check_joint_size(params, counts, budget)
 
     def masks():
         for u in counts:

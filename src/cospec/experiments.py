@@ -25,6 +25,7 @@ from . import generation as gen
 from . import twostream as ts
 from .cooccurrence import (
     admissible_counts,
+    check_joint_size,
     unmasked_count,
     write_joint_csv,
     write_matrix_csv,
@@ -74,7 +75,9 @@ def load_config(source) -> ExperimentConfig:
 
     A bad field is a `ConfigError`. A vocabulary r*s*T (every runner lists
     it), or a `trials`, `seeds`, `train.steps` or `train.dim` count, above
-    the enumeration budget is a `ResourceError`.
+    the enumeration budget is a `ResourceError`, and so is an objective
+    whose exact joint `check_joint_size` refuses, unless the experiment is
+    `masks`, which builds none.
     """
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
         try:
@@ -138,8 +141,8 @@ def load_config(source) -> ExperimentConfig:
             )
         try:
             spec = parse_objective(text)
-            if spec.width is None:
-                admissible_counts(params.s, spec.rho_lo, spec.rho_hi)
+            counts = None if spec.width is not None else admissible_counts(
+                params.s, spec.rho_lo, spec.rho_hi)
         except DomainError as exc:
             raise ConfigError(str(exc), field=f"objectives[{i}]") from exc
         if spec in specs:
@@ -148,6 +151,11 @@ def load_config(source) -> ExperimentConfig:
                 f"objectives[{specs.index(spec)}] ({spec.label()})",
                 field=f"objectives[{i}]",
             )
+        if name != "masks":  # the one experiment that builds no joint
+            try:
+                check_joint_size(params, counts)
+            except ResourceError as exc:
+                raise ResourceError(f"objectives[{i}]: {text}: {exc}") from exc
         specs.append(spec)
 
     rho_m = raw.get("rho_m")

@@ -219,6 +219,11 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
+# Multiply-adds of one row GEMM of the training step: at most this many,
+# so that OpenBLAS takes its small-matrix path, which does not pack.
+_GEMM_MACS = 10**6
+
+
 class _Workspace:
     """One training step's loss and gradients, written into fixed buffers.
 
@@ -235,23 +240,31 @@ class _Workspace:
       `M = (Tu * pg) Tu^T` are its (m, m) blocks, and `U` is its own
       columns of `Tu`, where `Tq = emb Wq`, `Tk = emb Wk` and
       `Tu = emb Wv W_cols`.
-    - Forward: one batched GEMM `x [A | M | U]` and one row dot with
+    - Forward: a batched GEMM `x [A | M | U]` and one row dot with
       `[x | x | a]` give `lam = x A x^T`, `Q = x M x^T` and `R = x U a^T`.
       The loss `sum(pc lam^2 Q - lam R)` equals `<z, pc pg^T z> - <z, a>`
       for `z = lam (x Tu)`.
-    - Backward: one batched GEMM `x^T [w_A x | w_M x | lam a]`, where
+    - Backward: a batched GEMM `x^T [w_A x | w_M x | lam a]`, where
       `w_A = 2 pc lam Q - R` and `w_M = 2 pc lam^2`, gives `g_A`, `2 g_M`
       and `g_U`. Then `g_Tq = g_A Tk` and `g_Tk = g_A Tq`;
       `g_Tu = 2 g_M (Tu * pg)`, less `g_U` on the class's own columns; and
       the five weight gradients follow from vocabulary-sized products.
 
     So the row work is two GEMMs with an inner size of m, and no
-    (rows x cols) array is formed. Every buffer is allocated here once;
-    each call overwrites `grads` in place, and the row scalings go through
-    `einsum`, which needs no broadcast buffer. The plain chain rule through
-    `incidence @ emb` sums in another order, so the two agree to rounding,
-    not bit for bit. A row whose tokens or targets leave one class block
-    is a `DomainError` naming the row.
+    (rows x cols) array is formed. Both run over a contiguous copy of `x`,
+    in balanced blocks of rows that each take at most `_GEMM_MACS`
+    multiply-adds: past about 10^6 of them OpenBLAS packs its operands,
+    and a skinny product pays more for the packing than for the
+    arithmetic. The forward GEMM writes each block's rows of its output,
+    and the backward one adds the blocks' (m, 3m) products in block order.
+    So a class with more rows than one block moves the step's results in
+    their last bits; with one block the calls are the whole-array ones.
+    Every buffer is allocated here once; each call overwrites `grads` in
+    place, and the row scalings go through `einsum`, which needs no
+    broadcast buffer. The plain chain rule through `incidence @ emb` sums
+    in another order, so the two agree to rounding, not bit for bit. A row
+    whose tokens or targets leave one class block is a `DomainError`
+    naming the row.
     """
 
     def __init__(self, joint: JointDistribution, weights, params: ToyParams):
@@ -292,6 +305,11 @@ class _Workspace:
         np.add.at(self.xxa, (row_class[i], rank[i], 0,
                              self.unperm[tokens[i, j]] % m), 1.0)
         self.xxa[:, :, 1] = self.xxa[:, :, 0]
+        self.x = self.xxa[:, :, 0].copy()
+        # balanced row blocks of at most `_GEMM_MACS // (3 m^2)` rows each
+        k = -(-n // max(1, _GEMM_MACS // (3 * m * m)))
+        self.spans = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+        self.g_part = np.empty((r, m, 3 * m))
         # flat indices into Tu of each class's own (token, column) block;
         # a padded column reads column 0 against zero mass
         self.block = np.arange(vocab).reshape(r, m, 1) * c + block[:, None]
@@ -322,7 +340,7 @@ class _Workspace:
         emb, wq, wk, wv, w_out = weights
         r, n, _, m = self.xxa.shape
         d = wq.shape[0]
-        x = self.xxa[:, :, 0]
+        x, spans = self.x, self.spans
         table, xt, g_table = self.table, self.xt, self.g_table
         tu, tu_pg, g_tu = self.tu, self.tu_pg, self.g_tu
         tq, tk = self.t3[..., :d], self.t3[..., d:2 * d]
@@ -340,7 +358,9 @@ class _Workspace:
         np.matmul(tu_pg3, tu3.transpose(0, 2, 1), out=table[:, :, 1])
         np.take(tu, self.block, out=table[:, :, 2], mode="clip")
 
-        np.matmul(x, table.reshape(r, m, 3 * m), out=xt.reshape(r, n, 3 * m))
+        xt3, table3 = xt.reshape(r, n, 3 * m), table.reshape(r, m, 3 * m)
+        for rows in spans:
+            np.matmul(x[:, rows], table3, out=xt3[:, rows])
         np.einsum("ijsk,ijsk->ijs", xt, self.xxa, out=self.rowvals[..., 2:])
         w_a, w_m, lam, q, rr = self.rowvals.transpose(2, 0, 1)
         np.multiply(self.pc2, lam, out=self.pl)
@@ -351,8 +371,11 @@ class _Workspace:
 
         # x^T [w_A x | w_M x | lam a] = [g_A | 2 g_M | g_U]
         np.einsum("ijs,ijsk->ijsk", self.rowvals[..., :3], self.xxa, out=xt)
-        np.matmul(x.transpose(0, 2, 1), xt.reshape(r, n, 3 * m),
-                  out=g_table.reshape(r, m, 3 * m))
+        x_t, g_table3 = x.transpose(0, 2, 1), g_table.reshape(r, m, 3 * m)
+        np.matmul(x_t[..., spans[0]], xt3[:, spans[0]], out=g_table3)
+        for rows in spans[1:]:
+            np.matmul(x_t[..., rows], xt3[:, rows], out=self.g_part)
+            np.add(g_table3, self.g_part, out=g_table3)
         np.matmul(g_table[:, :, 0], tk, out=self.g_t3[..., :d])
         np.matmul(g_table[:, :, 0], tq, out=self.g_t3[..., d:2 * d])
         np.matmul(g_table[:, :, 1], tu_pg3, out=g_tu.reshape(tu3.shape))

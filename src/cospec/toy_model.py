@@ -20,6 +20,11 @@ from .errors import DomainError, ResourceError
 # Exact builders and enumeration refuse instances above this many items;
 # callers that need bigger instances are pointed at the sampling path.
 ENUMERATION_BUDGET = 200_000
+# Dense arrays over two enumerated axes (a joint's rows x columns, a
+# two-stream mask's positions x positions) are refused above this many
+# cells, 160 MB of float64; the largest joint a test or bench config
+# builds, masked:0.5 at (3, 12, 2), has 177,408 x 72 = 12.8 million.
+CELL_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .output import write_csv
-from .toy_model import ToyParams
+from .toy_model import CELL_BUDGET, ToyParams
 
 
 def partition_groups(s: int, g1: int, t: int) -> np.ndarray:
@@ -53,8 +53,12 @@ def parse_assignment(text: str, s: int) -> np.ndarray:
 
 def build_masks(groups) -> tuple[np.ndarray, np.ndarray]:
     """Additive (content, query) masks: content may see up to its own
-    group, query only the groups before it."""
+    group, query only the groups before it. Masks of more cells than
+    `CELL_BUDGET` are a `ResourceError`, refused before either is formed."""
     g = np.asarray(groups)
+    if len(g) ** 2 > CELL_BUDGET:
+        raise ResourceError(f"a mask over {len(g)} positions needs more than "
+                            f"{CELL_BUDGET} cells, the cell budget")
     content = np.where(g[:, None] >= g[None, :], 0.0, -np.inf)
     query = np.where(g[:, None] > g[None, :], 0.0, -np.inf)
     return content, query

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cospec
+from cospec import experiments
 from cospec.cli import main
 from cospec.experiments import EXPERIMENTS
 
@@ -207,6 +209,23 @@ def test_oversized_corpus_exhausts_the_budget(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("resource budget exceeded:")
 
 
+def run_child(tmp_path, payload, max_bytes=None):
+    """`cospec run` on `payload` in a fresh interpreter, whose address space
+    is capped at `max_bytes` if given; the finished process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(cospec.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cospec.cli", "run", "--config",
+         write_cfg(tmp_path, payload), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=None if max_bytes is None else cap)
+
+
 @pytest.mark.parametrize("payload, message", [
     # the training step overflows its gradient norm
     ({"experiment": "genbound", "params": {"r": 1, "s": 3, "T": 1},
@@ -224,13 +243,7 @@ def test_oversized_corpus_exhausts_the_budget(tmp_path, capsys):
 def test_diverging_training_reports_numeric_failure(tmp_path, payload,
                                                     message):
     # a fresh interpreter shows the warnings a user would see on stderr
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(pathlib.Path(cospec.__file__).parents[1])]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run(
-        [sys.executable, "-m", "cospec.cli", "run", "--config",
-         write_cfg(tmp_path, payload), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = run_child(tmp_path, payload)
     assert done.returncode == 3
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
@@ -335,6 +348,60 @@ def test_an_int_of_too_many_digits_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: config: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# Each config asks numpy for gigabytes unless it is refused first, so each
+# runs only in a child whose address space is capped at 3 GiB: a missed
+# refusal then fails at its allocation, with another message.
+@pytest.mark.parametrize("payload, message", [
+    # 100,000 rows of 100,000 columns, 74.5 GiB
+    ({"experiment": "spectrum", "params": {"r": 100000, "s": 2, "T": 1},
+      "objectives": ["ar"]},
+     "objectives[0]: ar: prefix joint of 100000 rows and 100000 columns "
+     "needs more than 20000000 cells"),
+    # two 100,000 x 100,000 masks, the first one 9.31 GiB of bools
+    ({"experiment": "masks", "params": {"r": 1, "s": 100000, "T": 2}},
+     "a mask over 100000 positions needs more than 20000000 cells"),
+    # its entry mass 1 / (C(s, u) (s - u) T^(u + 1)) is past a float's range
+    ({"experiment": "spectrum", "params": {"r": 1, "s": 100000, "T": 2},
+      "objectives": ["masked:0.5"]},
+     "objectives[0]: masked:0.5: unmasked joint needs more than 200000 "
+     "rows"),
+], ids=["joint-cells", "mask-cells", "mask-mass"])
+def test_an_array_past_the_budgets_is_refused_before_it_is_made(
+    tmp_path, payload, message
+):
+    done = run_child(tmp_path, payload, max_bytes=3 << 30)
+    assert done.returncode == 4
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith(f"resource budget exceeded: {message}")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_each_objective_is_sized_at_load(tmp_path, capsys, monkeypatch):
+    # the `ar` joint at (2, 12, 2) fits, the `vlm` one not
+    built = []
+    monkeypatch.setattr(experiments, "exact_joint",
+                        lambda spec, params: built.append(spec))
+    cfg = write_cfg(tmp_path, {"experiment": "spectrum",
+                               "params": {"r": 2, "s": 12, "T": 2},
+                               "objectives": ["ar", "vlm:0.25-0.75"]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == (
+        "resource budget exceeded: objectives[1]: vlm:0.25-0.75: unmasked "
+        "joint needs more than 200000 rows, the enumeration budget; use "
+        "build_joint_from_sampler instead\n")
+    assert built == []
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_masks_does_not_size_the_joints_it_never_builds(tmp_path):
+    # the default `ar` joint at (1, 30, 2) would have 2^31 - 2 rows
+    cfg = write_cfg(tmp_path, {"experiment": "masks",
+                               "params": {"r": 1, "s": 30, "T": 2},
+                               "trials": 2})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_impossible_allocation_exhausts_the_budget(

@@ -288,6 +288,33 @@ def test_budget_counts_the_whole_mixture():
     assert len(build_vlm_joint(params, 0.25, 0.5, budget=112).tokens) == 112
 
 
+@pytest.mark.parametrize("label, shape", [
+    ("ar", (2, 4, 2)), ("dar:3", (1, 5, 3)), ("masked:0.5", (3, 4, 2)),
+    ("vlm:0.25-0.75", (2, 4, 2)), ("vlm:0.2-0.8", (1, 5, 3)),
+])
+def test_joint_size_is_the_built_shape(monkeypatch, label, shape):
+    # each budget refuses the joint at one below its size, not at its size
+    spec, params = parse_objective(label), ToyParams(*shape)
+    rows, cols = exact_joint(spec, params).mass.shape
+    counts = (None if spec.width is not None
+              else admissible_counts(params.s, spec.rho_lo, spec.rho_hi))
+    cooccurrence.check_joint_size(params, counts, budget=rows)
+    with pytest.raises(ResourceError, match="enumeration budget"):
+        cooccurrence.check_joint_size(params, counts, budget=rows - 1)
+    monkeypatch.setattr(cooccurrence, "CELL_BUDGET", rows * cols)
+    exact_joint(spec, params)
+    monkeypatch.setattr(cooccurrence, "CELL_BUDGET", rows * cols - 1)
+    with pytest.raises(ResourceError, match=f"{rows} rows and {cols} "
+                       "columns needs more than"):
+        exact_joint(spec, params)
+
+
+def test_mask_joint_is_sized_before_its_mass_is_formed():
+    # 1 / (C(s, u) (s - u) T^(u + 1)) at u = 50,000 is past a float's range
+    with pytest.raises(ResourceError, match="enumeration budget"):
+        build_masked_joint(ToyParams(1, 100_000, 2), 0.5)
+
+
 def test_sampled_joint_single_draw():
     params = ToyParams(1, 3, 2)
     joint = build_joint_from_sampler(

@@ -386,6 +386,74 @@ def test_training_matches_the_plain_step(objective, shape, dim):
         assert_rel_close(got, want)
 
 
+def _rows_per_block(monkeypatch, params, rows):
+    """Bound the step's row GEMMs to `rows` rows of `params`' classes."""
+    m = params.vocab_size // params.r
+    monkeypatch.setattr(generation, "_GEMM_MACS", rows * 3 * m * m)
+
+
+@pytest.mark.parametrize("objective, shape, rows, sizes", [
+    # 56 rows per class: two, three uneven and one row per block
+    ("vlm:0.25-0.5", (3, 4, 2), 28, [28, 28]),
+    ("vlm:0.25-0.5", (3, 4, 2), 19, [18, 19, 19]),
+    ("vlm:0.25-0.5", (3, 4, 2), 1, [1] * 56),
+    # 24 rows per class
+    ("masked:0.5", (2, 4, 2), 12, [12, 12]),
+    ("masked:0.5", (2, 4, 2), 5, [4, 5, 5, 5, 5]),
+    ("masked:0.5", (2, 4, 2), 1, [1] * 24),
+])
+def test_row_blocked_step_matches_the_plain_step(monkeypatch, objective,
+                                                 shape, rows, sizes):
+    params = ToyParams(*shape)
+    _rows_per_block(monkeypatch, params, rows)
+    vocab = params.vocab_size
+    weights = oracles.init_weights(np.random.default_rng(11), vocab, vocab,
+                                   0.02)
+    joint = exact_joint(parse_objective(objective), params)
+    step = _Workspace(joint, weights, params)
+    assert [b.stop - b.start for b in step.spans] == sizes
+    loss = step(weights)
+    want_loss, want_grads = oracles.loss_and_grads(
+        weights, *oracles.design(joint, vocab))
+    assert_rel_close(loss, want_loss)
+    for got, want in zip(step.grads, want_grads):
+        assert_rel_close(got, want)
+
+
+@pytest.mark.parametrize("objective, shape", [
+    ("vlm:0.25-0.5", (3, 4, 2)), ("masked:0.5", (2, 4, 2)),
+])
+def test_one_row_block_is_the_whole_array_step(objective, shape):
+    params = ToyParams(*shape)
+    vocab = params.vocab_size
+    weights = oracles.init_weights(np.random.default_rng(11), vocab, vocab,
+                                   0.02)
+    step = _Workspace(exact_joint(parse_objective(objective), params),
+                      weights, params)
+    assert len(step.spans) == 1
+    loss = step(weights)
+    grads = [g.copy() for g in step.grads]
+    # the whole-array products over the strided count view of the stack
+    step.x = step.xxa[:, :, 0]
+    assert step(weights) == loss
+    for got, want in zip(step.grads, grads):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_bench_vlm_step_runs_in_row_blocks():
+    # 1,680 rows per class of m = 16 tokens: past 10^6 multiply-adds whole
+    params = ToyParams(2, 8, 2)
+    vocab = params.vocab_size
+    weights = oracles.init_weights(np.random.default_rng(0), vocab, vocab,
+                                   0.02)
+    step = _Workspace(exact_joint(parse_objective("vlm:0.5-0.75"), params),
+                      weights, params)
+    m = step.xxa.shape[-1]
+    assert len(step.spans) > 1
+    for rows in step.spans:
+        assert (rows.stop - rows.start) * 3 * m * m <= generation._GEMM_MACS
+
+
 def test_a_joint_that_crosses_class_blocks_is_refused():
     # at (2, 3, 2), tokens 0 and 2 are position 1 of classes 1 and 2, and
     # tokens 6 and 10 are positions 2 and 3 of class 2
@@ -437,12 +505,14 @@ def test_a_joint_beyond_the_vocabulary_is_refused():
         train_model(big, ToyParams(1, 4, 2), TrainSettings(steps=1))
 
 
-def _step_peak(params):
-    """Peak bytes one step traces, and the bound of two row-sized arrays."""
+def _step_peak(params, blocks=1):
+    """Peak bytes one step traces, and the bound of two row-sized arrays;
+    the step's row GEMMs run in `blocks` blocks."""
     joint = exact_joint(parse_objective("masked:0.5"), params)
     vocab = params.vocab_size
     weights = oracles.init_weights(np.random.default_rng(0), vocab, vocab, 0.02)
     step = _Workspace(joint, weights, params)
+    assert len(step.spans) == blocks
 
     def train_step():
         step(weights)
@@ -468,6 +538,14 @@ def test_training_step_peak_is_below_two_row_sized_arrays():
 
 def test_training_step_peak_with_two_class_blocks():
     peak, bound = _step_peak(ToyParams(2, 6, 2))
+    assert peak < bound
+
+
+def test_training_step_peak_with_row_blocks(monkeypatch):
+    # 160 rows per class in four blocks of 40
+    params = ToyParams(2, 6, 2)
+    _rows_per_block(monkeypatch, params, 40)
+    peak, bound = _step_peak(params, blocks=4)
     assert peak < bound
 
 
