@@ -63,7 +63,6 @@ from .spectral import (
 from .toy_model import (
     ToyParams,
     decode_token,
-    enumerate_sequences,
     sample_sequence,
     token_id,
 )

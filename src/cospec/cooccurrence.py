@@ -215,7 +215,8 @@ def check_joint_size(
     past `budget`, so a refusal costs a few big-int products; the largest,
     C(s, u) at the s = 200,000 the vocabulary budget admits, takes about
     0.5 s on a 2-core x86 box. The builders call this first, and
-    `load_config` calls it for each objective.
+    `load_config` calls it for each objective and for the `ar` joint that
+    `genbound` and `sweep` score generation on.
     """
     r, s, big_t = params.r, params.s, params.T
     if counts is None:

@@ -77,7 +77,8 @@ def load_config(source) -> ExperimentConfig:
     it), or a `trials`, `seeds`, `train.steps` or `train.dim` count, above
     the enumeration budget is a `ResourceError`, and so is an objective
     whose exact joint `check_joint_size` refuses, unless the experiment is
-    `masks`, which builds none.
+    `masks`, which builds none; `genbound` and `sweep` also build the `ar`
+    joint, to score generation on, and it is sized the same way.
     """
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
         try:
@@ -157,6 +158,12 @@ def load_config(source) -> ExperimentConfig:
             except ResourceError as exc:
                 raise ResourceError(f"objectives[{i}]: {text}: {exc}") from exc
         specs.append(spec)
+    if name in ("genbound", "sweep"):  # both score generation on it
+        try:
+            check_joint_size(params)
+        except ResourceError as exc:
+            raise ResourceError(f"{name} scores generation on the ar joint: "
+                                f"{exc}") from exc
 
     rho_m = raw.get("rho_m")
     if rho_m is not None:
@@ -403,21 +410,24 @@ def _trained(cfg: ExperimentConfig, name: str, streams):
     """Train and measure one model per objective and substream.
 
     Each joint is built once, and the model of (label, stream) trains from
-    `derive_rng(cfg.seed, name, label, *stream)`. Returns the records
+    `derive_rng(cfg.seed, name, label, *stream)`. Every model's generation
+    is scored on the `ar` joint, which is built first and is the joint the
+    `ar` objective trains on. Returns the records
     `(label, spec, stream, entry, rows)`, objective-major, where `entry` is
     `gen_loss`'s with `final_train_loss` and `rows` is `_bound_rows`'; and
     the next-token model's `delta` per stream.
     """
     records, delta_ar = [], {}
+    ar_joint = exact_joint(ObjectiveSpec(width=1), cfg.params)
     for label, spec in cfg.objectives:
-        joint = exact_joint(spec, cfg.params)
+        joint = ar_joint if spec.width == 1 else exact_joint(spec, cfg.params)
         for stream in streams:
             rng = derive_rng(cfg.seed, name, label, *stream)
             result = gen.train_model(joint, cfg.params, cfg.train, rng)
             rows = _bound_rows(cfg, spec, result.model, joint)
             if spec.width == 1:
                 delta_ar[stream] = rows[0][1]["delta"]
-            entry = {**gen.gen_loss(result.model, cfg.params),
+            entry = {**gen.gen_loss(result.model, ar_joint),
                      "final_train_loss": result.losses[-1]}
             records.append((label, spec, stream, entry, rows))
     return records, delta_ar

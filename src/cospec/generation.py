@@ -18,7 +18,7 @@ import numpy as np
 
 from .cooccurrence import UNMASKED, JointDistribution, check_texts
 from .errors import DomainError, NumericError
-from .toy_model import ToyParams, enumerate_sequences, token_id, token_label
+from .toy_model import ToyParams, token_label
 
 
 @dataclass
@@ -53,11 +53,6 @@ class TrainSettings:
     steps: int = 1200
     init_noise: float = 0.02
     clip: float = 5.0
-
-
-def target_catalog(params: ToyParams) -> tuple[int, ...]:
-    """Token ids that can ever be generation targets (positions >= 2)."""
-    return tuple(range(token_id(params, 2, 1, 1), params.vocab_size))
 
 
 def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
@@ -97,33 +92,43 @@ def score_losses(z: np.ndarray, penalty=np.mean) -> np.ndarray:
     return penalty(zn**2, axis=1)[:, None] - zn
 
 
-def gen_loss(model: LinearAttentionModel, params: ToyParams) -> dict:
+def _scores(model: LinearAttentionModel, joint: JointDistribution):
+    """Scores of a joint's conditional texts over its column catalog."""
+    return pooled_attention(model, joint.tokens) @ model.w_out[:, joint.cols]
+
+
+def gen_loss(model: LinearAttentionModel, ar_joint: JointDistribution) -> dict:
     """Quadratic generation loss, averaged over positions 2..s and the corpus.
 
-    The corpus is enumerated whole, every sequence weighted equally. Per
-    position k the prediction is the normalized score vector over the
-    target catalog given the length-(k-1) prefix; the loss is the negative
-    score of the true token plus the mean squared score (negatives drawn
-    uniformly from the catalog). Softmax NLL and perplexity are reported
-    alongside for orientation only; the bound is about the quadratic form.
-    Returns the report entry: `gen_loss` (the average), `per_position`,
-    `nll` and `perplexity`.
+    `ar_joint` is the next-token joint (`build_ar_joint`). Its rows are the
+    distinct prefixes, its columns the target catalog, and its cell
+    (prefix, next token) has, at each prefix length, mass proportional to
+    the share of corpus sequences that start with that prefix and token. So
+    the corpus average at position k is the mass-weighted average over the
+    support cells of the length-(k-1) prefixes, and no corpus sequence is
+    enumerated. Per cell the prediction is the normalized score vector over
+    the catalog; the loss is the negative score of the target plus the mean
+    squared score (negatives drawn uniformly from the catalog). Only the
+    support cells are read, so no zero mass multiplies a cell's loss, which
+    a diverged model can make infinite. Softmax NLL and perplexity are
+    reported alongside for orientation only; the bound is about the
+    quadratic form. Returns the report entry: `gen_loss` (the average),
+    `per_position`, `nll` and `perplexity`.
     """
-    cols = np.array(target_catalog(params))
-    w_cols = model.w_out[:, cols]
-    corpus = enumerate_sequences(params)
-    rows = np.arange(len(corpus))
-    s = params.s
-    per_position: dict[int, float] = {}
-    nll_total = 0.0
-    for k in range(2, s + 1):
-        z = pooled_attention(model, corpus[:, : k - 1]) @ w_cols
-        targets = np.searchsorted(cols, corpus[:, k - 1])
-        per_position[k] = float(score_losses(z)[rows, targets].mean())
-        logz = z - z.max(axis=1, keepdims=True)
-        logsm = logz - np.log(np.sum(np.exp(logz), axis=1, keepdims=True))
-        nll_total += float(-logsm[rows, targets].mean())
-    nll = nll_total / (s - 1)
+    z = _scores(model, ar_joint)
+    rows, cols = np.nonzero(ar_joint.mass)
+    mass = ar_joint.mass[rows, cols]
+    lengths = (ar_joint.tokens >= 0).sum(axis=1)[rows]
+    logz = z - z.max(axis=1, keepdims=True)
+    logsm = logz - np.log(np.sum(np.exp(logz), axis=1, keepdims=True))
+    losses = np.stack([score_losses(z)[rows, cols], -logsm[rows, cols]])
+    per_position, nlls = {}, []
+    for n in np.unique(lengths).tolist():
+        at = lengths == n
+        loss, nll = np.sum(mass[at] * losses[:, at], axis=1) / np.sum(mass[at])
+        per_position[n + 1] = float(loss)
+        nlls.append(float(nll))
+    nll = sum(nlls) / len(nlls)
     with np.errstate(over="ignore"):  # `write_json` refuses an infinity
         perplexity = float(np.exp(nll))
     return {"gen_loss": float(np.mean(list(per_position.values()))),
@@ -169,8 +174,8 @@ def delta_term(model: LinearAttentionModel, joint: JointDistribution) -> float:
     positive score plus the worst squared score, and the max over the
     support is returned.
     """
-    z = pooled_attention(model, joint.tokens) @ model.w_out[:, list(joint.cols)]
-    vals = np.where(joint.dense() > 0, score_losses(z, np.max), -np.inf)
+    losses = score_losses(_scores(model, joint), np.max)
+    vals = np.where(joint.dense() > 0, losses, -np.inf)
     return float(vals.max())
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
-# Exact builders and enumeration refuse instances above this many items;
-# callers that need bigger instances are pointed at the sampling path.
+# Exact builders and `load_config` refuse more rows or a larger count than
+# this; callers that need bigger joints are pointed at the sampling path.
 ENUMERATION_BUDGET = 200_000
 # Dense arrays over two enumerated axes (a joint's rows x columns, a
 # two-stream mask's positions x positions) are refused above this many
@@ -85,25 +85,6 @@ def decode_token(params: ToyParams, token):
 def token_label(params: ToyParams, token):
     """The class of a token id, or of each id of an array."""
     return decode_token(params, token)[1]
-
-
-def enumerate_sequences(params: ToyParams, budget: int = ENUMERATION_BUDGET):
-    """Every corpus sequence exactly once: an (r * T**s, s) id matrix.
-
-    Rows are class-major, then lexicographic in the per-position slots, and
-    each has probability ``1 / params.corpus_size``. A row's class is
-    ``token_label(params, row[0])``.
-    """
-    if params.corpus_size > budget:
-        raise ResourceError(
-            f"corpus has {params.corpus_size} sequences, over the enumeration "
-            f"budget of {budget}; use sample_sequence instead"
-        )
-    # every slot fill, lexicographic: the C order of the (T,) * s grid
-    fills = np.indices((params.T,) * params.s).reshape(params.s, -1).T + 1
-    labels = np.arange(1, params.r + 1)[:, None, None]
-    ids = token_id(params, np.arange(1, params.s + 1), labels, fills)
-    return ids.reshape(-1, params.s)
 
 
 def sample_sequence(

@@ -45,7 +45,9 @@ _NO_AR = ["masked:0.5", "vlm:0.25-0.5"]
 # dropped for leaving one position visible (u = 1 on the grid of
 # `vlm:0.5-0.75` at s = 4) or for lying off the model's grid (0.25), and
 # the closed form of a ratio range and of a wide lookahead window in
-# `spectrum`.
+# `spectrum`; and a `genbound` with no next-token model at T = 3, which
+# builds the `ar` joint only to score generation, at a T where the
+# corpus weights T^(s-k) of the prefixes are not powers of 2.
 EXTRA_CONFIGS = [
     *({"experiment": experiment, "params": {"r": 1, "s": 4, "T": 2},
        "objectives": objectives, "train": {"steps": 60}, "seeds": 2,
@@ -58,6 +60,8 @@ EXTRA_CONFIGS = [
           (_AR_LAST, {}, ("genbound", "sweep")),
           (_NO_AR, {}, ("sweep",)))
       for experiment in experiments),
+    {"experiment": "genbound", "params": {"r": 1, "s": 4, "T": 3},
+     "objectives": _NO_AR, "train": {"steps": 60}, "seed": 5},
     {"experiment": "spectrum", "params": {"r": 2, "s": 4, "T": 2},
      "objectives": ["masked:0.25", "vlm:0.25-0.75", "dar:3"], "seed": 5},
     # two-stream groups: one group only, one group per position, a short

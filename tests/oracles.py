@@ -167,23 +167,54 @@ def pooled_rows(emb, wq, wk, wv, tokens):
 
 
 def gen_loss_loop(model, params):
-    """Per-position quadratic generation loss, one corpus sequence and one
-    prefix at a time: {k: mean over the r * T**s sequences}."""
+    """Per-position quadratic generation loss and softmax NLL, one corpus
+    sequence and one prefix at a time: two dicts {k: mean over the
+    r * T**s sequences}."""
     r, s, T = params.r, params.s, params.T
     cols = list(range(r * T, params.vocab_size))  # positions 2..s
-    out = {}
+    quadratic, nll = {}, {}
     for k in range(2, s + 1):
-        losses = []
+        losses, nlls = [], []
         for y in range(1, r + 1):
             for fill in itertools.product(range(1, T + 1), repeat=s):
                 ids = [token(p, y, j, r, T) for p, j in enumerate(fill, 1)]
                 f = brute_pooled(model.emb, model.wq, model.wk, model.wv,
                                  ids[:k - 1])
                 z = f @ model.w_out[:, cols]
+                target = cols.index(ids[k - 1])
+                top = max(z)
+                nlls.append(top + math.log(math.fsum(math.exp(v - top)
+                                                     for v in z))
+                            - z[target])
                 z = z / np.linalg.norm(z)
-                losses.append(-z[cols.index(ids[k - 1])] + np.mean(z**2))
-        out[k] = math.fsum(losses) / len(losses)
-    return out
+                losses.append(-z[target] + np.mean(z**2))
+        quadratic[k] = math.fsum(losses) / len(losses)
+        nll[k] = math.fsum(nlls) / len(nlls)
+    return quadratic, nll
+
+
+def enumerate_sequences(params, budget=None):
+    """Every corpus sequence exactly once: an (r * T**s, s) id matrix.
+
+    Rows are class-major, then lexicographic in the per-position slots, and
+    each has probability ``1 / params.corpus_size``. A row's class is
+    ``token_label(params, row[0])``. A corpus of more than `budget`
+    sequences (by default the enumeration budget) is a `ResourceError`.
+    """
+    from cospec.errors import ResourceError
+    from cospec.toy_model import ENUMERATION_BUDGET, token_id
+
+    budget = ENUMERATION_BUDGET if budget is None else budget
+    if params.corpus_size > budget:
+        raise ResourceError(
+            f"corpus has {params.corpus_size} sequences, over the enumeration "
+            f"budget of {budget}; use sample_sequence instead"
+        )
+    # every slot fill, lexicographic: the C order of the (T,) * s grid
+    fills = np.indices((params.T,) * params.s).reshape(params.s, -1).T + 1
+    labels = np.arange(1, params.r + 1)[:, None, None]
+    ids = token_id(params, np.arange(1, params.s + 1), labels, fills)
+    return ids.reshape(-1, params.s)
 
 
 def brute_eta(emb, wq, wk, wv, ids):
@@ -859,13 +890,13 @@ def semi_ar_loss(model, x, a, params):
     earlier-group content.
     """
     from cospec.errors import DomainError
-    from cospec.generation import score_losses, target_catalog
+    from cospec.generation import score_losses
     from cospec.twostream import two_stream_forward
 
     _, g_out = two_stream_forward(model, x, a)
     if a[-1] < 2:
         raise DomainError("assignment has a single group; nothing to predict")
-    cols = np.array(target_catalog(params))
+    cols = np.arange(params.r * params.T, params.vocab_size)
     group = np.asarray(a)
     pred = group > 1
     z = g_out[pred] @ model.w_out[:, cols]

@@ -9,6 +9,7 @@ criterion after the run. Trained models are cached at module level so the
 bound, per-step, and variable-ratio checks score the same runs.
 """
 
+import functools
 import itertools
 import os
 import time
@@ -20,7 +21,7 @@ import oracles
 from cospec import decomposition as dec
 from cospec import generation as gen
 from cospec import twostream as ts
-from cospec.cooccurrence import normalize, unmasked_count
+from cospec.cooccurrence import build_ar_joint, normalize, unmasked_count
 from cospec.experiments import (
     derive_rng,
     load_config,
@@ -34,11 +35,7 @@ from cospec.spectral import (
     singular_spectrum,
     tail_energy,
 )
-from cospec.toy_model import (
-    ToyParams,
-    enumerate_sequences,
-    sample_sequence,
-)
+from cospec.toy_model import ToyParams, sample_sequence
 
 GRID = [
     ToyParams(r, s, T)
@@ -207,6 +204,12 @@ T_FIXED = 2
 _trained_cache = {}
 
 
+@functools.cache
+def _ar_joint(params):
+    """The `ar` joint that generation is scored on, built once per size."""
+    return build_ar_joint(params)
+
+
 def _trained(label, r, s, seed_i):
     """Train once per (objective, size, seed); share across criteria."""
     key = (label, r, s, seed_i)
@@ -216,7 +219,7 @@ def _trained(label, r, s, seed_i):
         rng = derive_rng(seed_i, "acceptance", label, str(r), str(s))
         joint = exact_joint(spec, params)
         model = gen.train_model(joint, params, gen.TrainSettings(), rng).model
-        _trained_cache[key] = (model, gen.gen_loss(model, params))
+        _trained_cache[key] = (model, gen.gen_loss(model, _ar_joint(params)))
     return _trained_cache[key]
 
 
@@ -299,7 +302,7 @@ def test_c11_grouped_prediction_law_matches_sampler():
     spec = parse_objective("dar:2")
     for s in (3, 5):  # window 2 divides s - 1 at these lengths
         params = ToyParams(1, s, 2)
-        x = enumerate_sequences(params)[0]
+        x = oracles.enumerate_sequences(params)[0]
         rng = derive_rng(0, "c11", str(s))
         texts, targets = sample_pairs(spec, np.tile(x, (draws, 1)), rng)
         # count (prefix length, target position); ids are position-major

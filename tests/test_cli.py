@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 import cospec
 from cospec import experiments
 from cospec.cli import main
-from cospec.experiments import EXPERIMENTS
+from cospec.errors import ResourceError
+from cospec.experiments import EXPERIMENTS, load_config
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -394,6 +395,31 @@ def test_each_objective_is_sized_at_load(tmp_path, capsys, monkeypatch):
         "build_joint_from_sampler instead\n")
     assert built == []
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("experiment", ["genbound", "sweep"])
+def test_the_ar_joint_that_scores_generation_is_sized_at_load(
+    tmp_path, capsys, monkeypatch, experiment
+):
+    # at (1, 7, 10) the masked:5/7 joint (u = 2) has 2,100 rows, and the
+    # `ar` joint that generation is scored on has 1,111,110
+    built = []
+    monkeypatch.setattr(experiments, "exact_joint",
+                        lambda spec, params: built.append(spec))
+    payload = {"experiment": experiment, "params": {"r": 1, "s": 7, "T": 10},
+               "objectives": ["masked:0.7142857143"]}
+    with pytest.raises(ResourceError, match="ar joint"):
+        load_config(payload)
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == (
+        f"resource budget exceeded: {experiment} scores generation on the ar "
+        "joint: prefix joint needs more than 200000 rows, the enumeration "
+        "budget; use build_joint_from_sampler instead\n")
+    assert built == []
+    assert os.listdir(tmp_path) == ["cfg.json"]
+    for other in ("spectrum", "masks"):
+        load_config(dict(payload, experiment=other))
 
 
 def test_masks_does_not_size_the_joints_it_never_builds(tmp_path):

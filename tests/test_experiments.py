@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from cospec import cooccurrence, experiments
-from cospec.cooccurrence import normalize, unmasked_count
+from cospec.cooccurrence import build_ar_joint, normalize, unmasked_count
 from cospec.errors import ConfigError
 from cospec.experiments import (
     ExperimentConfig,
@@ -293,7 +293,7 @@ def test_genbound_model_entry_is_the_gen_loss_entry(tmp_path):
         result = train_model(exact_joint(spec, config.params), config.params,
                              config.train, derive_rng(4, "genbound", label))
         assert report["models"][label] == {
-            **gen_loss(result.model, config.params),
+            **gen_loss(result.model, build_ar_joint(config.params)),
             "final_train_loss": result.losses[-1],
         }
 

@@ -25,7 +25,6 @@ from cospec.generation import (
     max_output_discrepancy,
     misalignment_weight,
     pooled_attention,
-    target_catalog,
     train_model,
 )
 from cospec.objectives import exact_joint, parse_objective
@@ -106,32 +105,63 @@ def test_pooling_peak_is_below_one_embedding_stack():
     assert peak < n * length * params.vocab_size * 8
 
 
-def test_target_catalog_skips_first_position():
-    params = ToyParams(2, 3, 2)
-    assert target_catalog(params) == tuple(range(4, 12))
-
-
-@pytest.mark.parametrize("r, s, big_t", [(2, 3, 2), (1, 4, 3)])
-def test_gen_loss_scores_every_sequence_of_the_corpus(r, s, big_t):
+@pytest.mark.parametrize("r, s, big_t, label", [
+    # random models
+    pytest.param(2, 3, 2, None, id="2-3-2"),
+    pytest.param(1, 4, 3, None, id="1-4-3"),
+    # trained for a few steps
+    (2, 3, 2, "ar"), (1, 4, 3, "dar:2"), (2, 4, 2, "masked:0.5"),
+    (1, 4, 3, "vlm:0.25-0.75"),
+])
+def test_gen_loss_scores_every_sequence_of_the_corpus(r, s, big_t, label):
     params = ToyParams(r, s, big_t)
-    model = random_model(params.vocab_size, 3, seed=r + s)
-    report = gen_loss(model, params)
-    want = oracles.gen_loss_loop(model, params)
-    assert report["per_position"] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if label is None:
+        model = random_model(params.vocab_size, 3, seed=r + s)
+    else:
+        joint = exact_joint(parse_objective(label), params)
+        model = train_model(joint, params, TrainSettings(steps=5),
+                            np.random.default_rng(s)).model
+    report = gen_loss(model, build_ar_joint(params))
+    want, nll = oracles.gen_loss_loop(model, params)
+    assert report["per_position"] == pytest.approx(want, rel=1e-14, abs=1e-15)
     assert report["gen_loss"] == pytest.approx(np.mean(list(want.values())),
-                                         rel=1e-12, abs=1e-12)
+                                               rel=1e-14, abs=1e-15)
+    mean_nll = np.mean(list(nll.values()))
+    assert report["nll"] == pytest.approx(mean_nll, rel=1e-14, abs=1e-15)
+    assert report["perplexity"] == pytest.approx(np.exp(mean_nll), rel=1e-13)
+
+
+@pytest.mark.parametrize("r, s, big_t, kind", [
+    (2, 4, 2, "random"), (1, 5, 3, "random"), (2, 4, 2, "scaled x100"),
+    (2, 4, 2, "zero head"),
+])
+def test_gen_loss_lies_in_the_range_of_a_unit_score_vector(r, s, big_t, kind):
+    # a unit-norm score vector over C columns loses -z_j + 1/C per target
+    params = ToyParams(r, s, big_t)
+    joint = build_ar_joint(params)
+    model = random_model(params.vocab_size, 4, seed=r * s * big_t)
+    if kind == "scaled x100":
+        model = LinearAttentionModel(*(100.0 * w for w in (
+            model.emb, model.wq, model.wk, model.wv, model.w_out)))
+    if kind == "zero head":
+        model.w_out = np.zeros_like(model.w_out)
+    report = gen_loss(model, joint)
+    c = len(joint.cols)
+    for value in (report["gen_loss"], *report["per_position"].values()):
+        assert -1 + 1 / c <= value <= 1 + 1 / c
 
 
 def test_zero_output_head_scores_zero_loss():
     params = ToyParams(1, 3, 2)
     model = random_model(params.vocab_size, 3, seed=1)
     model.w_out = np.zeros_like(model.w_out)
-    report = gen_loss(model, params)
+    joint = build_ar_joint(params)
+    report = gen_loss(model, joint)
     assert report["gen_loss"] == 0.0
     assert set(report["per_position"]) == {2, 3}
     # uniform softmax over the catalog
-    assert report["nll"] == pytest.approx(np.log(len(target_catalog(params))))
-    assert report["perplexity"] == pytest.approx(len(target_catalog(params)))
+    assert report["nll"] == pytest.approx(np.log(len(joint.cols)))
+    assert report["perplexity"] == pytest.approx(len(joint.cols))
 
 
 def test_single_column_catalog_is_free():
@@ -143,7 +173,7 @@ def test_single_column_catalog_is_free():
         wv=np.eye(2),
         w_out=np.ones((2, 2)),
     )
-    report = gen_loss(model, params)
+    report = gen_loss(model, build_ar_joint(params))
     assert report["gen_loss"] == pytest.approx(0.0, abs=1e-12)
     assert report["perplexity"] == pytest.approx(1.0)
 
@@ -615,7 +645,7 @@ def test_trained_masked_model_respects_its_bound():
     params = ToyParams(1, 6, 2)
     joint = exact_joint(parse_objective("masked:0.5"), params)
     result = train_model(joint, params, None, np.random.default_rng(3))
-    report = gen_loss(result.model, params)
+    report = gen_loss(result.model, build_ar_joint(params))
     terms = generation_bound_terms(result.model, joint,
                                    unmasked_count(params.s, 0.5))
     assert report["gen_loss"] <= terms["bound"]

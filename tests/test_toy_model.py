@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import enumerate_sequences
+
 from cospec.errors import DomainError, ResourceError
 from cospec.toy_model import (
     ToyParams,
     decode_token,
-    enumerate_sequences,
     sample_sequence,
     token_id,
     token_label,
@@ -126,7 +127,7 @@ def test_enumeration_covers_corpus_once():
 
 @pytest.mark.parametrize("r, s, big_t", [(2, 3, 2), (1, 4, 3)])
 def test_enumeration_order_is_class_major_then_lexicographic(r, s, big_t):
-    # `gen_loss` sums over the corpus rows in this order
+    # `oracles.gen_loss_loop` visits the corpus in this order
     params = ToyParams(r, s, big_t)
     want = [
         [token_id(params, p, y, j) for p, j in enumerate(fill, start=1)]

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 import oracles
 from cospec import experiments
+from cospec.cooccurrence import build_ar_joint
 from cospec.errors import DomainError
 from cospec.experiments import derive_rng, max_query_drift
-from cospec.generation import target_catalog
 from cospec.toy_model import ToyParams, sample_sequence
 from cospec.twostream import (
     build_masks,
@@ -222,7 +222,7 @@ def test_two_group_split_is_last_token_loss():
     a = np.array([1, 1, 1, 2])
     x = sample_sequence(params, 1, np.random.default_rng(8))
     _, g_out = two_stream_forward(model, x, a)
-    cols = list(target_catalog(params))
+    cols = list(build_ar_joint(params).cols)
     z = g_out[3] @ model.w_out[:, cols]
     z = z / np.linalg.norm(z)
     want = -float(z[cols.index(x[3])]) + float(np.mean(z**2))
