@@ -150,25 +150,21 @@ def normalize(joint: JointDistribution) -> np.ndarray:
     return matrix
 
 
-def _enumerate(
-    params: ToyParams, kind: str, patterns, budget: int
-) -> JointDistribution:
+def _enumerate(params: ToyParams, kind: str, patterns) -> JointDistribution:
     """Exact joint of (visible positions, target positions, value) patterns.
 
     Every class conditions on every slot fill of each pattern's visible
     positions and puts `value` on every slot token of each of its target
     positions. Distinct patterns give distinct rows, so no two entries add.
-    The row count of the whole joint is checked against `budget` while the
-    patterns are read, before anything is built. Patterns with as many
-    visible and as many target positions form one group, whose rows, target
-    cells and masses each come from one broadcast.
+    This only builds: the builders size the joint with
+    :func:`check_joint_size` before they form a pattern. Patterns with as
+    many visible and as many target positions form one group, whose rows,
+    target cells and masses each come from one broadcast.
     """
     r, big_t = params.r, params.T
     groups, n_rows = {}, 0
     for visible, targets, value in patterns:
         n_rows += r * big_t ** len(visible)
-        if n_rows > budget:
-            raise _too_many_rows(kind, budget)
         groups.setdefault((len(visible), len(targets)), []).append(
             (visible, targets, value))
     # the id of class y's slot j at position p is ids[y, p, j], 0-based
@@ -201,22 +197,21 @@ def _enumerate(
                              cols=tuple(cols.tolist()), mass=mass)
 
 
-def check_joint_size(
-    params: ToyParams, counts=None, budget: int = ENUMERATION_BUDGET
-) -> None:
+def check_joint_size(params: ToyParams, counts=None) -> None:
     """Refuse, before any of it is formed, an exact joint past the budgets.
 
-    `counts` are the unmasked counts of a mask joint; None is the prefix
-    family, whose size does not depend on its window. A joint has r T^k
-    rows per pattern of k visible positions (one pattern per prefix length,
-    C(s, u) per unmasked count u), and r T columns per position it targets
-    (positions 2..s, or all s). More rows than `budget`, or more cells than
+    This is the one size rule of an exact joint. `counts` are the unmasked
+    counts of a mask joint; None is the prefix family, whose size does not
+    depend on its window. A joint has r T^k rows per pattern of k visible
+    positions (one pattern per prefix length, C(s, u) per unmasked count
+    u), and r T columns per position it targets (positions 2..s, or all
+    s). More rows than `ENUMERATION_BUDGET`, or more cells than
     `CELL_BUDGET`, is a `ResourceError`. The sum stops at the first term
-    past `budget`, so a refusal costs a few big-int products; the largest,
-    C(s, u) at the s = 200,000 the vocabulary budget admits, takes about
-    0.5 s on a 2-core x86 box. The builders call this first, and
-    `load_config` calls it for each objective and for the `ar` joint that
-    `genbound` and `sweep` score generation on.
+    past the row budget, so a refusal costs a few big-int products; the
+    largest, C(s, u) at the s = 200,000 the vocabulary budget admits,
+    takes about 0.5 s on a 2-core x86 box. The builders call this first,
+    and `load_config` calls it for each objective and for the `ar` joint
+    that `genbound` and `sweep` score generation on.
     """
     r, s, big_t = params.r, params.s, params.T
     if counts is None:
@@ -227,8 +222,11 @@ def check_joint_size(
     rows = 0
     for k, patterns in groups:
         rows += r * patterns * big_t**k
-        if rows > budget:
-            raise _too_many_rows(kind, budget)
+        if rows > ENUMERATION_BUDGET:
+            raise ResourceError(
+                f"{kind} joint needs more than {ENUMERATION_BUDGET} rows, "
+                "the enumeration budget; use build_joint_from_sampler instead"
+            )
     cols = r * targets * big_t
     if rows * cols > CELL_BUDGET:
         raise ResourceError(
@@ -238,15 +236,7 @@ def check_joint_size(
         )
 
 
-def _too_many_rows(kind: str, budget: int) -> ResourceError:
-    return ResourceError(f"{kind} joint needs more than {budget} rows, the "
-                         "enumeration budget; use build_joint_from_sampler "
-                         "instead")
-
-
-def build_ar_joint(
-    params: ToyParams, budget: int = ENUMERATION_BUDGET
-) -> JointDistribution:
+def build_ar_joint(params: ToyParams) -> JointDistribution:
     """Exact next-token joint: :func:`build_dar_joint` at width 1.
 
     Prefix lengths 1..s-1 are weighted uniformly so total mass is exactly 1;
@@ -254,7 +244,7 @@ def build_ar_joint(
     tokens never appear as targets, so they are absent from the column
     catalog.
     """
-    return build_dar_joint(params, 1, budget)
+    return build_dar_joint(params, 1)
 
 
 # Slack on the unmasked count s * (1 - rho) when it is read as an integer.
@@ -290,21 +280,17 @@ def admissible_counts(s: int, lo: float, hi: float) -> list[int]:
     return counts
 
 
-def build_masked_joint(
-    params: ToyParams, rho_m: float, budget: int = ENUMERATION_BUDGET
-) -> JointDistribution:
+def build_masked_joint(params: ToyParams, rho_m: float) -> JointDistribution:
     """Exact masked-prediction joint: :func:`build_vlm_joint` at one ratio.
 
     Conditions on each size-u subset of positions (u = s * (1 - rho_m)) and
     targets one masked position; all nonzero entries share the value
     1 / (r * C(s, u) * (s - u) * T**(u + 1)).
     """
-    return build_vlm_joint(params, rho_m, rho_m, budget)
+    return build_vlm_joint(params, rho_m, rho_m)
 
 
-def build_dar_joint(
-    params: ToyParams, t: int, budget: int = ENUMERATION_BUDGET
-) -> JointDistribution:
+def build_dar_joint(params: ToyParams, t: int) -> JointDistribution:
     """Diversity-enhanced next-token joint with lookahead width t.
 
     The target position is uniform over the window i+1 .. min(i+t, s) behind
@@ -313,7 +299,7 @@ def build_dar_joint(
     """
     if t < 1:
         raise DomainError(f"lookahead width must be >= 1, got {t}")
-    check_joint_size(params, budget=budget)
+    check_joint_size(params)
     r, s, big_t = params.r, params.s, params.T
 
     def windows():
@@ -322,14 +308,11 @@ def build_dar_joint(
             mass = 1.0 / ((s - 1) * r * window * big_t ** (i + 1))
             yield range(1, i + 1), range(i + 1, i + window + 1), mass
 
-    return _enumerate(params, PREFIX, windows(), budget)
+    return _enumerate(params, PREFIX, windows())
 
 
 def build_vlm_joint(
-    params: ToyParams,
-    rho_lo: float,
-    rho_hi: float,
-    budget: int = ENUMERATION_BUDGET,
+    params: ToyParams, rho_lo: float, rho_hi: float
 ) -> JointDistribution:
     """Variable-ratio masked joint: uniform mixture over admissible ratios.
 
@@ -338,7 +321,7 @@ def build_vlm_joint(
     """
     r, s, big_t = params.r, params.s, params.T
     counts = admissible_counts(s, rho_lo, rho_hi)
-    check_joint_size(params, counts, budget)
+    check_joint_size(params, counts)
 
     def masks():
         for u in counts:
@@ -347,7 +330,7 @@ def build_vlm_joint(
                 hidden = [p for p in range(1, s + 1) if p not in visible]
                 yield visible, hidden, mass / len(counts)
 
-    return _enumerate(params, UNMASKED, masks(), budget)
+    return _enumerate(params, UNMASKED, masks())
 
 
 def write_joint_csv(joint: JointDistribution, path) -> None:

@@ -22,7 +22,7 @@ from .cooccurrence import (
     build_vlm_joint,
 )
 from .errors import DomainError
-from .toy_model import ENUMERATION_BUDGET, ToyParams, token_id
+from .toy_model import ToyParams, token_id
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,11 @@ def sample_pairs(
     return np.take_along_axis(padded, pos, axis=1), tokens[rows, target]
 
 
-def exact_joint(spec: ObjectiveSpec, params, budget: int = ENUMERATION_BUDGET):
+def exact_joint(spec: ObjectiveSpec, params):
     """The exact joint distribution this objective induces on the corpus."""
     if spec.width is not None:
-        return build_dar_joint(params, spec.width, budget)
-    return build_vlm_joint(params, spec.rho_lo, spec.rho_hi, budget)
+        return build_dar_joint(params, spec.width)
+    return build_vlm_joint(params, spec.rho_lo, spec.rho_hi)
 
 
 def build_joint_from_sampler(

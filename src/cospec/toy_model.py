@@ -47,10 +47,6 @@ class ToyParams:
     def vocab_size(self) -> int:
         return self.r * self.s * self.T
 
-    @property
-    def corpus_size(self) -> int:
-        return self.r * self.T**self.s
-
     def to_dict(self) -> dict:
         return {"r": self.r, "s": self.s, "T": self.T}
 

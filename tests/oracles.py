@@ -197,7 +197,7 @@ def enumerate_sequences(params, budget=None):
     """Every corpus sequence exactly once: an (r * T**s, s) id matrix.
 
     Rows are class-major, then lexicographic in the per-position slots, and
-    each has probability ``1 / params.corpus_size``. A row's class is
+    each has probability ``1 / (r * T**s)``. A row's class is
     ``token_label(params, row[0])``. A corpus of more than `budget`
     sequences (by default the enumeration budget) is a `ResourceError`.
     """
@@ -205,9 +205,10 @@ def enumerate_sequences(params, budget=None):
     from cospec.toy_model import ENUMERATION_BUDGET, token_id
 
     budget = ENUMERATION_BUDGET if budget is None else budget
-    if params.corpus_size > budget:
+    size = params.r * params.T**params.s
+    if size > budget:
         raise ResourceError(
-            f"corpus has {params.corpus_size} sequences, over the enumeration "
+            f"corpus has {size} sequences, over the enumeration "
             f"budget of {budget}; use sample_sequence instead"
         )
     # every slot fill, lexicographic: the C order of the (T,) * s grid
@@ -752,28 +753,21 @@ def factor_gradients(f, g, a):
     return -2.0 * residual @ g, -2.0 * residual.T @ f
 
 
-def enumerate_per_pattern(params, kind, patterns, budget):
+def enumerate_per_pattern(params, kind, patterns):
     """The library's former `cooccurrence._enumerate`: one pattern at a time.
 
     Every class conditions on every slot fill of each pattern's visible
     positions and puts `value` on every slot token of each of its target
-    positions; the row count is checked against `budget` while the
-    patterns are read. Each pattern's rows and target cells are built on
-    their own, with one `np.indices` call per pattern.
+    positions. Each pattern's rows and target cells are built on their own,
+    with one `np.indices` call per pattern.
     """
     from cospec.cooccurrence import JointDistribution
-    from cospec.errors import ResourceError
     from cospec.toy_model import token_id
 
     r, big_t = params.r, params.T
     kept, n_rows = [], 0
     for visible, targets, value in patterns:
         n_rows += r * big_t ** len(visible)
-        if n_rows > budget:
-            raise ResourceError(
-                f"{kind} joint needs more than {budget} rows, the enumeration "
-                "budget; use build_joint_from_sampler instead"
-            )
         kept.append((np.subtract(visible, 1), np.subtract(targets, 1), value))
     base = np.array([
         [token_id(params, p, y, 1) for p in range(1, params.s + 1)]

@@ -280,12 +280,14 @@ def test_budget_overrun_names_the_sampler():
         build_masked_joint(ToyParams(2, 10, 4), 0.5)
 
 
-def test_budget_counts_the_whole_mixture():
+def test_budget_counts_the_whole_mixture(monkeypatch):
     # The parts have 64 and 48 rows: each fits the budget, the mixture not.
     params = ToyParams(2, 4, 2)
+    monkeypatch.setattr(cooccurrence, "ENUMERATION_BUDGET", 111)
     with pytest.raises(ResourceError, match="budget"):
-        build_vlm_joint(params, 0.25, 0.5, budget=100)
-    assert len(build_vlm_joint(params, 0.25, 0.5, budget=112).tokens) == 112
+        build_vlm_joint(params, 0.25, 0.5)
+    monkeypatch.setattr(cooccurrence, "ENUMERATION_BUDGET", 112)
+    assert len(build_vlm_joint(params, 0.25, 0.5).tokens) == 112
 
 
 @pytest.mark.parametrize("label, shape", [
@@ -298,9 +300,11 @@ def test_joint_size_is_the_built_shape(monkeypatch, label, shape):
     rows, cols = exact_joint(spec, params).mass.shape
     counts = (None if spec.width is not None
               else admissible_counts(params.s, spec.rho_lo, spec.rho_hi))
-    cooccurrence.check_joint_size(params, counts, budget=rows)
+    monkeypatch.setattr(cooccurrence, "ENUMERATION_BUDGET", rows - 1)
     with pytest.raises(ResourceError, match="enumeration budget"):
-        cooccurrence.check_joint_size(params, counts, budget=rows - 1)
+        cooccurrence.check_joint_size(params, counts)
+    monkeypatch.setattr(cooccurrence, "ENUMERATION_BUDGET", rows)
+    cooccurrence.check_joint_size(params, counts)
     monkeypatch.setattr(cooccurrence, "CELL_BUDGET", rows * cols)
     exact_joint(spec, params)
     monkeypatch.setattr(cooccurrence, "CELL_BUDGET", rows * cols - 1)
@@ -568,37 +572,48 @@ def test_normalize_refuses_a_joint_beyond_the_float_range(scale):
         normalize(scaled)
 
 
-def test_grouped_builder_refuses_at_the_oracles_row_count():
-    # Mask patterns of three sizes, read in an order that is not the
-    # grouped builder's; every budget at or just below a running row total.
+def test_grouped_builder_matches_the_oracle_out_of_order():
+    # mask patterns of three sizes, read in an order that is not the
+    # grouped builder's
     params = ToyParams(2, 5, 2)
     patterns = [
         (visible, [p for p in range(1, 6) if p not in visible], 0.5)
         for u in (3, 1, 4)
         for visible in itertools.combinations(range(1, 6), u)
     ]
-    totals = np.cumsum([2 * 2 ** len(v) for v, _, _ in patterns])
-    for budget in sorted({*totals.tolist(), *(totals - 1).tolist()}):
-        outcomes = []
-        for build in (oracles.enumerate_per_pattern, cooccurrence._enumerate):
-            read = []
+    got = cooccurrence._enumerate(params, "unmasked", iter(patterns))
+    want = oracles.enumerate_per_pattern(params, "unmasked", iter(patterns))
+    assert_same_joint(got, want)
 
-            def stream():
-                for pattern in patterns:
-                    read.append(pattern)
-                    yield pattern
 
-            try:
-                joint = build(params, "unmasked", stream(), budget)
-                outcomes.append((len(read), joint.tokens.tobytes(),
-                                 joint.mass.tobytes()))
-            except ResourceError as exc:
-                outcomes.append((len(read), str(exc)))
-        assert outcomes[0] == outcomes[1]
-        # refused by the first pattern that takes the total past the budget
-        first_over = int(np.searchsorted(totals, budget, side="right"))
-        assert outcomes[0][0] == min(first_over + 1, len(patterns))
-        assert (len(outcomes[0]) == 2) == (budget < totals[-1])
+_BUILDERS = {
+    "ar": build_ar_joint,
+    "dar:2": lambda params: build_dar_joint(params, 2),
+    "masked:0.5": lambda params: build_masked_joint(params, 0.5),
+    "vlm:0.25-0.75": lambda params: build_vlm_joint(params, 0.25, 0.75),
+}
+
+
+@pytest.mark.parametrize("label", _BUILDERS)
+@pytest.mark.parametrize("budget, match", [
+    ("ENUMERATION_BUDGET", "rows, the enumeration budget"),
+    ("CELL_BUDGET", "cells, the cell budget"),
+])
+def test_builders_refuse_before_they_enumerate(monkeypatch, label, budget,
+                                               match):
+    # one below the joint's rows, or below its cells; the refusal must come
+    # from `check_joint_size`, before the enumerator is entered
+    params = ToyParams(2, 4, 2)
+    rows, cols = _BUILDERS[label](params).mass.shape
+    monkeypatch.setattr(cooccurrence, budget, (
+        rows if budget == "ENUMERATION_BUDGET" else rows * cols) - 1)
+
+    def entered(*args):
+        raise AssertionError("the enumerator was entered")
+
+    monkeypatch.setattr(cooccurrence, "_enumerate", entered)
+    with pytest.raises(ResourceError, match=match):
+        _BUILDERS[label](params)
 
 
 @pytest.mark.parametrize("label, shape", [

@@ -103,7 +103,6 @@ def test_params_validation():
     with pytest.raises(DomainError):
         ToyParams(1, 3, 0)
     assert ToyParams(2, 4, 3).vocab_size == 24
-    assert ToyParams(2, 4, 3).corpus_size == 2 * 81
 
 
 def test_params_dict_round_trip():
@@ -114,7 +113,7 @@ def test_params_dict_round_trip():
 def test_enumeration_covers_corpus_once():
     params = ToyParams(2, 3, 2)
     seqs = enumerate_sequences(params)
-    assert seqs.shape == (params.corpus_size, params.s) == (16, 3)
+    assert seqs.shape == (params.r * params.T**params.s, params.s) == (16, 3)
     assert len({tuple(x) for x in seqs.tolist()}) == 16
     assert sum(1 for x in seqs if token_label(params, x[0]) == 1) == 8
     for x in seqs:
