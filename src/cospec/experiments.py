@@ -382,9 +382,10 @@ def run_probe(cfg: ExperimentConfig, out_dir) -> dict:
     return {"results": results}
 
 
-def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
+def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint,
+                z=None):
     """(rho, entry) of each ratio `model` is measured at; `joint` is the one
-    it trained on.
+    it trained on, and `z` its `gen.scores` if the caller has them.
 
     A prefix model has one row at rho 0.0, whose `bound` is its `delta`, the
     worst pretraining error (its bound has no length term). A mask model
@@ -392,7 +393,7 @@ def _bound_rows(cfg: ExperimentConfig, spec: ObjectiveSpec, model, joint):
     grid and leaves u >= 2 visible, with the bound's terms and the bound.
     """
     if spec.width is not None:
-        delta = gen.delta_term(model, joint)
+        delta = gen.delta_term(model, joint, z=z)
         return [(0.0, {"bound": delta, "delta": delta,
                        "eta": gen.max_output_discrepancy(model),
                        "output_norm": model.output_norm()})]
@@ -412,7 +413,8 @@ def _trained(cfg: ExperimentConfig, name: str, streams):
     Each joint is built once, and the model of (label, stream) trains from
     `derive_rng(cfg.seed, name, label, *stream)`. Every model's generation
     is scored on the `ar` joint, which is built first and is the joint the
-    `ar` objective trains on. Returns the records
+    `ar` objective trains on; an `ar` model's scores on it serve both its
+    `gen_loss` and its `delta`. Returns the records
     `(label, spec, stream, entry, rows)`, objective-major, where `entry` is
     `gen_loss`'s with `final_train_loss` and `rows` is `_bound_rows`'; and
     the next-token model's `delta` per stream.
@@ -424,10 +426,11 @@ def _trained(cfg: ExperimentConfig, name: str, streams):
         for stream in streams:
             rng = derive_rng(cfg.seed, name, label, *stream)
             result = gen.train_model(joint, cfg.params, cfg.train, rng)
-            rows = _bound_rows(cfg, spec, result.model, joint)
+            z = gen.scores(result.model, ar_joint) if spec.width == 1 else None
+            rows = _bound_rows(cfg, spec, result.model, joint, z)
             if spec.width == 1:
                 delta_ar[stream] = rows[0][1]["delta"]
-            entry = {**gen.gen_loss(result.model, ar_joint),
+            entry = {**gen.gen_loss(result.model, ar_joint, z=z),
                      "final_train_loss": result.losses[-1]}
             records.append((label, spec, stream, entry, rows))
     return records, delta_ar

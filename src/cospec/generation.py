@@ -66,6 +66,8 @@ def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
     through (n, 1, d) stacks, so that matmul makes one vector-matrix
     product per row, bit-equal to scoring each text alone; a plain (n, d)
     GEMM sums in another order and moves the features in their last bits.
+    The query and key stacks are freed before the value stack is made, and
+    that one is scaled in place, so at most three stacks are alive at once.
     """
     tokens = np.asarray(tokens)
     check_texts(tokens)
@@ -75,8 +77,9 @@ def pooled_attention(model: LinearAttentionModel, tokens) -> np.ndarray:
         np.add(total, model.emb[tokens[:, j]], out=total,
                where=real[:, j, None])
     total = total[:, None]
-    q, k, v = total @ model.wq, total @ model.wk, total @ model.wv
-    return (q @ k.transpose(0, 2, 1) * v)[:, 0]
+    lam = (total @ model.wq) @ (total @ model.wk).transpose(0, 2, 1)
+    v = total @ model.wv
+    return np.multiply(v, lam, out=v)[:, 0]
 
 
 def score_losses(z: np.ndarray, penalty=np.mean) -> np.ndarray:
@@ -92,12 +95,14 @@ def score_losses(z: np.ndarray, penalty=np.mean) -> np.ndarray:
     return penalty(zn**2, axis=1)[:, None] - zn
 
 
-def _scores(model: LinearAttentionModel, joint: JointDistribution):
-    """Scores of a joint's conditional texts over its column catalog."""
+def scores(model: LinearAttentionModel, joint: JointDistribution):
+    """Scores of a joint's conditional texts over its column catalog: the
+    one feature pass that `gen_loss` and `delta_term` read."""
     return pooled_attention(model, joint.tokens) @ model.w_out[:, joint.cols]
 
 
-def gen_loss(model: LinearAttentionModel, ar_joint: JointDistribution) -> dict:
+def gen_loss(model: LinearAttentionModel, ar_joint: JointDistribution, *,
+             z=None) -> dict:
     """Quadratic generation loss, averaged over positions 2..s and the corpus.
 
     `ar_joint` is the next-token joint (`build_ar_joint`). Its rows are the
@@ -113,9 +118,10 @@ def gen_loss(model: LinearAttentionModel, ar_joint: JointDistribution) -> dict:
     a diverged model can make infinite. Softmax NLL and perplexity are
     reported alongside for orientation only; the bound is about the
     quadratic form. Returns the report entry: `gen_loss` (the average),
-    `per_position`, `nll` and `perplexity`.
+    `per_position`, `nll` and `perplexity`. `z` is `scores(model,
+    ar_joint)` when the caller has it already.
     """
-    z = _scores(model, ar_joint)
+    z = scores(model, ar_joint) if z is None else z
     rows, cols = np.nonzero(ar_joint.mass)
     mass = ar_joint.mass[rows, cols]
     lengths = (ar_joint.tokens >= 0).sum(axis=1)[rows]
@@ -166,15 +172,18 @@ def max_output_discrepancy(model: LinearAttentionModel) -> float:
     return math.sqrt(max(best, 0.0))
 
 
-def delta_term(model: LinearAttentionModel, joint: JointDistribution) -> float:
+def delta_term(model: LinearAttentionModel, joint: JointDistribution, *,
+               z=None) -> float:
     """Worst pretraining error over a joint's support.
 
     For each conditional text the prediction is the normalized score vector
     over the joint's column catalog; the per-pair error is the negative
     positive score plus the worst squared score, and the max over the
-    support is returned.
+    support is returned. `z` is `scores(model, joint)` when the caller has
+    it already.
     """
-    losses = score_losses(_scores(model, joint), np.max)
+    z = scores(model, joint) if z is None else z
+    losses = score_losses(z, np.max)
     vals = np.where(joint.dense() > 0, losses, -np.inf)
     return float(vals.max())
 
@@ -224,9 +233,71 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
-# Multiply-adds of one row GEMM of the training step: at most this many,
-# so that OpenBLAS takes its small-matrix path, which does not pack.
-_GEMM_MACS = 10**6
+def _depth(rows: int, big_t: int, u: int) -> int:
+    """Grid depth of `rows` joint rows with u visible tokens: the deepest
+    h <= u whose slot matrix, T^h fills tall, is no taller than the
+    rows / T^h patterns it serves."""
+    h = 0
+    while h < u and big_t ** (2 * h + 2) <= rows:
+        h += 1
+    return h
+
+
+def _slot_grids(tokens, mass, params: ToyParams) -> list:
+    """The training step's groups of joint rows, as (rows, cells, x).
+
+    Row `rows[i, f]` counts token `cells[i, k]` `x[f, k]` times, and the
+    rows of one pattern `rows[i]` share one mass row. Per visible count u
+    the depth h is `_depth`'s. A pattern is then a class, u positions and
+    the slots at the first u - h of them, whose tokens are cells that
+    every fill counts; each of the last h positions adds its T slot
+    tokens, and `x` is the (T^h, u - h + hT) slot matrix of their fills.
+    A pattern whose rows are not its T^h fills once each, in ascending
+    positions and with one mass row, goes to depth 0 with its rows: one
+    row per pattern, its tokens (repeats included) as its cells, and `x`
+    a row of ones. So every joint row is counted once, whoever built it.
+    """
+    r, s, big_t = params.r, params.s, params.T
+    lengths = (tokens >= 0).sum(axis=1)
+    groups = []
+    for u in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == u)
+        h = _depth(len(rows), big_t, u)
+        if h:
+            tok = tokens[rows, :u]
+            pos, label, slot = np.unravel_index(tok, (s, r, big_t))
+            fill = np.ravel_multi_index(tuple(slot[:, u - h:].T),
+                                        (big_t,) * h)
+            key = np.column_stack((label[:, 0], tok[:, :u - h],
+                                   pos[:, u - h:]))
+            # patterns in key order, each pattern's rows in fill order
+            order = np.lexsort((fill, *key.T[::-1]))
+            rows, tok, pos = rows[order], tok[order], pos[order]
+            key, fill = key[order], fill[order]
+            new = np.r_[True, (key[1:] != key[:-1]).any(axis=1)]
+            first = np.flatnonzero(new)
+            unit = np.cumsum(new) - 1
+            fits = ((fill == np.arange(len(rows)) - first[unit])
+                    & (np.diff(pos, axis=1) > 0).all(axis=1)
+                    & (mass[rows] == mass[rows[first]][unit]).all(axis=1))
+            whole = ((np.bincount(unit) == big_t**h)
+                     & np.logical_and.reduceat(fits, first))
+            lead = first[whole]
+            # the T slot tokens of each gridded position, in slot order
+            grid = np.ravel_multi_index(
+                (pos[lead, u - h:, None], key[lead, :1, None],
+                 np.arange(big_t)), (s, r, big_t))
+            cells = np.hstack((tok[lead, :u - h],
+                               grid.reshape(len(lead), h * big_t)))
+            digits = np.indices((big_t,) * h).reshape(h, -1).T
+            x = np.hstack((np.ones((big_t**h, u - h)),
+                           (digits[..., None] == np.arange(big_t))
+                           .reshape(big_t**h, -1)))
+            groups.append((rows[whole[unit]].reshape(-1, big_t**h), cells, x))
+            rows = rows[~whole[unit]]
+        if len(rows):
+            groups.append((rows[:, None], tokens[rows, :u], np.ones((1, u))))
+    return [g for g in groups if len(g[0])]
 
 
 class _Workspace:
@@ -234,42 +305,41 @@ class _Workspace:
 
     Every text of the toy corpus comes from one class, and each class owns
     `m = V / r` tokens, so each joint row's tokens and targets lie in one
-    class block. The step groups the rows by class and orders the
-    vocabulary class-major. Per class it keeps the (rows, 3, m) stack
-    `[x | x | a]`: `x` holds the rows' token counts over the class's m
-    tokens, `a` their joint mass on the class's own target columns. A
-    class with fewer rows or columns than another is padded with zeros,
-    which add exact zeros.
+    class block. The vocabulary is ordered class-major, and the weights
+    live in one flat vector in that training layout: the class-major
+    `emb`, `[Wq | Wk | Wv]` and the catalog columns of `w_out` (`views`).
+    The gradients `g` have the same layout, so the gradient norm is one
+    dot and a descent one multiply and one subtract; `unload` gives the
+    model layout back.
 
-    - Tables, per class: `[A | M | U]`. `A = Tq Tk^T` and
-      `M = (Tu * pg) Tu^T` are its (m, m) blocks, and `U` is its own
-      columns of `Tu`, where `Tq = emb Wq`, `Tk = emb Wk` and
-      `Tu = emb Wv W_cols`.
-    - Forward: a batched GEMM `x [A | M | U]` and one row dot with
-      `[x | x | a]` give `lam = x A x^T`, `Q = x M x^T` and `R = x U a^T`.
-      The loss `sum(pc lam^2 Q - lam R)` equals `<z, pc pg^T z> - <z, a>`
-      for `z = lam (x Tu)`.
-    - Backward: a batched GEMM `x^T [w_A x | w_M x | lam a]`, where
-      `w_A = 2 pc lam Q - R` and `w_M = 2 pc lam^2`, gives `g_A`, `2 g_M`
-      and `g_U`. Then `g_Tq = g_A Tk` and `g_Tk = g_A Tq`;
-      `g_Tu = 2 g_M (Tu * pg)`, less `g_U` on the class's own columns; and
-      the five weight gradients follow from vocabulary-sized products.
+    - Tables, per class: `A = Tq Tk^T` and `M = (Tu * pg) Tu^T`, its
+      (m, m) blocks over `Tq = emb Wq`, `Tk = emb Wk` and
+      `Tu = emb Wv W_cols`, kept as `A + A^T` and `M + M^T`; and
+      `W = -2 Tu a^T`, one column per pattern with mass row `a`.
+    - Forward, on the slot grid of `_slot_grids`. For a pattern's f cells,
+      `lam = x A x^T` over all its fills is `G_A K^T`: `G_A` holds the
+      pattern's upper triangle of `A + A^T`, and `K` the matching columns
+      of `X (x) X`, the row-wise Kronecker square of the group's slot
+      matrix X, with the diagonal ones halved. `Q` is the same with M.
+      K's column (k, k) is half X's column k, so `-R = -x Tu a^T` comes
+      out of the same GEMM, with W's entries of the cells on the diagonal
+      of a third slab. All three slabs of all groups are one gather. The
+      loss `sum(pc lam^2 Q - lam R)` equals `<z, pc pg^T z> - <z, a>` for
+      `z = lam (x Tu)`.
+    - Backward: `[w_A, w_M, lam] K`, where `w_A = 2 pc lam Q - R` and
+      `w_M = 2 pc lam^2`, and one `bincount` into the gathered places
+      give `H`; `g_A = H_A + H_A^T`, `2 g_M = H_M + H_M^T`, and `H_W`
+      carries each pattern's `lam`-weighted cell counts. Then
+      `g_Tq = g_A Tk`, `g_Tk = g_A Tq` and
+      `g_Tu = 2 g_M (Tu * pg) - 2 H_W a`, and the weight gradients follow
+      from vocabulary-sized products.
 
-    So the row work is two GEMMs with an inner size of m, and no
-    (rows x cols) array is formed. Both run over a contiguous copy of `x`,
-    in balanced blocks of rows that each take at most `_GEMM_MACS`
-    multiply-adds: past about 10^6 of them OpenBLAS packs its operands,
-    and a skinny product pays more for the packing than for the
-    arithmetic. The forward GEMM writes each block's rows of its output,
-    and the backward one adds the blocks' (m, 3m) products in block order.
-    So a class with more rows than one block moves the step's results in
-    their last bits; with one block the calls are the whole-array ones.
-    Every buffer is allocated here once; each call overwrites `grads` in
-    place, and the row scalings go through `einsum`, which needs no
-    broadcast buffer. The plain chain rule through `incidence @ emb` sums
-    in another order, so the two agree to rounding, not bit for bit. A row
-    whose tokens or targets leave one class block is a `DomainError`
-    naming the row.
+    So the row work is one gather, two GEMMs per group, one elementwise
+    pass and one `bincount`, and no (rows x m) array is formed. Every
+    buffer is allocated here once; each call overwrites `g` in place. The
+    plain chain rule through `incidence @ emb` sums in another order, so
+    the two agree to rounding, not bit for bit. A row whose tokens or
+    targets leave one class block is a `DomainError` naming the row.
     """
 
     def __init__(self, joint: JointDistribution, weights, params: ToyParams):
@@ -292,146 +362,176 @@ class _Workspace:
                               f"in one class block at r={r}, T={params.T}")
         self.perm = np.argsort(token_class, kind="stable")
         self.unperm = np.argsort(self.perm)
-        rows = [np.flatnonzero(row_class == y) for y in range(r)]
-        n = max(map(len, rows))
-        self.xxa = np.zeros((r, n, 3, m))
-        self.pc2 = np.zeros((r, n))
-        block = np.zeros((r, m), dtype=np.intp)
-        rank = np.empty(len(tokens), dtype=np.intp)  # row's place in class
-        for y, rows_y in enumerate(rows):
-            rank[rows_y] = np.arange(len(rows_y))
-            cols_y = np.flatnonzero(col_class == y)
-            self.xxa[y, :len(rows_y), 2, :len(cols_y)] = a[
-                np.ix_(rows_y, cols_y)]
-            self.pc2[y, :len(rows_y)] = 2.0 * pc[rows_y]
-            block[y, :len(cols_y)] = cols_y
-        # each token's count at its place in its class's block, twice
-        i, j = np.nonzero(real)
-        np.add.at(self.xxa, (row_class[i], rank[i], 0,
-                             self.unperm[tokens[i, j]] % m), 1.0)
-        self.xxa[:, :, 1] = self.xxa[:, :, 0]
-        self.x = self.xxa[:, :, 0].copy()
-        # balanced row blocks of at most `_GEMM_MACS // (3 m^2)` rows each
-        k = -(-n // max(1, _GEMM_MACS // (3 * m * m)))
-        self.spans = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
-        self.g_part = np.empty((r, m, 3 * m))
-        # flat indices into Tu of each class's own (token, column) block;
-        # a padded column reads column 0 against zero mass
-        self.block = np.arange(vocab).reshape(r, m, 1) * c + block[:, None]
-        self.table = np.empty((r, m, 3, m))
-        self.xt = np.empty((r, n, 3, m))
-        self.g_table = np.empty((r, m, 3, m))
-        # per row [w_A, w_M, lam, Q, R]: the row dots fill the last three,
-        # and the first three scale the row's [x | x | a]
-        self.rowvals = np.empty((r, n, 5))
-        self.pl = np.empty((r, n))  # 2 pc lam
-        self.emb = np.empty((vocab, d))
-        self.w3 = np.empty((d, 3 * d))  # [Wq | Wk | Wv]
-        self.t3 = np.empty((r, m, 3 * d))  # [Tq | Tk | emb Wv], class-major
-        self.g_t3 = np.empty((r, m, 3 * d))
-        self.g_w3 = np.empty((d, 3 * d))
-        self.tu, self.tu_pg, self.g_tu = (
-            np.empty((vocab, c)) for _ in range(3)
-        )
-        self.w_cols = np.empty((d, c))
-        self.g_cols = np.empty((d, c))
-        self.grads = (np.zeros_like(weights[0]),
-                      *np.split(self.g_w3, 3, axis=1),
-                      np.zeros_like(weights[4]))
-        self.scratch = tuple(np.empty_like(w) for w in weights)
+        self.groups = _slot_grids(tokens, a, params)
 
-    def __call__(self, weights) -> float:
-        """Loss at `weights`; the gradients land in `self.grads`."""
-        emb, wq, wk, wv, w_out = weights
-        r, n, _, m = self.xxa.shape
-        d = wq.shape[0]
-        x, spans = self.x, self.spans
-        table, xt, g_table = self.table, self.xt, self.g_table
-        tu, tu_pg, g_tu = self.tu, self.tu_pg, self.g_tu
-        tq, tk = self.t3[..., :d], self.t3[..., d:2 * d]
-        p = self.t3.reshape(-1, 3 * d)[:, 2 * d:]
-        tu3, tu_pg3 = tu.reshape(r, m, -1), tu_pg.reshape(r, m, -1)
+        # each pattern's place among its class's patterns, and -2 a there
+        lead = np.concatenate([rows[:, 0] for rows, _, _ in self.groups])
+        lead_class = row_class[lead]
+        place = np.empty(len(lead), dtype=np.intp)
+        n_pat = int(np.bincount(lead_class, minlength=r).max())
+        self.a2 = np.zeros((r, n_pat, c))
+        for y in range(r):
+            at = np.flatnonzero(lead_class == y)
+            place[at] = np.arange(len(at))
+            self.a2[y, :len(at)] = -2.0 * a[lead[at]]
+
+        # the gather's source [A + A^T | M + M^T | W | 0], and its indices
+        # over every group's three slabs of upper triangles
+        at_w = 2 * r * m * m
+        zero = at_w + r * m * n_pat
+        self.src = np.zeros(zero + 1)
+        self.sym = self.src[:at_w].reshape(2, r, m, m)
+        self.w_table = self.src[at_w:zero].reshape(r, m, n_pat)
+        index, ks, start = [], [], 0
+        for rows, cells, x in self.groups:
+            k, l = np.triu_indices(cells.shape[1])
+            on = k == l
+            cm = self.unperm[cells]  # class * m + place in class
+            pair = cm[:, k] * m + cm[:, l] % m
+            diag = np.full(pair.shape, zero)
+            diag[:, on] = (at_w + cm * n_pat
+                           + place[start:start + len(rows), None])
+            index.append(np.stack((pair, pair + r * m * m, diag)).ravel())
+            ks.append(x[:, k] * x[:, l] * np.where(on, 0.5, 1.0))
+            start += len(rows)
+        self.index = np.concatenate(index)
+        self.slab = np.empty(len(self.index))
+        self.g_slab = np.empty(len(self.index))
+        rows = np.concatenate([rows.ravel() for rows, _, _ in self.groups])
+        self.pc2 = 2.0 * pc[rows]
+        self.pl = np.empty(len(rows))
+        # per row [w_A, w_M, lam, Q, -R]: the forward GEMMs fill the last
+        # three, and the first three go into the backward ones
+        self.vals = np.empty((5, len(rows)))
+        self.passes = []  # per group: K, its slabs and its rows, as views
+        s0 = r0 = 0
+        for (rows, _, _), k in zip(self.groups, ks):
+            n, fills = rows.shape
+            s1, r1 = s0 + 3 * n * k.shape[1], r0 + rows.size
+            self.passes.append((
+                k, self.slab[s0:s1].reshape(3, n, -1),
+                self.vals[2:, r0:r1].reshape(3, n, fills),
+                self.vals[:3, r0:r1].reshape(3, n, fills),
+                self.g_slab[s0:s1].reshape(3, n, -1),
+            ))
+            s0, r0 = s1, r1
+
+        self.t3 = np.empty((vocab, 3 * d))  # [Tq | Tk | emb Wv], class-major
+        self.g_t3 = np.empty((vocab, 3 * d))
+        self.tu, self.tu_pg, self.g_tu, self.g_u = (
+            np.empty((vocab, c)) for _ in range(4))
+        self.am = np.empty((2, r, m, m))
+        self.shapes = ((vocab, d), (d, 3 * d), (d, c))
+        ends = np.cumsum([math.prod(s) for s in self.shapes]).tolist()
+        self.spans = list(zip([0, *ends], ends))
+        self.w, self.g, self.scratch = (np.empty(ends[-1]) for _ in range(3))
+        emb, w3, w_cols = self._parts(self.w)
+        np.take(weights[0], self.perm, axis=0, out=emb)
+        np.concatenate(weights[1:4], axis=1, out=w3)
+        np.take(weights[4], self.cols, axis=1, out=w_cols)
+        self.grads = self.views(self.g)
+
+    def _parts(self, flat):
+        """(emb, [Wq | Wk | Wv], w_cols) of a training-layout vector."""
+        return tuple(flat[i:j].reshape(shape)
+                     for (i, j), shape in zip(self.spans, self.shapes))
+
+    def views(self, flat):
+        """The five weights of a training-layout vector, as views: the
+        class-major emb, Wq, Wk, Wv and the catalog columns of w_out."""
+        emb, w3, w_cols = self._parts(flat)
+        return (emb, *np.split(w3, 3, axis=1), w_cols)
+
+    def unload(self, flat, w_out):
+        """The model-layout weights of a training-layout vector, as new
+        arrays; w_out's columns off the catalog are those of `w_out`."""
+        emb, w3, w_cols = self._parts(flat)
+        w_out = w_out.copy()
+        w_out[:, self.cols] = w_cols
+        return (emb[self.unperm], *(w.copy() for w in np.split(w3, 3, axis=1)),
+                w_out)
+
+    def __call__(self, w) -> float:
+        """Loss at the training-layout weights `w`; the gradients land in
+        `g`, which `grads` views."""
+        emb, w3, w_cols = self._parts(w)
+        g_emb, g_w3, g_cols = self._parts(self.g)
+        r, m, _ = self.w_table.shape
+        d = w3.shape[0]
+        t3, g_t3 = self.t3.reshape(r, m, -1), self.g_t3.reshape(r, m, -1)
+        tq, tk, p = t3[..., :d], t3[..., d:2 * d], self.t3[:, 2 * d:]
+        tu, tu_pg = self.tu.reshape(r, m, -1), self.tu_pg.reshape(r, m, -1)
+        am, swap = self.am, (0, 1, 3, 2)
 
         # the tables, over the vocabulary in class-major order
-        np.take(emb, self.perm, axis=0, out=self.emb)
-        np.concatenate((wq, wk, wv), axis=1, out=self.w3)
-        np.take(w_out, self.cols, axis=1, out=self.w_cols, mode="clip")
-        np.matmul(self.emb, self.w3, out=self.t3.reshape(-1, 3 * d))
-        np.matmul(p, self.w_cols, out=tu)
-        np.multiply(tu, self.pg, out=tu_pg)
-        np.matmul(tq, tk.transpose(0, 2, 1), out=table[:, :, 0])
-        np.matmul(tu_pg3, tu3.transpose(0, 2, 1), out=table[:, :, 1])
-        np.take(tu, self.block, out=table[:, :, 2], mode="clip")
+        np.matmul(emb, w3, out=self.t3)
+        np.matmul(p, w_cols, out=self.tu)
+        np.multiply(self.tu, self.pg, out=self.tu_pg)
+        np.matmul(tq, tk.transpose(0, 2, 1), out=am[0])
+        np.matmul(tu_pg, tu.transpose(0, 2, 1), out=am[1])
+        np.add(am, am.transpose(swap), out=self.sym)
+        np.matmul(tu, self.a2.transpose(0, 2, 1), out=self.w_table)
 
-        xt3, table3 = xt.reshape(r, n, 3 * m), table.reshape(r, m, 3 * m)
-        for rows in spans:
-            np.matmul(x[:, rows], table3, out=xt3[:, rows])
-        np.einsum("ijsk,ijsk->ijs", xt, self.xxa, out=self.rowvals[..., 2:])
-        w_a, w_m, lam, q, rr = self.rowvals.transpose(2, 0, 1)
+        np.take(self.src, self.index, out=self.slab, mode="clip")
+        for k, slab, lqr, _, _ in self.passes:
+            np.matmul(slab, k.T, out=lqr)
+        w_a, w_m, lam, q, minus_r = self.vals
         np.multiply(self.pc2, lam, out=self.pl)
         np.multiply(self.pl, lam, out=w_m)
         np.multiply(self.pl, q, out=w_a)
-        np.subtract(w_a, rr, out=w_a)
-        loss = 0.5 * float(np.vdot(w_m, q)) - float(np.vdot(lam, rr))
+        np.add(w_a, minus_r, out=w_a)
+        loss = 0.5 * float(np.vdot(w_m, q)) + float(np.vdot(lam, minus_r))
 
-        # x^T [w_A x | w_M x | lam a] = [g_A | 2 g_M | g_U]
-        np.einsum("ijs,ijsk->ijsk", self.rowvals[..., :3], self.xxa, out=xt)
-        x_t, g_table3 = x.transpose(0, 2, 1), g_table.reshape(r, m, 3 * m)
-        np.matmul(x_t[..., spans[0]], xt3[:, spans[0]], out=g_table3)
-        for rows in spans[1:]:
-            np.matmul(x_t[..., rows], xt3[:, rows], out=self.g_part)
-            np.add(g_table3, self.g_part, out=g_table3)
-        np.matmul(g_table[:, :, 0], tk, out=self.g_t3[..., :d])
-        np.matmul(g_table[:, :, 0], tq, out=self.g_t3[..., d:2 * d])
-        np.matmul(g_table[:, :, 1], tu_pg3, out=g_tu.reshape(tu3.shape))
-        np.subtract.at(g_tu.reshape(-1), self.block, g_table[:, :, 2])
+        # [w_A, w_M, lam] K, summed into the gathered places
+        for k, _, _, wml, g_slab in self.passes:
+            np.matmul(wml, k, out=g_slab)
+        h = np.bincount(self.index, self.g_slab, minlength=self.src.size)
+        h_am = h[:self.sym.size].reshape(am.shape)
+        h_w = h[self.sym.size:-1].reshape(self.w_table.shape)
+        np.add(h_am, h_am.transpose(swap), out=am)  # [g_A, 2 g_M]
+        np.matmul(am[0], tk, out=g_t3[..., :d])
+        np.matmul(am[0], tq, out=g_t3[..., d:2 * d])
+        np.matmul(am[1], tu_pg, out=self.g_tu.reshape(tu.shape))
+        np.matmul(h_w, self.a2, out=self.g_u.reshape(tu.shape))
+        np.add(self.g_tu, self.g_u, out=self.g_tu)
 
-        g_emb, g_wout = self.grads[0], self.grads[4]
-        g_t3 = self.g_t3.reshape(-1, 3 * d)
-        np.matmul(p.T, g_tu, out=self.g_cols)
-        g_wout[:, self.cols] = self.g_cols
-        np.matmul(g_tu, self.w_cols.T, out=g_t3[:, 2 * d:])
-        np.matmul(self.emb.T, g_t3, out=self.g_w3)
-        # the class-major g_emb goes through the spent emb buffer
-        np.matmul(g_t3, self.w3.T, out=self.emb)
-        np.take(self.emb, self.unperm, axis=0, out=g_emb)
+        np.matmul(p.T, self.g_tu, out=g_cols)
+        np.matmul(self.g_tu, w_cols.T, out=self.g_t3[:, 2 * d:])
+        np.matmul(emb.T, self.g_t3, out=g_w3)
+        np.matmul(self.g_t3, w3.T, out=g_emb)
         return loss
 
     def grad_norm(self) -> float:
         """Global l2 norm of the current gradients."""
-        return math.sqrt(sum(
-            float(np.sum(np.square(g, out=t)))
-            for g, t in zip(self.grads, self.scratch)
-        ))
+        return math.sqrt(float(np.dot(self.g, self.g)))
 
-    def descend(self, weights, scale: float) -> None:
-        """In place, `w -= scale * g` for every weight and its gradient."""
-        for w, g, t in zip(weights, self.grads, self.scratch):
-            np.subtract(w, np.multiply(scale, g, out=t), out=w)
+    def descend(self, w, scale: float) -> None:
+        """In place, `w -= scale * g` over the whole training layout."""
+        np.subtract(w, np.multiply(scale, self.g, out=self.scratch), out=w)
 
 
-def _spot_check_gradients(weights, step, rng):
+def _spot_check_gradients(w, step, rng):
     """Central-difference check on three coordinates of every weight, to a
     relative 1e-4.
 
-    The analytic gradients are copied first: each probe evaluation
-    overwrites the workspace's gradient buffers.
+    `w` is the training-layout vector. The analytic gradients are copied
+    first: each probe evaluation overwrites the workspace's gradients.
     """
     h = 1e-6
-    step(weights)
+    step(w)
     grads = [g.copy() for g in step.grads]
-    for idx, w in enumerate(weights):
-        flat = w.ravel()
+    for idx, weight in enumerate(step.views(w)):
         for _ in range(3):
-            j = int(rng.integers(flat.size))
-            orig = flat[j]
-            flat[j] = orig + h
-            up = step(weights)
-            flat[j] = orig - h
-            down = step(weights)
-            flat[j] = orig
+            j = int(rng.integers(weight.size))
+            at = np.unravel_index(j, weight.shape)
+            orig = weight[at]
+            weight[at] = orig + h
+            up = step(w)
+            weight[at] = orig - h
+            down = step(w)
+            weight[at] = orig
             fd = (up - down) / (2 * h)
-            an = grads[idx].ravel()[j]
+            an = grads[idx][at]
             scale = max(abs(fd), abs(an), 1.0)
             if abs(fd - an) / scale > 1e-4:
                 raise NumericError(
@@ -451,7 +551,8 @@ def train_model(
     Plain gradient descent with global gradient-norm clipping; the loss is
     the unnormalized quadratic pretraining loss summed over the support.
     Analytic gradients are spot-checked against central differences at
-    initialization on every run. A joint with a token id beyond the
+    initialization on every run. The weights stay in the step's training
+    layout until the model is returned. A joint with a token id beyond the
     vocabulary, or with a row whose tokens or targets span two classes, is
     a `DomainError`.
     """
@@ -473,12 +574,13 @@ def train_model(
         noise * rng.standard_normal((d, vocab)),
     )
     step = _Workspace(joint, weights, params)
-    _spot_check_gradients(weights, step, rng)
+    w = step.w
+    _spot_check_gradients(w, step, rng)
     losses = []
     # a diverging step overflows; the finiteness test below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(settings.steps):
-            loss = step(weights)
+            loss = step(w)
             norm = step.grad_norm()
             if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise NumericError(
@@ -488,7 +590,6 @@ def train_model(
             losses.append(loss)
             scale = (settings.lr * min(1.0, settings.clip / norm)
                      if norm > 0 else 0.0)
-            step.descend(weights, scale)
-    emb, wq, wk, wv, w_out = weights
-    model = LinearAttentionModel(emb=emb, wq=wq, wk=wk, wv=wv, w_out=w_out)
+            step.descend(w, scale)
+    model = LinearAttentionModel(*step.unload(w, weights[4]))
     return TrainResult(model=model, losses=tuple(losses))

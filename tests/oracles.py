@@ -257,34 +257,28 @@ def design(joint, vocab):
             joint.col_marginal(), np.array(joint.cols))
 
 
-def class_blocks(arrays, params):
-    """The class blocks of `cospec.generation._Workspace`, read off
-    `design`'s incidence as the library formerly did: (xxa, pc2, block)."""
-    incidence, a, pc, _, cols = arrays
-    vocab = incidence.shape[1]
-    r, c = params.r, len(cols)
-    m = vocab // r
-    token_class = np.arange(vocab) // params.T % r
-    row_class = token_class[np.argmax(incidence != 0, axis=1)]
-    col_class = token_class[cols]
-    perm = np.argsort(token_class, kind="stable")
-    rows = [np.flatnonzero(row_class == y) for y in range(r)]
-    n = max(map(len, rows))
-    xxa = np.zeros((r, n, 3, m))
-    pc2 = np.zeros((r, n))
-    block = np.zeros((r, m), dtype=np.intp)
-    for y, rows_y in enumerate(rows):
-        x_y = incidence[np.ix_(rows_y, perm[y * m:(y + 1) * m])]
-        cols_y = np.flatnonzero(col_class == y)
-        xxa[y, :len(rows_y), :2] = x_y[:, None]
-        xxa[y, :len(rows_y), 2, :len(cols_y)] = a[np.ix_(rows_y, cols_y)]
-        pc2[y, :len(rows_y)] = 2.0 * pc[rows_y]
-        block[y, :len(cols_y)] = cols_y
-    return xxa, pc2, np.arange(vocab).reshape(r, m, 1) * c + block[:, None]
+def grid_counts(groups, vocab):
+    """Every joint row's token counts, rebuilt one row at a time from the
+    slot grids of `cospec.generation._slot_grids`: {row: (counts, pattern)}.
+
+    Row `rows[i, f]` of a group counts `cells[i, k]` `x[f, k]` times; a row
+    met twice is an `AssertionError`.
+    """
+    counts = {}
+    for g, (rows, cells, x) in enumerate(groups):
+        for i in range(rows.shape[0]):
+            for f in range(rows.shape[1]):
+                row = int(rows[i, f])
+                assert row not in counts, f"row {row} is in two patterns"
+                c = np.zeros(vocab)
+                for k in range(cells.shape[1]):
+                    c[cells[i, k]] += x[f, k]
+                counts[row] = (c, (g, i))
+    return counts
 
 
 # The training step as plain expressions, one fresh array per operation,
-# in the order of the chain rule through s = incidence @ emb. The class-block
+# in the order of the chain rule through s = incidence @ emb. The slot-grid
 # step of `cospec.generation._Workspace` orders its sums differently, so the
 # two agree to rounding, not bit for bit.
 def loss_and_grads(weights, incidence, a, pc, pg, cols):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cospec import cooccurrence, experiments
+from cospec import cooccurrence, experiments, generation
 from cospec.cooccurrence import build_ar_joint, normalize, unmasked_count
 from cospec.errors import ConfigError
 from cospec.experiments import (
@@ -21,6 +21,7 @@ from cospec.experiments import (
 )
 from cospec.generation import (
     TrainSettings,
+    delta_term,
     gen_loss,
     generation_bound_terms,
     train_model,
@@ -321,6 +322,34 @@ def test_genbound_bound_entry_is_the_bound_row(tmp_path):
             assert row == generation_bound_terms(model, joint, u)
             checked += 1
     assert checked == 3
+
+
+@pytest.mark.parametrize("experiment", ["genbound", "sweep"])
+def test_an_ar_model_is_scored_once(monkeypatch, tmp_path, experiment):
+    # its gen_loss and its delta read one pooling of the ar joint, and
+    # equal those of the unshared calls
+    calls = []
+    real = generation.pooled_attention
+
+    def counted(model, tokens):
+        calls.append(len(tokens))
+        return real(model, tokens)
+
+    monkeypatch.setattr(generation, "pooled_attention", counted)
+    config = load_config({
+        "experiment": experiment, "params": {"r": 1, "s": 4, "T": 2},
+        "objectives": ["ar"], "train": {"steps": 10}, "seeds": 2, "seed": 4,
+    })
+    report = run_experiment(config, tmp_path)
+    streams = 2 if experiment == "sweep" else 1
+    assert calls == [len(build_ar_joint(config.params).tokens)] * streams
+    if experiment == "genbound":
+        joint = build_ar_joint(config.params)
+        model = train_model(joint, config.params, config.train,
+                            derive_rng(4, "genbound", "ar")).model
+        assert report["models"]["ar"]["gen_loss"] == \
+            gen_loss(model, joint)["gen_loss"]
+        assert report["delta_ar"] == delta_term(model, joint)
 
 
 def test_sweep_gaps_read_the_baseline_of_the_same_seed(tmp_path):

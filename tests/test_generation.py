@@ -18,6 +18,7 @@ from cospec.generation import (
     LinearAttentionModel,
     TrainSettings,
     _Workspace,
+    _slot_grids,
     delta_term,
     gen_loss,
     generation_bound_terms,
@@ -89,8 +90,9 @@ def test_pooling_refuses_rows_that_are_not_padded_texts(tokens):
 
 
 def test_pooling_peak_is_below_one_embedding_stack():
-    # the embedding sum runs in one (n, d) buffer and peaks at about six of
-    # them; a cumulative sum over the (n, L, d) stack peaks at two stacks
+    # the embedding sum runs in one (n, d) buffer, and at most three (n, d)
+    # feature stacks are alive at once; a cumulative sum over the (n, L, d)
+    # embedding stack peaks at two of those
     params = ToyParams(1, 10, 2)
     tokens = exact_joint(parse_objective("ar"), params).tokens
     model = random_model(params.vocab_size, params.vocab_size, seed=0)
@@ -103,6 +105,7 @@ def test_pooling_peak_is_below_one_embedding_stack():
         tracemalloc.stop()
     n, length = tokens.shape
     assert peak < n * length * params.vocab_size * 8
+    assert peak < 4 * n * params.vocab_size * 8
 
 
 @pytest.mark.parametrize("r, s, big_t, label", [
@@ -345,15 +348,17 @@ def _assert_gradients_match_finite_differences(params):
         for shape in [(d, d)] * 4
     ) + (0.05 * rng.standard_normal((d, d)),)
     step = _Workspace(joint, weights, params)
-    step(weights)
+    w = step.w
+    step(w)
     grads = [g.copy() for g in step.grads]
-    for idx in range(5):
-        def objective(w, idx=idx):
-            probe = list(weights)
-            probe[idx] = w
-            return step(tuple(probe))
+    for idx, weight in enumerate(step.views(w)):
+        def objective(x, weight=weight):
+            weight[...] = x
+            return step(w)
 
-        fd = oracles.fd_gradient(objective, weights[idx].copy())
+        start = weight.copy()
+        fd = oracles.fd_gradient(objective, start.copy())
+        weight[...] = start
         scale = max(np.abs(fd).max(), 1.0)
         assert np.max(np.abs(fd - grads[idx])) / scale < 1e-5
 
@@ -397,14 +402,8 @@ def test_training_matches_the_plain_step(objective, shape, dim):
     arrays = oracles.design(joint, vocab)
 
     step = _Workspace(joint, weights, params)
-    for got, want in zip((step.xxa, step.pc2, step.block),
-                         oracles.class_blocks(arrays, params)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    loss = step(weights)
-    want_loss, want_grads = oracles.loss_and_grads(weights, *arrays)
-    assert_rel_close(loss, want_loss)
-    for got, want in zip(step.grads, want_grads):
-        assert_rel_close(got, want)
+    _assert_grid_rebuilds_the_rows(step, arrays)
+    _assert_step_matches_the_oracle(step, weights, arrays)
 
     result = train_model(joint, params, cfg, np.random.default_rng(11))
     losses, final = oracles.train_losses_and_weights(
@@ -416,72 +415,120 @@ def test_training_matches_the_plain_step(objective, shape, dim):
         assert_rel_close(got, want)
 
 
-def _rows_per_block(monkeypatch, params, rows):
-    """Bound the step's row GEMMs to `rows` rows of `params`' classes."""
-    m = params.vocab_size // params.r
-    monkeypatch.setattr(generation, "_GEMM_MACS", rows * 3 * m * m)
+def _assert_grid_rebuilds_the_rows(step, arrays):
+    """Every joint row, rebuilt from its (pattern, fill) on the step's slot
+    grids, has its own token counts, and a pattern's rows one mass row."""
+    incidence, a = arrays[:2]
+    rebuilt = oracles.grid_counts(step.groups, incidence.shape[1])
+    assert sorted(rebuilt) == list(range(len(incidence)))
+    for row, (counts, _) in rebuilt.items():
+        assert np.array_equal(counts, incidence[row])
+    for rows, _, _ in step.groups:
+        assert np.array_equal(a[rows], np.broadcast_to(a[rows[:, :1]],
+                                                       a[rows].shape))
 
 
-@pytest.mark.parametrize("objective, shape, rows, sizes", [
-    # 56 rows per class: two, three uneven and one row per block
-    ("vlm:0.25-0.5", (3, 4, 2), 28, [28, 28]),
-    ("vlm:0.25-0.5", (3, 4, 2), 19, [18, 19, 19]),
-    ("vlm:0.25-0.5", (3, 4, 2), 1, [1] * 56),
-    # 24 rows per class
-    ("masked:0.5", (2, 4, 2), 12, [12, 12]),
-    ("masked:0.5", (2, 4, 2), 5, [4, 5, 5, 5, 5]),
-    ("masked:0.5", (2, 4, 2), 1, [1] * 24),
-])
-def test_row_blocked_step_matches_the_plain_step(monkeypatch, objective,
-                                                 shape, rows, sizes):
-    params = ToyParams(*shape)
-    _rows_per_block(monkeypatch, params, rows)
-    vocab = params.vocab_size
-    weights = oracles.init_weights(np.random.default_rng(11), vocab, vocab,
-                                   0.02)
-    joint = exact_joint(parse_objective(objective), params)
-    step = _Workspace(joint, weights, params)
-    assert [b.stop - b.start for b in step.spans] == sizes
-    loss = step(weights)
-    want_loss, want_grads = oracles.loss_and_grads(
-        weights, *oracles.design(joint, vocab))
+def _assert_step_matches_the_oracle(step, weights, arrays):
+    loss = step(step.w)
+    want_loss, want_grads = oracles.loss_and_grads(weights, *arrays)
     assert_rel_close(loss, want_loss)
-    for got, want in zip(step.grads, want_grads):
+    grads = step.unload(step.g, np.zeros_like(weights[4]))
+    for got, want in zip(grads, want_grads):
         assert_rel_close(got, want)
 
 
+GRID_KINDS = ["ar", "dar:2", "masked:0.5", "vlm:0.25-0.75"]
+GRID_SHAPES = [(1, 3, 2), (2, 4, 2), (3, 4, 2), (2, 6, 3), (1, 4, 1)]
+
+
 @pytest.mark.parametrize("objective, shape", [
-    ("vlm:0.25-0.5", (3, 4, 2)), ("masked:0.5", (2, 4, 2)),
+    (label, shape) for label in GRID_KINDS for shape in GRID_SHAPES
+    if label != "masked:0.5" or shape[1] % 2 == 0  # s/2 visible tokens
 ])
-def test_one_row_block_is_the_whole_array_step(objective, shape):
+def test_grid_step_matches_the_plain_step(objective, shape):
     params = ToyParams(*shape)
     vocab = params.vocab_size
-    weights = oracles.init_weights(np.random.default_rng(11), vocab, vocab,
-                                   0.02)
-    step = _Workspace(exact_joint(parse_objective(objective), params),
-                      weights, params)
-    assert len(step.spans) == 1
-    loss = step(weights)
-    grads = [g.copy() for g in step.grads]
-    # the whole-array products over the strided count view of the stack
-    step.x = step.xxa[:, :, 0]
-    assert step(weights) == loss
-    for got, want in zip(step.grads, grads):
-        assert got.tobytes() == want.tobytes()
+    weights = oracles.init_weights(np.random.default_rng(5), vocab, vocab,
+                                   0.05)
+    joint = exact_joint(parse_objective(objective), params)
+    arrays = oracles.design(joint, vocab)
+    step = _Workspace(joint, weights, params)
+    _assert_grid_rebuilds_the_rows(step, arrays)
+    _assert_step_matches_the_oracle(step, weights, arrays)
 
 
-def test_the_bench_vlm_step_runs_in_row_blocks():
-    # 1,680 rows per class of m = 16 tokens: past 10^6 multiply-adds whole
+# At (2, 3, 2), class 1 owns tokens 0 and 1 (position 1), 4 and 5 (position
+# 2), and 8 and 9 (position 3); class 2 has no row.
+HAND_BUILT = {
+    # the fills (0, 4) and (0, 5) differ in mass, so their pattern goes to
+    # depth 0, while (1, 4) and (1, 5) stay on a grid
+    "uneven": ({((0, 4), 8): 2, ((0, 5), 8): 1, ((1, 4), 8): 1,
+                ((1, 4), 9): 1, ((1, 5), 8): 1, ((1, 5), 9): 1,
+                ((0,), 4): 1, ((1,), 5): 1}, [(1, 1), (1, 2), (2, 3)]),
+    # a repeated token, and positions out of order or repeated
+    "repeated": ({((0, 0), 4): 1, ((4, 0), 8): 1, ((0, 4), 9): 2,
+                  ((1, 5), 8): 1, ((5, 4, 4), 9): 1},
+                 [(1, 2), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_depth_zero_rows_train_on_the_plain_step(name):
+    params = ToyParams(2, 3, 2)
+    entries, grids = HAND_BUILT[name]
+    total = sum(entries.values())
+    joint = oracles.from_entries({
+        (oracles.prefix_text(t), c): v / total for (t, c), v in entries.items()
+    })
+    vocab = params.vocab_size
+    weights = oracles.init_weights(np.random.default_rng(5), vocab, vocab,
+                                   0.05)
+    arrays = oracles.design(joint, vocab)
+    step = _Workspace(joint, weights, params)
+    # (fills, cells) of each group
+    assert sorted({(rows.shape[1], cells.shape[1])
+                   for rows, cells, _ in step.groups}) == grids
+    _assert_grid_rebuilds_the_rows(step, arrays)
+    _assert_step_matches_the_oracle(step, weights, arrays)
+    cfg = TrainSettings(steps=20)
+    result = train_model(joint, params, cfg, np.random.default_rng(5))
+    losses, _ = oracles.train_losses_and_weights(
+        arrays, oracles.init_weights(np.random.default_rng(5), vocab, vocab,
+                                     cfg.init_noise), cfg.lr, cfg.clip,
+        cfg.steps)
+    assert_rel_close(result.losses, losses)
+
+
+def test_the_grid_depth_is_set_by_the_size_rule():
+    # masked:0.5 at (2, 8, 2): 2,240 rows of 4 visible tokens; all 16
+    # fills of each of the 140 patterns share one slot matrix
     params = ToyParams(2, 8, 2)
+    joint = exact_joint(parse_objective("masked:0.5"), params)
+    [(rows, cells, x)] = _slot_grids(joint.tokens, joint.mass, params)
+    assert (rows.shape, cells.shape, x.shape) == ((140, 16), (140, 8),
+                                                  (16, 8))
+    # ar at (1, 6, 10): at full depth the 10^5 fills of 5 visible tokens
+    # would make a K of 10^5 x 50^2 entries; the grid stops at depth 2,
+    # whose 100 fills serve 1,000 patterns
+    params = ToyParams(1, 6, 10)
+    joint = exact_joint(parse_objective("ar"), params)
     vocab = params.vocab_size
     weights = oracles.init_weights(np.random.default_rng(0), vocab, vocab,
                                    0.02)
-    step = _Workspace(exact_joint(parse_objective("vlm:0.5-0.75"), params),
-                      weights, params)
-    m = step.xxa.shape[-1]
-    assert len(step.spans) > 1
-    for rows in step.spans:
-        assert (rows.stop - rows.start) * 3 * m * m <= generation._GEMM_MACS
+    step = _Workspace(joint, weights, params)
+    assert [(rows.shape, cells.shape[1]) for rows, cells, _ in step.groups] \
+        == [((10, 1), 1), ((10, 10), 11), ((100, 10), 12),
+            ((100, 100), 22), ((1000, 100), 23)]
+    for (rows, _, _), (k, slab, *_) in zip(step.groups, step.passes):
+        assert k.size <= slab.size
+    # everything the step holds, against the row arrays of a step that
+    # keeps each row's counts and mass over the class's m tokens: a
+    # (rows, 3, m) stack, its product with the tables, and the counts
+    arrays = [v for v in vars(step).values()
+              if isinstance(v, np.ndarray) and v.base is None]
+    held = sum(a.nbytes for a in arrays) + sum(k.nbytes for k, *_ in
+                                               step.passes)
+    assert held < 7 * len(joint.tokens) * vocab * 8 / 10
 
 
 def test_a_joint_that_crosses_class_blocks_is_refused():
@@ -535,18 +582,16 @@ def test_a_joint_beyond_the_vocabulary_is_refused():
         train_model(big, ToyParams(1, 4, 2), TrainSettings(steps=1))
 
 
-def _step_peak(params, blocks=1):
-    """Peak bytes one step traces, and the bound of two row-sized arrays;
-    the step's row GEMMs run in `blocks` blocks."""
+def _step_peak(params):
+    """Peak bytes one step traces, and the bound of two row-sized arrays."""
     joint = exact_joint(parse_objective("masked:0.5"), params)
     vocab = params.vocab_size
     weights = oracles.init_weights(np.random.default_rng(0), vocab, vocab, 0.02)
     step = _Workspace(joint, weights, params)
-    assert len(step.spans) == blocks
 
     def train_step():
-        step(weights)
-        step.descend(weights, 1e-3 / step.grad_norm())
+        step(step.w)
+        step.descend(step.w, 1e-3 / step.grad_norm())
 
     train_step()
     tracemalloc.start()
@@ -568,14 +613,6 @@ def test_training_step_peak_is_below_two_row_sized_arrays():
 
 def test_training_step_peak_with_two_class_blocks():
     peak, bound = _step_peak(ToyParams(2, 6, 2))
-    assert peak < bound
-
-
-def test_training_step_peak_with_row_blocks(monkeypatch):
-    # 160 rows per class in four blocks of 40
-    params = ToyParams(2, 6, 2)
-    _rows_per_block(monkeypatch, params, 40)
-    peak, bound = _step_peak(params, blocks=4)
     assert peak < bound
 
 
