@@ -225,14 +225,13 @@ def check_joint_size(params: ToyParams, counts=None) -> None:
         if rows > ENUMERATION_BUDGET:
             raise ResourceError(
                 f"{kind} joint needs more than {ENUMERATION_BUDGET} rows, "
-                "the enumeration budget; use build_joint_from_sampler instead"
+                "the enumeration budget; lower params r, s or T"
             )
     cols = r * targets * big_t
     if rows * cols > CELL_BUDGET:
         raise ResourceError(
             f"{kind} joint of {rows} rows and {cols} columns needs more than "
-            f"{CELL_BUDGET} cells, the cell budget; use "
-            "build_joint_from_sampler instead"
+            f"{CELL_BUDGET} cells, the cell budget; lower params r, s or T"
         )
 
 

@@ -172,6 +172,11 @@ def max_output_discrepancy(model: LinearAttentionModel) -> float:
     return math.sqrt(max(best, 0.0))
 
 
+def _worst_error(z, support) -> float:
+    """Largest `score_losses(z, np.max)` entry over the cells of `support`."""
+    return float(np.where(support, score_losses(z, np.max), -np.inf).max())
+
+
 def delta_term(model: LinearAttentionModel, joint: JointDistribution, *,
                z=None) -> float:
     """Worst pretraining error over a joint's support.
@@ -183,9 +188,7 @@ def delta_term(model: LinearAttentionModel, joint: JointDistribution, *,
     it already.
     """
     z = scores(model, joint) if z is None else z
-    losses = score_losses(z, np.max)
-    vals = np.where(joint.dense() > 0, losses, -np.inf)
-    return float(vals.max())
+    return _worst_error(z, joint.dense() > 0)
 
 
 def generation_bound_terms(
@@ -195,22 +198,21 @@ def generation_bound_terms(
 
     Returns `weights` (the misalignment weight of each position 2..u),
     `eta`, `delta`, `output_norm` and the `bound` they give. `joint` is the
-    mask joint the model trained on. Its rows with u visible tokens are
-    those of the one-ratio joint at the ratio that leaves u, with the same
-    column catalog and support, so `delta` is taken over them alone.
+    mask joint the model trained on. Its rows with u visible tokens are the
+    one-ratio joint's at the ratio that leaves u, with the same catalog and
+    support, so `delta` is taken over them alone, in place: no joint is built.
     """
     if u < 2:
         raise DomainError(f"bound needs an unmasked count >= 2, got {u}")
-    rows = (joint.tokens >= 0).sum(axis=1) == u
-    if joint.kind != UNMASKED or not rows.any():
+    rows = np.flatnonzero((joint.tokens >= 0).sum(axis=1) == u)
+    if joint.kind != UNMASKED or not len(rows):
         raise DomainError(
             f"bound at u={u} needs a mask joint with rows of {u} visible "
             f"tokens, as a model trained at that ratio has"
         )
-    own = JointDistribution(kind=joint.kind, tokens=joint.tokens[rows],
-                            cols=joint.cols, mass=joint.mass[rows])
+    z = pooled_attention(model, joint.tokens[rows]) @ model.w_out[:, joint.cols]
     terms = {"eta": max_output_discrepancy(model),
-             "delta": delta_term(model, own),
+             "delta": _worst_error(z, joint.mass[rows] > 0),
              "output_norm": model.output_norm()}
     return {"weights": {k: misalignment_weight(u, k) for k in range(2, u + 1)},
             **terms, "bound": masked_generation_bound(u, **terms)}

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 
 # Exact builders and `load_config` refuse more rows or a larger count than
-# this; callers that need bigger joints are pointed at the sampling path.
+# this; a joint refused for its size points at the `params` r, s and T.
 ENUMERATION_BUDGET = 200_000
 # Dense arrays over two enumerated axes (a joint's rows x columns, a
 # two-stream mask's positions x positions) are refused above this many

@@ -9,7 +9,10 @@ The change's BENCHMARK.json fixes the workloads, the run length S
 10 runs `python3 bench/run.py --workload W --seed SEED+k --seconds S
 --trace 0` once in each checkout, under `env -i` with only PATH and HOME
 set, so that the environment's size does not move peak RSS. The parent
-runs first in even pairs and the change in odd ones.
+runs first in even pairs and the change in odd ones. Before pair 0, each
+checkout is byte-compiled (`python3 -m compileall -q src bench`, under
+the same `env -i`), so that no run compiles modules and reads the extra
+peak RSS of doing so.
 
 The output JSON holds every run's result, and per workload and end-to-end
 metric of the change's BENCHMARK.json: each side's median and quartiles,
@@ -33,14 +36,24 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
+def clean_env() -> list[str]:
+    """The `env -i` prefix that keeps only PATH and HOME."""
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+           "HOME": os.environ.get("HOME", "/")}
+    return ["env", "-i", *(f"{k}={v}" for k, v in env.items())]
+
+
+def compile_checkout(checkout: str) -> None:
+    """Byte-compile `checkout`'s `src` and `bench`, as its runs import them."""
+    subprocess.run([*clean_env(), "python3", "-m", "compileall", "-q", "src",
+                    "bench"], cwd=checkout, check=True)
+
+
 def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One `bench/run.py` run in `checkout`: its last stdout line, parsed,
     which it prints whether or not its checks pass."""
-    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-           "HOME": os.environ.get("HOME", "/")}
-    cmd = ["env", "-i", *(f"{k}={v}" for k, v in env.items()), "python3",
-           "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [*clean_env(), "python3", "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=20 * seconds + 300)
     try:
@@ -121,6 +134,8 @@ def main(argv=None) -> int:
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     seconds = benchmark["run_seconds"]
+    for checkout in checkouts.values():
+        compile_checkout(checkout)
     runs = []
     for workload in (w["name"] for w in benchmark["workloads"]):
         for k in range(PAIRS):
@@ -136,8 +151,9 @@ def main(argv=None) -> int:
                     f"{seconds:g} --trace 0"),
         "protocol": (f"{PAIRS} alternating pairs per workload, seeds "
                      f"{args.seed}..{args.seed + PAIRS - 1}; the parent "
-                     "runs first in even pairs; each run under env -i with "
-                     "only PATH and HOME"),
+                     "runs first in even pairs; each checkout "
+                     "byte-compiled before pair 0; each run under env -i "
+                     "with only PATH and HOME"),
         "machine": machine(),
         "summary": summarize(runs, benchmark["end_to_end"]),
         "runs": runs,

@@ -391,8 +391,8 @@ def test_each_objective_is_sized_at_load(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err == (
         "resource budget exceeded: objectives[1]: vlm:0.25-0.75: unmasked "
-        "joint needs more than 200000 rows, the enumeration budget; use "
-        "build_joint_from_sampler instead\n")
+        "joint needs more than 200000 rows, the enumeration budget; "
+        "lower params r, s or T\n")
     assert built == []
     assert os.listdir(tmp_path) == ["cfg.json"]
 
@@ -415,7 +415,7 @@ def test_the_ar_joint_that_scores_generation_is_sized_at_load(
     assert capsys.readouterr().err == (
         f"resource budget exceeded: {experiment} scores generation on the ar "
         "joint: prefix joint needs more than 200000 rows, the enumeration "
-        "budget; use build_joint_from_sampler instead\n")
+        "budget; lower params r, s or T\n")
     assert built == []
     assert os.listdir(tmp_path) == ["cfg.json"]
     for other in ("spectrum", "masks"):

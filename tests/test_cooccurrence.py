@@ -273,8 +273,8 @@ def test_variable_ratio_needs_an_admissible_point():
         build_vlm_joint(ToyParams(2, 4, 2), 0.3, 0.4)
 
 
-def test_budget_overrun_names_the_sampler():
-    with pytest.raises(ResourceError, match="build_joint_from_sampler"):
+def test_budget_overrun_names_the_params_to_lower():
+    with pytest.raises(ResourceError, match="lower params r, s or T"):
         build_ar_joint(ToyParams(3, 12, 3))
     with pytest.raises(ResourceError, match="budget"):
         build_masked_joint(ToyParams(2, 10, 4), 0.5)

@@ -292,6 +292,30 @@ def test_bound_delta_from_the_own_joint_is_the_one_ratio_delta(
         assert got == delta_term(model, build_masked_joint(params, rho))
 
 
+@pytest.mark.parametrize("objective, shape", [
+    ("vlm:0.25-0.75", (2, 4, 2)),
+    ("masked:0.5", (2, 8, 2)),
+])
+def test_bound_rows_are_read_in_place(monkeypatch, objective, shape):
+    # every row comes from the trained joint itself: no joint is built
+    params = ToyParams(*shape)
+    spec = parse_objective(objective)
+    joint = exact_joint(spec, params)
+    model = random_model(params.vocab_size, 4, seed=params.s)
+    s = params.s
+    want = {u: delta_term(model, build_masked_joint(params, (s - u) / s))
+            for u in admissible_counts(s, spec.rho_lo, spec.rho_hi) if u >= 2}
+
+    def built(*args, **kwargs):
+        raise AssertionError("generation_bound_terms built a joint")
+
+    monkeypatch.setattr(generation, "JointDistribution", built)
+    for u, delta in want.items():
+        terms = generation_bound_terms(model, joint, u)
+        assert terms["delta"] == delta
+        assert set(terms["weights"]) == set(range(2, u + 1))
+
+
 def test_bound_terms_refuse_a_joint_without_rows_at_the_ratio():
     # masked:0.5 has no row of 3 visible tokens; ar has, but they are
     # prefixes

@@ -80,6 +80,8 @@ def test_a_traced_genbound_run_times_training_and_scoring(tmp_path):
     assert metrics["generation.train_steps"]["value"] == 40
     assert metrics["generation.train_s"]["value"] > 0
     assert metrics["generation.gen_loss_s"]["value"] > 0
+    # the masked model's bound row goes through the traced name
+    assert metrics["generation.bound_s"]["value"] > 0
 
 
 def test_a_traced_masks_run_counts_its_forwards(tmp_path):
